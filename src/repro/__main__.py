@@ -125,7 +125,6 @@ def _serve_main(args: argparse.Namespace) -> int:
             return ServeSession(
                 topo, strategy, seed=args.seed,
                 max_queue=args.max_queue, max_inflight=args.max_inflight,
-                exact_latency=args.exact_latency,
             )
 
         fleet = run_fleet(
@@ -138,7 +137,6 @@ def _serve_main(args: argparse.Namespace) -> int:
         session = ServeSession(
             topo, strategy, seed=args.seed,
             max_queue=args.max_queue, max_inflight=args.max_inflight,
-            exact_latency=args.exact_latency,
         )
         report = run_loadgen(
             session, workload=args.workload, arrival=args.arrival,
@@ -299,11 +297,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "a trace command, or a serve command")
     parser.add_argument("--scale", choices=["quick", "default", "paper"], default=None,
                         help="parameter scale (default: $REPRO_SCALE or 'default')")
-    parser.add_argument("--workload", "--app", choices=workloads, default="matmul",
-                        dest="workload", metavar="NAME",
+    parser.add_argument("--workload", choices=workloads, default="matmul",
+                        metavar="NAME",
                         help="workload for the workload-sensitive experiments "
-                             f"and trace-record ({', '.join(workloads)}; "
-                             "--app is the deprecated alias)")
+                             f"and trace-record ({', '.join(workloads)})")
     parser.add_argument("--topology", choices=list(TOPOLOGY_KINDS), default=None,
                         help="interconnect for topology-sensitive experiments "
                              "(bitonic figures, ablations, xwork-readfrac, "
@@ -373,10 +370,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="loadgen: run under cProfile and write "
                              "SERVE_profile.pstats next to the JSON report")
-    parser.add_argument("--exact-latency", action="store_true",
-                        help="loadgen: retain every latency sample "
-                             "(exact percentiles, O(requests) memory) "
-                             "instead of the streaming sketch")
     args = parser.parse_args(argv)
     if args.experiment == "list":
         print("\n".join(EXPERIMENTS))

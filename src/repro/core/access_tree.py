@@ -44,7 +44,7 @@ from ..runtime.variables import GlobalVariable
 from ..sim.flows import multicast_acks
 from .decomposition import DecompositionTree, build_tree, parse_arity
 from .embedding import make_embedding
-from .strategy import DataManagementStrategy, GrantCallback
+from .strategy import DataManagementStrategy, ResidencyMirror
 
 __all__ = ["AccessTreeStrategy"]
 
@@ -100,8 +100,6 @@ class AccessTreeStrategy(DataManagementStrategy):
         self.arity = arity
         self.seed = seed
         self._copies: Dict[int, _CopySet] = {}
-        self.write_local = 0
-        self.write_remote = 0
         # Optional remapping (the theoretical strategy's feature the paper
         # omits): after `remap_threshold` protocol messages have stopped at
         # the same tree node, its host is re-randomized within its submesh.
@@ -127,10 +125,6 @@ class AccessTreeStrategy(DataManagementStrategy):
         # unbounded case (the paper's default) skips it on the hot paths.
         self._track_mem = self.memory.capacity is not None
         self._leaf_of_proc = self.tree.leaf_of_proc
-        # Per-variable compiled leg cost shapes (request = control, reply =
-        # data), resolved once at registration for the engine's inline
-        # chain events: (cwire, cover, cocc, dwire, dover, docc).
-        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
 
     # ----------------------------------------------------------- inspection
     def copy_nodes(self, var: GlobalVariable) -> Set[int]:
@@ -141,10 +135,6 @@ class AccessTreeStrategy(DataManagementStrategy):
         """Processors hosting at least one copy."""
         emb = self.embedding
         return {emb.host(var.vid, n) for n in self._copies[var.vid].nodes}
-
-    @property
-    def lock_acquisitions(self) -> int:
-        return self._locks.acquisitions
 
     # ------------------------------------------------------------- plumbing
     def _host(self, vid: int, node: int) -> int:
@@ -349,17 +339,7 @@ class AccessTreeStrategy(DataManagementStrategy):
         leaf = self.tree.leaf_of_proc[var.creator]
         cs = _CopySet(leaf)
         self._copies[var.vid] = cs
-        sim = self.sim
-        cwire = sim._ctrl_bytes
-        dwire = var.payload_bytes + sim._header_bytes
-        self._leg_costs[var.vid] = (
-            cwire,
-            sim._nic_fixed + cwire * sim._nic_byte,
-            cwire / sim._bandwidth,
-            dwire,
-            sim._nic_fixed + dwire * sim._nic_byte,
-            dwire / sim._bandwidth,
-        )
+        self._leg_costs[var.vid] = self.sim.leg_costs(var.payload_bytes)
         if self._track_mem:
             self._mem_insert(var, cs, leaf, 0.0)
 
@@ -495,17 +475,34 @@ class AccessTreeStrategy(DataManagementStrategy):
             sim.push_path(t, hosts, dwire, dover, docc, True, False, after_request)
         return None
 
-    # ---------------------------------------------------------------- locks
-    def lock(self, proc: int, var: GlobalVariable, t: float, grant: GrantCallback) -> None:
-        self._locks.lock(proc, var.vid, var.creator, t, grant)
+    # ----------------------------------------------------- residency mirror
+    def _mirror(self) -> ResidencyMirror:
+        """Sites are tree nodes; a read hits iff the reader's leaf holds a
+        copy, a write is local iff that leaf holds the *sole* copy.  With
+        remapping off, hosts and path geometry never change, so the
+        read-miss flow is static."""
+        tree = self.tree
+        return ResidencyMirror(
+            self._leaf_of_proc, len(tree.nodes), True, True, True,
+            tree=(tree.parent, tree.depth) if self.remap_threshold is None else None,
+        )
 
-    def unlock(self, proc: int, var: GlobalVariable, t: float) -> float:
-        return self._locks.unlock(proc, var.vid, var.creator, t)
+    def residency(self, vid: int):
+        cs = self._copies[vid]
+        return -1, cs.nodes, cs.top
 
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self.write_local = 0
-        self.write_remote = 0
+    def flow_row(self, vid: int):
+        host = self.embedding.host
+        return (
+            [host(vid, node) for node in range(len(self.tree.nodes))],
+            float(self.registry.by_id(vid).payload_bytes),
+            self._leg_costs[vid],
+        )
+
+    def adopt(self, vid: int, members, top: int) -> None:
+        cs = self._copies[vid]
+        cs.nodes = set(members)
+        cs.top = top
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AccessTreeStrategy({self.arity}, {self.embedding.name}, {self.topology!r})"

@@ -33,6 +33,7 @@ from typing import Dict, Optional, Tuple
 from ..network.topology import Topology
 from ..runtime.variables import GlobalVariable
 from .fixed_home import HOME, FixedHomeStrategy
+from .strategy import ResidencyMirror
 
 __all__ = ["AdaptiveStrategy"]
 
@@ -67,6 +68,11 @@ class AdaptiveStrategy(FixedHomeStrategy):
         self._scores: Dict[int, Dict[int, Tuple[float, int]]] = {}
         self.replications = 0
         self.demotions = 0
+
+    def _mirror(self) -> ResidencyMirror:
+        """Every read advances the popularity estimator, so reads always
+        cross; owner writes are fixed home's."""
+        return ResidencyMirror.over_processors(self.topology.n_nodes, native_reads=False)
 
     # ----------------------------------------------------------- estimator
     def _decayed(self, entry: Optional[Tuple[float, int]], n: int) -> float:

@@ -53,6 +53,10 @@ class DynRepStrategy(FixedHomeStrategy):
         self._read_counts: Dict[int, Dict[int, int]] = {}
         self.replications = 0
 
+    #: Hit path and owner-write rule are fixed home's, unchanged (only
+    #: the miss-side replication decision differs, and misses cross).
+    _mirror = FixedHomeStrategy._mirror
+
     # ------------------------------------------------------------------ API
     def _read_replicates(self, st, proc: int, var: GlobalVariable) -> bool:
         """The one divergence from fixed home: a read miss leaves a copy

@@ -31,7 +31,7 @@ from ..network.topology import Topology
 from ..runtime.locks import HomeLock
 from ..runtime.variables import GlobalVariable
 from ..sim.flows import chain, multicast_acks
-from .strategy import DataManagementStrategy, GrantCallback, next_live_node
+from .strategy import DataManagementStrategy, ResidencyMirror, next_live_node
 
 __all__ = ["FixedHomeStrategy"]
 
@@ -61,8 +61,6 @@ class FixedHomeStrategy(DataManagementStrategy):
         self.mesh = topology  # historic alias
         self.seed = seed
         self._states: Dict[int, _VarState] = {}
-        self.write_local = 0
-        self.write_remote = 0
 
     def attach(self, runtime) -> None:
         super().attach(runtime)
@@ -80,10 +78,6 @@ class FixedHomeStrategy(DataManagementStrategy):
     def owner_of(self, var: GlobalVariable) -> int:
         """Current owner processor, or ``HOME`` (-1)."""
         return self._states[var.vid].owner
-
-    @property
-    def lock_acquisitions(self) -> int:
-        return self._locks.acquisitions
 
     # ------------------------------------------------------------- plumbing
     def _mem_insert(self, st: _VarState, var: GlobalVariable, proc: int, t: float) -> None:
@@ -116,6 +110,7 @@ class FixedHomeStrategy(DataManagementStrategy):
         home = rng.randrange(self.topology.n_nodes)
         st = _VarState(home, var.creator)
         self._states[var.vid] = st
+        self._leg_costs[var.vid] = self.sim.leg_costs(var.payload_bytes)
         if self._track_mem:
             self._mem_insert(st, var, var.creator, 0.0)
 
@@ -164,20 +159,9 @@ class FixedHomeStrategy(DataManagementStrategy):
             self._storage_delta(payload, t)
             self._mem_insert(st, var, proc, t)
         value = self.registry.get(var)
-        runtime = self.runtime
-        sim = self.sim
-        cwire = sim._ctrl_bytes
-        dwire = payload + sim._header_bytes
-        sim.push_updown(
-            t,
-            hosts,
-            cwire,
-            sim._nic_fixed + cwire * sim._nic_byte,
-            cwire / sim._bandwidth,
-            dwire,
-            sim._nic_fixed + dwire * sim._nic_byte,
-            dwire / sim._bandwidth,
-            resume_event=runtime.resume_event(proc, value),
+        self.sim.push_updown(
+            t, hosts, *self._leg_costs[var.vid],
+            resume_event=self.runtime.resume_event(proc, value),
         )
 
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
@@ -226,6 +210,17 @@ class FixedHomeStrategy(DataManagementStrategy):
 
         chain(sim, [(proc, home, 0, False)], t, after_request)
         return None
+
+    # ----------------------------------------------------- residency mirror
+    def _mirror(self) -> ResidencyMirror:
+        """A read hits iff the reader holds a copy; the owner writes
+        locally.  Misses route through the (mutable) owner: no static
+        flow."""
+        return ResidencyMirror.over_processors(self.topology.n_nodes)
+
+    def residency(self, vid: int):
+        st = self._states[vid]
+        return st.owner, st.copies, -1
 
     # --------------------------------------------------------------- repair
     def on_node_down(self, proc, t, down=frozenset()):
@@ -286,18 +281,6 @@ class FixedHomeStrategy(DataManagementStrategy):
                     self._storage_delta(delta, t)
                 repaired.append(vid)
         return repaired
-
-    # ---------------------------------------------------------------- locks
-    def lock(self, proc: int, var: GlobalVariable, t: float, grant: GrantCallback) -> None:
-        self._locks.lock(proc, var.vid, var.creator, t, grant)
-
-    def unlock(self, proc: int, var: GlobalVariable, t: float) -> float:
-        return self._locks.unlock(proc, var.vid, var.creator, t)
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self.write_local = 0
-        self.write_remote = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FixedHomeStrategy(seed={self.seed}, {self.topology!r})"

@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 from ..network.topology import Topology
 from ..runtime.locks import HomeLock
 from ..runtime.variables import GlobalVariable
-from .strategy import DataManagementStrategy, GrantCallback, next_live_node
+from .strategy import DataManagementStrategy, ResidencyMirror, next_live_node
 
 __all__ = ["MigratoryStrategy"]
 
@@ -59,16 +59,11 @@ class MigratoryStrategy(DataManagementStrategy):
         self._states: Dict[int, _VarState] = {}
         self.migrations = 0
         self.forwards = 0
-        self.write_local = 0
-        self.write_remote = 0
 
     def attach(self, runtime) -> None:
         super().attach(runtime)
         self._locks = HomeLock(self.sim, self.directory_of)
         self._track_mem = self.memory.capacity is not None
-        # Per-variable compiled leg cost shapes (request = control, reply =
-        # data), resolved once at registration, like the access tree's.
-        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
 
     # ----------------------------------------------------------- inspection
     def directory_of(self, vid: int) -> int:
@@ -79,10 +74,6 @@ class MigratoryStrategy(DataManagementStrategy):
 
     def copy_procs(self, var: GlobalVariable) -> Set[int]:
         return {self._states[var.vid].owner}
-
-    @property
-    def lock_acquisitions(self) -> int:
-        return self._locks.acquisitions
 
     # ------------------------------------------------------------- plumbing
     def _mem_insert(self, var: GlobalVariable, proc: int) -> None:
@@ -104,17 +95,7 @@ class MigratoryStrategy(DataManagementStrategy):
     # ------------------------------------------------------------------ API
     def register(self, var: GlobalVariable) -> None:
         self._states[var.vid] = _VarState(var.creator, var.creator)
-        sim = self.sim
-        cwire = sim._ctrl_bytes
-        dwire = var.payload_bytes + sim._header_bytes
-        self._leg_costs[var.vid] = (
-            cwire,
-            sim._nic_fixed + cwire * sim._nic_byte,
-            cwire / sim._bandwidth,
-            dwire,
-            sim._nic_fixed + dwire * sim._nic_byte,
-            dwire / sim._bandwidth,
-        )
+        self._leg_costs[var.vid] = self.sim.leg_costs(var.payload_bytes)
         self._mem_insert(var, var.creator)
 
     def read(self, proc: int, var: GlobalVariable, t: float) -> Optional[Tuple[float, Any]]:
@@ -130,9 +111,8 @@ class MigratoryStrategy(DataManagementStrategy):
         self.forwards += 1
         value = self.registry.get(var)
         hosts = self._hosts(proc, st)
-        cwire, cover, cocc, dwire, dover, docc = self._leg_costs[var.vid]
         self.sim.push_updown(
-            t, hosts, cwire, cover, cocc, dwire, dover, docc,
+            t, hosts, *self._leg_costs[var.vid],
             resume_event=self.runtime.resume_event(proc, value),
         )
         return None
@@ -160,12 +140,20 @@ class MigratoryStrategy(DataManagementStrategy):
                 old_mem.remove(var.vid)
             self._mem_insert(var, proc)
         # --- timing flow: control request up, the migrating copy down ---
-        cwire, cover, cocc, dwire, dover, docc = self._leg_costs[var.vid]
         self.sim.push_updown(
-            t, hosts, cwire, cover, cocc, dwire, dover, docc,
+            t, hosts, *self._leg_costs[var.vid],
             resume_event=self.runtime.resume_event(proc, None),
         )
         return None
+
+    # ----------------------------------------------------- residency mirror
+    def _mirror(self) -> ResidencyMirror:
+        """The owner holds the only copy: it reads and writes locally."""
+        return ResidencyMirror.over_processors(self.topology.n_nodes)
+
+    def residency(self, vid: int):
+        owner = self._states[vid].owner
+        return owner, (owner,), -1
 
     # --------------------------------------------------------------- repair
     def on_node_down(self, proc, t, down=frozenset()):
@@ -197,17 +185,8 @@ class MigratoryStrategy(DataManagementStrategy):
                 repaired.append(vid)
         return repaired
 
-    # ---------------------------------------------------------------- locks
-    def lock(self, proc: int, var: GlobalVariable, t: float, grant: GrantCallback) -> None:
-        self._locks.lock(proc, var.vid, var.creator, t, grant)
-
-    def unlock(self, proc: int, var: GlobalVariable, t: float) -> float:
-        return self._locks.unlock(proc, var.vid, var.creator, t)
-
     def reset_counters(self) -> None:
         super().reset_counters()
-        self.write_local = 0
-        self.write_remote = 0
         # migrations tracks write_remote and forwards tracks misses; they
         # must cover the same measured window as their counterparts.
         self.migrations = 0

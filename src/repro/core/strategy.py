@@ -27,7 +27,7 @@ see :mod:`repro.sim.engine`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..runtime.variables import GlobalVariable
 from .registry import _DerivedNames
@@ -35,6 +35,7 @@ from .registry import _DerivedNames
 __all__ = [
     "DataManagementStrategy",
     "NullStrategy",
+    "ResidencyMirror",
     "next_live_node",
     "STRATEGY_NAMES",
 ]
@@ -57,6 +58,41 @@ def next_live_node(start: int, n_nodes: int, down: FrozenSet[int]) -> int:
 GrantCallback = Callable[[float], None]
 
 
+class ResidencyMirror(NamedTuple):
+    """What a family lets a serving fast path assume (its decision table).
+
+    The fast path mirrors, per variable, *who holds a copy* as a member
+    set over ``n_sites`` residency sites (:meth:`DataManagementStrategy.
+    residency`) and completes a request without calling the strategy when
+    the table says the call would only bump a counter.  Everything else
+    crosses into the unchanged :meth:`~DataManagementStrategy.read` /
+    :meth:`~DataManagementStrategy.write`.
+    """
+
+    #: ``site_of[proc]``: the residency site a request from ``proc`` tests.
+    site_of: Sequence[int]
+    n_sites: int
+    #: A read whose site is a member is a hit with no side effect.
+    native_reads: bool
+    #: A local write (rule below) has no side effect.
+    native_writes: bool
+    #: Local-write rule: ``True`` = the writer's site holds the *sole*
+    #: copy; ``False`` = the writer is the variable's owner.
+    sole_copy_write: bool
+    #: ``(parent, depth)`` arrays over the sites when the read-miss flow
+    #: shape is static (a fixed tree, fixed hosts): misses then replay
+    #: natively from :meth:`~DataManagementStrategy.flow_row`, and
+    #: :meth:`~DataManagementStrategy.adopt` imports the copies they
+    #: placed before a crossed write.
+    tree: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+
+    @classmethod
+    def over_processors(cls, n: int, native_reads: bool = True) -> "ResidencyMirror":
+        """The directory families' table: one site per processor, owner
+        writes are local."""
+        return cls(range(n), n, native_reads, True, False)
+
+
 class DataManagementStrategy:
     """Abstract base: the runtime calls these entry points."""
 
@@ -68,6 +104,14 @@ class DataManagementStrategy:
     #: re-zeros them per run, and the launcher reads them directly.
     hits: int = 0
     misses: int = 0
+    #: Writes completed locally / through a remote flow (the replicating
+    #: families count them; :meth:`fold_native` adds the serving kernel's).
+    write_local: int = 0
+    write_remote: int = 0
+
+    #: The family's lock service (``lock`` / ``unlock`` / ``acquisitions``),
+    #: built in :meth:`attach`; ``None`` = the family serves no locks.
+    _locks = None
 
     #: Storage-cost accumulator (schema v7, see :mod:`repro.metrics`):
     #: the time integral of excess replica bytes, advanced by
@@ -88,6 +132,9 @@ class DataManagementStrategy:
         self._sc_integral = 0.0
         self._sc_excess = 0.0
         self._sc_last = 0.0
+        # Per-variable compiled leg cost shapes (Simulator.leg_costs),
+        # resolved once at registration for the engine's inline chains.
+        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
 
     def register(self, var: GlobalVariable) -> None:
         """A variable was created; place its initial sole copy."""
@@ -103,18 +150,20 @@ class DataManagementStrategy:
         raise NotImplementedError
 
     def lock(self, proc: int, var: GlobalVariable, t: float, grant: GrantCallback) -> None:
-        raise NotImplementedError
+        self._locks.lock(proc, var.vid, var.creator, t, grant)
 
     def unlock(self, proc: int, var: GlobalVariable, t: float) -> float:
-        raise NotImplementedError
+        return self._locks.unlock(proc, var.vid, var.creator, t)
 
     @property
     def lock_acquisitions(self) -> int:
-        return 0
+        return self._locks.acquisitions if self._locks is not None else 0
 
     def reset_counters(self) -> None:
         self.hits = 0
         self.misses = 0
+        self.write_local = 0
+        self.write_remote = 0
 
     # ------------------------------------------------------- storage cost
     # Replica-bytes x time accounting (schema v7's ``storage_cost``, see
@@ -142,6 +191,63 @@ class DataManagementStrategy:
         copies currently held keep accruing from here)."""
         self._sc_integral = 0.0
         self._sc_last = at
+
+    # ---------------------------------------------------- residency mirror
+    # The serving contract (see docs/ARCHITECTURE.md, "The kernel fast
+    # path").  A family opts in by defining ``_mirror`` *in its own class
+    # body*: a subclass that declares nothing may have overridden the hit
+    # path, so it is served by the classic dispatchers.
+
+    def residency_mirror(self) -> Union[ResidencyMirror, str]:
+        """The family's :class:`ResidencyMirror` (call after
+        :meth:`attach`), or the reason -- a sentence -- it has none."""
+        declare = vars(type(self)).get("_mirror")
+        if declare is None:
+            return f"{type(self).__name__} declares no residency mirror"
+        if self.memory.capacity is not None:
+            return "bounded memory: a local hit touches the LRU"
+        return declare(self)
+
+    def residency(self, vid: int) -> Tuple[int, Iterable[int], int]:
+        """``(owner, member sites, top)`` of one variable: owner is a
+        processor or -1; ``top`` is the component's topmost site where
+        the mirror declares a tree, else ignored."""
+        raise NotImplementedError
+
+    def flow_row(self, vid: int) -> Tuple[Sequence[int], float, Tuple[float, ...]]:
+        """Static-flow families: ``(host of every site, payload bytes,
+        leg costs)`` of one variable -- the shape a native miss replays."""
+        raise NotImplementedError
+
+    def adopt(self, vid: int, members: Iterable[int], top: int) -> None:
+        """Static-flow families: take over the copy placement natively
+        replayed misses produced (storage already accounted)."""
+        raise NotImplementedError
+
+    def delegate_storage(
+        self, sink: Callable[[float, float], None]
+    ) -> Tuple[float, float, float]:
+        """Route :meth:`_storage_delta` to ``sink(delta, t)`` and return
+        the accumulator ``(integral, last, excess)`` to seed it with: one
+        owner means ONE float accumulation sequence whichever side applies
+        a delta.  :meth:`fold_native` hands the state back."""
+        self._storage_delta = sink
+        return self._sc_integral, self._sc_last, self._sc_excess
+
+    def fold_native(
+        self,
+        hits: int,
+        write_local: int,
+        misses: int,
+        storage: Optional[Tuple[float, float, float]] = None,
+    ) -> None:
+        """Add the counters of natively completed requests (and, after
+        :meth:`delegate_storage`, the accumulator's current state)."""
+        self.hits += hits
+        self.write_local += write_local
+        self.misses += misses
+        if storage is not None:
+            self._sc_integral, self._sc_last, self._sc_excess = storage
 
     # ---------------------------------------------------------- repair
     # Failure-axis hooks (see repro.network.failures): the runtime calls

@@ -144,9 +144,9 @@ class ExperimentSpec:
         cell rows (e.g. Figures 9/10 project phase columns out of the
         Figure 8 cells).
     uses_workload:
-        Whether the ``--workload`` CLI axis (historic alias ``--app``)
-        changes the experiment (the tree-degree and embedding ablations
-        run any registered workload); result files for a non-default
+        Whether the ``--workload`` CLI axis changes the experiment (the
+        tree-degree and embedding ablations run any registered
+        workload); result files for a non-default
         workload get a workload-suffixed name so axis values don't
         overwrite each other.
     uses_topology:

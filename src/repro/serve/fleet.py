@@ -37,6 +37,7 @@ fleet report, whatever the interleaving of the worker processes.
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -47,6 +48,10 @@ from .loadgen import run_loadgen
 from .session import ServeReport, ServeSession
 
 __all__ = ["FleetReport", "run_fleet", "spawn_seed", "split_requests"]
+
+#: How often the parent, waiting for results, checks that the workers
+#: still owed one are alive.
+_POLL_SECONDS = 0.5
 
 
 def split_requests(requests: int, workers: int) -> List[int]:
@@ -102,39 +107,25 @@ def _run_worker(
     try:
         session = make_session()
         report = run_loadgen(session, **loadgen_opts)
-        lat_sim = session._lat_sim
-        lat_wall = session._lat_wall
         out_q.put((index, {
             "report": report,
             "links": session.rt.sim.stats.state(),
-            "lat_sim": _lat_state(lat_sim),
-            "lat_wall": _lat_state(lat_wall),
+            "lat_sim": session._lat_sim.state(),
+            "lat_wall": session._lat_wall.state(),
+            "topology": session.rt.sim.topology,
         }))
     except BaseException as exc:  # surfaced by the parent as a fleet error
         out_q.put((index, {"error": repr(exc)}))
         raise
 
 
-def _lat_state(store) -> Dict[str, Any]:
-    if isinstance(store, StreamingQuantiles):
-        return {"kind": "sketch", "state": store.state()}
-    return {"kind": "exact", "values": np.asarray(store, dtype=np.float64)}
-
-
-def _lat_merge(states: List[Dict[str, Any]]):
-    """One merged latency store from per-worker states: sketches merge by
-    bucket addition; exact arrays concatenate."""
-    if all(s["kind"] == "sketch" for s in states):
-        merged = StreamingQuantiles()
-        for s in states:
-            merged.merge(StreamingQuantiles.from_state(s["state"]))
-        return merged
-    vals = np.concatenate([
-        np.asarray(s["values"], dtype=np.float64) if s["kind"] == "exact"
-        else np.empty(0)
-        for s in states
-    ])
-    return vals
+def _lat_merge(states: List[Dict[str, Any]]) -> StreamingQuantiles:
+    """One merged latency sketch from per-worker sketch states (bucket
+    addition)."""
+    merged = StreamingQuantiles()
+    for state in states:
+        merged.merge(StreamingQuantiles.from_state(state))
+    return merged
 
 
 def run_fleet(
@@ -159,9 +150,9 @@ def run_fleet(
         fleet = _aggregate(
             [report],
             [session.rt.sim.stats.state()],
-            [_lat_state(session._lat_sim)],
-            [_lat_state(session._lat_wall)],
-            topology=session.rt.sim.topology,
+            [session._lat_sim.state()],
+            [session._lat_wall.state()],
+            session.rt.sim.topology,
         )
         return FleetReport(workers=[report], fleet=fleet)
 
@@ -179,9 +170,28 @@ def run_fleet(
         p.start()
         procs.append(p)
     results: List[Optional[Dict[str, Any]]] = [None] * workers
-    for _ in range(workers):
-        i, payload = out_q.get()
+    pending = workers
+    while pending:
+        try:
+            i, payload = out_q.get(timeout=_POLL_SECONDS)
+        except queue.Empty:
+            # A worker that died before reporting (killed, os._exit, a
+            # crash in native code) never will: fail instead of waiting.
+            dead = [
+                f"worker {i} exited with code {p.exitcode}"
+                for i, p in enumerate(procs)
+                if results[i] is None and p.exitcode is not None
+            ]
+            if dead and out_q.empty():
+                for p in procs:
+                    p.terminate()
+                    p.join()
+                raise RuntimeError(
+                    "fleet worker(s) died before reporting: " + "; ".join(dead)
+                )
+            continue
         results[i] = payload
+        pending -= 1
     for p in procs:
         p.join()
     errors = [
@@ -202,8 +212,7 @@ def run_fleet(
         [r["links"] for r in results],
         [r["lat_sim"] for r in results],
         [r["lat_wall"] for r in results],
-        topology=None,
-        make_session=make_session,
+        results[0]["topology"],
     )
     return FleetReport(workers=reports, fleet=fleet)
 
@@ -213,16 +222,12 @@ def _aggregate(
     link_states: List[Dict[str, Any]],
     lat_sim_states: List[Dict[str, Any]],
     lat_wall_states: List[Dict[str, Any]],
-    topology=None,
-    make_session: Optional[Callable[[], ServeSession]] = None,
+    topology,
 ) -> Dict[str, Any]:
-    """The merged fleet view (the ``"fleet"`` half of the report JSON)."""
+    """The merged fleet view (the ``"fleet"`` half of the report JSON);
+    ``topology`` shapes the fleet-wide LinkStats accumulator."""
     from ..network.stats import LinkStats
 
-    if topology is None:
-        # Rebuild a throwaway session to recover the topology shape for
-        # the fleet-wide LinkStats accumulator (cheap: no requests run).
-        topology = make_session().rt.sim.topology
     links = LinkStats(topology)
     for st in link_states:
         links.merge_state(st)

@@ -15,16 +15,17 @@ latency percentiles report).
 
 The kernel fast path
 --------------------
-When the C kernel is active and the strategy's residency test is
-side-effect-free (fixed-home, dynrep, migratory ownership; the access
-tree's copy components; adaptive's write side), the whole dispatcher
-state machine above is mirrored *inside* the kernel: queued requests
-live in per-processor C rings, wake-up kicks and idle-until-arrival
-timers are native ``K_SREQ`` events, and a request whose data is locally
-resident (read hit / owner write) completes without re-entering Python
-at all.  Only misses and remote writes cross back (``R_SREQ``), run the
-unchanged strategy code, and re-sync the touched variable's residency
-mirror.  Ingest is batched -- one Python->C call per queue drain
+When the C kernel is active and the strategy declares a residency mirror
+(:meth:`~repro.core.strategy.DataManagementStrategy.residency_mirror`:
+which sites hold a copy, when a hit / a local write is side-effect-free),
+the whole dispatcher state machine above is mirrored *inside* the kernel:
+queued requests live in per-processor C rings, wake-up kicks and
+idle-until-arrival timers are native ``K_SREQ`` events, and a request
+whose data is locally resident (read hit / local write) completes without
+re-entering Python at all.  Only misses and remote writes cross back
+(``R_SREQ``), run the unchanged strategy code, and re-sync the touched
+variable's mirror.  This module knows the declaration, never the family
+behind it.  Ingest is batched -- one Python->C call per queue drain
 carrying packed ``(proc, vid, op, arrival)`` arrays -- and completions
 come back the same way (packed arrays folded into the metric sketches).
 Event keys ``(time, seq)`` are assigned at the same logical points as
@@ -35,7 +36,9 @@ The mode is decided lazily at the first :meth:`ServeSession.pump`:
 ``fast=None`` (the default) picks the fast path when eligible, the
 classic generators otherwise; submitting with an ``on_done`` callback
 before the first pump commits the session to the classic path (the C
-queues cannot carry Python callbacks).
+queues cannot carry Python callbacks).  Which path ran, and why a faster
+one was refused, is in ``ServeReport.extra["dispatch"]`` and
+:meth:`ServeSession.snapshot`.
 
 Micro-batching and bounded run-ahead
 ------------------------------------
@@ -67,7 +70,6 @@ time reproduce exactly.
 from __future__ import annotations
 
 import time
-from array import array
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional, Union
@@ -90,6 +92,12 @@ __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
 #: it by identity.
 _PARK = object()
 _STOP = object()
+
+#: The kernel's packed completion records (``SReq`` in :mod:`repro.sim._ckern`).
+_REC = np.dtype([
+    ("proc", "i4"), ("vid", "i4"), ("kind", "i4"), ("pad", "i4"),
+    ("arrival", "f8"), ("eff", "f8"), ("done", "f8"), ("wall", "f8"),
+])
 
 
 class QueueFull(RuntimeError):
@@ -180,12 +188,10 @@ class ServeSession:
 
     ``fast`` selects the request dispatch path: ``None`` (default) uses
     the kernel fast path when eligible (C kernel active, no failure
-    schedule, no memory capacity, a mirrored strategy family) and the
-    classic generator dispatchers otherwise; ``False`` forces classic;
-    ``True`` raises if the fast path is unavailable.  Results are
-    bit-identical either way.  ``exact_latency=True`` retains every
-    per-request latency sample (exact percentiles, O(requests) memory)
-    instead of the default fixed-size streaming sketch.
+    schedule, no memory capacity, a strategy that declares a residency
+    mirror) and the classic generator dispatchers otherwise; ``False``
+    forces classic; ``True`` raises, naming the reason, if the fast path
+    is unavailable.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -201,7 +207,6 @@ class ServeSession:
         record: bool = True,
         failures=None,
         fast: Optional[bool] = None,
-        exact_latency: bool = False,
     ):
         if max_queue < 1 or max_inflight < 1:
             raise ValueError("max_queue and max_inflight must be >= 1")
@@ -227,30 +232,23 @@ class ServeSession:
         self.completed = 0
         self.created = 0
         self._arrival_floor = 0.0
-        self.exact_latency = exact_latency
-        if exact_latency:
-            self._lat_sim: Any = array("d")
-            self._lat_wall: Any = array("d")
-        else:
-            self._lat_sim = StreamingQuantiles()
-            self._lat_wall = StreamingQuantiles()
+        self._lat_sim = StreamingQuantiles()
+        self._lat_wall = StreamingQuantiles()
         self._wall_start: Optional[float] = None
         self._closed = False
         self._report: Optional[ServeReport] = None
         # Dispatch mode: None = undecided (decided lazily at the first
-        # pump), "classic" = generator dispatchers, "fast" = C kernel.
+        # pump), "classic" = generator dispatchers, "fast" = C kernel;
+        # _mode_reason says why (reported as the "dispatch" block).
         self._mode: Optional[str] = None
+        self._mode_reason = "undecided until the first pump"
         self._fast_opt = fast
-        self._hk = None           # kernel Sim handle while fast-armed
-        self._lib = None
-        self._kffi = None
+        self._kdrain = None       # the ServeDrain struct drains fill
+        self._kpending = 0        # requests in the kernel's pending ring
+        self._static_flow = False  # the mirror declares a static miss flow
         self._batches: list = []  # packed pending batches (fast ingest)
         self._buffered = 0
         self._sim_end = 0.0       # max completion time seen (fast mode)
-        self._sync_vid: Optional[Callable[[int], None]] = None
-        self._pre_sync: Optional[Callable[[int], None]] = None
-        self._arm_var: Optional[Callable[[int], None]] = None
-        self._tree_native = False
         self._rec_batches: list = []     # retained completion records
         self._rec_prev: Optional[list] = None  # per-proc prev completion
         # Start the dispatchers: every processor parks at t=0, ready to be
@@ -269,10 +267,8 @@ class ServeSession:
         sim = self.rt.sim
         q = self._queues[p]
         by_id = self.rt.registry.by_id
-        lat = self._lat_sim
-        wlat = self._lat_wall
-        lat_add = lat.append if isinstance(lat, array) else lat.add
-        wlat_add = wlat.append if isinstance(wlat, array) else wlat.add
+        lat_add = self._lat_sim.add
+        wlat_add = self._lat_wall.add
         clock = self._clock
         perf = time.perf_counter
         while True:
@@ -304,8 +300,9 @@ class ServeSession:
                 cb(it, done, value)
 
     # ------------------------------------------------------- mode selection
-    def _set_classic(self) -> None:
+    def _set_classic(self, reason: str) -> None:
         self._mode = "classic"
+        self._mode_reason = reason
         if self._batches:
             # Packed batches arrived before the mode was decided: unpack
             # them ahead of any scalar tail already in the ingest deque.
@@ -322,105 +319,65 @@ class ServeSession:
             self._ingest = items
 
     def _decide_mode(self) -> None:
+        # The classic generator dispatchers are not a fallback awaiting
+        # deletion: they are the only path on the pure-Python engine (and
+        # under failures, bounded memory, callbacks or an undeclared
+        # family), and the reference the differential tests compare the
+        # kernel fast path against.
         if self._fast_opt is False:
-            self._set_classic()
+            self._set_classic("fast=False was requested")
             return
-        if self._arm_fast():
+        reason = self._arm_fast()
+        if reason is None:
             self._mode = "fast"
+            self._mode_reason = "C kernel active and the strategy declares a residency mirror"
             return
         if self._fast_opt is True:
             raise RuntimeError(
-                "fast=True but the kernel fast path is unavailable here "
-                "(needs the C kernel, no failure schedule, no memory "
-                "capacity, and a mirrored strategy family)"
+                f"fast=True but the kernel fast path is unavailable: {reason}"
             )
-        self._set_classic()
+        self._set_classic(reason)
 
-    def _arm_fast(self) -> bool:
+    def _arm_fast(self) -> Optional[str]:
         """Mirror the strategy's residency state into the kernel and
-        switch completion routing to native events.  Returns ``False``
-        (leaving the session untouched) when ineligible."""
+        switch completion routing to native events.  Returns ``None``
+        when armed, else the reason for refusing (session untouched)."""
         rt = self.rt
         sim = rt.sim
-        if sim._h is None or sim._failview is not None:
-            return False
+        if sim._h is None:
+            return "no C kernel (the pure-Python engine is running)"
+        if sim._failview is not None:
+            return "a failure schedule is installed (native flows bypass the failure view)"
         strat = rt.strategy
-        if getattr(strat, "_track_mem", False):
-            return False  # bounded memory: hits touch the LRU
-        from ..core.access_tree import AccessTreeStrategy
-        from ..core.adaptive import AdaptiveStrategy
-        from ..core.dynrep import DynRepStrategy
-        from ..core.fixed_home import FixedHomeStrategy
-        from ..core.migratory import MigratoryStrategy
-
-        n = self.n_procs
-        cls = type(strat)
-        # Exact-class checks (like the engine's topology dispatch): an
-        # unknown subclass may override the hit path, so it gets the
-        # classic dispatchers.  nat_r/nat_w say whether the native hit /
-        # local-write tests are side-effect-free for this family;
-        # wl_rule selects the local-write predicate (0: owner == proc,
-        # 1: sole copy at the requester's site).
-        if cls is FixedHomeStrategy or cls is DynRepStrategy:
-            nat_r, nat_w, rule = 1, 1, 0
-            nsites, site_of = n, range(n)
-            sync = self._sync_home
-        elif cls is AdaptiveStrategy:
-            # Every read advances the popularity estimator, so reads
-            # always cross; writes are inherited from fixed home.
-            nat_r, nat_w, rule = 0, 1, 0
-            nsites, site_of = n, range(n)
-            sync = self._sync_home
-        elif cls is MigratoryStrategy:
-            nat_r, nat_w, rule = 1, 1, 0
-            nsites, site_of = n, range(n)
-            sync = self._sync_migratory
-        tree_native = False
-        if cls is AccessTreeStrategy:
-            nat_r, nat_w, rule = 1, 1, 1
-            nsites = len(strat.tree.nodes)
-            site_of = strat._leaf_of_proc
-            sync = self._sync_tree
-            # With remapping off the per-vid flow shape (hosts, costs,
-            # path geometry) is static, so the whole read-miss flow is
-            # compiled into the kernel: reads never cross into Python.
-            tree_native = strat.remap_threshold is None
-            if tree_native:
-                sync = self._sync_tree_native
-        elif cls not in (FixedHomeStrategy, DynRepStrategy, AdaptiveStrategy,
-                         MigratoryStrategy):
-            return False
-
+        mirror = strat.residency_mirror()
+        if isinstance(mirror, str):
+            return mirror
         lib, ffi, h = sim._lib, sim._ffi, sim._h
-        sim._reserve_stage(max(n, 2 * nsites))
-        sim._stage_i[0:n] = list(site_of)
-        lib.sim_serve_init(h, nsites, rule, self.max_inflight)
-        self._hk, self._lib, self._kffi = h, lib, ffi
-        self._nat = (nat_r, nat_w)
-        self._sync_vid = sync
-        if tree_native:
-            tree = strat.tree
-            sim._stage_i[0:nsites] = tree.parent
-            sim._stage_i[nsites:2 * nsites] = tree.depth
-            lib.sim_serve_tree_init(h)
-            lib.sim_serve_storage_seed(
-                h, strat._sc_integral, strat._sc_last, strat._sc_excess, 1
-            )
-            # Route the strategy's storage accounting into the kernel's
+        static = mirror.tree is not None
+        stage = list(mirror.site_of)
+        sim._reserve_stage(self.n_procs + 2 * mirror.n_sites)
+        if static:
+            # The per-vid flow shape (hosts, costs, path geometry) is
+            # static, so the whole read-miss flow is compiled into the
+            # kernel: reads never cross into Python.  Native misses place
+            # copies, so the kernel also takes over the storage
             # accumulator: ONE float accumulation sequence whichever side
-            # (native miss / crossed write) applies the delta, so the
-            # storage integral stays bit-identical to the pure path.
-            strat._storage_delta = (
-                lambda delta, t, _lib=lib, _h=h:
-                    _lib.sim_serve_storage_delta(_h, delta, t)
+            # (native miss / crossed write) applies a delta keeps the
+            # integral bit-identical to the pure path.
+            parent, depth = mirror.tree
+            stage += list(parent) + list(depth)
+            sim._stage_d[0:3] = strat.delegate_storage(
+                lambda delta, t: lib.sim_serve_storage_delta(h, delta, t)
             )
-            self._pre_sync = self._pre_sync_tree
-            self._arm_var = self._sync_tree_flow
-            self._tree_native = True
+        sim._stage_i[0:len(stage)] = stage
+        lib.sim_serve_init(
+            h, mirror.n_sites, mirror.sole_copy_write, mirror.native_reads,
+            mirror.native_writes, static, self.max_inflight,
+        )
+        self._kdrain = ffi.new("ServeDrain *")
+        self._static_flow = static
         for vid in range(len(rt.registry)):
-            sync(vid)
-            if tree_native:
-                self._sync_tree_flow(vid)
+            self._mirror_var(vid)
         # Completion routing: flows built by the strategies resolve their
         # continuation through these two runtime hooks -- override them
         # (instance attributes) so completions become native K_SDONE
@@ -432,94 +389,55 @@ class ServeSession:
         rt.resume = _fast_resume
         rt.resume_event = lambda proc, value: ServeResume(proc)
         sim.serve_cb = self._serve_cb
-        return True
+        return None
 
     # ------------------------------------------------- fast-path internals
-    def _sync_home(self, vid: int) -> None:
-        st = self.rt.strategy._states[vid]
-        members = st.copies
+    def _sync(self, vid: int) -> None:
+        """Copy one variable's residency (owner, member sites, top) into
+        the kernel's mirror."""
+        owner, members, top = self.rt.strategy.residency(vid)
+        members = list(members)
         k = len(members)
         sim = self.rt.sim
         sim._reserve_stage(k)
-        sim._stage_i[0:k] = list(members)
-        self._lib.sim_serve_sync_var(
-            self._hk, vid, st.owner, k, k, self._nat[0], self._nat[1]
-        )
+        sim._stage_i[0:k] = members
+        sim._lib.sim_serve_sync_var(sim._h, vid, owner, top, k)
 
-    def _sync_migratory(self, vid: int) -> None:
-        st = self.rt.strategy._states[vid]
-        sim = self.rt.sim
-        sim._stage_i[0] = st.owner
-        self._lib.sim_serve_sync_var(
-            self._hk, vid, st.owner, 1, 1, self._nat[0], self._nat[1]
-        )
-
-    def _sync_tree(self, vid: int) -> None:
-        cs = self.rt.strategy._copies[vid]
-        nodes = cs.nodes
-        k = len(nodes)
-        sim = self.rt.sim
-        sim._reserve_stage(k)
-        sim._stage_i[0:k] = list(nodes)
-        self._lib.sim_serve_sync_var(
-            self._hk, vid, 0, k, k, self._nat[0], self._nat[1]
-        )
-
-    def _sync_tree_native(self, vid: int) -> None:
-        # Tree-native mode computes miss paths from the mirror, so the
-        # component top must track the bitset exactly.
-        self._sync_tree(vid)
-        self._lib.sim_serve_set_top(
-            self._hk, vid, self.rt.strategy._copies[vid].top
-        )
-
-    def _sync_tree_flow(self, vid: int) -> None:
-        """Stage the vid's static flow shape -- node->host row, leg costs,
-        payload, component top -- so the kernel can replay its read-miss
-        flow without crossing (arm/create time only)."""
-        strat = self.rt.strategy
-        emb = strat.embedding
-        nsites = len(strat.tree.nodes)
-        sim = self.rt.sim
-        sim._reserve_stage(nsites)
-        sim._stage_i[0:nsites] = [emb.host(vid, node) for node in range(nsites)]
-        var = self.rt.registry.by_id(vid)
-        cs = strat._copies[vid]
-        self._lib.sim_serve_var_flow(
-            self._hk, vid, cs.top, float(var.payload_bytes),
-            *strat._leg_costs[vid],
-        )
-
-    def _pre_sync_tree(self, vid: int) -> None:
-        """Import the kernel's residency mirror (mutated by native read
-        misses) back into the strategy's copy set before a crossed write
-        runs the unchanged Python write path."""
-        lib, h = self._lib, self._hk
-        k = lib.sim_serve_members(h, vid)
-        cs = self.rt.strategy._copies[vid]
-        cs.nodes = set(self.rt.sim._stage_i[0:k])
-        cs.top = lib.sim_serve_top(h, vid)
+    def _mirror_var(self, vid: int) -> None:
+        """Arm/create time: the vid's residency and, for a static-flow
+        family, the shape its read misses replay natively (node->host
+        row, payload, leg costs)."""
+        if self._static_flow:
+            sim = self.rt.sim
+            hosts, payload, costs = self.rt.strategy.flow_row(vid)
+            sim._stage_i[0:len(hosts)] = hosts
+            sim._lib.sim_serve_var_flow(sim._h, vid, payload, *costs)
+        self._sync(vid)
 
     def _serve_cb(self, out) -> None:
         """Handle an ``R_SREQ`` crossing: a request whose data is not
         locally resident runs the unchanged strategy code, the touched
         variable's residency mirror is re-synced, and the completion is
-        routed back natively."""
-        lib, h = self._lib, self._hk
+        routed back natively.  Where native misses placed copies
+        (static flow), the strategy adopts them first."""
+        sim = self.rt.sim
+        lib, h = sim._lib, sim._h
         strat = self.rt.strategy
         by_id = self.rt.registry.by_id
         read = strat.read
         write = strat.write
-        sync = self._sync_vid
-        pre = self._pre_sync
+        sync = self._sync
+        adopt = strat.adopt if self._static_flow else None
         complete = lib.sim_serve_complete
         while True:
             p = out.a
             code = out.b
             vid = code >> 1
             t = out.time
-            if pre is not None:
-                pre(vid)
+            if adopt is not None:
+                k = lib.sim_serve_export(h, vid)
+                stage = sim._stage_i
+                adopt(vid, stage[0:k], stage[k])
             if code & 1:
                 done = write(p, by_id(vid), 0, t)
             else:
@@ -534,28 +452,30 @@ class ServeSession:
             if not complete(h, out, p, done):
                 return
 
-    def _flush_batches(self) -> None:
-        if self._ingest:
-            items = self._ingest
-            m = len(items)
-            self._batches.append((
-                np.fromiter((0 if it.kind == "r" else 1 for it in items),
-                            dtype=np.int32, count=m),
-                np.fromiter((it.proc for it in items), dtype=np.int32, count=m),
-                np.fromiter((it.vid for it in items), dtype=np.int32, count=m),
-                np.fromiter((it.arrival for it in items), dtype=np.float64,
-                            count=m),
-                np.fromiter((it.wall for it in items), dtype=np.float64,
-                            count=m),
-            ))
-            self._buffered += m
-            items.clear()
-        if not self._batches:
+    def _pack_ingest(self) -> None:
+        """Pack the scalar submissions into one batch (kept FIFO with the
+        vectorized ones)."""
+        items = self._ingest
+        m = len(items)
+        if not m:
             return
-        lib, ffi, h = self._lib, self._kffi, self._hk
-        cast = ffi.cast
+        self._batches.append((
+            np.fromiter((0 if it.kind == "r" else 1 for it in items),
+                        dtype=np.int32, count=m),
+            np.fromiter((it.proc for it in items), dtype=np.int32, count=m),
+            np.fromiter((it.vid for it in items), dtype=np.int32, count=m),
+            np.fromiter((it.arrival for it in items), dtype=np.float64, count=m),
+            np.fromiter((it.wall for it in items), dtype=np.float64, count=m),
+        ))
+        self._buffered += m
+        items.clear()
+
+    def _flush_batches(self) -> None:
+        self._pack_ingest()
+        sim = self.rt.sim
+        lib, h, cast = sim._lib, sim._h, sim._ffi.cast
         for kinds, procs, vids, arr, walls in self._batches:
-            lib.sim_serve_ingest(
+            self._kpending = lib.sim_serve_ingest(
                 h, len(kinds),
                 cast("const int *", procs.ctypes.data),
                 cast("const int *", vids.ctypes.data),
@@ -566,60 +486,43 @@ class ServeSession:
         self._batches.clear()
         self._buffered = 0
 
-    def _lat_feed(self, store, values: np.ndarray) -> None:
-        if isinstance(store, array):
-            store.frombytes(np.ascontiguousarray(values).tobytes())
-        else:
-            store.add_many(values)
-
     def _drain(self) -> None:
-        """Pull the kernel's completion records (packed arrays) and fold
-        them into the counters and latency sketches."""
-        lib, ffi, h = self._lib, self._kffi, self._hk
-        n = lib.sim_serve_stat(h, 5)
+        """Pull what the pump produced -- completion records (one packed
+        array), queue gauges, native counters, the storage accumulator --
+        and fold it into the session and the strategy."""
+        sim = self.rt.sim
+        out = self._kdrain
+        sim._lib.sim_serve_drain(sim._h, out)
+        n = out.n_rec
         if n:
-            def cp(ptr, nbytes, dtype):
-                return np.frombuffer(
-                    ffi.buffer(ptr, n * nbytes), dtype=dtype
-                ).copy()
-
-            done = cp(lib.sim_serve_rec_done(h), 8, np.float64)
-            arrv = cp(lib.sim_serve_rec_arr(h), 8, np.float64)
-            self._lat_feed(self._lat_sim, done - arrv)
-            walls = cp(lib.sim_serve_rec_wall(h), 8, np.float64)
-            self._lat_feed(self._lat_wall, time.perf_counter() - walls)
+            recs = np.frombuffer(
+                sim._ffi.buffer(out.recs, n * _REC.itemsize), dtype=_REC
+            )
+            done = recs["done"].copy()
+            self._lat_sim.add_many(done - recs["arrival"])
+            self._lat_wall.add_many(time.perf_counter() - recs["wall"])
             if self.recorder is not None:
                 self._rec_batches.append((
-                    cp(lib.sim_serve_rec_proc(h), 4, np.int32),
-                    cp(lib.sim_serve_rec_vid(h), 4, np.int32),
-                    cp(lib.sim_serve_rec_kind(h), 4, np.int32),
-                    cp(lib.sim_serve_rec_eff(h), 8, np.float64),
-                    done,
+                    recs["proc"].copy(), recs["vid"].copy(),
+                    recs["kind"].copy(), recs["eff"].copy(), done,
                 ))
-            self.completed += int(n)
+            self.completed += n
             end = float(done.max())
             if end > self._sim_end:
                 self._sim_end = end
-            lib.sim_serve_rec_reset(h)
-        strat = self.rt.strategy
-        strat.hits += int(lib.sim_serve_stat(h, 2))
-        strat.write_local += int(lib.sim_serve_stat(h, 3))
-        if self._tree_native:
-            strat.misses += int(lib.sim_serve_stat(h, 6))
-            # The kernel owns the storage accumulator; copy its state back
-            # so storage_cost() stays correct from the Python side.
-            strat._sc_integral = lib.sim_serve_storage_get(h, 0)
-            strat._sc_last = lib.sim_serve_storage_get(h, 1)
-            strat._sc_excess = lib.sim_serve_storage_get(h, 2)
-        lib.sim_serve_counters_reset(h)
+        self._inflight = out.inflight
+        self._kpending = out.pending
+        self.rt.strategy.fold_native(
+            out.hits, out.wlocal, out.misses,
+            (out.sc_integral, out.sc_last, out.sc_excess)
+            if self._static_flow else None,
+        )
 
     def _pump_fast(self, until: Optional[float]) -> None:
-        lib, h = self._lib, self._hk
         self._flush_batches()
-        lib.sim_serve_pump_begin(h)
         sim = self.rt.sim
         sim.run(until)
-        sim.now = lib.sim_serve_now(h)
+        sim.now = sim.last_event_time
         self._drain()
 
     # ---------------------------------------------------------------- ingest
@@ -644,10 +547,8 @@ class ServeSession:
             f"s{len(self.rt.registry)}", payload_bytes, proc, value
         )
         self.created += 1
-        if self._sync_vid is not None:
-            self._sync_vid(var.vid)
-            if self._arm_var is not None:
-                self._arm_var(var.vid)
+        if self._mode == "fast":
+            self._mirror_var(var.vid)
         return var.vid
 
     def try_submit(
@@ -685,7 +586,7 @@ class ServeSession:
                     "it with fast=False to keep callbacks)"
                 )
             if self._mode is None:
-                self._set_classic()
+                self._set_classic("an on_done callback was submitted (the C queues carry none)")
         if self.queue_depth >= self.max_queue:
             self.rejected += 1
             return False
@@ -747,36 +648,18 @@ class ServeSession:
         np.maximum.accumulate(arr, out=arr)
         self._arrival_floor = float(arr[-1])
         kinds = np.where(np.asarray(reads[:k], dtype=bool), 0, 1).astype(np.int32)
-        if self._ingest:
-            # Scalar submissions precede this batch: pack them first so
-            # the pending stream stays FIFO.
-            self._pack_ingest()
+        # Scalar submissions precede this batch: pack them first so the
+        # pending stream stays FIFO.
+        self._pack_ingest()
         self._batches.append((kinds, procs[:k], vids[:k], arr,
                               np.full(k, wall, dtype=np.float64)))
         self._buffered += k
         self.accepted += k
         return k
 
-    def _pack_ingest(self) -> None:
-        items = self._ingest
-        m = len(items)
-        self._batches.append((
-            np.fromiter((0 if it.kind == "r" else 1 for it in items),
-                        dtype=np.int32, count=m),
-            np.fromiter((it.proc for it in items), dtype=np.int32, count=m),
-            np.fromiter((it.vid for it in items), dtype=np.int32, count=m),
-            np.fromiter((it.arrival for it in items), dtype=np.float64, count=m),
-            np.fromiter((it.wall for it in items), dtype=np.float64, count=m),
-        ))
-        self._buffered += m
-        items.clear()
-
     @property
     def queue_depth(self) -> int:
-        depth = len(self._ingest) + self._buffered
-        if self._hk is not None:
-            depth += int(self._lib.sim_serve_stat(self._hk, 4))
-        return depth
+        return len(self._ingest) + self._buffered + self._kpending
 
     @property
     def arrival_floor(self) -> float:
@@ -786,17 +669,18 @@ class ServeSession:
 
     @property
     def inflight(self) -> int:
-        if self._hk is not None:
-            return int(self._lib.sim_serve_stat(self._hk, 0))
         return self._inflight
 
     # ------------------------------------------------------------------ pump
     def _inject(self, it: _Item) -> None:
         rt = self.rt
         t = it.arrival
-        now = rt.sim.now
+        # Deferred past its arrival (backpressure): issue asap, i.e. at
+        # the last event the engine popped -- the clock the kernel's
+        # serve_inject clamps to (sim.now lags it by the inline flow legs).
+        now = rt.sim.last_event_time
         if t < now:
-            t = now  # deferred past its arrival (backpressure): issue asap
+            t = now
         it.eff = t
         p = it.proc
         self._queues[p].append(it)
@@ -861,6 +745,7 @@ class ServeSession:
             "misses": misses,
             "hit_rate": MetricsBundle(hits=hits, misses=misses).hit_rate,
             "total_msgs": self.rt.sim.stats.total_msgs,
+            "dispatch": {"mode": self._mode, "reason": self._mode_reason},
         }
         for k, v in latency_percentiles(self._lat_sim).items():
             snap[f"latency_{k}"] = v
@@ -932,6 +817,7 @@ class ServeSession:
             total_msgs=stats.total_msgs,
             congestion_bytes=stats.congestion_bytes,
             congestion_msgs=stats.congestion_msgs,
+            extra={"dispatch": {"mode": self._mode, "reason": self._mode_reason}},
         )
         return self._report
 

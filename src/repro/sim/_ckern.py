@@ -58,34 +58,43 @@ enum { R_DONE = 0, R_GENERIC = 1, R_CHAIN_DONE = 2, R_MC_DONE = 3,
 typedef struct { double time; i64 seq; int kind, a, b, c, d; } Ev;
 typedef struct { int kind; int a; int b; double time; double targ; } Crossing;
 
-typedef struct {
-    int n, done_id, auto_resume;
-    int *src, *dst;
-    double *wire, *over, *occ;
-    unsigned char *dat;
-} Chain;
+typedef struct { int src, dst, dat; double wire, over, occ; } Leg;
+typedef struct { int n, done_id, auto_resume; Leg legs[]; } Chain;
 
 typedef struct { int remaining; double tmax; int node; int parent_host; int parent; } Pend;
 
 /* ------------------------------------------------------- serving fast path
- * One queued request.  kind: 0 = read, 1 = write.  arrival is the
- * requested simulated arrival (latency zero point), eff the effective
- * issue floor (clamped at injection, exactly like the Python session's
- * _inject), wall the perf_counter() stamp taken at submission. */
-typedef struct { int vid, kind; double arrival, eff, wall; } SReq;
+ * One request through its whole life: pending injection, queued at its
+ * processor, crossed into Python, completion record.  kind: 0 = read,
+ * 1 = write.  arrival is the requested simulated arrival (latency zero
+ * point), eff the effective issue floor (clamped at injection, exactly
+ * like the Python session's _inject), done the completion time, wall the
+ * perf_counter() stamp taken at submission.  The session reads the record
+ * array as a numpy structured dtype (serve/session.py _REC), so the
+ * layout is ABI. */
+typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SReq;
 
-/* Per-processor FIFO ring of queued requests. */
-typedef struct { SReq *buf; int cap, head, len; } SQueue;
+/* FIFO ring of requests (the pending queue and every processor's queue);
+ * cap is a power of two. */
+typedef struct { SReq *buf; int cap, head, len; } SRing;
 
-/* Request pending injection (the C half of the ingest queue). */
-typedef struct { int proc, vid, kind; double arrival, wall; } SPend;
+/* Per-variable mirror state besides the membership bitset: owner (-1 =
+ * home/main memory), member count and, for the tree flow mirror, the
+ * component top, payload bytes and the 6 up/down leg costs. */
+typedef struct { int owner, count, top; double payload, cost[6]; } SVar;
+
+/* What one pump produced, filled by sim_serve_drain. */
+typedef struct {
+    i64 n_rec, inflight, pending, hits, wlocal, misses;
+    double sc_integral, sc_last, sc_excess;
+    const SReq *recs;
+} ServeDrain;
 
 typedef struct {
     int done_id;
     double dwire, dover, docc; int ddat;
     double awire, aover, aocc;
-    int *hosts;
-    int *kid_off, *kid_cnt, *kids;
+    int *hosts, *kid_cnt, *kid_off, *kids;  /* slices of one block (hosts) */
     Pend *pends; int n_pend, cap_pend;
 } Mcast;
 
@@ -112,40 +121,33 @@ typedef struct {
     /* ------------------------------------------------- serving fast path */
     int serve_on;                 /* armed by sim_serve_init */
     int sv_phase;                 /* 0 = inject next, 1 = running */
-    double sv_now;                /* mirror of the Python-visible clock */
-    SQueue *sv_q;                 /* per-proc request rings */
+    double sv_now;                /* time of the last event popped */
+    SRing *sv_q;                  /* per-proc request rings */
+    SRing sv_pend;                /* admitted, awaiting injection */
     SReq *sv_cur;                 /* per-proc request crossed into Python */
     unsigned char *sv_state;      /* 0 idle, 1 timer pending, 2 crossed */
-    SPend *sv_pend; int sv_pend_cap, sv_pend_head, sv_pend_len;
-    i64 sv_inflight, sv_max_inflight, sv_completed, sv_round_n;
+    i64 sv_inflight, sv_max_inflight, sv_round_n;
     i64 sv_hits, sv_wlocal;       /* native counter deltas (folded by Python) */
-    /* completion records, structure-of-arrays, drained per pump */
-    int sv_rec_cap; i64 sv_rec_n;
-    int *sv_rec_proc, *sv_rec_vid, *sv_rec_kind;
-    double *sv_rec_arr, *sv_rec_eff, *sv_rec_done, *sv_rec_wall;
+    SReq *sv_rec; i64 sv_rec_n, sv_rec_cap;  /* completions, drained per pump */
     /* residency mirror: per-vid membership bitset over "sites" (procs for
        the directory families, tree nodes for the access tree) */
     int sv_nsites, sv_words, sv_wl_rule;
+    int sv_nat_r, sv_nat_w;       /* the family's native hit / local write flags */
     int *sv_site_of;              /* proc -> site (identity or leaf_of) */
     int sv_var_cap;
     unsigned long long *sv_bits;  /* sv_var_cap * sv_words */
-    int *sv_owner;                /* per vid; -1 = home/main memory */
-    int *sv_count;                /* per vid: member count */
-    unsigned char *sv_nat_r, *sv_nat_w;  /* per vid: fast path allowed */
+    SVar *sv_var;                 /* per vid */
     /* access-tree flow mirror: read misses compiled into the kernel
        (armed only when the strategy's flow shape is static -- no remap,
        no memory pressure -- so the whole read path stays native) */
     int sv_tree_on;
     int *sv_parent, *sv_depth;    /* [nsites] static tree shape */
-    int *sv_top;                  /* per vid: component top node */
     int *sv_host;                 /* per vid: nsites-wide node->host row */
-    double *sv_flow;              /* per vid: 6 up/down leg costs */
-    double *sv_payload;           /* per vid: payload bytes */
     int *sv_scr_a, *sv_scr_b, *sv_path;  /* LCA walk scratch */
     i64 sv_misses;                /* native miss delta (folded by Python) */
-    /* storage-cost accumulator, moved into C so the time integral stays
-       ONE float accumulation sequence (bit-identical to the pure path) */
-    int sv_storage_on;
+    /* storage-cost accumulator, moved into C (tree mirrors) so the time
+       integral stays ONE float accumulation sequence (bit-identical to
+       the pure path) */
     double sc_integral, sc_last, sc_excess;
 } Sim;
 
@@ -468,24 +470,16 @@ static int chain_alloc(Sim *s, int n, int done_id, int auto_resume) {
         memset(s->chains + id, 0, (s->ch_cap - id) * sizeof(Chain *));
         for (int i = s->ch_cap - 1; i > id; i--) s->ch_free[s->ch_free_n++] = i;
     }
-    Chain *ch = (Chain *)malloc(sizeof(Chain));
+    Chain *ch = (Chain *)malloc(sizeof(Chain) + n * sizeof(Leg));
     ch->n = n;
     ch->done_id = done_id;
     ch->auto_resume = auto_resume;
-    ch->src = (int *)malloc(n * sizeof(int));
-    ch->dst = (int *)malloc(n * sizeof(int));
-    ch->wire = (double *)malloc(n * sizeof(double));
-    ch->over = (double *)malloc(n * sizeof(double));
-    ch->occ = (double *)malloc(n * sizeof(double));
-    ch->dat = (unsigned char *)malloc(n);
     s->chains[id] = ch;
     return id;
 }
 
 static void chain_free(Sim *s, int id) {
-    Chain *ch = s->chains[id];
-    free(ch->src); free(ch->dst); free(ch->wire); free(ch->over);
-    free(ch->occ); free(ch->dat); free(ch);
+    free(s->chains[id]);
     s->chains[id] = 0;
     s->ch_free[s->ch_free_n++] = id;
 }
@@ -499,13 +493,9 @@ void sim_push_chain_updown(Sim *s, double t, int nh, double cw, double co,
     Chain *ch = s->chains[id];
     int *hosts = s->stage_i;
     for (int j = 0; j < nh - 1; j++) {
-        ch->src[j] = hosts[j]; ch->dst[j] = hosts[j + 1];
-        ch->wire[j] = cw; ch->over[j] = co; ch->occ[j] = cocc; ch->dat[j] = 0;
-    }
-    for (int j = 0; j < nh - 1; j++) {
-        int k = nh - 1 + j;
-        ch->src[k] = hosts[nh - 1 - j]; ch->dst[k] = hosts[nh - 2 - j];
-        ch->wire[k] = dw; ch->over[k] = dov; ch->occ[k] = docc; ch->dat[k] = 1;
+        ch->legs[j] = (Leg){hosts[j], hosts[j + 1], 0, cw, co, cocc};
+        ch->legs[nh - 1 + j] =
+            (Leg){hosts[nh - 1 - j], hosts[nh - 2 - j], 1, dw, dov, docc};
     }
     heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
 }
@@ -518,12 +508,10 @@ void sim_push_chain_path(Sim *s, double t, int nh, int reverse, double w,
     int id = chain_alloc(s, n, done_id, auto_resume);
     Chain *ch = s->chains[id];
     int *hosts = s->stage_i;
-    for (int j = 0; j < n; j++) {
-        if (reverse) { ch->src[j] = hosts[nh - 1 - j]; ch->dst[j] = hosts[nh - 2 - j]; }
-        else { ch->src[j] = hosts[j]; ch->dst[j] = hosts[j + 1]; }
-        ch->wire[j] = w; ch->over[j] = o; ch->occ[j] = occ;
-        ch->dat[j] = (unsigned char)isdat;
-    }
+    for (int j = 0; j < n; j++)
+        ch->legs[j] = reverse
+            ? (Leg){hosts[nh - 1 - j], hosts[nh - 2 - j], isdat, w, o, occ}
+            : (Leg){hosts[j], hosts[j + 1], isdat, w, o, occ};
     heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
 }
 
@@ -532,14 +520,10 @@ void sim_push_chain_legs(Sim *s, double t, int n, int done_id) {
        wire,over,occ triples. */
     int id = chain_alloc(s, n, done_id, 0);
     Chain *ch = s->chains[id];
-    for (int j = 0; j < n; j++) {
-        ch->src[j] = s->stage_i[3 * j];
-        ch->dst[j] = s->stage_i[3 * j + 1];
-        ch->dat[j] = (unsigned char)s->stage_i[3 * j + 2];
-        ch->wire[j] = s->stage_d[3 * j];
-        ch->over[j] = s->stage_d[3 * j + 1];
-        ch->occ[j] = s->stage_d[3 * j + 2];
-    }
+    const int *si = s->stage_i;
+    const double *sd = s->stage_d;
+    for (int j = 0; j < n; j++, si += 3, sd += 3)
+        ch->legs[j] = (Leg){si[0], si[1], si[2], sd[0], sd[1], sd[2]};
     heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
 }
 
@@ -577,15 +561,12 @@ void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
     m->done_id = done_id;
     m->dwire = dwire; m->dover = dover; m->docc = docc; m->ddat = ddat;
     m->awire = awire; m->aover = aover; m->aocc = aocc;
-    m->hosts = (int *)malloc(tbl * sizeof(int));
-    m->kid_cnt = (int *)malloc(tbl * sizeof(int));
-    m->kid_off = (int *)malloc(tbl * sizeof(int));
-    m->kids = (int *)malloc((total_kids > 0 ? total_kids : 1) * sizeof(int));
     int *st = s->stage_i;
-    memcpy(m->hosts, st, tbl * sizeof(int));
-    memcpy(m->kid_cnt, st + tbl, tbl * sizeof(int));
-    memcpy(m->kid_off, st + 2 * tbl, tbl * sizeof(int));
-    memcpy(m->kids, st + 3 * tbl, total_kids * sizeof(int));
+    m->hosts = (int *)malloc((3 * tbl + total_kids) * sizeof(int));
+    memcpy(m->hosts, st, (3 * tbl + total_kids) * sizeof(int));
+    m->kid_cnt = m->hosts + tbl;
+    m->kid_off = m->hosts + 2 * tbl;
+    m->kids = m->hosts + 3 * tbl;
     m->cap_pend = 8;
     m->pends = (Pend *)malloc(m->cap_pend * sizeof(Pend));
     m->n_pend = 0;
@@ -598,8 +579,7 @@ void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
 
 static void mc_free_one(Sim *s, int id) {
     Mcast *m = s->mcs[id];
-    free(m->hosts); free(m->kid_cnt); free(m->kid_off); free(m->kids);
-    free(m->pends); free(m);
+    free(m->hosts); free(m->pends); free(m);
     s->mcs[id] = 0;
     s->mc_free[s->mc_free_n++] = id;
 }
@@ -620,30 +600,23 @@ static void mc_free_one(Sim *s, int id) {
  *                            proves the strategy call is side-effect-free
  */
 
-static void serve_record(Sim *s, int p, const SReq *it, double done) {
+static void serve_record(Sim *s, const SReq *it, double done) {
     if (s->sv_rec_n == s->sv_rec_cap) {
         s->sv_rec_cap *= 2;
-        s->sv_rec_proc = (int *)realloc(s->sv_rec_proc, s->sv_rec_cap * sizeof(int));
-        s->sv_rec_vid = (int *)realloc(s->sv_rec_vid, s->sv_rec_cap * sizeof(int));
-        s->sv_rec_kind = (int *)realloc(s->sv_rec_kind, s->sv_rec_cap * sizeof(int));
-        s->sv_rec_arr = (double *)realloc(s->sv_rec_arr, s->sv_rec_cap * sizeof(double));
-        s->sv_rec_eff = (double *)realloc(s->sv_rec_eff, s->sv_rec_cap * sizeof(double));
-        s->sv_rec_done = (double *)realloc(s->sv_rec_done, s->sv_rec_cap * sizeof(double));
-        s->sv_rec_wall = (double *)realloc(s->sv_rec_wall, s->sv_rec_cap * sizeof(double));
+        s->sv_rec = (SReq *)realloc(s->sv_rec, s->sv_rec_cap * sizeof(SReq));
     }
-    i64 i = s->sv_rec_n++;
-    s->sv_rec_proc[i] = p;
-    s->sv_rec_vid[i] = it->vid;
-    s->sv_rec_kind[i] = it->kind;
-    s->sv_rec_arr[i] = it->arrival;
-    s->sv_rec_eff[i] = it->eff;
-    s->sv_rec_done[i] = done;
-    s->sv_rec_wall[i] = it->wall;
-    s->sv_completed++;
+    SReq *r = &s->sv_rec[s->sv_rec_n++];
+    *r = *it;
+    r->done = done;
     s->sv_inflight--;
 }
 
-static void sq_push(SQueue *q, const SReq *it) {
+static void ring_init(SRing *q, int cap) {
+    q->buf = (SReq *)malloc(cap * sizeof(SReq));
+    q->cap = cap; q->head = 0; q->len = 0;
+}
+
+static void ring_push(SRing *q, const SReq *it) {
     if (q->len == q->cap) {
         SReq *nb = (SReq *)malloc(2 * q->cap * sizeof(SReq));
         for (int j = 0; j < q->len; j++)
@@ -663,7 +636,7 @@ static int serve_tree_miss(Sim *s, int p, const SReq *cur);
  * one crosses into Python (returns 1, crossing filled), or the queue is
  * empty.  Mirrors the dispatcher generator's loop head. */
 static int serve_advance(Sim *s, int p, Crossing *out) {
-    SQueue *q = &s->sv_q[p];
+    SRing *q = &s->sv_q[p];
     for (;;) {
         if (!q->len) {
             s->sv_state[p] = 0;      /* parked */
@@ -683,7 +656,7 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         int vid = cur.vid;
         int native = 0;
         if (cur.kind == 0) {
-            if (s->sv_nat_r[vid]) {
+            if (s->sv_nat_r) {
                 unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
                 int site = s->sv_site_of[p];
                 if (w[site >> 6] & (1ULL << (site & 63))) {
@@ -698,14 +671,14 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
                 }
             }
         } else {
-            if (s->sv_nat_w[vid]) {
+            if (s->sv_nat_w) {
                 int local;
                 if (s->sv_wl_rule == 0) {
-                    local = (s->sv_owner[vid] == p);
+                    local = (s->sv_var[vid].owner == p);
                 } else {
                     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
                     int site = s->sv_site_of[p];
-                    local = (s->sv_count[vid] == 1 &&
+                    local = (s->sv_var[vid].count == 1 &&
                              (w[site >> 6] & (1ULL << (site & 63))) != 0);
                 }
                 if (local) {
@@ -717,7 +690,7 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         if (native) {
             /* local hit / owner write: zero simulated time, zero side
                effects beyond the counter -- complete in place. */
-            serve_record(s, p, &cur, s->sv_now);
+            serve_record(s, &cur, s->sv_now);
             continue;
         }
         s->sv_cur[p] = cur;
@@ -736,18 +709,16 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
  * eff clamp, same kick points). */
 static i64 serve_inject(Sim *s, double horizon) {
     i64 n = 0;
-    while (s->sv_pend_len && s->sv_inflight < s->sv_max_inflight) {
-        SPend *pr = &s->sv_pend[s->sv_pend_head];
-        if (pr->arrival > horizon) break;
-        double eff = pr->arrival;
-        if (eff < s->sv_now) eff = s->sv_now;
-        SReq it;
-        it.vid = pr->vid; it.kind = pr->kind;
-        it.arrival = pr->arrival; it.eff = eff; it.wall = pr->wall;
-        int p = pr->proc;
-        s->sv_pend_head = (s->sv_pend_head + 1) & (s->sv_pend_cap - 1);
-        s->sv_pend_len--;
-        sq_push(&s->sv_q[p], &it);
+    SRing *pend = &s->sv_pend;
+    while (pend->len && s->sv_inflight < s->sv_max_inflight) {
+        SReq *it = &pend->buf[pend->head];
+        if (it->arrival > horizon) break;
+        double eff = it->arrival < s->sv_now ? s->sv_now : it->arrival;
+        it->eff = eff;
+        int p = it->proc;
+        ring_push(&s->sv_q[p], it);
+        pend->head = (pend->head + 1) & (pend->cap - 1);
+        pend->len--;
         if (s->sv_state[p] == 0) {
             /* parked processor: the wake-up kick, stamped at eff */
             heap_push(s, eff, s->seqno++, K_SREQ, p, 0, 0, 0);
@@ -759,43 +730,47 @@ static i64 serve_inject(Sim *s, double horizon) {
     return n;
 }
 
-int sim_serve_init(Sim *s, int nsites, int wl_rule, i64 max_inflight) {
-    /* site_of staged in stage_i[0..n_nodes) */
+void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
+                    int tree, i64 max_inflight) {
+    /* staged in stage_i: site_of[n_nodes], then (tree != 0: the static
+       tree shape, which arms the native read-miss flow) parent[nsites]
+       and depth[nsites]; in stage_d (tree != 0): the strategy's storage
+       accumulator (integral, last, excess), which the kernel takes over
+       because native misses place copies */
     int n = s->n_nodes;
     s->serve_on = 1;
-    s->sv_phase = 0;
-    s->sv_now = 0.0;
     s->sv_nsites = nsites;
     s->sv_words = (nsites + 63) >> 6;
     s->sv_wl_rule = wl_rule;
+    s->sv_nat_r = nat_r;
+    s->sv_nat_w = nat_w;
     s->sv_max_inflight = max_inflight;
-    s->sv_q = (SQueue *)calloc(n, sizeof(SQueue));
-    for (int p = 0; p < n; p++) {
-        s->sv_q[p].cap = 16;
-        s->sv_q[p].buf = (SReq *)malloc(16 * sizeof(SReq));
-    }
+    s->sv_q = (SRing *)malloc(n * sizeof(SRing));
+    for (int p = 0; p < n; p++) ring_init(&s->sv_q[p], 16);
+    ring_init(&s->sv_pend, 1024);
     s->sv_cur = (SReq *)calloc(n, sizeof(SReq));
     s->sv_state = (unsigned char *)calloc(n, 1);
     s->sv_site_of = (int *)malloc(n * sizeof(int));
     memcpy(s->sv_site_of, s->stage_i, n * sizeof(int));
-    s->sv_pend_cap = 1024;
-    s->sv_pend = (SPend *)malloc(s->sv_pend_cap * sizeof(SPend));
     s->sv_rec_cap = 4096;
-    s->sv_rec_proc = (int *)malloc(s->sv_rec_cap * sizeof(int));
-    s->sv_rec_vid = (int *)malloc(s->sv_rec_cap * sizeof(int));
-    s->sv_rec_kind = (int *)malloc(s->sv_rec_cap * sizeof(int));
-    s->sv_rec_arr = (double *)malloc(s->sv_rec_cap * sizeof(double));
-    s->sv_rec_eff = (double *)malloc(s->sv_rec_cap * sizeof(double));
-    s->sv_rec_done = (double *)malloc(s->sv_rec_cap * sizeof(double));
-    s->sv_rec_wall = (double *)malloc(s->sv_rec_cap * sizeof(double));
+    s->sv_rec = (SReq *)malloc(s->sv_rec_cap * sizeof(SReq));
     s->sv_var_cap = 256;
     s->sv_bits = (unsigned long long *)calloc(
         (size_t)s->sv_var_cap * s->sv_words, sizeof(unsigned long long));
-    s->sv_owner = (int *)malloc(s->sv_var_cap * sizeof(int));
-    s->sv_count = (int *)calloc(s->sv_var_cap, sizeof(int));
-    s->sv_nat_r = (unsigned char *)calloc(s->sv_var_cap, 1);
-    s->sv_nat_w = (unsigned char *)calloc(s->sv_var_cap, 1);
-    return 0;
+    s->sv_var = (SVar *)calloc(s->sv_var_cap, sizeof(SVar));
+    if (!tree) return;
+    s->sv_tree_on = 1;
+    s->sv_parent = (int *)malloc(nsites * sizeof(int));
+    s->sv_depth = (int *)malloc(nsites * sizeof(int));
+    memcpy(s->sv_parent, s->stage_i + n, nsites * sizeof(int));
+    memcpy(s->sv_depth, s->stage_i + n + nsites, nsites * sizeof(int));
+    s->sv_scr_a = (int *)malloc(nsites * sizeof(int));
+    s->sv_scr_b = (int *)malloc(nsites * sizeof(int));
+    s->sv_path = (int *)malloc(2 * nsites * sizeof(int));
+    s->sv_host = (int *)malloc((size_t)s->sv_var_cap * nsites * sizeof(int));
+    s->sc_integral = s->stage_d[0];
+    s->sc_last = s->stage_d[1];
+    s->sc_excess = s->stage_d[2];
 }
 
 static void sv_grow_vars(Sim *s, int vid) {
@@ -808,27 +783,16 @@ static void sv_grow_vars(Sim *s, int vid) {
     memset(s->sv_bits + (size_t)old * s->sv_words, 0,
            (size_t)(s->sv_var_cap - old) * s->sv_words *
            sizeof(unsigned long long));
-    s->sv_owner = (int *)realloc(s->sv_owner, s->sv_var_cap * sizeof(int));
-    s->sv_count = (int *)realloc(s->sv_count, s->sv_var_cap * sizeof(int));
-    s->sv_nat_r = (unsigned char *)realloc(s->sv_nat_r, s->sv_var_cap);
-    s->sv_nat_w = (unsigned char *)realloc(s->sv_nat_w, s->sv_var_cap);
-    memset(s->sv_count + old, 0, (s->sv_var_cap - old) * sizeof(int));
-    memset(s->sv_nat_r + old, 0, s->sv_var_cap - old);
-    memset(s->sv_nat_w + old, 0, s->sv_var_cap - old);
-    if (s->sv_tree_on) {
-        s->sv_top = (int *)realloc(s->sv_top, s->sv_var_cap * sizeof(int));
+    s->sv_var = (SVar *)realloc(s->sv_var, s->sv_var_cap * sizeof(SVar));
+    memset(s->sv_var + old, 0, (s->sv_var_cap - old) * sizeof(SVar));
+    if (s->sv_tree_on)
         s->sv_host = (int *)realloc(
             s->sv_host, (size_t)s->sv_var_cap * s->sv_nsites * sizeof(int));
-        s->sv_flow = (double *)realloc(
-            s->sv_flow, (size_t)s->sv_var_cap * 6 * sizeof(double));
-        s->sv_payload = (double *)realloc(
-            s->sv_payload, s->sv_var_cap * sizeof(double));
-    }
 }
 
-void sim_serve_sync_var(Sim *s, int vid, int owner, int count, int n_members,
-                        int nat_r, int nat_w) {
-    /* member sites staged in stage_i[0..n_members) */
+void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members) {
+    /* member sites staged in stage_i[0..n_members); top is the component
+       top the native miss walk starts from (tree mirrors only) */
     sv_grow_vars(s, vid);
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     memset(w, 0, s->sv_words * sizeof(unsigned long long));
@@ -836,51 +800,29 @@ void sim_serve_sync_var(Sim *s, int vid, int owner, int count, int n_members,
         int site = s->stage_i[j];
         w[site >> 6] |= 1ULL << (site & 63);
     }
-    s->sv_owner[vid] = owner;
-    s->sv_count[vid] = count;
-    s->sv_nat_r[vid] = (unsigned char)nat_r;
-    s->sv_nat_w[vid] = (unsigned char)nat_w;
+    s->sv_var[vid].owner = owner;
+    s->sv_var[vid].count = n_members;
+    s->sv_var[vid].top = top;
 }
 
-void sim_serve_tree_init(Sim *s) {
-    /* tree shape staged in stage_i: parent[0..nsites), depth[nsites..2n).
-       Arms the native read-miss flow (sv_tree_on). */
-    int n = s->sv_nsites;
-    s->sv_tree_on = 1;
-    s->sv_parent = (int *)malloc(n * sizeof(int));
-    s->sv_depth = (int *)malloc(n * sizeof(int));
-    memcpy(s->sv_parent, s->stage_i, n * sizeof(int));
-    memcpy(s->sv_depth, s->stage_i + n, n * sizeof(int));
-    s->sv_scr_a = (int *)malloc(n * sizeof(int));
-    s->sv_scr_b = (int *)malloc(n * sizeof(int));
-    s->sv_path = (int *)malloc(2 * n * sizeof(int));
-    s->sv_top = (int *)malloc(s->sv_var_cap * sizeof(int));
-    s->sv_host = (int *)malloc((size_t)s->sv_var_cap * n * sizeof(int));
-    s->sv_flow = (double *)malloc((size_t)s->sv_var_cap * 6 * sizeof(double));
-    s->sv_payload = (double *)malloc(s->sv_var_cap * sizeof(double));
-}
-
-void sim_serve_var_flow(Sim *s, int vid, int top, double payload, double cw,
-                        double co, double cocc, double dw, double dov,
-                        double docc) {
+void sim_serve_var_flow(Sim *s, int vid, double payload, double cw, double co,
+                        double cocc, double dw, double dov, double docc) {
     /* node->host row staged in stage_i[0..nsites): the per-vid flow shape
        a native read miss replays (costs from the strategy's leg table). */
     sv_grow_vars(s, vid);
-    s->sv_top[vid] = top;
-    s->sv_payload[vid] = payload;
     memcpy(s->sv_host + (size_t)vid * s->sv_nsites, s->stage_i,
            s->sv_nsites * sizeof(int));
-    double *fc = s->sv_flow + (size_t)vid * 6;
+    double *fc = s->sv_var[vid].cost;
+    s->sv_var[vid].payload = payload;
     fc[0] = cw; fc[1] = co; fc[2] = cocc;
     fc[3] = dw; fc[4] = dov; fc[5] = docc;
 }
 
-void sim_serve_set_top(Sim *s, int vid, int top) { s->sv_top[vid] = top; }
-int sim_serve_top(Sim *s, int vid) { return s->sv_top[vid]; }
-
-int sim_serve_members(Sim *s, int vid) {
-    /* export the vid's member sites into stage_i; returns the count
-       (Python refreshes its copy-set before a crossed write). */
+int sim_serve_export(Sim *s, int vid) {
+    /* the vid's residency as native misses left it: member sites into
+       stage_i[0..n), the component top into stage_i[n]; returns n
+       (Python adopts it before a crossed write; the arm-time staging of
+       site_of + tree shape already sized stage_i past nsites + 1). */
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int n = 0;
     for (int wd = 0; wd < s->sv_words; wd++) {
@@ -891,13 +833,8 @@ int sim_serve_members(Sim *s, int vid) {
             bits &= bits - 1;
         }
     }
+    s->stage_i[n] = s->sv_var[vid].top;
     return n;
-}
-
-void sim_serve_storage_seed(Sim *s, double integral, double last,
-                            double excess, int on) {
-    s->sc_integral = integral; s->sc_last = last; s->sc_excess = excess;
-    s->sv_storage_on = on;
 }
 
 void sim_serve_storage_delta(Sim *s, double delta, double t) {
@@ -907,15 +844,6 @@ void sim_serve_storage_delta(Sim *s, double delta, double t) {
         s->sc_last = t;
     }
     s->sc_excess += delta;
-}
-
-double sim_serve_storage_get(Sim *s, int which) {
-    switch (which) {
-    case 0: return s->sc_integral;
-    case 1: return s->sc_last;
-    case 2: return s->sc_excess;
-    }
-    return 0.0;
 }
 
 /* tree_path(leaf, top) cut at the first component member (inclusive):
@@ -952,30 +880,30 @@ int sim_ensure_stage(Sim *s, int n);
  * same seqnos.  Returns 0 to fall back to a Python crossing. */
 static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
     int vid = cur->vid;
+    SVar *var = &s->sv_var[vid];
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int *path = s->sv_path;
-    int np = sv_tree_path_cut(s, s->sv_site_of[p], s->sv_top[vid], w, path);
+    int np = sv_tree_path_cut(s, s->sv_site_of[p], var->top, w, path);
     if (np < 2) return 0;
     double t = s->sv_now;
     s->sv_misses++;
-    double payload = s->sv_payload[vid];
     const int *depth = s->sv_depth;
-    int top = s->sv_top[vid];
+    int top = var->top;
     for (int i = np - 1; i >= 0; i--) {
         int node = path[i];
         unsigned long long bit = 1ULL << (node & 63);
         if (!(w[node >> 6] & bit)) {
             w[node >> 6] |= bit;
-            s->sv_count[vid]++;
-            if (s->sv_storage_on) sim_serve_storage_delta(s, payload, t);
+            var->count++;
+            sim_serve_storage_delta(s, var->payload, t);
             if (depth[node] < depth[top]) top = node;
         }
     }
-    s->sv_top[vid] = top;
+    var->top = top;
     sim_ensure_stage(s, np);
     const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
     for (int i = 0; i < np; i++) s->stage_i[i] = row[path[i]];
-    const double *fc = s->sv_flow + (size_t)vid * 6;
+    const double *fc = var->cost;
     sim_push_chain_updown(s, t, np, fc[0], fc[1], fc[2], fc[3], fc[4], fc[5],
                           p, 2);
     return 1;
@@ -986,31 +914,19 @@ i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
                      const double *walls) {
     /* append n admitted requests to the pending ring (ONE call per
        queue drain: the batched-ingest half of the fast path) */
-    while (s->sv_pend_len + n > s->sv_pend_cap) {
-        SPend *nb = (SPend *)malloc(2 * s->sv_pend_cap * sizeof(SPend));
-        for (int j = 0; j < s->sv_pend_len; j++)
-            nb[j] = s->sv_pend[(s->sv_pend_head + j) & (s->sv_pend_cap - 1)];
-        free(s->sv_pend);
-        s->sv_pend = nb;
-        s->sv_pend_cap *= 2;
-        s->sv_pend_head = 0;
-    }
+    SReq it = {0};
     for (i64 j = 0; j < n; j++) {
-        SPend *pr = &s->sv_pend[(s->sv_pend_head + s->sv_pend_len) &
-                                (s->sv_pend_cap - 1)];
-        pr->proc = procs[j]; pr->vid = vids[j]; pr->kind = kinds[j];
-        pr->arrival = arrivals[j]; pr->wall = walls[j];
-        s->sv_pend_len++;
+        it.proc = procs[j]; it.vid = vids[j]; it.kind = kinds[j];
+        it.arrival = arrivals[j]; it.wall = walls[j];
+        ring_push(&s->sv_pend, &it);
     }
-    return s->sv_pend_len;
+    return s->sv_pend.len;
 }
-
-void sim_serve_pump_begin(Sim *s) { s->sv_phase = 0; }
 
 int sim_serve_complete(Sim *s, Crossing *out, int p, double done) {
     /* Python-side strategy returned an immediate completion (done <= now):
        record it and keep dispatching; 1 = next request crossed (out). */
-    serve_record(s, p, &s->sv_cur[p], done);
+    serve_record(s, &s->sv_cur[p], done);
     return serve_advance(s, p, out);
 }
 
@@ -1020,48 +936,30 @@ void sim_serve_push_done(Sim *s, int p, double done) {
     heap_push(s, done, s->seqno++, K_SDONE, p, 0, 0, 0);
 }
 
-i64 sim_serve_stat(Sim *s, int which) {
-    switch (which) {
-    case 0: return s->sv_inflight;
-    case 1: return s->sv_completed;
-    case 2: return s->sv_hits;
-    case 3: return s->sv_wlocal;
-    case 4: return s->sv_pend_len;
-    case 5: return s->sv_rec_n;
-    case 6: return s->sv_misses;
-    }
-    return -1;
-}
-
-void sim_serve_counters_reset(Sim *s) {
+void sim_serve_drain(Sim *s, ServeDrain *out) {
+    /* Everything the session folds after a pump, in one call: the
+       completion records (valid until the next run), the queue gauges,
+       the native counter deltas and the storage accumulator.  Resets the
+       records and the deltas. */
+    out->n_rec = s->sv_rec_n; out->recs = s->sv_rec;
+    out->inflight = s->sv_inflight; out->pending = s->sv_pend.len;
+    out->hits = s->sv_hits; out->wlocal = s->sv_wlocal;
+    out->misses = s->sv_misses;
+    out->sc_integral = s->sc_integral; out->sc_last = s->sc_last;
+    out->sc_excess = s->sc_excess;
+    s->sv_rec_n = 0;
     s->sv_hits = 0; s->sv_wlocal = 0; s->sv_misses = 0;
 }
-void sim_serve_rec_reset(Sim *s) { s->sv_rec_n = 0; }
-double sim_serve_now(Sim *s) { return s->sv_now; }
-int *sim_serve_rec_proc(Sim *s) { return s->sv_rec_proc; }
-int *sim_serve_rec_vid(Sim *s) { return s->sv_rec_vid; }
-int *sim_serve_rec_kind(Sim *s) { return s->sv_rec_kind; }
-double *sim_serve_rec_arr(Sim *s) { return s->sv_rec_arr; }
-double *sim_serve_rec_eff(Sim *s) { return s->sv_rec_eff; }
-double *sim_serve_rec_done(Sim *s) { return s->sv_rec_done; }
-double *sim_serve_rec_wall(Sim *s) { return s->sv_rec_wall; }
 
 static void serve_free(Sim *s) {
     if (!s->serve_on) return;
     for (int p = 0; p < s->n_nodes; p++) free(s->sv_q[p].buf);
     free(s->sv_q); free(s->sv_cur); free(s->sv_state); free(s->sv_site_of);
-    free(s->sv_pend);
-    free(s->sv_rec_proc); free(s->sv_rec_vid); free(s->sv_rec_kind);
-    free(s->sv_rec_arr); free(s->sv_rec_eff); free(s->sv_rec_done);
-    free(s->sv_rec_wall);
-    free(s->sv_bits); free(s->sv_owner); free(s->sv_count);
-    free(s->sv_nat_r); free(s->sv_nat_w);
-    if (s->sv_tree_on) {
-        free(s->sv_parent); free(s->sv_depth);
-        free(s->sv_scr_a); free(s->sv_scr_b); free(s->sv_path);
-        free(s->sv_top); free(s->sv_host); free(s->sv_flow);
-        free(s->sv_payload);
-    }
+    free(s->sv_pend.buf); free(s->sv_rec);
+    free(s->sv_bits); free(s->sv_var);
+    /* tree mirror only; NULL (calloc'ed Sim) otherwise */
+    free(s->sv_parent); free(s->sv_depth); free(s->sv_host);
+    free(s->sv_scr_a); free(s->sv_scr_b); free(s->sv_path);
 }
 
 /* ------------------------------------------------------------------ loop */
@@ -1086,7 +984,8 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
     /* Serving mode interleaves injection rounds with event processing,
        exactly like the classic pump's do {inject; run} while (n) loop.
        A crossing mid-round leaves sv_phase == 1 so re-entry resumes the
-       event loop without double-injecting. */
+       event loop without double-injecting; R_DONE always leaves it 0,
+       so every pump starts with an injection round. */
     if (s->serve_on && s->sv_phase == 0) {
         s->sv_round_n = serve_inject(s, horizon);
         s->sv_phase = 1;
@@ -1098,13 +997,13 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
         if (ev.kind == K_CHAIN) {
             Chain *ch = s->chains[ev.a];
             int i = ev.b;
+            const Leg *leg = &ch->legs[i];
             int need = 0;
-            double arrive = do_leg(s, ev.time, ch->src[i], ch->dst[i],
-                                   ch->wire[i], ch->over[i], ch->occ[i],
-                                   ch->dat[i], &need);
+            double arrive = do_leg(s, ev.time, leg->src, leg->dst, leg->wire,
+                                   leg->over, leg->occ, leg->dat, &need);
             if (need) {
                 out->kind = R_NEED_ROUTE;
-                out->a = ch->src[i]; out->b = ch->dst[i];
+                out->a = leg->src; out->b = leg->dst;
                 heap_push(s, ev.time, ev.seq, ev.kind, ev.a, ev.b, ev.c, ev.d);
                 return R_NEED_ROUTE;
             }
@@ -1194,7 +1093,7 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
         }
         if (ev.kind == K_SDONE) {
             /* a Python-owned flow (or auto_resume==2 chain) completed */
-            serve_record(s, ev.a, &s->sv_cur[ev.a], ev.time);
+            serve_record(s, &s->sv_cur[ev.a], ev.time);
             if (serve_advance(s, ev.a, out)) return R_SREQ;
             continue;
         }
@@ -1207,6 +1106,7 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
         s->sv_phase = 0;
         if (s->sv_round_n) continue;   /* completions freed window room */
     }
+    out->time = s->sv_now;   /* the last event popped: the clamp clock */
     return R_DONE;
   }
 }
@@ -1250,18 +1150,11 @@ int *sim_stage_i(Sim *s) { return s->stage_i; }
 double *sim_stage_d(Sim *s) { return s->stage_d; }
 
 void sim_free(Sim *s) {
-    for (int i = 0; i < s->ch_cap; i++) {
-        if (s->chains[i]) {
-            Chain *ch = s->chains[i];
-            free(ch->src); free(ch->dst); free(ch->wire); free(ch->over);
-            free(ch->occ); free(ch->dat); free(ch);
-        }
-    }
+    for (int i = 0; i < s->ch_cap; i++) free(s->chains[i]);
     for (int i = 0; i < s->mc_cap; i++) {
         if (s->mcs[i]) {
             Mcast *m = s->mcs[i];
-            free(m->hosts); free(m->kid_cnt); free(m->kid_off);
-            free(m->kids); free(m->pends); free(m);
+            free(m->hosts); free(m->pends); free(m);
         }
     }
     free(s->chains); free(s->ch_free); free(s->mcs); free(s->mc_free);
@@ -1275,6 +1168,12 @@ void sim_free(Sim *s) {
 _CDEF = """
 typedef long long i64;
 typedef struct { int kind; int a; int b; double time; double targ; } Crossing;
+typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SReq;
+typedef struct {
+    i64 n_rec, inflight, pending, hits, wlocal, misses;
+    double sc_integral, sc_last, sc_excess;
+    const SReq *recs;
+} ServeDrain;
 typedef struct Sim Sim;
 
 Sim *sim_new(int n_nodes, double hop, double local_ov, double *link_free,
@@ -1312,37 +1211,19 @@ double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat);
 double sim_probe_leg(Sim *s, double time, int src, int dst, double wire,
                      double over, double occ);
-int sim_serve_init(Sim *s, int nsites, int wl_rule, i64 max_inflight);
-void sim_serve_sync_var(Sim *s, int vid, int owner, int count, int n_members,
-                        int nat_r, int nat_w);
-void sim_serve_tree_init(Sim *s);
-void sim_serve_var_flow(Sim *s, int vid, int top, double payload, double cw,
-                        double co, double cocc, double dw, double dov,
-                        double docc);
-void sim_serve_set_top(Sim *s, int vid, int top);
-int sim_serve_top(Sim *s, int vid);
-int sim_serve_members(Sim *s, int vid);
-void sim_serve_storage_seed(Sim *s, double integral, double last,
-                            double excess, int on);
+void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
+                    int tree, i64 max_inflight);
+void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members);
+void sim_serve_var_flow(Sim *s, int vid, double payload, double cw, double co,
+                        double cocc, double dw, double dov, double docc);
+int sim_serve_export(Sim *s, int vid);
 void sim_serve_storage_delta(Sim *s, double delta, double t);
-double sim_serve_storage_get(Sim *s, int which);
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
                      const int *kinds, const double *arrivals,
                      const double *walls);
-void sim_serve_pump_begin(Sim *s);
 int sim_serve_complete(Sim *s, Crossing *out, int p, double done);
 void sim_serve_push_done(Sim *s, int p, double done);
-i64 sim_serve_stat(Sim *s, int which);
-void sim_serve_counters_reset(Sim *s);
-void sim_serve_rec_reset(Sim *s);
-double sim_serve_now(Sim *s);
-int *sim_serve_rec_proc(Sim *s);
-int *sim_serve_rec_vid(Sim *s);
-int *sim_serve_rec_kind(Sim *s);
-double *sim_serve_rec_arr(Sim *s);
-double *sim_serve_rec_eff(Sim *s);
-double *sim_serve_rec_done(Sim *s);
-double *sim_serve_rec_wall(Sim *s);
+void sim_serve_drain(Sim *s, ServeDrain *out);
 """
 
 #: Staging buffer capacity (ints/doubles); bounds one chain/multicast/route.

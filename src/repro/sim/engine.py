@@ -142,6 +142,7 @@ class Simulator:
         "link_free",
         "nic_free",
         "now",
+        "last_event_time",
         "_heap",
         "_seq",
         "_routes",
@@ -174,6 +175,11 @@ class Simulator:
         self.topology = topology
         self.machine = machine
         self.now: float = 0.0
+        #: Time of the last event :meth:`run` popped, inline flow legs
+        #: included (``now`` only follows Python-visible events).  Both
+        #: loops store it on exit; it is the serving layer's clamp clock
+        #: for requests deferred past their arrival.
+        self.last_event_time: float = 0.0
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         # Hot-path caches: the per-topology route table and the frozen
@@ -429,6 +435,7 @@ class Simulator:
             elif r == 5:  # serving fast path: a request crossed to Python
                 self.serve_cb(out)
             else:
+                self.last_event_time = out.time
                 break
 
     def _run_py(self, until: Optional[float] = None) -> None:
@@ -451,11 +458,13 @@ class Simulator:
         # (only those can swap self.stats, via measurement resets); the
         # inline flow steps between two generic events all hit one binding.
         pend_append = self._stats._pending.append
+        last = self.last_event_time
         while heap:
             item = pop(heap)
             if item[0] > horizon:
                 push(heap, item)  # same (time, seq): resumes in exact order
-                return
+                break
+            last = item[0]
             cb = item[2]
             if cb is CHAIN:
                 time = item[0]
@@ -593,8 +602,24 @@ class Simulator:
             if len(stats._pending) >= self._flush_at:
                 stats._flush()  # keep pure-engine memory flat on huge runs
             pend_append = stats._pending.append
+        self.last_event_time = last
 
     # -------------------------------------------------------- flow builders
+    def leg_costs(self, payload_bytes: int) -> Tuple[float, ...]:
+        """``(cwire, cover, cocc, dwire, dover, docc)``: the compiled cost
+        shapes of a request/reply pair for one payload size -- control
+        legs up, data legs down -- as :meth:`push_updown` takes them."""
+        cwire = self._ctrl_bytes
+        dwire = payload_bytes + self._header_bytes
+        return (
+            cwire,
+            self._nic_fixed + cwire * self._nic_byte,
+            cwire / self._bandwidth,
+            dwire,
+            self._nic_fixed + dwire * self._nic_byte,
+            dwire / self._bandwidth,
+        )
+
     def push_chain(self, t: float, legs: list, done: Callable[[float], None]) -> None:
         """Schedule a compiled leg chain (see :func:`repro.sim.flows.chain`).
 

@@ -191,22 +191,15 @@ class TestSketchMergeProperty:
         assert latency_percentiles(merged) == latency_percentiles(concat)
 
 
-class TestExactLatencyFleet:
-    def test_exact_stores_concatenate(self):
-        def make_exact():
-            return ServeSession(Mesh2D(4, 4), "4-ary", seed=0,
-                                exact_latency=True)
+class TestDeadWorker:
+    def test_worker_that_dies_before_reporting_fails_the_fleet(self):
+        """A forked worker that exits without reporting (here: os._exit
+        while building its session) must surface as an error naming the
+        worker and its exit code -- not as a parent blocked forever."""
+        import os
 
-        fleet = run_fleet(make_exact, workers=2, requests=1200, seed=5,
-                          **OPTS)
-        shards = split_requests(1200, 2)
-        samples = []
-        for i in range(2):
-            sess = make_exact()
-            run_loadgen(sess, requests=shards[i], seed=spawn_seed(5, i),
-                        **OPTS)
-            samples.append(np.asarray(sess._lat_sim, dtype=np.float64))
-        want = latency_percentiles(np.concatenate(samples))
-        f = fleet.fleet
-        assert f["latency_p50"] == pytest.approx(want["p50"])
-        assert f["latency_p99"] == pytest.approx(want["p99"])
+        def make_dying():
+            os._exit(3)
+
+        with pytest.raises(RuntimeError, match=r"worker \d exited with code 3"):
+            run_fleet(make_dying, workers=2, requests=400, seed=1, **OPTS)

@@ -1,0 +1,152 @@
+"""Layering guard: ``serve/`` knows the residency-mirror contract, never a
+strategy family.
+
+The serving fast path used to import all five family classes, pick its
+flags from an exact-class table and reach into ``_states`` / ``_copies``.
+What a family lets the kernel assume is now declared once, on the
+strategy (``DataManagementStrategy.residency_mirror``); these tests keep
+it that way, and keep the kernel's serving ABI from growing back.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+import repro.serve
+from repro.core.registry import STRATEGIES, get_strategy
+from repro.core.strategy import ResidencyMirror
+from repro.network.mesh import Mesh2D
+from repro.runtime.launcher import Runtime
+from repro.serve import ServeSession
+from repro.sim import _ckern
+
+SERVE_DIR = pathlib.Path(repro.serve.__file__).parent
+SERVE_FILES = sorted(SERVE_DIR.glob("*.py"))
+
+FAMILY_MODULES = ("access_tree", "fixed_home", "dynrep", "adaptive", "migratory")
+
+#: Registered families that declare no mirror, and why they cannot.
+UNMIRRORED = {
+    "handopt": "hand-optimized message passing: programs create no global "
+               "variables, so there is no residency to mirror",
+}
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            for alias in node.names:
+                yield f"{node.module or ''}.{alias.name}"
+
+
+@pytest.mark.parametrize("path", SERVE_FILES, ids=lambda p: p.name)
+class TestServeKnowsNoFamily:
+    def test_imports_no_family_module(self, path):
+        for name in _imported_modules(ast.parse(path.read_text())):
+            assert name.split(".")[-1] not in FAMILY_MODULES, (
+                f"{path.name} imports {name}")
+
+    def test_no_class_dispatch_on_the_strategy(self, path):
+        """No ``isinstance(<strategy>, SomeClass)`` / ``type(<strategy>)``:
+        the session consumes the declaration, it does not recognise classes
+        (telling a spec *string* from a built strategy is not dispatch)."""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                continue
+            if node.func.id not in ("isinstance", "type") or not node.args:
+                continue
+            if "strat" not in ast.unparse(node.args[0]):
+                continue
+            against = ast.unparse(node.args[1]) if len(node.args) > 1 else None
+            assert node.func.id == "isinstance" and against == "str", (
+                f"{path.name}:{node.lineno} dispatches on the strategy's class")
+
+    def test_no_family_name_or_private_state(self, path):
+        pattern = re.compile(
+            r"core\.(access_tree|fixed_home|dynrep|adaptive|migratory)"
+            r"|(AccessTree|FixedHome|DynRep|Adaptive|Migratory)Strategy"
+            r"|\._states\b|\._copies\b|\._leg_costs\b")
+        hits = [line for line in path.read_text().splitlines() if pattern.search(line)]
+        assert not hits, f"{path.name}: {hits}"
+
+
+def test_session_assigns_no_attribute_on_the_strategy():
+    tree = ast.parse((SERVE_DIR / "session.py").read_text())
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                assert "strat" not in ast.unparse(target.value), (
+                    f"session.py:{node.lineno} assigns {ast.unparse(target)}")
+
+
+def test_kernel_serving_abi_stays_small():
+    protos = re.findall(r"\bsim_serve_\w+\s*\(", _ckern._CDEF)
+    assert len(protos) == len(set(protos))
+    assert len(protos) <= 12, protos
+
+
+def _attached(spec):
+    topology = Mesh2D(4, 4)
+    strategy = get_strategy(spec, topology, seed=0)
+    Runtime(topology, strategy, seed=0)
+    return strategy
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_every_registered_family_declares_a_mirror_or_is_listed(name):
+    declared = _attached(name).residency_mirror()
+    if name in UNMIRRORED:
+        assert isinstance(declared, str) and "declares no residency mirror" in declared
+    else:
+        assert isinstance(declared, ResidencyMirror), declared
+        assert len(declared.site_of) == 16
+        assert all(0 <= site < declared.n_sites for site in declared.site_of)
+
+
+def test_bounded_memory_refuses_the_mirror_with_a_reason():
+    topology = Mesh2D(4, 4)
+    strategy = get_strategy("fixed-home", topology, seed=0)
+    Runtime(topology, strategy, seed=0, capacity_bytes=4096)
+    assert "bounded memory" in strategy.residency_mirror()
+
+
+def _undeclaring(spec, topology):
+    """A strategy whose class inherits a family's mirror without declaring
+    one in its own body."""
+    strategy = get_strategy(spec, topology, seed=0)
+    base = type(strategy)
+    strategy.__class__ = type("Quiet" + base.__name__, (base,), {})
+    return strategy
+
+
+@pytest.mark.parametrize("spec", ["4-ary", "fixed-home", "dynrep:threshold=2"])
+def test_subclass_declaring_nothing_is_served_classically(spec):
+    """A subclass may override the hit path, so inheriting a mirror is not
+    declaring one: it gets the classic dispatchers, and the report says so."""
+    topology = Mesh2D(4, 4)
+    session = ServeSession(topology, _undeclaring(spec, topology), seed=0)
+    vid = session.create(0)
+    session.submit("r", 5, vid)
+    report = session.close()
+    assert report.requests == 1
+    how = report.extra["dispatch"]
+    assert how["mode"] == "classic"
+    if _ckern.load_kernel() is None:
+        assert "no C kernel" in how["reason"]
+        return
+    assert re.fullmatch(r"Quiet\w+Strategy declares no residency mirror", how["reason"])
+    insisting = ServeSession(topology, _undeclaring(spec, topology), seed=0, fast=True)
+    insisting.create(0)
+    with pytest.raises(RuntimeError, match="fast=True .* declares no residency mirror"):
+        insisting.pump()

@@ -105,15 +105,85 @@ class TestEngineEquivalence:
         def run():
             sess, report = serve_small(Mesh2D(4, 4), "4-ary", requests=250)
             d = report.as_dict()
-            # Wall-clock fields are host noise, engine label differs by
-            # construction; every simulated quantity must match exactly.
+            # Wall-clock fields are host noise, engine label and dispatch
+            # path differ by construction; every simulated quantity must
+            # match exactly.
             for key in ("engine", "wall_seconds", "requests_per_sec",
                         "wall_p50", "wall_p95", "wall_p99"):
                 d.pop(key)
-            return d, sess.trace().ops
+            return d, d["extra"].pop("dispatch"), sess.trace().ops
 
-        kernel_fields, kernel_ops = run()
+        kernel_fields, kernel_dispatch, kernel_ops = run()
         monkeypatch.setattr(Simulator, "force_pure", True)
-        pure_fields, pure_ops = run()
+        pure_fields, pure_dispatch, pure_ops = run()
         assert kernel_fields == pure_fields  # exact equality, field by field
         assert kernel_ops == pure_ops
+        assert kernel_dispatch["mode"] == "fast"
+        assert pure_dispatch["mode"] == "classic"
+        assert "no C kernel" in pure_dispatch["reason"]
+
+
+#: The simulated quantities of a report (the benchmark suite's fingerprint).
+FINGERPRINT = ("sim_time", "total_msgs", "total_bytes", "congestion_bytes",
+               "congestion_msgs", "hits", "misses", "latency_p50",
+               "latency_p95", "latency_p99", "storage_cost")
+
+
+class TestBackpressureEquivalence:
+    """``chunk == max_inflight``: every epoch fills the in-flight window,
+    so requests are deferred past their arrival and re-issued "now".  The
+    three dispatch paths must clamp to the same clock (the last event the
+    engine popped); before that was pinned, fast and classic drifted apart
+    past ~8k requests by a few messages and in ``storage_cost``."""
+
+    MIX = {"n_vars": 512, "alpha": 0.9, "payload": 256}
+
+    def serve(self, strategy, read_frac, rate, fast, *, side=8, window=8192,
+              requests=20_000):
+        sess = ServeSession(Mesh2D(side, side), strategy, seed=0, fast=fast,
+                            max_inflight=window)
+        report = run_loadgen(
+            sess, workload="zipf", params={**self.MIX, "read_frac": read_frac},
+            arrival="poisson", rate=rate, requests=requests, seed=0,
+            chunk=window,
+        )
+        fields = {k: getattr(report, k) for k in FINGERPRINT}
+        return fields, report.extra["dispatch"], sess.trace().ops
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        from repro.sim import _ckern
+
+        if _ckern.load_kernel() is None:
+            pytest.skip("C kernel unavailable; only the pure engine runs here")
+
+    @pytest.mark.parametrize("strategy,read_frac,rate", [
+        ("4-ary", 0.5, 5000.0),
+        ("4-ary", 0.9, 9000.0),
+        ("fixed-home", 0.9, 9000.0),
+    ])
+    def test_fast_classic_and_pure_agree_under_backpressure(
+            self, monkeypatch, strategy, read_frac, rate):
+        fast, how, _ = self.serve(strategy, read_frac, rate, fast=True)
+        assert how["mode"] == "fast"
+        classic, how, _ = self.serve(strategy, read_frac, rate, fast=False)
+        assert how == {"mode": "classic", "reason": "fast=False was requested"}
+        monkeypatch.setattr(Simulator, "force_pure", True)
+        pure, how, _ = self.serve(strategy, read_frac, rate, fast=None)
+        assert how["mode"] == "classic"
+        assert fast == classic   # exact equality, storage_cost included
+        assert classic == pure
+
+    @pytest.mark.parametrize("strategy", [
+        "16-ary", "2-4-ary", "tree:4-8:embed=random", "tree:4:remap=3",
+        "migratory", "dynrep:threshold=2", "adaptive",
+    ])
+    def test_every_declared_mirror_matches_the_classic_path(self, strategy):
+        """Each family's declaration (static flow or not, native reads or
+        not) must leave report *and* recorded trace unchanged."""
+        small = dict(side=4, window=256, requests=4000)
+        fast, how, fast_ops = self.serve(strategy, 0.7, 30000.0, True, **small)
+        assert how["mode"] == "fast"
+        classic, _, classic_ops = self.serve(strategy, 0.7, 30000.0, False, **small)
+        assert fast == classic
+        assert fast_ops == classic_ops

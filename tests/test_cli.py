@@ -36,7 +36,7 @@ class TestCli:
         assert "handopt" in out
 
     def test_ablation_embedding(self, capsys):
-        assert main(["ablation-embedding", "--app", "matmul"]) == 0
+        assert main(["ablation-embedding", "--workload", "matmul"]) == 0
         out = capsys.readouterr().out
         assert "modified" in out and "random" in out
 
@@ -95,9 +95,9 @@ class TestOrchestratorCli:
         assert (override / "fig2.quick.json").is_file()
 
     def test_app_sensitive_ablation_gets_own_file(self, _isolated_results_dir, capsys):
-        """--app bitonic must not overwrite the matmul result file."""
-        assert main(["ablation-embedding", "--app", "matmul", "--json"]) == 0
-        assert main(["ablation-embedding", "--app", "bitonic", "--json"]) == 0
+        """--workload bitonic must not overwrite the matmul result file."""
+        assert main(["ablation-embedding", "--workload", "matmul", "--json"]) == 0
+        assert main(["ablation-embedding", "--workload", "bitonic", "--json"]) == 0
         matmul = _isolated_results_dir / "ablation-embedding.default.json"
         bitonic = _isolated_results_dir / "ablation-embedding.bitonic.default.json"
         assert matmul.is_file() and bitonic.is_file()
