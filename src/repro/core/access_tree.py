@@ -479,12 +479,15 @@ class AccessTreeStrategy(DataManagementStrategy):
     def _mirror(self) -> ResidencyMirror:
         """Sites are tree nodes; a read hits iff the reader's leaf holds a
         copy, a write is local iff that leaf holds the *sole* copy.  With
-        remapping off, hosts and path geometry never change, so the
-        read-miss flow is static."""
+        remapping off, hosts and path geometry never change, so both flows
+        (read miss; write with its invalidation multicast, which walks the
+        child lists) are static."""
         tree = self.tree
+        static = None
+        if self.remap_threshold is None:
+            static = (tree.parent, tree.depth, [tn.children for tn in tree.nodes])
         return ResidencyMirror(
-            self._leaf_of_proc, len(tree.nodes), True, True, True,
-            tree=(tree.parent, tree.depth) if self.remap_threshold is None else None,
+            self._leaf_of_proc, len(tree.nodes), True, True, True, tree=static
         )
 
     def residency(self, vid: int):

@@ -79,12 +79,16 @@ class ResidencyMirror(NamedTuple):
     #: Local-write rule: ``True`` = the writer's site holds the *sole*
     #: copy; ``False`` = the writer is the variable's owner.
     sole_copy_write: bool
-    #: ``(parent, depth)`` arrays over the sites when the read-miss flow
-    #: shape is static (a fixed tree, fixed hosts): misses then replay
-    #: natively from :meth:`~DataManagementStrategy.flow_row`, and
-    #: :meth:`~DataManagementStrategy.adopt` imports the copies they
-    #: placed before a crossed write.
-    tree: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+    #: ``(parent, depth, children)`` over the sites (``parent`` -1 at the
+    #: root, ``children[i]`` the ordered child sites of ``i``) when the
+    #: flow shapes are static (a fixed tree, fixed hosts): read misses and
+    #: writes then replay natively from
+    #: :meth:`~DataManagementStrategy.flow_row`, and
+    #: :meth:`~DataManagementStrategy.adopt` imports the copy placement
+    #: they left (at a fallback crossing, and when the session closes).
+    tree: Optional[
+        Tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]
+    ] = None
 
     @classmethod
     def over_processors(cls, n: int, native_reads: bool = True) -> "ResidencyMirror":
@@ -216,12 +220,12 @@ class DataManagementStrategy:
 
     def flow_row(self, vid: int) -> Tuple[Sequence[int], float, Tuple[float, ...]]:
         """Static-flow families: ``(host of every site, payload bytes,
-        leg costs)`` of one variable -- the shape a native miss replays."""
+        leg costs)`` of one variable -- the shape a native flow replays."""
         raise NotImplementedError
 
     def adopt(self, vid: int, members: Iterable[int], top: int) -> None:
         """Static-flow families: take over the copy placement natively
-        replayed misses produced (storage already accounted)."""
+        replayed flows produced (storage already accounted)."""
         raise NotImplementedError
 
     def delegate_storage(
@@ -230,15 +234,22 @@ class DataManagementStrategy:
         """Route :meth:`_storage_delta` to ``sink(delta, t)`` and return
         the accumulator ``(integral, last, excess)`` to seed it with: one
         owner means ONE float accumulation sequence whichever side applies
-        a delta.  :meth:`fold_native` hands the state back."""
+        a delta.  :meth:`fold_native` hands the state back and
+        :meth:`reclaim_storage` ends the delegation."""
         self._storage_delta = sink
         return self._sc_integral, self._sc_last, self._sc_excess
+
+    def reclaim_storage(self) -> None:
+        """Undo :meth:`delegate_storage`: deltas accumulate on the
+        strategy again, from the state last folded."""
+        vars(self).pop("_storage_delta", None)
 
     def fold_native(
         self,
         hits: int,
         write_local: int,
         misses: int,
+        write_remote: int,
         storage: Optional[Tuple[float, float, float]] = None,
     ) -> None:
         """Add the counters of natively completed requests (and, after
@@ -246,6 +257,7 @@ class DataManagementStrategy:
         self.hits += hits
         self.write_local += write_local
         self.misses += misses
+        self.write_remote += write_remote
         if storage is not None:
             self._sc_integral, self._sc_last, self._sc_excess = storage
 

@@ -22,7 +22,9 @@ the whole dispatcher state machine above is mirrored *inside* the kernel:
 queued requests live in per-processor C rings, wake-up kicks and
 idle-until-arrival timers are native ``K_SREQ`` events, and a request
 whose data is locally resident (read hit / local write) completes without
-re-entering Python at all.  Only misses and remote writes cross back
+re-entering Python at all.  A family whose flow shapes are static (the
+access tree without remapping) has its read misses and writes replayed
+in the kernel too; for the others, misses and remote writes cross back
 (``R_SREQ``), run the unchanged strategy code, and re-sync the touched
 variable's mirror.  This module knows the declaration, never the family
 behind it.  Ingest is batched -- one Python->C call per queue drain
@@ -38,7 +40,8 @@ classic generators otherwise; submitting with an ``on_done`` callback
 before the first pump commits the session to the classic path (the C
 queues cannot carry Python callbacks).  Which path ran, and why a faster
 one was refused, is in ``ServeReport.extra["dispatch"]`` and
-:meth:`ServeSession.snapshot`.
+:meth:`ServeSession.snapshot`; on the fast path the block also counts
+the requests the kernel completed natively and those that crossed.
 
 Micro-batching and bounded run-ahead
 ------------------------------------
@@ -72,6 +75,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate, chain
 from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
@@ -244,8 +248,16 @@ class ServeSession:
         self._mode_reason = "undecided until the first pump"
         self._fast_opt = fast
         self._kdrain = None       # the ServeDrain struct drains fill
+        # Fast-path request counts of the "dispatch" block, summed over
+        # drains: completed inside the kernel, crossed into the strategy's
+        # Python, and native flows that bailed out to a crossing (no copy
+        # holder on the walked path).
+        self._kcounts = {
+            "native_reads": 0, "native_writes": 0, "crossed_reads": 0,
+            "crossed_writes": 0, "native_fallbacks": 0,
+        }
         self._kpending = 0        # requests in the kernel's pending ring
-        self._static_flow = False  # the mirror declares a static miss flow
+        self._static_flow = False  # the mirror declares static flows
         self._batches: list = []  # packed pending batches (fast ingest)
         self._buffered = 0
         self._sim_end = 0.0       # max completion time seen (fast mode)
@@ -355,20 +367,21 @@ class ServeSession:
         lib, ffi, h = sim._lib, sim._ffi, sim._h
         static = mirror.tree is not None
         stage = list(mirror.site_of)
-        sim._reserve_stage(self.n_procs + 2 * mirror.n_sites)
         if static:
             # The per-vid flow shape (hosts, costs, path geometry) is
-            # static, so the whole read-miss flow is compiled into the
-            # kernel: reads never cross into Python.  Native misses place
-            # copies, so the kernel also takes over the storage
-            # accumulator: ONE float accumulation sequence whichever side
-            # (native miss / crossed write) applies a delta keeps the
-            # integral bit-identical to the pure path.
-            parent, depth = mirror.tree
-            stage += list(parent) + list(depth)
+            # static, so the read-miss and write flows are compiled into
+            # the kernel: no request crosses into Python.  Native flows
+            # place and drop copies, so the kernel also takes over the
+            # storage accumulator: ONE float accumulation sequence
+            # whichever side (native flow / fallback crossing) applies a
+            # delta keeps the integral bit-identical to the pure path.
+            parent, depth, children = mirror.tree
+            stage += [*parent, *depth, 0, *accumulate(map(len, children)),
+                      *chain.from_iterable(children)]
             sim._stage_d[0:3] = strat.delegate_storage(
                 lambda delta, t: lib.sim_serve_storage_delta(h, delta, t)
             )
+        sim._reserve_stage(len(stage))
         sim._stage_i[0:len(stage)] = stage
         lib.sim_serve_init(
             h, mirror.n_sites, mirror.sole_copy_write, mirror.native_reads,
@@ -405,8 +418,8 @@ class ServeSession:
 
     def _mirror_var(self, vid: int) -> None:
         """Arm/create time: the vid's residency and, for a static-flow
-        family, the shape its read misses replay natively (node->host
-        row, payload, leg costs)."""
+        family, the shape its flows replay natively (node->host row,
+        payload, leg costs)."""
         if self._static_flow:
             sim = self.rt.sim
             hosts, payload, costs = self.rt.strategy.flow_row(vid)
@@ -414,12 +427,21 @@ class ServeSession:
             sim._lib.sim_serve_var_flow(sim._h, vid, payload, *costs)
         self._sync(vid)
 
+    def _adopt(self, vid: int) -> None:
+        """Static flow: hand the strategy the copy placement the native
+        flows left for one variable."""
+        sim = self.rt.sim
+        k = sim._lib.sim_serve_export(sim._h, vid)
+        stage = sim._stage_i
+        self.rt.strategy.adopt(vid, stage[0:k], stage[k])
+
     def _serve_cb(self, out) -> None:
         """Handle an ``R_SREQ`` crossing: a request whose data is not
         locally resident runs the unchanged strategy code, the touched
         variable's residency mirror is re-synced, and the completion is
-        routed back natively.  Where native misses placed copies
-        (static flow), the strategy adopts them first."""
+        routed back natively.  Where native flows moved the copies
+        (static flow: only a fallback crosses), the strategy adopts the
+        placement first."""
         sim = self.rt.sim
         lib, h = sim._lib, sim._h
         strat = self.rt.strategy
@@ -427,17 +449,15 @@ class ServeSession:
         read = strat.read
         write = strat.write
         sync = self._sync
-        adopt = strat.adopt if self._static_flow else None
+        static = self._static_flow
         complete = lib.sim_serve_complete
         while True:
             p = out.a
             code = out.b
             vid = code >> 1
             t = out.time
-            if adopt is not None:
-                k = lib.sim_serve_export(h, vid)
-                stage = sim._stage_i
-                adopt(vid, stage[0:k], stage[k])
+            if static:
+                self._adopt(vid)
             if code & 1:
                 done = write(p, by_id(vid), 0, t)
             else:
@@ -513,10 +533,16 @@ class ServeSession:
         self._inflight = out.inflight
         self._kpending = out.pending
         self.rt.strategy.fold_native(
-            out.hits, out.wlocal, out.misses,
+            out.hits, out.wlocal, out.misses, out.wremote,
             (out.sc_integral, out.sc_last, out.sc_excess)
             if self._static_flow else None,
         )
+        counts = self._kcounts
+        counts["native_reads"] += out.hits + out.misses
+        counts["native_writes"] += out.wlocal + out.wremote
+        counts["crossed_reads"] += out.crossed_r
+        counts["crossed_writes"] += out.crossed_w
+        counts["native_fallbacks"] += out.fallbacks
 
     def _pump_fast(self, until: Optional[float]) -> None:
         self._flush_batches()
@@ -728,6 +754,14 @@ class ServeSession:
                 return
 
     # ------------------------------------------------------------- reporting
+    def _dispatch_info(self) -> Dict[str, Any]:
+        """The ``dispatch`` block: which path serves, why, and -- on the
+        fast path -- how many requests stayed in the kernel."""
+        how = {"mode": self._mode, "reason": self._mode_reason}
+        if self._mode == "fast":
+            how.update(self._kcounts)
+        return how
+
     def snapshot(self) -> Dict[str, Any]:
         """Live metrics without stalling the loop: counters, hit rate,
         kernel-aware message totals and latency percentiles so far."""
@@ -745,7 +779,7 @@ class ServeSession:
             "misses": misses,
             "hit_rate": MetricsBundle(hits=hits, misses=misses).hit_rate,
             "total_msgs": self.rt.sim.stats.total_msgs,
-            "dispatch": {"mode": self._mode, "reason": self._mode_reason},
+            "dispatch": self._dispatch_info(),
         }
         for k, v in latency_percentiles(self._lat_sim).items():
             snap[f"latency_{k}"] = v
@@ -755,7 +789,11 @@ class ServeSession:
         """Serve everything queued, stop the dispatchers, and report."""
         if self._closed:
             return self._report
-        self.pump()  # unbounded: drains the ingest queue completely
+        self.pump()  # unbounded: serves what the in-flight window admits
+        while self.queue_depth and self._inflight < self.max_inflight:
+            # The pump found the window full, so its last round injected
+            # nothing and it stopped once the window drained.
+            self.pump()
         rt = self.rt
         if self._mode == "fast":
             # The dispatchers never ran: close the parked generators.
@@ -765,6 +803,14 @@ class ServeSession:
                     gen.close()
                     rt._gens[p] = None
             end = self._sim_end
+            if self._static_flow:
+                # Hand the state back: the copies native flows placed, and
+                # (the last drain folded its value) the storage
+                # accumulator, so the strategy reads as after a classic
+                # session.
+                for vid in range(len(rt.registry)):
+                    self._adopt(vid)
+                rt.strategy.reclaim_storage()
         else:
             for p in range(self.n_procs):
                 if self._parked[p]:
@@ -817,7 +863,7 @@ class ServeSession:
             total_msgs=stats.total_msgs,
             congestion_bytes=stats.congestion_bytes,
             congestion_msgs=stats.congestion_msgs,
-            extra={"dispatch": {"mode": self._mode, "reason": self._mode_reason}},
+            extra={"dispatch": self._dispatch_info()},
         )
         return self._report
 

@@ -85,7 +85,8 @@ typedef struct { int owner, count, top; double payload, cost[6]; } SVar;
 
 /* What one pump produced, filled by sim_serve_drain. */
 typedef struct {
-    i64 n_rec, inflight, pending, hits, wlocal, misses;
+    i64 n_rec, inflight, pending, hits, wlocal, misses, wremote;
+    i64 crossed_r, crossed_w, fallbacks;
     double sc_integral, sc_last, sc_excess;
     const SReq *recs;
 } ServeDrain;
@@ -96,6 +97,12 @@ typedef struct {
     double awire, aover, aocc;
     int *hosts, *kid_cnt, *kid_off, *kids;  /* slices of one block (hosts) */
     Pend *pends; int n_pend, cap_pend;
+    /* native access-tree write (serve_tree_write): wr_nh > 0 makes done_id
+       the writer's processor and the completion native -- the reply chain
+       back down wr_hosts[0..wr_nh) (a slice of the hosts block), or, for a
+       writer already at the root (wr_nh == 1), its K_SDONE */
+    int wr_nh; int *wr_hosts;
+    double rwire, rover, rocc;
 } Mcast;
 
 typedef struct {
@@ -128,6 +135,7 @@ typedef struct {
     unsigned char *sv_state;      /* 0 idle, 1 timer pending, 2 crossed */
     i64 sv_inflight, sv_max_inflight, sv_round_n;
     i64 sv_hits, sv_wlocal;       /* native counter deltas (folded by Python) */
+    i64 sv_crossed[2];            /* R_SREQ crossings, by request kind */
     SReq *sv_rec; i64 sv_rec_n, sv_rec_cap;  /* completions, drained per pump */
     /* residency mirror: per-vid membership bitset over "sites" (procs for
        the directory families, tree nodes for the access tree) */
@@ -137,14 +145,16 @@ typedef struct {
     int sv_var_cap;
     unsigned long long *sv_bits;  /* sv_var_cap * sv_words */
     SVar *sv_var;                 /* per vid */
-    /* access-tree flow mirror: read misses compiled into the kernel
-       (armed only when the strategy's flow shape is static -- no remap,
-       no memory pressure -- so the whole read path stays native) */
+    /* access-tree flow mirror: read misses and writes compiled into the
+       kernel (armed only when the strategy's flow shape is static -- no
+       remap, no memory pressure -- so tree serving stays native) */
     int sv_tree_on;
     int *sv_parent, *sv_depth;    /* [nsites] static tree shape */
+    int *sv_kid_off, *sv_kid;     /* children of node i: sv_kid[off[i]..off[i+1]) */
     int *sv_host;                 /* per vid: nsites-wide node->host row */
-    int *sv_scr_a, *sv_scr_b, *sv_path;  /* LCA walk scratch */
-    i64 sv_misses;                /* native miss delta (folded by Python) */
+    int *sv_scr_a, *sv_scr_b, *sv_path;  /* LCA walk / component scratch */
+    i64 sv_misses, sv_wremote;    /* native flow deltas (folded by Python) */
+    i64 sv_fallbacks;             /* native flows that crossed out instead */
     /* storage-cost accumulator, moved into C (tree mirrors) so the time
        integral stays ONE float accumulation sequence (bit-identical to
        the pure path) */
@@ -500,19 +510,26 @@ void sim_push_chain_updown(Sim *s, double t, int nh, double cw, double co,
     heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
 }
 
-void sim_push_chain_path(Sim *s, double t, int nh, int reverse, double w,
-                         double o, double occ, int isdat, int done_id,
-                         int auto_resume) {
-    /* hosts staged in stage_i[0..nh); one cost shape, one direction. */
+static void chain_push_path(Sim *s, double t, const int *hosts, int nh,
+                            int reverse, double w, double o, double occ,
+                            int isdat, int done_id, int auto_resume) {
+    /* one cost shape, one direction along hosts[0..nh) */
     int n = nh - 1;
     int id = chain_alloc(s, n, done_id, auto_resume);
     Chain *ch = s->chains[id];
-    int *hosts = s->stage_i;
     for (int j = 0; j < n; j++)
         ch->legs[j] = reverse
             ? (Leg){hosts[nh - 1 - j], hosts[nh - 2 - j], isdat, w, o, occ}
             : (Leg){hosts[j], hosts[j + 1], isdat, w, o, occ};
     heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
+}
+
+void sim_push_chain_path(Sim *s, double t, int nh, int reverse, double w,
+                         double o, double occ, int isdat, int done_id,
+                         int auto_resume) {
+    /* hosts staged in stage_i[0..nh) */
+    chain_push_path(s, t, s->stage_i, nh, reverse, w, o, occ, isdat, done_id,
+                    auto_resume);
 }
 
 void sim_push_chain_legs(Sim *s, double t, int n, int done_id) {
@@ -540,12 +557,12 @@ static int mc_new_pend(Mcast *m, int remaining, double tmax, int node,
     return m->n_pend++;
 }
 
-void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
-                    int total_kids, double dwire, double dover, double docc,
-                    int ddat, double awire, double aover, double aocc,
-                    int done_id) {
-    /* stage_i layout: hosts[tbl], kid_cnt[tbl], kid_off[tbl],
-       kids[total_kids], root_kids[n_kids] */
+static int mc_alloc(Sim *s, int tbl, int n_ints, int done_id, double dwire,
+                    double dover, double docc, int ddat, double awire,
+                    double aover, double aocc) {
+    /* a multicast over tbl nodes whose tables (hosts, kid_cnt, kid_off,
+       kids, ...) are slices of one n_ints block, left for the caller to
+       fill */
     int id;
     if (s->mc_free_n) {
         id = s->mc_free[--s->mc_free_n];
@@ -561,20 +578,36 @@ void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
     m->done_id = done_id;
     m->dwire = dwire; m->dover = dover; m->docc = docc; m->ddat = ddat;
     m->awire = awire; m->aover = aover; m->aocc = aocc;
-    int *st = s->stage_i;
-    m->hosts = (int *)malloc((3 * tbl + total_kids) * sizeof(int));
-    memcpy(m->hosts, st, (3 * tbl + total_kids) * sizeof(int));
+    m->hosts = (int *)malloc(n_ints * sizeof(int));
     m->kid_cnt = m->hosts + tbl;
     m->kid_off = m->hosts + 2 * tbl;
     m->kids = m->hosts + 3 * tbl;
     m->cap_pend = 8;
     m->pends = (Pend *)malloc(m->cap_pend * sizeof(Pend));
     m->n_pend = 0;
-    mc_new_pend(m, n_kids, t, 0, 0, -1); /* root pend = index 0 */
+    m->wr_nh = 0;
     s->mcs[id] = m;
-    int *root_kids = st + 3 * tbl + total_kids;
+    return id;
+}
+
+static void mc_start(Sim *s, int id, double t, int root_host,
+                     const int *root_kids, int n_kids) {
+    mc_new_pend(s->mcs[id], n_kids, t, 0, 0, -1); /* root pend = index 0 */
     for (int j = 0; j < n_kids; j++)
         heap_push(s, t, s->seqno++, K_MDOWN, id, root_kids[j], root_host, 0);
+}
+
+void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
+                    int total_kids, double dwire, double dover, double docc,
+                    int ddat, double awire, double aover, double aocc,
+                    int done_id) {
+    /* stage_i layout: hosts[tbl], kid_cnt[tbl], kid_off[tbl],
+       kids[total_kids], root_kids[n_kids] */
+    int n_ints = 3 * tbl + total_kids;
+    int id = mc_alloc(s, tbl, n_ints, done_id, dwire, dover, docc, ddat,
+                      awire, aover, aocc);
+    memcpy(s->mcs[id]->hosts, s->stage_i, n_ints * sizeof(int));
+    mc_start(s, id, t, root_host, s->stage_i + n_ints, n_kids);
 }
 
 static void mc_free_one(Sim *s, int id) {
@@ -631,6 +664,7 @@ static void ring_push(SRing *q, const SReq *it) {
 }
 
 static int serve_tree_miss(Sim *s, int p, const SReq *cur);
+static int serve_tree_write(Sim *s, int p, const SReq *cur);
 
 /* Dispatch queued requests for processor p until one must wait (timer),
  * one crosses into Python (returns 1, crossing filled), or the queue is
@@ -684,6 +718,11 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
                 if (local) {
                     s->sv_wlocal++;
                     native = 1;
+                } else if (s->sv_tree_on && serve_tree_write(s, p, &cur)) {
+                    /* invalidation flow launched natively */
+                    s->sv_cur[p] = cur;
+                    s->sv_state[p] = 2;
+                    return 0;
                 }
             }
         }
@@ -695,6 +734,7 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         }
         s->sv_cur[p] = cur;
         s->sv_state[p] = 2;
+        s->sv_crossed[cur.kind]++;
         out->kind = R_SREQ;
         out->a = p;
         out->b = vid * 2 + cur.kind;
@@ -733,10 +773,11 @@ static i64 serve_inject(Sim *s, double horizon) {
 void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
                     int tree, i64 max_inflight) {
     /* staged in stage_i: site_of[n_nodes], then (tree != 0: the static
-       tree shape, which arms the native read-miss flow) parent[nsites]
-       and depth[nsites]; in stage_d (tree != 0): the strategy's storage
-       accumulator (integral, last, excess), which the kernel takes over
-       because native misses place copies */
+       tree shape, which arms the native read-miss and write flows)
+       parent[nsites], depth[nsites], kid_off[nsites + 1] and the
+       kid_off[nsites] child ids it indexes; in stage_d (tree != 0): the
+       strategy's storage accumulator (integral, last, excess), which the
+       kernel takes over because native flows place and drop copies */
     int n = s->n_nodes;
     s->serve_on = 1;
     s->sv_nsites = nsites;
@@ -764,6 +805,11 @@ void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
     s->sv_depth = (int *)malloc(nsites * sizeof(int));
     memcpy(s->sv_parent, s->stage_i + n, nsites * sizeof(int));
     memcpy(s->sv_depth, s->stage_i + n + nsites, nsites * sizeof(int));
+    const int *kid_off = s->stage_i + n + 2 * nsites;
+    int n_kids = kid_off[nsites];
+    s->sv_kid_off = (int *)malloc((nsites + 1 + n_kids) * sizeof(int));
+    memcpy(s->sv_kid_off, kid_off, (nsites + 1 + n_kids) * sizeof(int));
+    s->sv_kid = s->sv_kid_off + nsites + 1;
     s->sv_scr_a = (int *)malloc(nsites * sizeof(int));
     s->sv_scr_b = (int *)malloc(nsites * sizeof(int));
     s->sv_path = (int *)malloc(2 * nsites * sizeof(int));
@@ -873,20 +919,10 @@ static int sv_tree_path_cut(Sim *s, int a, int b,
 
 int sim_ensure_stage(Sim *s, int n);
 
-/* A native access-tree read miss: replay AccessTreeStrategy.read's miss
- * body without leaving C -- walk to the component, extend the copy set
- * down the path (count/top/storage updated exactly as _add_copies does),
- * and push the same up/down chain the Python path pushes, consuming the
- * same seqnos.  Returns 0 to fall back to a Python crossing. */
-static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
-    int vid = cur->vid;
-    SVar *var = &s->sv_var[vid];
-    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-    int *path = s->sv_path;
-    int np = sv_tree_path_cut(s, s->sv_site_of[p], var->top, w, path);
-    if (np < 2) return 0;
-    double t = s->sv_now;
-    s->sv_misses++;
+/* AccessTreeStrategy._add_copies: a copy on every node of path[0..np),
+ * component side outward (count/top/storage updated in the same order). */
+static void sv_add_copies(Sim *s, SVar *var, unsigned long long *w,
+                          const int *path, int np, double t) {
     const int *depth = s->sv_depth;
     int top = var->top;
     for (int i = np - 1; i >= 0; i--) {
@@ -900,12 +936,114 @@ static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
         }
     }
     var->top = top;
+}
+
+/* A native access-tree read miss: replay AccessTreeStrategy.read's miss
+ * body without leaving C -- walk to the component, extend the copy set
+ * down the path, and push the same up/down chain the Python path pushes,
+ * consuming the same seqnos.  Returns 0 to fall back to a Python
+ * crossing. */
+static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
+    int vid = cur->vid;
+    SVar *var = &s->sv_var[vid];
+    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
+    int *path = s->sv_path;
+    int np = sv_tree_path_cut(s, s->sv_site_of[p], var->top, w, path);
+    if (np < 2) { s->sv_fallbacks++; return 0; }
+    double t = s->sv_now;
+    s->sv_misses++;
+    sv_add_copies(s, var, w, path, np, t);
     sim_ensure_stage(s, np);
     const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
     for (int i = 0; i < np; i++) s->stage_i[i] = row[path[i]];
     const double *fc = var->cost;
     sim_push_chain_updown(s, t, np, fc[0], fc[1], fc[2], fc[3], fc[4], fc[5],
                           p, 2);
+    return 1;
+}
+
+/* Completion of a native write's invalidation at t: the modified copy
+ * travels back down the request path (or, writer at the root, the
+ * request is done) -- AccessTreeStrategy.write's after_inval. */
+static void serve_write_reply(Sim *s, const Mcast *m, double t) {
+    if (m->wr_nh == 1)
+        heap_push(s, t, s->seqno++, K_SDONE, m->done_id, 0, 0, 0);
+    else
+        chain_push_path(s, t, m->wr_hosts, m->wr_nh, 1, m->rwire, m->rover,
+                        m->rocc, 1, m->done_id, 2);
+}
+
+/* The new value reached the component root at t: multicast the
+ * invalidations over the snapshot, or reply at once when the root held
+ * the sole copy -- after_request + multicast_acks' childless case. */
+static void serve_write_mcast(Sim *s, int id, double t) {
+    Mcast *m = s->mcs[id];
+    if (m->kid_cnt[0]) {
+        mc_start(s, id, t, m->hosts[0], m->kids, m->kid_cnt[0]);
+    } else {
+        serve_write_reply(s, m, t);
+        mc_free_one(s, id);
+    }
+}
+
+/* A native access-tree write (not the local sole-copy one): replay
+ * AccessTreeStrategy.write without leaving C.  Cut the leaf-to-top path
+ * at the first member u; snapshot the component rooted at u into a
+ * multicast (local id 0 = u; each node's kids in write's order: member
+ * parent first, then the tree's child order); collapse the copy set to
+ * the path u..leaf; run request chain -> invalidation -> reply chain ->
+ * K_SDONE, the continuations native (chain auto_resume 3, Mcast.wr_nh)
+ * where the Python path crosses on R_CHAIN_DONE / R_MC_DONE, consuming
+ * the same seqnos.  Returns 0 to fall back to a Python crossing. */
+static int serve_tree_write(Sim *s, int p, const SReq *cur) {
+    int vid = cur->vid;
+    SVar *var = &s->sv_var[vid];
+    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
+    int *path = s->sv_path;
+    int np = sv_tree_path_cut(s, s->sv_site_of[p], var->top, w, path);
+    if (np < 1) { s->sv_fallbacks++; return 0; }
+    double t = s->sv_now;
+    s->sv_wremote++;
+    const double *fc = var->cost;
+    const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
+    int u = path[np - 1], tbl = var->count;
+    /* block: hosts, kid_cnt, kid_off [tbl each], kids [tbl - 1], path hosts */
+    int id = mc_alloc(s, tbl, 4 * tbl - 1 + np, p, fc[0], fc[1], fc[2], 0,
+                      fc[0], fc[1], fc[2]);
+    Mcast *m = s->mcs[id];
+    m->wr_nh = np;
+    m->wr_hosts = m->kids + tbl - 1;
+    m->rwire = fc[3]; m->rover = fc[4]; m->rocc = fc[5];
+    for (int i = 0; i < np; i++) m->wr_hosts[i] = row[path[i]];
+    int *node = s->sv_scr_a, *from = s->sv_scr_b;  /* by local id */
+    int n = 1, nk = 0;
+    node[0] = u; from[0] = -1; m->hosts[0] = row[u];
+    for (int i = 0; i < n; i++) {
+        int x = node[i], frm = from[i];
+        const int *kid = s->sv_kid + s->sv_kid_off[x];
+        int nc = s->sv_kid_off[x + 1] - s->sv_kid_off[x];
+        m->kid_off[i] = nk;
+        for (int j = -1; j < nc; j++) {     /* j == -1: the parent */
+            int k = j < 0 ? s->sv_parent[x] : kid[j];
+            if (k < 0 || k == frm || !(w[k >> 6] & (1ULL << (k & 63))))
+                continue;
+            node[n] = k; from[n] = x; m->hosts[n] = row[k];
+            m->kids[nk++] = n++;
+        }
+        m->kid_cnt[i] = nk - m->kid_off[i];
+    }
+    /* state update, atomic at initiation */
+    sim_serve_storage_delta(s, (double)(1 - var->count) * var->payload, t);
+    memset(w, 0, s->sv_words * sizeof(unsigned long long));
+    w[u >> 6] |= 1ULL << (u & 63);
+    var->count = 1;
+    var->top = u;
+    sv_add_copies(s, var, w, path, np, t);
+    if (np == 1)
+        serve_write_mcast(s, id, t);     /* writer already at u */
+    else
+        chain_push_path(s, t, m->wr_hosts, np, 0, fc[3], fc[4], fc[5], 1,
+                        id, 3);
     return 1;
 }
 
@@ -944,11 +1082,14 @@ void sim_serve_drain(Sim *s, ServeDrain *out) {
     out->n_rec = s->sv_rec_n; out->recs = s->sv_rec;
     out->inflight = s->sv_inflight; out->pending = s->sv_pend.len;
     out->hits = s->sv_hits; out->wlocal = s->sv_wlocal;
-    out->misses = s->sv_misses;
+    out->misses = s->sv_misses; out->wremote = s->sv_wremote;
+    out->crossed_r = s->sv_crossed[0]; out->crossed_w = s->sv_crossed[1];
+    out->fallbacks = s->sv_fallbacks;
     out->sc_integral = s->sc_integral; out->sc_last = s->sc_last;
     out->sc_excess = s->sc_excess;
     s->sv_rec_n = 0;
-    s->sv_hits = 0; s->sv_wlocal = 0; s->sv_misses = 0;
+    s->sv_hits = 0; s->sv_wlocal = 0; s->sv_misses = 0; s->sv_wremote = 0;
+    s->sv_crossed[0] = 0; s->sv_crossed[1] = 0; s->sv_fallbacks = 0;
 }
 
 static void serve_free(Sim *s) {
@@ -958,7 +1099,8 @@ static void serve_free(Sim *s) {
     free(s->sv_pend.buf); free(s->sv_rec);
     free(s->sv_bits); free(s->sv_var);
     /* tree mirror only; NULL (calloc'ed Sim) otherwise */
-    free(s->sv_parent); free(s->sv_depth); free(s->sv_host);
+    free(s->sv_parent); free(s->sv_depth); free(s->sv_kid_off);
+    free(s->sv_host);
     free(s->sv_scr_a); free(s->sv_scr_b); free(s->sv_path);
 }
 
@@ -1016,10 +1158,15 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
                        crossing-based path: nothing runs in between).
                        auto_resume == 2 is the serving fast path: done_id
                        is the processor id and the completion is consumed
-                       natively (K_SDONE) instead of re-entering Python. */
-                    heap_push(s, arrive, s->seqno++,
-                              ch->auto_resume == 2 ? K_SDONE : K_GEN,
-                              ch->done_id, 0, 0, 0);
+                       natively (K_SDONE) instead of re-entering Python.
+                       auto_resume == 3 is a native write's request chain:
+                       done_id is its multicast, started here. */
+                    if (ch->auto_resume == 3)
+                        serve_write_mcast(s, ch->done_id, arrive);
+                    else
+                        heap_push(s, arrive, s->seqno++,
+                                  ch->auto_resume == 2 ? K_SDONE : K_GEN,
+                                  ch->done_id, 0, 0, 0);
                     chain_free(s, ev.a);
                     continue;
                 }
@@ -1074,6 +1221,11 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
             if (t_ack > p->tmax) p->tmax = t_ack;
             if (p->remaining == 0) {
                 if (p->parent < 0) {
+                    if (m->wr_nh) {
+                        serve_write_reply(s, m, p->tmax);
+                        mc_free_one(s, ev.a);
+                        continue;
+                    }
                     out->kind = R_MC_DONE;
                     out->a = m->done_id;
                     out->time = ev.time;
@@ -1170,7 +1322,8 @@ typedef long long i64;
 typedef struct { int kind; int a; int b; double time; double targ; } Crossing;
 typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SReq;
 typedef struct {
-    i64 n_rec, inflight, pending, hits, wlocal, misses;
+    i64 n_rec, inflight, pending, hits, wlocal, misses, wremote;
+    i64 crossed_r, crossed_w, fallbacks;
     double sc_integral, sc_last, sc_excess;
     const SReq *recs;
 } ServeDrain;
@@ -1240,14 +1393,23 @@ def _build_dir() -> pathlib.Path:
     return pathlib.Path(tempfile.gettempdir()) / f"repro-ckern-{os.getuid()}"
 
 
-def _compile(src_hash: str) -> pathlib.Path:
+def kernel_path() -> pathlib.Path:
+    """Where the shared object of this source revision is cached: named
+    by a content hash, so a build found there is used as it is
+    (``tools/kernel_sanitize.py`` plants an instrumented one)."""
+    src_hash = hashlib.sha256(
+        (CKERN_SOURCE + _CDEF + sys.version).encode()
+    ).hexdigest()[:16]
+    return _build_dir() / f"ckern-{src_hash}.so"
+
+
+def _compile() -> pathlib.Path:
     """Compile the kernel into the cache dir; returns the .so path."""
-    build = _build_dir()
-    build.mkdir(parents=True, exist_ok=True)
-    so_path = build / f"ckern-{src_hash}.so"
+    so_path = kernel_path()
+    so_path.parent.mkdir(parents=True, exist_ok=True)
     if so_path.exists():
         return so_path
-    c_path = build / f"ckern-{src_hash}.c"
+    c_path = so_path.with_suffix(".c")
     c_path.write_text(CKERN_SOURCE)
     tmp = so_path.with_suffix(f".tmp{os.getpid()}.so")
     cc = os.environ.get("CC", "cc")
@@ -1287,13 +1449,9 @@ def load_kernel():
     try:
         from cffi import FFI
 
-        src_hash = hashlib.sha256(
-            (CKERN_SOURCE + _CDEF + sys.version).encode()
-        ).hexdigest()[:16]
-        so_path = _compile(src_hash)
         ffi = FFI()
         ffi.cdef(_CDEF)
-        lib = ffi.dlopen(str(so_path))
+        lib = ffi.dlopen(str(_compile()))
         _KERNEL = Kernel(ffi, lib)
     except Exception:
         _KERNEL = None

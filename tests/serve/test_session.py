@@ -102,6 +102,19 @@ class TestAdmissionControl:
         rep = sess.close()
         assert rep.requests == 64 and sess.inflight == 0
 
+    @pytest.mark.parametrize("fast", [None, False])
+    def test_close_serves_the_queue_behind_a_full_window(self, fast):
+        """A horizon-bounded pump may stop with the window full; close()
+        must still serve everything queued behind it."""
+        sess = make_session(max_inflight=4, fast=fast)
+        for i in range(64):
+            sess.submit("w" if i % 2 else "r", (i + 8) % 16, i % 8, arrival=i * 1e-6)
+        sess.pump(until=1e-5)  # the first four are remote: still in flight
+        assert sess.inflight == 4 and sess.queue_depth
+        rep = sess.close()
+        assert rep.requests == rep.accepted == 64
+        assert sess.queue_depth == 0 and sess.inflight == 0
+
 
 class TestArrivalClock:
     def test_arrivals_clamped_nondecreasing(self):

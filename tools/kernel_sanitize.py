@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Run the kernel's tests against an ASan + UBSan build of the C kernel.
+
+The kernel (``repro.sim._ckern.CKERN_SOURCE``) is compiled at first use
+and cached under ``$REPRO_CKERN_DIR`` by content hash.  This tool plants
+an instrumented build at exactly that name in a scratch directory --
+``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined``
+-- so the package loads it without any flag of its own, then runs pytest
+(default: ``tests/serve tests/sim``) with the ASan runtime preloaded::
+
+    python tools/kernel_sanitize.py                 # the default test dirs
+    python tools/kernel_sanitize.py tests/serve/test_native_write.py -k sweep
+
+A sanitizer report kills the test process (pytest's capture would
+swallow it, so reports go to log files that are printed at the end) and
+the exit status is pytest's: 0 means the event loop, the flows and the
+serving fast path ran clean.  Leak checking is off (CPython itself is
+not leak-clean).
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined",
+            "-fno-sanitize-recover=undefined"]
+DEFAULT_TESTS = ["tests/serve", "tests/sim"]
+
+
+def main(argv=None) -> int:
+    tests = list(sys.argv[1:] if argv is None else argv) or DEFAULT_TESTS
+    cc = os.environ.get("CC", "cc")
+    asan = subprocess.run([cc, "-print-file-name=libasan.so"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan):
+        print(f"kernel_sanitize: {cc} has no libasan.so", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="repro-ckern-asan-") as scratch:
+        os.environ["REPRO_CKERN_DIR"] = scratch
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+        from repro.sim import _ckern
+
+        so_path = _ckern.kernel_path()
+        c_path = so_path.with_suffix(".c")
+        c_path.write_text(_ckern.CKERN_SOURCE)
+        subprocess.run(
+            [cc, *SANITIZE, "-fPIC", "-shared", "-o", str(so_path), str(c_path)],
+            check=True,
+        )
+        log = pathlib.Path(scratch) / "report"
+        env = dict(
+            os.environ,
+            LD_PRELOAD=asan,
+            ASAN_OPTIONS=f"detect_leaks=0:log_path={log}",
+            UBSAN_OPTIONS=f"print_stacktrace=1:log_path={log}",
+            PYTHONPATH=str(REPO_ROOT / "src"),
+        )
+        env.pop("REPRO_PURE_PYTHON", None)
+        # load_kernel() falls back to the pure engine on any failure;
+        # here that would make the run vacuous, so insist.
+        subprocess.run(
+            [sys.executable, "-c",
+             "from repro.sim import _ckern; assert _ckern.load_kernel()"],
+            cwd=REPO_ROOT, env=env, check=True,
+        )
+        status = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=REPO_ROOT, env=env,
+        ).returncode
+        for report in sorted(pathlib.Path(scratch).glob("report.*")):
+            print(report.read_text(), file=sys.stderr)
+        # The package must have found the planted build: a hash mismatch
+        # would have made it compile an uninstrumented one next to it.
+        built = sorted(p.name for p in pathlib.Path(scratch).glob("ckern-*.so"))
+        if built != [so_path.name]:
+            print(f"kernel_sanitize: expected only {so_path.name} in the "
+                  f"scratch dir, found {built}", file=sys.stderr)
+            return 1
+    if status == 0:
+        print(f"kernel_sanitize: clean ({' '.join(tests)})")
+    return status
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
