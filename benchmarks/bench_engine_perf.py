@@ -55,9 +55,9 @@ REPEATS = 5
 
 
 def run_once():
-    from repro.analysis.experiments import synthetic_cell
+    from repro.analysis.experiments import workload_cell
 
-    return synthetic_cell(**PINNED)
+    return workload_cell(**PINNED)
 
 
 def engine_name() -> str:

@@ -305,8 +305,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="interconnect for topology-sensitive experiments "
                              "(bitonic figures, ablations, xwork-readfrac, "
                              "xcap; default mesh) and the trace commands; the "
-                             "xtopo-*/xwork-zipf/xscale/xstrat experiments "
-                             "sweep topologies themselves")
+                             "xtopo-*/xwork-zipf/xscale/xstrat/xfail/xadapt "
+                             "experiments sweep topologies themselves")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="shard independent cells across N worker processes")
     parser.add_argument("--nodes", default=None, metavar="N[,N...]",
@@ -420,10 +420,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         cache = ResultCache(results_dir / "cache")
     for i, name in enumerate(names):
-        if topology != "mesh" and not get_spec(name).uses_topology:
+        spec = get_spec(name)
+        if topology != "mesh" and not spec.uses_topology:
             why = (
                 "sweeps its topologies internally"
-                if name.startswith(("xtopo-", "xwork-", "xscale", "xstrat"))
+                if "topologies" in spec.params_for(args.scale, args.workload)
                 else "experiment is mesh-bound"
             )
             print(

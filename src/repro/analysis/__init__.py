@@ -1,66 +1,34 @@
-"""Experiment harness: per-figure runners, paper reference data, tables."""
+"""Experiment cells, per-scale parameters, paper reference data, tables.
+
+Experiments are *described* in :mod:`repro.exp.registry` and *run* with
+:func:`repro.exp.run_experiment`; this package holds what they are made
+of."""
 
 from .experiments import (
-    ablation_barrier,
-    ablation_embedding,
-    ablation_invalidation,
-    ablation_remapping,
-    ablation_tree_degree,
     barneshut_cell,
     barneshut_scaling_cell,
-    barrier_cell,
     bitonic_cell,
-    bounded_memory_cell,
-    bounded_memory_experiment,
-    embedding_cell,
     fig2_cell,
-    fig2_single_block_flow,
-    fig3_matmul_blocksize,
-    fig4_matmul_network,
-    fig6_bitonic_keys,
-    fig7_bitonic_network,
-    fig8_barneshut_bodies,
-    fig9_fig10_phase_views,
     fig9_rows_from_cells,
     fig10_rows_from_cells,
-    fig11_barneshut_scaling,
-    invalidation_cell,
     matmul_cell,
     remapping_cell,
     scale_params,
-    tree_degree_cell,
+    workload_cell,
 )
 from .tables import PAPER, format_table, ratio
 
 __all__ = [
     "scale_params",
-    "fig2_single_block_flow",
-    "fig3_matmul_blocksize",
-    "fig4_matmul_network",
-    "fig6_bitonic_keys",
-    "fig7_bitonic_network",
-    "fig8_barneshut_bodies",
-    "fig9_fig10_phase_views",
-    "fig11_barneshut_scaling",
-    "ablation_tree_degree",
-    "ablation_embedding",
-    "ablation_barrier",
-    "ablation_invalidation",
-    "ablation_remapping",
-    "bounded_memory_experiment",
+    "workload_cell",
     "fig2_cell",
     "matmul_cell",
     "bitonic_cell",
     "barneshut_cell",
     "barneshut_scaling_cell",
+    "remapping_cell",
     "fig9_rows_from_cells",
     "fig10_rows_from_cells",
-    "tree_degree_cell",
-    "embedding_cell",
-    "invalidation_cell",
-    "remapping_cell",
-    "barrier_cell",
-    "bounded_memory_cell",
     "PAPER",
     "format_table",
     "ratio",

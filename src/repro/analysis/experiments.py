@@ -1,24 +1,31 @@
-"""Experiment runners: one function per figure of the paper's evaluation.
+"""Experiment cells: the measured unit of every figure of the paper.
 
-Every runner returns a list of row dicts (strategy, sweep parameter,
-congestion, time, ratios) ready for :func:`repro.analysis.tables.format_table`
-and for the benchmark harness's shape assertions.
-
-Structure: each runner is a thin loop over module-level **cell functions**
-(``*_cell``) -- pure functions of JSON-serializable parameters that each
-perform one independent simulation run (or one tightly coupled group such
-as a hand-optimized baseline plus the strategies measured against it) and
-return serializable rows.  The cell functions are the unit of work of the
+A **cell function** (``*_cell``) is a pure function of JSON-serializable
+parameters that performs one independent simulation run (or one tightly
+coupled group such as a hand-optimized baseline plus the strategies
+measured against it) and returns serializable row dicts (strategy, sweep
+parameter, congestion, time, ratios).  Cells are the unit of work of the
 :mod:`repro.exp` orchestrator: they are what gets sharded across the
 ``multiprocessing`` pool and content-addressed by the result cache, so a
-runner must never hide a loop inside a cell.
+cell must never hide a sweep loop.  Which cells make up an experiment,
+and how its table looks, is declared once, in
+:mod:`repro.exp.registry`; run one with
+``repro.exp.run_experiment(name, scale=..., param_overrides={...})``.
 
-Scaling: the runners take explicit parameters with defaults chosen so the
-whole suite finishes in minutes of pure Python; :func:`scale_params`
-resolves the ``REPRO_SCALE`` environment variable (``quick`` / ``default``
-/ ``paper``) into the per-figure parameter sets, where ``paper`` is the
-paper's exact configuration (Barnes-Hut at paper scale runs for hours in
-pure Python -- documented in EXPERIMENTS.md).
+:func:`workload_cell` is the general cell -- any registered workload
+under any strategy spec, topology, embedding, barrier, memory capacity
+and failure schedule.  The other six exist because they are genuinely
+different programs: :func:`fig2_cell` and :func:`remapping_cell` run
+custom SPMD programs, :func:`matmul_cell` and :func:`bitonic_cell` pair
+the hand-optimized baseline with the strategies so the rows can carry
+ratios, and :func:`barneshut_cell` / :func:`barneshut_scaling_cell`
+carry the per-phase breakdown Figures 9-11 derive from.
+
+Scaling: :func:`scale_params` resolves the ``REPRO_SCALE`` environment
+variable (``quick`` / ``default`` / ``paper``) into the per-figure
+parameter sets, where ``paper`` is the paper's exact configuration
+(Barnes-Hut at paper scale runs for hours in pure Python -- documented in
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.registry import get_strategy, parse_strategy_spec
 from ..metrics import MetricsBundle
-from ..network.failures import parse_failure_spec
 from ..network.machine import GCEL, MachineModel
 from ..network.mesh import Mesh2D
 from ..network.topology import make_topology, make_topology_nodes
@@ -37,40 +43,17 @@ from ..workloads import get_workload
 
 __all__ = [
     "scale_params",
-    "fig2_single_block_flow",
-    "fig3_matmul_blocksize",
-    "fig4_matmul_network",
-    "fig6_bitonic_keys",
-    "fig7_bitonic_network",
-    "fig8_barneshut_bodies",
-    "fig9_fig10_phase_views",
-    "fig11_barneshut_scaling",
-    "ablation_tree_degree",
-    "ablation_embedding",
-    "ablation_barrier",
-    "ablation_invalidation",
-    "ablation_remapping",
-    "bounded_memory_experiment",
     # cell functions (the repro.exp orchestrator's unit of work)
+    "workload_cell",
     "fig2_cell",
     "matmul_cell",
     "bitonic_cell",
     "barneshut_cell",
     "barneshut_scaling_cell",
+    "remapping_cell",
+    # projections of the Barnes-Hut cell rows
     "fig9_rows_from_cells",
     "fig10_rows_from_cells",
-    "tree_degree_cell",
-    "embedding_cell",
-    "invalidation_cell",
-    "remapping_cell",
-    "barrier_cell",
-    "bounded_memory_cell",
-    "synthetic_cell",
-    "xscale_cell",
-    "xstrat_cell",
-    "xcap_cell",
-    "xfail_cell",
-    "xadapt_cell",
 ]
 
 Row = Dict[str, object]
@@ -226,7 +209,12 @@ def fig2_cell(
     seed: int = 0,
 ) -> List[Row]:
     """One Figure 2 cell: distribute ONE block to its row and column under
-    ``strategy`` and report total load / congestion / time."""
+    ``strategy`` and report total load / congestion / time.
+
+    Figure 2 is analytic: the paper derives total load Theta(m*P) for
+    fixed home vs Theta(m*sqrtP*logP) for the access tree.  The cell
+    creates a single variable on a center processor and lets every
+    processor of its row and column read it once."""
     from ..runtime.launcher import Runtime
 
     mesh = Mesh2D(side, side)
@@ -258,25 +246,6 @@ def fig2_cell(
             **res.metrics.to_row(),
         }
     ]
-
-
-def fig2_single_block_flow(
-    side: int = 16,
-    block_entries: int = 1024,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 2 (analytic): the data flow for distributing ONE block to its
-    row and column.  The paper derives total load Theta(m*P) for fixed home
-    vs Theta(m*sqrtP*logP) for the access tree.  We create a single
-    variable on a center processor and let every processor of its row and
-    column read it once; total load and congestion are reported."""
-    rows: List[Row] = []
-    for name in ("fixed-home", "4-ary"):
-        rows.extend(
-            fig2_cell(name, side=side, block_entries=block_entries, machine=machine, seed=seed)
-        )
-    return rows
 
 
 # --------------------------------------------------------------------- fig 3
@@ -325,35 +294,6 @@ def matmul_cell(
                 **res.metrics.to_row(),
             }
         )
-    return rows
-
-
-def fig3_matmul_blocksize(
-    side: int = 16,
-    blocks: Sequence[int] = (64, 256, 1024, 4096),
-    strategies: Sequence[str] = ("fixed-home", "4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 3: matmul congestion/communication-time ratios vs block size
-    on a fixed mesh (communication time: compute charges disabled)."""
-    rows: List[Row] = []
-    for block in blocks:
-        rows.extend(matmul_cell(side, block, strategies, machine, seed))
-    return rows
-
-
-def fig4_matmul_network(
-    sides: Sequence[int] = (4, 8, 16, 32),
-    block_entries: int = 4096,
-    strategies: Sequence[str] = ("fixed-home", "4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 4: matmul ratios vs network size at a fixed block size."""
-    rows: List[Row] = []
-    for side in sides:
-        rows.extend(matmul_cell(side, block_entries, strategies, machine, seed))
     return rows
 
 
@@ -416,34 +356,6 @@ def bitonic_cell(
                 **res.metrics.to_row(),
             }
         )
-    return rows
-
-
-def fig6_bitonic_keys(
-    side: int = 16,
-    keys: Sequence[int] = (256, 1024, 4096, 16384),
-    strategies: Sequence[str] = ("fixed-home", "2-4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 6: bitonic congestion/execution-time ratios vs keys/processor."""
-    rows: List[Row] = []
-    for m in keys:
-        rows.extend(bitonic_cell(side, m, strategies, machine, seed))
-    return rows
-
-
-def fig7_bitonic_network(
-    sides: Sequence[int] = (4, 8, 16, 32),
-    keys: int = 4096,
-    strategies: Sequence[str] = ("fixed-home", "2-4-ary"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 7: bitonic ratios vs network size at fixed keys/processor."""
-    rows: List[Row] = []
-    for side in sides:
-        rows.extend(bitonic_cell(side, keys, strategies, machine, seed))
     return rows
 
 
@@ -510,29 +422,6 @@ def barneshut_cell(
     return [row]
 
 
-def fig8_barneshut_bodies(
-    side: int = 8,
-    bodies: Sequence[int] = (400, 800, 1200),
-    strategies: Sequence[str] = FIG8_STRATEGIES,
-    steps: int = 3,
-    warm: int = 1,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 8: Barnes-Hut absolute congestion (messages) and execution
-    time vs body count, for all five strategies.  Rows carry the full
-    :class:`RunResult` (key ``result``) so Figures 9/10 can be derived
-    without re-running."""
-    rows: List[Row] = []
-    mesh = Mesh2D(side, side)
-    for n in bodies:
-        for name in strategies:
-            row, res = _barneshut_row(mesh, name, n, steps, warm, machine, seed)
-            row["result"] = res
-            rows.append(row)
-    return rows
-
-
 def fig9_rows_from_cells(rows: Iterable[Row]) -> List[Row]:
     """Figure 9 (tree-building phase) projected from Barnes-Hut cell rows."""
     return [
@@ -567,14 +456,6 @@ def fig10_rows_from_cells(rows: Iterable[Row]) -> List[Row]:
     ]
 
 
-def fig9_fig10_phase_views(fig8_rows: Iterable[Row]) -> Tuple[List[Row], List[Row]]:
-    """Figures 9 and 10: per-phase views (tree building / force
-    computation) of the Figure 8 runs, including the force phase's local
-    computation time (the extra line in Figure 10)."""
-    rows = list(fig8_rows)
-    return fig9_rows_from_cells(rows), fig10_rows_from_cells(rows)
-
-
 def barneshut_scaling_cell(
     strategy: str,
     mesh_rows: int,
@@ -606,204 +487,85 @@ def barneshut_scaling_cell(
     ]
 
 
-def fig11_barneshut_scaling(
-    meshes: Sequence[Tuple[int, int]] = ((4, 4), (4, 8), (8, 8)),
-    bodies_per_proc: int = 50,
-    strategies: Sequence[str] = ("fixed-home", "4-8-ary"),
-    steps: int = 3,
-    warm: int = 1,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Figure 11: Barnes-Hut scaling with N = bodies_per_proc * P over
-    growing meshes; reports congestion, execution time and communication
-    time (execution minus force-phase local computation)."""
-    rows: List[Row] = []
-    for r, c in meshes:
-        mesh = Mesh2D(r, c)
-        n = bodies_per_proc * mesh.n_nodes
-        for name in strategies:
-            row, res = _barneshut_row(mesh, name, n, steps, warm, machine, seed)
-            rows.append(
-                {
-                    "strategy": name,
-                    "workload": "barneshut",
-                    "mesh": f"{r}x{c}",
-                    "procs": mesh.n_nodes,
-                    "bodies": n,
-                    "congestion_msgs": res.congestion_msgs,
-                    "time": res.time,
-                    "comm_time": res.time - row["force_local_compute"],
-                    "result": res,
-                    **res.metrics.to_row(),
-                }
-            )
-    return rows
-
-
-# ----------------------------------------------------------------- ablations
-def _sized_workload_run(
+# ------------------------------------------------- the general workload cell
+def workload_cell(
     workload: str,
-    topology: str,
-    side: int,
     strategy: str,
-    size: Optional[int],
-    machine: MachineModel,
-    seed: int,
+    topology: str = "mesh",
+    side: Optional[int] = None,
+    nodes: Optional[int] = None,
+    params: Optional[Dict[str, object]] = None,
     embedding: str = "modified",
-) -> RunResult:
-    """Run any registered workload for an ablation cell, mapping the
-    generic ``size`` knob onto the workload's own size parameter
-    (``block_entries`` for matmul, ``keys`` for bitonic, ``ops`` for the
-    synthetic kernels, ...)."""
-    wl = get_workload(workload)
-    topo = make_topology(topology, side)
-    params: Dict[str, object] = {}
-    if size is not None:
-        if wl.size_param is None:
-            raise ValueError(f"workload {workload!r} has no size parameter")
-        params[wl.size_param] = size
-    return wl.run(topo, strategy, machine=machine, seed=seed,
-                  embedding=embedding, params=params)
-
-
-def tree_degree_cell(
-    strategy: str,
-    workload: str = "matmul",
-    side: int = 8,
-    size: int = 1024,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-    topology: str = "mesh",
-) -> List[Row]:
-    """One tree-degree ablation cell: one access-tree variant on one
-    workload."""
-    res = _sized_workload_run(workload, topology, side, strategy, size, machine, seed)
-    return [
-        {
-            "strategy": strategy,
-            "workload": workload,
-            "topology": topology,
-            "congestion_bytes": res.congestion_bytes,
-            "time": res.time,
-            "max_startups": res.stats.max_startups,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def ablation_tree_degree(
-    workload: str = "matmul",
-    side: int = 8,
-    size: int = 1024,
-    variants: Sequence[str] = ("2-ary", "2-4-ary", "4-ary", "4-16-ary", "16-ary"),
+    barrier: str = "tree",
+    capacity_bytes: Optional[float] = None,
+    failures: Optional[str] = None,
+    label: Optional[Dict[str, object]] = None,
     machine: MachineModel = GCEL,
     seed: int = 0,
 ) -> List[Row]:
-    """Tree-degree ablation (Sections 3.1/3.2): smaller degree gives
-    smaller congestion, but flat trees save startups; 4-ary wins matmul
-    time, 2-ary/2-4-ary win bitonic."""
-    rows: List[Row] = []
-    for name in variants:
-        rows.extend(tree_degree_cell(name, workload=workload, side=side, size=size,
-                                     machine=machine, seed=seed))
-    return rows
+    """One run of any registered workload: one (workload, strategy spec,
+    topology) point under one embedding, barrier service, per-processor
+    copy capacity and failure schedule.
 
+    The machine is ``side x side`` processors of ``topology`` or, for the
+    scale axis, a ``nodes``-processor one (power of two).  ``params`` are
+    the workload's own parameters (``block_entries``, ``keys``, ``ops``,
+    ``alpha``, ...); ``label`` is the dict of swept-axis columns the
+    experiment wants to lead the row with (``{"barrier": "central"}``,
+    ``{"capacity_copies": "unbounded"}``).
 
-def embedding_cell(
-    embedding: str,
-    workload: str = "matmul",
-    side: int = 8,
-    size: int = 1024,
-    strategy: str = "4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-    topology: str = "mesh",
-) -> List[Row]:
-    """One embedding ablation cell: one embedding variant on one workload."""
-    res = _sized_workload_run(workload, topology, side, strategy, size, machine, seed,
-                              embedding=embedding)
-    return [
-        {
-            "embedding": embedding,
-            "workload": workload,
-            "topology": topology,
-            "congestion_bytes": res.congestion_bytes,
-            "total_bytes": res.stats.total_bytes,
-            "time": res.time,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def ablation_embedding(
-    workload: str = "matmul",
-    side: int = 8,
-    size: int = 1024,
-    strategy: str = "4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Modified vs random embedding (Section 2's practical improvement):
-    the modified embedding shortens expected tree-edge distances."""
-    rows: List[Row] = []
-    for embedding in ("modified", "random"):
-        rows.extend(embedding_cell(embedding, workload=workload, side=side, size=size,
-                                   strategy=strategy, machine=machine, seed=seed))
-    return rows
-
-
-def invalidation_cell(
-    strategy: str,
-    variant: str,
-    side: int = 8,
-    block_entries: int = 1024,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One invalidation ablation cell: one (strategy, multiply variant)."""
-    mesh = Mesh2D(side, side)
-    res = get_workload("matmul").run(
-        mesh,
-        strategy,
-        machine=machine,
-        seed=seed,
-        params={"block_entries": block_entries, "variant": variant},
+    Every run emits the same row: ``label``, the run's identity, its
+    ``params``, then everything measured -- absolute congestion, traffic
+    and time (no ratio columns: a general run has no hand-optimized
+    baseline), startups, locks, the availability counters (all zero
+    without a failure schedule) and the shared
+    :meth:`~repro.metrics.MetricsBundle.to_row` metric suite.  Each
+    experiment's ``columns`` pick what its table shows.
+    """
+    if (side is None) == (nodes is None):
+        raise ValueError("workload_cell needs exactly one of side= / nodes=")
+    topo = (
+        make_topology(topology, side) if nodes is None
+        else make_topology_nodes(topology, nodes)
     )
-    return [
-        {
-            "strategy": strategy,
-            "workload": "matmul",
-            "variant": variant,
-            "congestion_bytes": res.congestion_bytes,
-            "ctrl_msgs": res.stats.ctrl_msgs,
-            "time": res.time,
-            **res.metrics.to_row(),
-        }
-    ]
+    family, strategy_params = parse_strategy_spec(strategy)
+    res = get_workload(workload).run(
+        topo, strategy, machine=machine, seed=seed, embedding=embedding,
+        params=params, barrier=barrier, capacity_bytes=capacity_bytes,
+        failures=failures,
+    )
+    row: Row = dict(label or {})
+    row.update(
+        workload=workload,
+        strategy=strategy,
+        strategy_family=family.name,
+        strategy_params=strategy_params,
+        topology=topology,
+        network=topo.label,
+        nodes=topo.n_nodes,
+    )
+    row.update(params or {})
+    row.update(
+        congestion_bytes=res.congestion_bytes,
+        congestion_msgs=res.congestion_msgs,
+        congestion_per_node=res.congestion_bytes / topo.n_nodes,
+        total_bytes=res.stats.total_bytes,
+        total_msgs=res.stats.total_msgs,
+        ctrl_msgs=res.stats.ctrl_msgs,
+        max_startups=res.stats.max_startups,
+        time=res.time,
+        lock_acquisitions=res.lock_acquisitions,
+        requests_failed=res.requests_failed,
+        requests_stalled=res.requests_stalled,
+        requests_retried=res.requests_retried,
+        repairs=res.repairs,
+        failure_events=res.failure_events,
+        **res.metrics.to_row(),
+    )
+    return [row]
 
 
-def ablation_invalidation(
-    side: int = 8,
-    block_entries: int = 1024,
-    strategies: Sequence[str] = ("4-ary", "fixed-home"),
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Matrix *square* vs general multiplication: the paper chose squaring
-    "because the matrix square requires the data management strategy to
-    create and invalidate copies whereas the general matrix multiplication
-    does not".  This ablation quantifies the consistency-maintenance share
-    of the dynamic strategies' traffic."""
-    rows: List[Row] = []
-    for name in strategies:
-        for variant in ("square", "general"):
-            rows.extend(invalidation_cell(name, variant, side=side,
-                                          block_entries=block_entries,
-                                          machine=machine, seed=seed))
-    return rows
-
-
+# ------------------------------------------------------ remapping ablation
 def remapping_cell(
     threshold: Optional[int],
     side: int = 8,
@@ -813,8 +575,17 @@ def remapping_cell(
     machine: MachineModel = GCEL,
     seed: int = 0,
 ) -> List[Row]:
-    """One remapping ablation cell: one remap threshold on the hot
-    broadcast-variable pattern."""
+    """One remapping ablation cell: access-tree node remapping (omitted
+    by the paper) at one remap ``threshold`` -- a tree node's host is
+    re-randomized after that many stops; ``None`` switches it off.
+
+    The paper's applications never make a tree node hot (path replication
+    serves later readers locally -- matmul's interior nodes see <= 3 stops
+    each), so the cell runs the one pattern that does: a single variable
+    repeatedly broadcast-read by every processor and invalidated by its
+    owner (the Barnes-Hut root-cell pattern).  The paper's conjecture --
+    "the constant overhead induced by this procedure will not be retained
+    in practice" -- can then be checked on measured time."""
     from ..runtime.launcher import Runtime
 
     mesh = Mesh2D(side, side)
@@ -848,424 +619,3 @@ def remapping_cell(
     ]
 
 
-def ablation_remapping(
-    side: int = 8,
-    payload: int = 1024,
-    rounds: int = 8,
-    thresholds: Sequence[Optional[int]] = (None, 64, 16, 4),
-    strategy: str = "4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Access-tree node remapping (omitted by the paper): re-randomize a
-    tree node's host after ``threshold`` stops.
-
-    The paper's applications never make a tree node hot (path replication
-    serves later readers locally -- matmul's interior nodes see <= 3 stops
-    each), so the ablation uses the one pattern that does: a single
-    variable repeatedly broadcast-read by every processor and invalidated
-    by its owner (the Barnes-Hut root-cell pattern).  The paper's
-    conjecture -- "the constant overhead induced by this procedure will
-    not be retained in practice" -- can then be checked on measured time."""
-    rows: List[Row] = []
-    for threshold in thresholds:
-        rows.extend(remapping_cell(threshold, side=side, payload=payload,
-                                   rounds=rounds, strategy=strategy,
-                                   machine=machine, seed=seed))
-    return rows
-
-
-def barrier_cell(
-    kind: str,
-    side: int = 8,
-    keys: int = 1024,
-    strategy: str = "2-4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-    topology: str = "mesh",
-) -> List[Row]:
-    """One barrier ablation cell: one synchronization service variant."""
-    topo = make_topology(topology, side)
-    res = get_workload("bitonic").run(
-        topo, strategy, machine=machine, seed=seed, params={"keys": keys}, barrier=kind
-    )
-    return [
-        {
-            "barrier": kind,
-            "workload": "bitonic",
-            "topology": topology,
-            "congestion_bytes": res.congestion_bytes,
-            "time": res.time,
-            "max_startups": res.stats.max_startups,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def ablation_barrier(
-    side: int = 8,
-    keys: int = 1024,
-    strategy: str = "2-4-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """Tree-combining vs central barrier (DIVA synchronization service)."""
-    rows: List[Row] = []
-    for kind in ("tree", "central"):
-        rows.extend(barrier_cell(kind, side=side, keys=keys, strategy=strategy,
-                                 machine=machine, seed=seed))
-    return rows
-
-
-def bounded_memory_cell(
-    cap: Optional[float],
-    side: int = 4,
-    bodies: int = 256,
-    strategy: str = "2-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One bounded-memory cell: one per-processor copy-capacity setting."""
-    from ..apps.barneshut import CELL_BYTES
-
-    mesh = Mesh2D(side, side)
-    capacity_bytes = None if cap is None else cap * CELL_BYTES
-    res = get_workload("barneshut").run(
-        mesh,
-        strategy,
-        machine=machine,
-        seed=seed,
-        params={"bodies": bodies, "steps": 2, "warm": 1},
-        capacity_bytes=capacity_bytes,
-    )
-    return [
-        {
-            "capacity_copies": cap if cap is not None else "unbounded",
-            "workload": "barneshut",
-            "congestion_msgs": res.congestion_msgs,
-            "time": res.time,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def synthetic_cell(
-    workload: str,
-    strategy: str,
-    topology: str = "mesh",
-    side: int = 8,
-    params: Optional[Dict[str, object]] = None,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-    embedding: str = "modified",
-) -> List[Row]:
-    """One synthetic-workload cell: one (workload, strategy, topology)
-    point with absolute congestion/traffic/time (the synthetic kernels
-    have no hand-optimized baseline, so there are no ratio columns; swept
-    parameters appear as row fields)."""
-    wl = get_workload(workload)
-    topo = make_topology(topology, side)
-    res = wl.run(topo, strategy, machine=machine, seed=seed,
-                 embedding=embedding, params=params)
-    row: Row = {
-        "workload": workload,
-        "strategy": strategy,
-        "topology": topology,
-        "network": topo.label,
-        "nodes": topo.n_nodes,
-    }
-    row.update(params or {})
-    row.update(
-        congestion_bytes=res.congestion_bytes,
-        congestion_msgs=res.congestion_msgs,
-        total_bytes=res.stats.total_bytes,
-        total_msgs=res.stats.total_msgs,
-        time=res.time,
-        lock_acquisitions=res.lock_acquisitions,
-        **res.metrics.to_row(),
-    )
-    return [row]
-
-
-def xscale_cell(
-    nodes: int,
-    topology: str,
-    strategy: str,
-    ops: int = 16,
-    n_vars: int = 256,
-    alpha: float = 0.8,
-    read_frac: float = 0.9,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One ``xscale`` cell: the Zipf hotspot kernel on a ``nodes``-processor
-    machine (power of two; 1024/2048/4096 in the registry sweep).
-
-    The interesting question at this scale is whether the paper's
-    congestion ranking -- access trees beat the fixed home -- holds as the
-    machine grows: the guarantee is asymptotic, and the per-node
-    congestion column normalizes for direct cross-size comparison."""
-    wl = get_workload("zipf")
-    topo = make_topology_nodes(topology, nodes)
-    params = {"n_vars": n_vars, "ops": ops, "alpha": alpha, "read_frac": read_frac}
-    res = wl.run(topo, strategy, machine=machine, seed=seed, params=params)
-    return [
-        {
-            "workload": "zipf",
-            "strategy": strategy,
-            "topology": topology,
-            "network": topo.label,
-            "nodes": topo.n_nodes,
-            "ops": ops,
-            "alpha": alpha,
-            "read_frac": read_frac,
-            "congestion_bytes": res.congestion_bytes,
-            "congestion_per_node": res.congestion_bytes / topo.n_nodes,
-            "total_bytes": res.stats.total_bytes,
-            "total_msgs": res.stats.total_msgs,
-            "time": res.time,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def xstrat_cell(
-    workload: str,
-    strategy: str,
-    topology: str = "mesh",
-    side: int = 8,
-    params: Optional[Dict[str, object]] = None,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One ``xstrat`` cell: one registered workload under one strategy
-    registry spec on one topology.
-
-    The cross-strategy comparison has no hand-optimized baseline (the
-    post-paper families have no hand-written counterpart), so rows carry
-    absolute congestion/traffic/time plus the cache-behavior columns, and
-    ``strategy_params`` records the resolved spec parameters (schema v5).
-    """
-    wl = get_workload(workload)
-    topo = make_topology(topology, side)
-    family, sparams = parse_strategy_spec(strategy)
-    res = wl.run(topo, strategy, machine=machine, seed=seed, params=params)
-    row: Row = {
-        "workload": workload,
-        "strategy": strategy,
-        "strategy_family": family.name,
-        "strategy_params": sparams,
-        "topology": topology,
-        "network": topo.label,
-        "nodes": topo.n_nodes,
-    }
-    row.update(params or {})
-    # read_frac is a display column of the xstrat table; rows of the
-    # workloads that have no such knob carry it blank (the run-all
-    # contract asserts every display column on every row).
-    row.setdefault("read_frac", "")
-    row.update(
-        congestion_bytes=res.congestion_bytes,
-        congestion_msgs=res.congestion_msgs,
-        total_bytes=res.stats.total_bytes,
-        total_msgs=res.stats.total_msgs,
-        time=res.time,
-        lock_acquisitions=res.lock_acquisitions,
-        **res.metrics.to_row(),
-    )
-    return [row]
-
-
-def xcap_cell(
-    capacity_copies: Optional[float],
-    strategy: str,
-    topology: str = "mesh",
-    side: int = 8,
-    ops: int = 64,
-    n_vars: int = 64,
-    alpha: float = 0.8,
-    read_frac: float = 0.9,
-    payload: int = 256,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One ``xcap`` cell: the zipf kernel under a per-processor copy
-    capacity of ``capacity_copies * payload`` bytes (``None`` =
-    unbounded, the paper's default situation).
-
-    Generalizes the paper's Figure 8 replacement kink: shrinking capacity
-    forces LRU copy replacement, trading hit rate for eviction/refetch
-    traffic -- differently per strategy family (the migratory strategy's
-    single pinned copy cannot evict at all).
-    """
-    wl = get_workload("zipf")
-    topo = make_topology(topology, side)
-    family, sparams = parse_strategy_spec(strategy)
-    capacity_bytes = None if capacity_copies is None else capacity_copies * payload
-    res = wl.run(
-        topo,
-        strategy,
-        machine=machine,
-        seed=seed,
-        params={"n_vars": n_vars, "ops": ops, "alpha": alpha,
-                "read_frac": read_frac, "payload": payload},
-        capacity_bytes=capacity_bytes,
-    )
-    return [
-        {
-            "capacity_copies": capacity_copies if capacity_copies is not None else "unbounded",
-            "capacity_bytes": capacity_bytes,
-            "workload": "zipf",
-            "strategy": strategy,
-            "strategy_family": family.name,
-            "strategy_params": sparams,
-            "topology": topology,
-            "network": topo.label,
-            "nodes": topo.n_nodes,
-            "ops": ops,
-            "alpha": alpha,
-            "read_frac": read_frac,
-            "congestion_bytes": res.congestion_bytes,
-            "total_bytes": res.stats.total_bytes,
-            "time": res.time,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def xfail_cell(
-    failures: str,
-    strategy: str,
-    topology: str = "mesh",
-    side: int = 8,
-    ops: int = 64,
-    n_vars: int = 64,
-    alpha: float = 0.8,
-    read_frac: float = 0.9,
-    payload: int = 256,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One ``xfail`` cell: the zipf kernel under one failure spec, one
-    strategy registry spec and one topology.
-
-    Rows carry the schema-v6 availability columns -- route resolutions
-    lost (unreachable pair) and stalled (detoured around a down link),
-    requests retried after a repair, variables repaired by the strategy's
-    repair hooks, and failure events applied -- next to the usual
-    congestion/traffic/time columns, so availability-vs-traffic
-    trade-offs read off one table.  ``failures="none"`` rows are the
-    static-network baseline (availability columns all zero).
-    """
-    wl = get_workload("zipf")
-    topo = make_topology(topology, side)
-    family, sparams = parse_strategy_spec(strategy)
-    fmodel, _ = parse_failure_spec(failures)
-    res = wl.run(
-        topo,
-        strategy,
-        machine=machine,
-        seed=seed,
-        params={"n_vars": n_vars, "ops": ops, "alpha": alpha,
-                "read_frac": read_frac, "payload": payload},
-        failures=failures,
-    )
-    return [
-        {
-            "failures": failures,
-            "failure_model": fmodel.name,
-            "workload": "zipf",
-            "strategy": strategy,
-            "strategy_family": family.name,
-            "strategy_params": sparams,
-            "topology": topology,
-            "network": topo.label,
-            "nodes": topo.n_nodes,
-            "ops": ops,
-            "alpha": alpha,
-            "read_frac": read_frac,
-            "congestion_bytes": res.congestion_bytes,
-            "total_bytes": res.stats.total_bytes,
-            "time": res.time,
-            "requests_failed": res.requests_failed,
-            "requests_stalled": res.requests_stalled,
-            "requests_retried": res.requests_retried,
-            "repairs": res.repairs,
-            "failure_events": res.failure_events,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def xadapt_cell(
-    drift: int,
-    strategy: str,
-    topology: str = "mesh",
-    side: int = 8,
-    ops: int = 64,
-    n_vars: int = 64,
-    alpha: float = 1.2,
-    read_frac: float = 0.95,
-    payload: int = 256,
-    shift: int = 0,
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """One ``xadapt`` cell: the hotspot-drift kernel under one drift
-    rate, one strategy registry spec and one topology.
-
-    This is the metric suite's showcase sweep: the hot set moves
-    ``drift`` times mid-run, so the schema-v7 columns -- latency
-    percentiles, storage cost, effective network usage -- separate the
-    replication policies that raw completion time conflates.  ``drift=0``
-    rows are the static-hotspot baseline (exactly the zipf kernel).
-    """
-    wl = get_workload("hotspot-drift")
-    topo = make_topology(topology, side)
-    family, sparams = parse_strategy_spec(strategy)
-    res = wl.run(
-        topo,
-        strategy,
-        machine=machine,
-        seed=seed,
-        params={"n_vars": n_vars, "ops": ops, "alpha": alpha,
-                "read_frac": read_frac, "payload": payload,
-                "drift": drift, "shift": shift},
-    )
-    return [
-        {
-            "drift": drift,
-            "workload": "hotspot-drift",
-            "strategy": strategy,
-            "strategy_family": family.name,
-            "strategy_params": sparams,
-            "topology": topology,
-            "network": topo.label,
-            "nodes": topo.n_nodes,
-            "ops": ops,
-            "alpha": alpha,
-            "read_frac": read_frac,
-            "congestion_bytes": res.congestion_bytes,
-            "total_bytes": res.stats.total_bytes,
-            "time": res.time,
-            **res.metrics.to_row(),
-        }
-    ]
-
-
-def bounded_memory_experiment(
-    side: int = 4,
-    bodies: int = 256,
-    capacity_copies: Sequence[Optional[float]] = (None, 64, 24),
-    strategy: str = "2-ary",
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-) -> List[Row]:
-    """LRU replacement under bounded memory (the Figure 8 kink of the 2-ary
-    tree at 60,000 bodies): shrinking capacity forces copy replacement,
-    raising congestion."""
-    rows: List[Row] = []
-    for cap in capacity_copies:
-        rows.extend(bounded_memory_cell(cap, side=side, bodies=bodies,
-                                        strategy=strategy, machine=machine, seed=seed))
-    return rows

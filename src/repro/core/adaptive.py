@@ -20,7 +20,7 @@ the variable's access clock and -- crucially -- survives writes:
   the scores persist -- a processor that was hot before the write
   re-earns its replica on the *first* miss afterwards, which is the
   scheme's edge over ``dynrep`` when the working set drifts
-  (:func:`~repro.analysis.experiments.xadapt_cell`).
+  (``xadapt`` in :mod:`repro.exp.registry`).
 
 Spec: ``adaptive[:halflife=H][:promote=P][:demote=D]`` via the shared
 grammar (:mod:`repro.core.specs`), e.g. ``adaptive:halflife=50:promote=3``.

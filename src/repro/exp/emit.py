@@ -7,7 +7,7 @@ CI pipeline diffs and archives.  One file per (experiment, scale) under
 schema-versioned payload::
 
     {
-      "schema_version": 5,
+      "schema_version": 8,
       "experiment": "fig3",
       "scale": "default",
       "workload": "matmul",     # --workload axis value (registry name)
@@ -40,12 +40,20 @@ integral of excess replica bytes) and ``effective_network_usage``
 (bytes moved per access) to every cell row, emitted through one
 shared ``MetricsBundle.to_row()``, plus the ``xadapt`` rows' ``drift``
 field (v5/v6 simulated quantities are byte-identical, the new columns
-ride along).
+ride along); version 8 (one
+:func:`~repro.analysis.experiments.workload_cell` behind the ablations
+and every ``x*`` sweep) made those rows uniform -- each carries its
+swept-axis label, ``workload`` / ``strategy`` / ``strategy_family`` /
+``strategy_params`` / ``topology`` / ``network`` / ``nodes``, the run's
+workload parameters, ``congestion_bytes`` / ``congestion_msgs`` /
+``congestion_per_node`` / ``total_bytes`` / ``total_msgs`` /
+``ctrl_msgs`` / ``max_startups`` / ``time`` / ``lock_acquisitions``,
+the availability counters and the metric suite, so rows only gained
+keys and every v7 value is unchanged.
 
-Sanitization policy: non-serializable row fields (e.g. the ``result``
-:class:`~repro.runtime.results.RunResult` objects some legacy runners
-attach) are stripped **here**, at the emit layer -- formatting and
-emission must never mutate the rows the experiment produced.
+Sanitization policy: a row field that is not JSON-serializable is
+stripped **here**, at the emit layer -- formatting and emission must
+never mutate the rows the experiment produced.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ __all__ = [
 Row = Dict[str, object]
 
 #: Version of the result-file schema consumed by CI.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _DROP = object()  # sentinel: value is not JSON-serializable
 
@@ -114,8 +122,7 @@ def sanitize_value(value: Any) -> Any:
 def sanitize_rows(rows: Sequence[Mapping[str, object]]) -> List[Row]:
     """Copy ``rows`` with every non-serializable field stripped.
 
-    Never mutates the input: the simulation rows (which may carry live
-    ``RunResult`` objects for phase-view derivation) stay intact.
+    Never mutates the input.
     """
     out: List[Row] = []
     for row in rows:

@@ -17,6 +17,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis import experiments as E
+from ..apps.barneshut import CELL_BYTES
+from ..network.failures import parse_failure_spec
+from ..workloads import get_workload
 from .spec import Cell, ExperimentSpec
 
 __all__ = ["REGISTRY", "EXPERIMENTS", "get_spec"]
@@ -57,6 +60,10 @@ XADAPT_STRATEGIES = ("adaptive", "dynrep", "fixed-home", "4-ary")
 XWORK_ZIPF_ALPHAS = (0.0, 0.8, 1.5)
 #: Read fractions of the xwork-readfrac sweep (1.0 = read-only).
 XWORK_READ_FRACS = (0.5, 0.8, 0.95, 1.0)
+#: The zipf hotspot the capacity and failure axes hold fixed (64
+#: variables of 256 bytes, read-heavy like the paper's apps); only the
+#: per-processor op count scales.
+ZIPF_HOTSPOT = {"n_vars": 64, "alpha": 0.8, "read_frac": 0.9, "payload": 256}
 
 
 def _scale_title(name: str) -> Callable[[Params, Optional[str], str], str]:
@@ -86,8 +93,6 @@ def _workload_params(**defaults: Any) -> Callable[[Optional[str], str], Params]:
     def make(scale: Optional[str], workload: str) -> Params:
         params = dict(defaults, workload=workload)
         if workload not in ("matmul", "bitonic"):
-            from ..workloads import get_workload
-
             wl = get_workload(workload)
             if wl.size_param is not None:
                 params["size"] = wl.defaults[wl.size_param]
@@ -104,6 +109,22 @@ def _fixed_params(**defaults: Any) -> Callable[[Optional[str], str], Params]:
 
 
 # ------------------------------------------------------------- cell builders
+def _run(workload: str, strategy: str, **kwargs: Any) -> Cell:
+    """One :func:`~repro.analysis.experiments.workload_cell` run."""
+    return Cell.make(E.workload_cell, workload=workload, strategy=strategy,
+                     seed=0, **kwargs)
+
+
+def _size_params(workload: str, size: int) -> Params:
+    """The generic ``size`` knob of the ``--workload``-sensitive ablations
+    as the workload's own size parameter (``block_entries`` for matmul,
+    ``keys`` for bitonic, ``ops`` for the synthetic kernels, ...)."""
+    size_param = get_workload(workload).size_param
+    if size_param is None:
+        raise ValueError(f"workload {workload!r} has no size parameter")
+    return {size_param: size}
+
+
 def _fig2_cells(p: Params) -> List[Cell]:
     return [
         Cell.make(E.fig2_cell, strategy=name, side=p["side"],
@@ -185,18 +206,17 @@ def _fig11_cells(p: Params) -> List[Cell]:
 
 def _tree_degree_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.tree_degree_cell, strategy=name, workload=p["workload"],
-                  side=p["side"], size=p["size"], seed=0,
-                  topology=p.get("topology", "mesh"))
+        _run(p["workload"], name, topology=p.get("topology", "mesh"),
+             side=p["side"], params=_size_params(p["workload"], p["size"]))
         for name in TREE_DEGREE_VARIANTS
     ]
 
 
 def _embedding_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.embedding_cell, embedding=embedding, workload=p["workload"],
-                  side=p["side"], size=p["size"], strategy=p["strategy"], seed=0,
-                  topology=p.get("topology", "mesh"))
+        _run(p["workload"], p["strategy"], topology=p.get("topology", "mesh"),
+             side=p["side"], params=_size_params(p["workload"], p["size"]),
+             embedding=embedding, label={"embedding": embedding})
         for embedding in ("modified", "random")
     ]
 
@@ -212,11 +232,9 @@ def _xwork_zipf_params(scale: Optional[str], workload: str) -> Params:
 
 def _xwork_zipf_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.synthetic_cell, workload="zipf", strategy=name,
-                  topology=topology, side=p["side"],
-                  params={"alpha": alpha, "ops": p["ops"],
-                          "read_frac": p["read_frac"]},
-                  seed=0)
+        _run("zipf", name, topology=topology, side=p["side"],
+             params={"alpha": alpha, "ops": p["ops"],
+                     "read_frac": p["read_frac"]})
         for topology in p["topologies"]
         for alpha in p["alphas"]
         for name in p["strategies"]
@@ -233,11 +251,9 @@ def _xwork_readfrac_params(scale: Optional[str], workload: str) -> Params:
 
 def _xwork_readfrac_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.synthetic_cell, workload="zipf", strategy=name,
-                  topology=p.get("topology", "mesh"), side=p["side"],
-                  params={"alpha": p["alpha"], "ops": p["ops"],
-                          "read_frac": read_frac},
-                  seed=0)
+        _run("zipf", name, topology=p.get("topology", "mesh"), side=p["side"],
+             params={"alpha": p["alpha"], "ops": p["ops"],
+                     "read_frac": read_frac})
         for read_frac in p["read_fracs"]
         for name in p["strategies"]
     ]
@@ -252,8 +268,9 @@ def _xscale_params(scale: Optional[str], workload: str) -> Params:
 
 def _xscale_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.xscale_cell, nodes=nodes, topology=topology, strategy=name,
-                  ops=p["ops"], seed=0)
+        _run("zipf", name, topology=topology, nodes=nodes,
+             params={"n_vars": 256, "ops": p["ops"], "alpha": 0.8,
+                     "read_frac": 0.9})
         for nodes in p["nodes"]
         for topology in p["topologies"]
         for name in p["strategies"]
@@ -269,23 +286,23 @@ def _xstrat_params(scale: Optional[str], workload: str) -> Params:
 
 
 def _xstrat_cells(p: Params) -> List[Cell]:
+    # read_frac is a display column of the xstrat table; the paper apps
+    # have no such knob, so their rows carry it blank (the run-all
+    # contract asserts every display column on every row).
+    no_knob = {"read_frac": ""}
     cells: List[Cell] = []
     for topology in p["topologies"]:
         for name in p["strategies"]:
-            cells.append(Cell.make(E.xstrat_cell, workload="bitonic", strategy=name,
-                                   topology=topology, side=p["side"],
-                                   params={"keys": p["keys"]}, seed=0))
+            cells.append(_run("bitonic", name, topology=topology, side=p["side"],
+                              params={"keys": p["keys"]}, label=no_knob))
             for read_frac in p["read_fracs"]:
-                cells.append(Cell.make(E.xstrat_cell, workload="zipf", strategy=name,
-                                       topology=topology, side=p["side"],
-                                       params={"ops": p["ops"], "alpha": 0.8,
-                                               "read_frac": read_frac},
-                                       seed=0))
+                cells.append(_run("zipf", name, topology=topology, side=p["side"],
+                                  params={"ops": p["ops"], "alpha": 0.8,
+                                          "read_frac": read_frac}))
     for name in p["strategies"]:
         # The paper's matmul needs true 2-D grid coordinates: mesh only.
-        cells.append(Cell.make(E.xstrat_cell, workload="matmul", strategy=name,
-                               topology="mesh", side=p["side"],
-                               params={"block_entries": p["block"]}, seed=0))
+        cells.append(_run("matmul", name, topology="mesh", side=p["side"],
+                          params={"block_entries": p["block"]}, label=no_knob))
     return cells
 
 
@@ -295,11 +312,24 @@ def _xcap_params(scale: Optional[str], workload: str) -> Params:
     return params
 
 
+def _capacity(copies: Optional[float], copy_bytes: int) -> Params:
+    """``workload_cell`` arguments for a per-processor copy capacity of
+    ``copies`` copies of ``copy_bytes`` each (``None`` = unbounded, the
+    paper's default situation): the byte budget, and both forms as the
+    row's leading columns."""
+    capacity_bytes = None if copies is None else copies * copy_bytes
+    return {
+        "capacity_bytes": capacity_bytes,
+        "label": {"capacity_copies": "unbounded" if copies is None else copies,
+                  "capacity_bytes": capacity_bytes},
+    }
+
+
 def _xcap_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.xcap_cell, capacity_copies=cap, strategy=name,
-                  topology=p.get("topology", "mesh"), side=p["side"],
-                  ops=p["ops"], seed=0)
+        _run("zipf", name, topology=p.get("topology", "mesh"), side=p["side"],
+             params=dict(ZIPF_HOTSPOT, ops=p["ops"]),
+             **_capacity(cap, ZIPF_HOTSPOT["payload"]))
         for cap in p["capacities"]
         for name in p["strategies"]
     ]
@@ -315,8 +345,10 @@ def _xfail_params(scale: Optional[str], workload: str) -> Params:
 
 def _xfail_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.xfail_cell, failures=failures, strategy=name,
-                  topology=topology, side=p["side"], ops=p["ops"], seed=0)
+        _run("zipf", name, topology=topology, side=p["side"],
+             params=dict(ZIPF_HOTSPOT, ops=p["ops"]), failures=failures,
+             label={"failures": failures,
+                    "failure_model": parse_failure_spec(failures)[0].name})
         for failures in p["failures"]
         for topology in p["topologies"]
         for name in p["strategies"]
@@ -333,8 +365,11 @@ def _xadapt_params(scale: Optional[str], workload: str) -> Params:
 
 def _xadapt_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.xadapt_cell, drift=drift, strategy=name,
-                  topology=topology, side=p["side"], ops=p["ops"], seed=0)
+        _run("hotspot-drift", name, topology=topology, side=p["side"],
+             params={"n_vars": 64, "ops": p["ops"], "alpha": 1.2,
+                     "read_frac": 0.95, "payload": 256, "drift": drift,
+                     "shift": 0},
+             label={"drift": drift})
         for drift in p["drifts"]
         for topology in p["topologies"]
         for name in p["strategies"]
@@ -343,8 +378,8 @@ def _xadapt_cells(p: Params) -> List[Cell]:
 
 def _invalidation_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.invalidation_cell, strategy=name, variant=variant,
-                  side=p["side"], block_entries=p["block_entries"], seed=0)
+        _run("matmul", name, side=p["side"],
+             params={"block_entries": p["block_entries"], "variant": variant})
         for name in p["strategies"]
         for variant in ("square", "general")
     ]
@@ -361,17 +396,18 @@ def _remapping_cells(p: Params) -> List[Cell]:
 
 def _barrier_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.barrier_cell, kind=kind, side=p["side"], keys=p["keys"],
-                  strategy=p["strategy"], seed=0,
-                  topology=p.get("topology", "mesh"))
+        _run("bitonic", p["strategy"], topology=p.get("topology", "mesh"),
+             side=p["side"], params={"keys": p["keys"]}, barrier=kind,
+             label={"barrier": kind})
         for kind in ("tree", "central")
     ]
 
 
 def _bounded_memory_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.bounded_memory_cell, cap=cap, side=p["side"],
-                  bodies=p["bodies"], strategy=p["strategy"], seed=0)
+        _run("barneshut", p["strategy"], side=p["side"],
+             params={"bodies": p["bodies"], "steps": 2, "warm": 1},
+             **_capacity(cap, CELL_BYTES))
         for cap in p["capacity_copies"]
     ]
 

@@ -25,20 +25,19 @@ routed pairs ever materialize, and only pairs actually routed are stored).
 
 Above :data:`DENSE_NODE_LIMIT` a table stops being the right trade: route
 tuples average ``diameter / 3`` links, so at ``2^17`` nodes a populated
-cache measures in gigabytes, and the historical FIFO-bounded fallback
-silently thrashed on revisited routes.  All shipped topologies have
-*closed-form* dimension-order / e-cube routing, so large machines use an
-:class:`AlgebraicRouter` instead: the same ``lookup`` surface, but every
-route is recomputed on demand from the coordinates -- O(1) memory, no
-eviction cliff.  :func:`get_route_table` picks the representation; the
-threshold is the single dense/sparse switch the statistics layer
+cache measures in gigabytes, and any bound on it thrashes on revisited
+routes.  All shipped topologies have *closed-form* dimension-order /
+e-cube routing, so large machines use an :class:`AlgebraicRouter`
+instead: the same ``lookup`` surface, but every route is recomputed on
+demand from the coordinates -- O(1) memory, no eviction cliff.
+:func:`get_route_table` picks the representation; the threshold is the
+single dense/sparse switch the statistics layer
 (:mod:`repro.network.stats`) and the simulator's C kernel share.
 """
 
 from __future__ import annotations
 
-import logging
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .topology import Topology
 
@@ -53,21 +52,12 @@ __all__ = [
     "route_nodes",
 ]
 
-log = logging.getLogger(__name__)
-
 #: Up to this many nodes a topology's table is unbounded ("dense"): every
 #: routed pair is kept for the life of the process.  Above it
 #: :func:`get_route_table` switches to the :class:`AlgebraicRouter`; the
 #: statistics layer keys its dense/sparse accumulator switch off the same
 #: constant, so "large machine" means one thing package-wide.
 DENSE_NODE_LIMIT = 4096
-
-#: Entry bound of explicitly FIFO-bounded tables (legacy mode; see
-#: :class:`RouteTable`).
-_BOUNDED_ENTRIES = 1 << 20
-
-#: One-time-warning latch of the FIFO-bounded degradation path.
-_warned_bounded = False
 
 
 class RouteTable:
@@ -76,35 +66,15 @@ class RouteTable:
     Keys are the dense scalars ``src * n_nodes + dst`` so lookups stay a
     single int-keyed dict access on the simulator's hot path (the
     :class:`~repro.sim.engine.Simulator` reads :attr:`routes` directly).
-    With ``max_entries`` set, insertion beyond the bound evicts the oldest
-    entry (FIFO -- deterministic, and correctness-neutral since entries
-    are pure functions of their key).
+    Unbounded: every routed pair is kept, which is why
+    :func:`get_route_table` hands one out only up to
+    :data:`DENSE_NODE_LIMIT` nodes.
     """
 
-    __slots__ = ("topology", "max_entries", "routes", "_n")
+    __slots__ = ("topology", "routes", "_n")
 
-    def __init__(self, topology: Topology, max_entries: Optional[int] = None):
-        if max_entries is None and topology.n_nodes > DENSE_NODE_LIMIT:
-            # Legacy degradation path: an unbounded table above the dense
-            # limit would grow into gigabytes, and the FIFO bound thrashes
-            # on revisited routes (every eviction is a future recompute).
-            # get_route_table() auto-selects the AlgebraicRouter instead;
-            # warn -- once -- anyone constructing this mode directly.
-            global _warned_bounded
-            if not _warned_bounded:
-                _warned_bounded = True
-                log.warning(
-                    "RouteTable(%s): %d nodes exceeds DENSE_NODE_LIMIT=%d; "
-                    "the FIFO-bounded table degrades throughput on revisited "
-                    "routes -- use AlgebraicRouter (get_route_table() "
-                    "auto-selects it above the limit)",
-                    topology.label, topology.n_nodes, DENSE_NODE_LIMIT,
-                )
-            max_entries = _BOUNDED_ENTRIES
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.max_entries = max_entries
         #: The raw cache; hot-path readers index it with ``src * n + dst``
         #: and fall back to :meth:`lookup` on a miss.
         self.routes: Dict[int, Tuple[int, ...]] = {}
@@ -123,10 +93,7 @@ class RouteTable:
         key = src * self._n + dst
         route = routes.get(key)
         if route is None:
-            route = self.topology.compute_route(src, dst)
-            if self.max_entries is not None and len(routes) >= self.max_entries:
-                del routes[next(iter(routes))]
-            routes[key] = route
+            route = routes[key] = self.topology.compute_route(src, dst)
         return route
 
 
@@ -146,14 +113,13 @@ class AlgebraicRouter:
     the same closed forms are mirrored natively (:mod:`repro.sim._ckern`).
     """
 
-    __slots__ = ("topology", "routes", "max_entries", "_n", "_compute")
+    __slots__ = ("topology", "routes", "_n", "_compute")
 
     def __init__(self, topology: Topology):
         self.topology = topology
         #: Always empty; present so hot-path readers can probe it exactly
         #: like a :class:`RouteTable`'s cache before calling :meth:`lookup`.
         self.routes: Dict[int, Tuple[int, ...]] = {}
-        self.max_entries = 0
         self._n = topology.n_nodes
         self._compute = topology.compute_route
 

@@ -1,23 +1,17 @@
-"""Experiment runner tests (quick scale) with paper-shape assertions."""
+"""Experiment tests (quick scale) with paper-shape assertions."""
 
 import pytest
 
-from repro.analysis import (
-    PAPER,
-    ablation_barrier,
-    ablation_embedding,
-    ablation_tree_degree,
-    fig2_single_block_flow,
-    fig3_matmul_blocksize,
-    fig4_matmul_network,
-    fig6_bitonic_keys,
-    fig7_bitonic_network,
-    fig8_barneshut_bodies,
-    fig9_fig10_phase_views,
-    fig11_barneshut_scaling,
-    format_table,
-    scale_params,
-)
+from repro.analysis import PAPER, format_table, scale_params, workload_cell
+from repro.exp import MemoryCache, run_experiment
+from repro.network.topology import make_topology
+from repro.workloads import get_workload
+
+
+def rows_of(name, **overrides):
+    """Rows of one registered experiment at quick scale, optionally at
+    hand-picked sizes."""
+    return run_experiment(name, scale="quick", param_overrides=overrides or None).rows
 
 
 def by(rows, **match):
@@ -47,7 +41,7 @@ class TestScaleParams:
 
 class TestFig2:
     def test_access_tree_lowers_total_load_and_congestion(self):
-        rows = fig2_single_block_flow(side=8, block_entries=256)
+        rows = rows_of("fig2", side=8, block_entries=256)
         fh = by(rows, strategy="fixed-home")[0]
         at = by(rows, strategy="4-ary")[0]
         # Theta(mP) vs Theta(m sqrtP logP): both metrics favour the tree.
@@ -58,7 +52,7 @@ class TestFig2:
 class TestFig3:
     def test_shapes(self):
         p = scale_params("fig3", "quick")
-        rows = fig3_matmul_blocksize(side=p["side"], blocks=p["blocks"])
+        rows = rows_of("fig3")
         for block in p["blocks"]:
             fh = by(rows, strategy="fixed-home", block=block)[0]
             at = by(rows, strategy="4-ary", block=block)[0]
@@ -73,7 +67,7 @@ class TestFig3:
 class TestFig4:
     def test_gap_grows_with_network(self):
         p = scale_params("fig4", "quick")
-        rows = fig4_matmul_network(sides=p["sides"], block_entries=p["block_entries"])
+        rows = rows_of("fig4")
         gaps = []
         for side in p["sides"]:
             fh = by(rows, strategy="fixed-home", side=side)[0]
@@ -85,7 +79,7 @@ class TestFig4:
 class TestFig6Fig7:
     def test_fig6_shapes(self):
         p = scale_params("fig6", "quick")
-        rows = fig6_bitonic_keys(side=p["side"], keys=p["keys"])
+        rows = rows_of("fig6")
         for m in p["keys"]:
             fh = by(rows, strategy="fixed-home", keys=m)[0]
             at = by(rows, strategy="2-4-ary", keys=m)[0]
@@ -93,7 +87,7 @@ class TestFig6Fig7:
 
     def test_fig7_fixed_home_degrades(self):
         p = scale_params("fig7", "quick")
-        rows = fig7_bitonic_network(sides=p["sides"], keys=p["keys"])
+        rows = rows_of("fig7")
         fh = [by(rows, strategy="fixed-home", side=s)[0]["congestion_ratio"] for s in p["sides"]]
         at = [by(rows, strategy="2-4-ary", side=s)[0]["congestion_ratio"] for s in p["sides"]]
         assert fh[-1] > fh[0]
@@ -102,11 +96,14 @@ class TestFig6Fig7:
 
 class TestFig8Family:
     @pytest.fixture(scope="class")
-    def fig8_rows(self):
-        p = scale_params("fig8", "quick")
-        return fig8_barneshut_bodies(
-            side=p["side"], bodies=p["bodies"], steps=p["steps"], warm=p["warm"]
-        )
+    def cache(self):
+        """Figures 9 and 10 are phase views of the Figure 8 runs: one
+        cache makes the three experiments share their cells."""
+        return MemoryCache()
+
+    @pytest.fixture(scope="class")
+    def fig8_rows(self, cache):
+        return run_experiment("fig8", scale="quick", cache=cache).rows
 
     def test_congestion_ordering(self, fig8_rows):
         """Paper: the higher the tree, the smaller the congestion; fixed
@@ -127,14 +124,16 @@ class TestFig8Family:
             series = [r["congestion_msgs"] for r in fig8_rows if r["strategy"] == name]
             assert series == sorted(series) or series[-1] > series[0]
 
-    def test_fig9_treebuild_fixed_home_offset(self, fig8_rows):
-        fig9, fig10 = fig9_fig10_phase_views(fig8_rows)
+    def test_fig9_treebuild_fixed_home_offset(self, fig8_rows, cache):
+        run = run_experiment("fig9", scale="quick", cache=cache)
+        assert run.cells_cached == run.cells_total  # the Figure 8 runs
+        fig9 = run.rows
         n = max(r["bodies"] for r in fig9)
         tb = {r["strategy"]: r["congestion_msgs"] for r in fig9 if r["bodies"] == n}
         assert tb["fixed-home"] > tb["4-ary"]
 
-    def test_fig10_force_views(self, fig8_rows):
-        _, fig10 = fig9_fig10_phase_views(fig8_rows)
+    def test_fig10_force_views(self, fig8_rows, cache):
+        fig10 = run_experiment("fig10", scale="quick", cache=cache).rows
         n = max(r["bodies"] for r in fig10)
         rows = {r["strategy"]: r for r in fig10 if r["bodies"] == n}
         assert rows["4-ary"]["congestion_msgs"] < rows["fixed-home"]["congestion_msgs"]
@@ -148,10 +147,7 @@ class TestFig8Family:
 class TestFig11:
     def test_advantage_grows_with_p(self):
         p = scale_params("fig11", "quick")
-        rows = fig11_barneshut_scaling(
-            meshes=p["meshes"], bodies_per_proc=p["bodies_per_proc"],
-            steps=p["steps"], warm=p["warm"],
-        )
+        rows = rows_of("fig11")
         ratios = []
         for r, c in p["meshes"]:
             label = f"{r}x{c}"
@@ -164,24 +160,61 @@ class TestFig11:
 
 class TestAblations:
     def test_tree_degree_congestion_monotone(self):
-        rows = ablation_tree_degree(workload="matmul", side=4, size=256)
+        rows = rows_of("ablation-tree-degree", side=4, size=256)
         cong = {r["strategy"]: r["congestion_bytes"] for r in rows}
         assert cong["2-ary"] <= cong["4-ary"] <= cong["16-ary"]
 
     def test_flat_trees_fewer_startups(self):
-        rows = ablation_tree_degree(workload="matmul", side=4, size=256)
+        rows = rows_of("ablation-tree-degree", side=4, size=256)
         st = {r["strategy"]: r["max_startups"] for r in rows}
         assert st["16-ary"] < st["2-ary"]
 
     def test_embedding_modified_beats_random(self):
-        rows = ablation_embedding(workload="matmul", side=4, size=256)
+        rows = rows_of("ablation-embedding", side=4, size=256)
         d = {r["embedding"]: r for r in rows}
         assert d["modified"]["total_bytes"] < d["random"]["total_bytes"]
 
     def test_barrier_tree_beats_central(self):
-        rows = ablation_barrier(side=4, keys=256)
+        rows = rows_of("ablation-barrier", side=4, keys=256)
         d = {r["barrier"]: r for r in rows}
         assert d["tree"]["max_startups"] <= d["central"]["max_startups"]
+
+
+class TestWorkloadCell:
+    """The one general cell behind the ablations and the x* sweeps."""
+
+    ZIPF = {"n_vars": 16, "ops": 8, "alpha": 0.8, "read_frac": 0.8}
+
+    @pytest.mark.parametrize("machine", [{}, {"side": 4, "nodes": 16}])
+    def test_needs_exactly_one_machine_size(self, machine):
+        with pytest.raises(ValueError, match="exactly one of side= / nodes="):
+            workload_cell("zipf", "4-ary", params=self.ZIPF, **machine)
+
+    def test_side_and_nodes_name_the_same_machine(self):
+        by_side = workload_cell("zipf", "4-ary", side=4, params=self.ZIPF)
+        by_nodes = workload_cell("zipf", "4-ary", nodes=16, params=self.ZIPF)
+        assert by_side == by_nodes
+        assert by_side[0]["nodes"] == 16 and by_side[0]["network"] == "4x4"
+
+    def test_default_services_are_the_runtime_defaults(self):
+        """Spelling out barrier / capacity / failures changes nothing: the
+        cell runs exactly the ``Workload.run`` call it wraps."""
+        row, = workload_cell("bitonic", "2-4-ary", side=4, params={"keys": 64})
+        res = get_workload("bitonic").run(
+            make_topology("mesh", 4), "2-4-ary", params={"keys": 64})
+        assert row["time"] == res.time
+        assert row["congestion_bytes"] == res.congestion_bytes
+        assert row["max_startups"] == res.stats.max_startups
+        assert row["failure_events"] == 0 and row["evictions"] == 0
+
+    def test_label_leads_and_params_ride_along(self):
+        row, = workload_cell("zipf", "dynrep:threshold=3", side=4, params=self.ZIPF,
+                             label={"sweep": "x"})
+        assert list(row)[0] == "sweep"
+        assert {k: row[k] for k in self.ZIPF} == self.ZIPF
+        assert row["strategy_family"] == "dynrep"
+        assert row["strategy_params"]["threshold"] == 3
+        assert row["congestion_per_node"] == row["congestion_bytes"] / 16
 
 
 class TestFormatting:

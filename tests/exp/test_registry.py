@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.__main__ import main  # noqa: F401  (ensures CLI imports the registry)
-from repro.exp import EXPERIMENTS, REGISTRY, get_spec
+from repro.analysis import experiments
+from repro.exp import EXPERIMENTS, REGISTRY, get_spec, run_experiment
 
 #: The historic CLI surface -- every name must stay resolvable.
 LEGACY_NAMES = sorted(
@@ -121,7 +122,7 @@ class TestSpecInvariants:
             for cell in cells:
                 kwargs = dict(cell.kwargs)
                 assert kwargs["workload"] == "zipf"
-                assert kwargs["size"] == 64  # zipf's own default ops
+                assert kwargs["params"] == {"ops": 64}  # zipf's own default load
 
     def test_topology_sensitivity_flags(self):
         """--topology changes exactly the topology-flagged experiments;
@@ -207,9 +208,10 @@ class TestXstratXcapSpecs:
         spec = get_spec("xcap")
         for scale in ("quick", "default", "paper"):
             kw = [dict(c.kwargs) for c in spec.cells(scale=scale)]
-            caps = {k["capacity_copies"] for k in kw}
-            assert None in caps, "missing the unbounded reference point"
-            assert any(c is not None and c <= 4 for c in caps), "no severe pressure"
+            caps = {k["label"]["capacity_copies"] for k in kw}
+            assert "unbounded" in caps, "missing the unbounded reference point"
+            assert any(c != "unbounded" and c <= 4 for c in caps), "no severe pressure"
+            assert all(k["capacity_bytes"] == k["label"]["capacity_bytes"] for k in kw)
             assert {k["strategy"] for k in kw} >= {"fixed-home", "2-ary", "dynrep",
                                                    "migratory"}
 
@@ -242,3 +244,72 @@ class TestXscaleSpec:
         paper = spec.params_for("paper")
         assert quick["ops"] < paper["ops"]
         assert 1024 in quick["nodes"] and 1024 in paper["nodes"]
+
+
+#: The cell functions left after the eleven per-experiment copies of
+#: "run a workload, pick some columns" were folded into workload_cell.
+CELL_FUNCTIONS = {
+    experiments.workload_cell, experiments.fig2_cell, experiments.matmul_cell,
+    experiments.bitonic_cell, experiments.barneshut_cell,
+    experiments.barneshut_scaling_cell, experiments.remapping_cell,
+}
+
+
+class TestOneDefinitionPerExperiment:
+    """The registry is the only description of an experiment and
+    run_experiment the only way to run one."""
+
+    def test_every_registered_cell_is_one_of_the_seven(self):
+        reached = {
+            cell.fn for name in ALL_NAMES for cell in get_spec(name).cells(scale="quick")
+        }
+        assert reached == CELL_FUNCTIONS
+
+    def test_analysis_experiments_exposes_cells_not_runners(self):
+        """No per-figure runner hides beside the registry: the module's
+        public callables are scale_params, the cells and the two
+        Barnes-Hut phase projections."""
+        public = {
+            name for name, obj in vars(experiments).items()
+            if callable(obj) and not name.startswith("_")
+            and getattr(obj, "__module__", None) == experiments.__name__
+        }
+        expected = {fn.__name__ for fn in CELL_FUNCTIONS} | {
+            "scale_params", "fig9_rows_from_cells", "fig10_rows_from_cells",
+        }
+        assert public == expected
+        assert set(experiments.__all__) == expected
+
+    def test_hand_picked_sizes_reject_a_parameter_the_spec_lacks(self):
+        """What the wrappers' keyword arguments used to catch: a typo in a
+        hand-picked size must not silently run the default sizes."""
+        with pytest.raises(ValueError, match="unknown parameter override"):
+            run_experiment("ablation-tree-degree", param_overrides={"sides": 4})
+
+    def test_workload_cell_rows_are_uniform_across_run_all(self):
+        """Every workload_cell row of a run-all carries one key set --
+        identity and everything measured -- next to its own label and
+        workload parameters, and the label columns lead the row.  (Key
+        sets do not depend on sizes, so the sweep runs at toy ones.)"""
+        toy = {"side": 4, "nodes": (16,), "ops": 2, "keys": 16, "size": 16,
+               "block": 16, "block_entries": 16, "bodies": 32}
+        uniform = None
+        for name in ALL_NAMES:
+            spec = get_spec(name)
+            if spec.cells(scale="quick")[0].fn is not experiments.workload_cell:
+                continue
+            overrides = {k: v for k, v in toy.items() if k in spec.params_for("quick")}
+            run = run_experiment(name, scale="quick", param_overrides=overrides)
+            cells = spec.make_cells(run.params)
+            assert len(run.rows) == len(cells)
+            for cell, row in zip(cells, run.rows):
+                kwargs = dict(cell.kwargs)
+                label = kwargs.get("label") or {}
+                assert list(row)[:len(label)] == list(label), name
+                own = set(label) | set(kwargs["params"])
+                assert own <= set(row), name
+                rest = set(row) - own
+                uniform = uniform or rest
+                assert rest == uniform, (name, rest ^ uniform)
+        assert {"strategy_family", "congestion_per_node", "ctrl_msgs",
+                "max_startups", "requests_failed", "latency_p99"} <= uniform

@@ -4,7 +4,6 @@ import pathlib
 
 import pytest
 
-from repro.analysis import fig2_single_block_flow, fig3_matmul_blocksize, scale_params
 from repro.exp import (
     Cell,
     ExperimentSpec,
@@ -92,20 +91,6 @@ class TestDeterminism:
         parallel = run_experiment(spec, scale="quick", jobs=2)
         assert parallel.rows == serial.rows
         assert parallel.table() == serial.table()
-
-    def test_rows_match_legacy_runner(self):
-        """The registry path reproduces the legacy runner's rows exactly
-        (up to the emit-layer JSON sanitization)."""
-        p = scale_params("fig2", "quick")
-        legacy = sanitize_rows(
-            fig2_single_block_flow(side=p["side"], block_entries=p["block_entries"])
-        )
-        assert run_experiment("fig2", scale="quick").rows == legacy
-
-    def test_fig3_rows_match_legacy_runner(self):
-        p = scale_params("fig3", "quick")
-        legacy = sanitize_rows(fig3_matmul_blocksize(side=p["side"], blocks=p["blocks"]))
-        assert run_experiment("fig3", scale="quick").rows == legacy
 
     def test_warm_cache_rows_identical_to_cold(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -95,8 +95,8 @@ TOPOLOGIES = [Mesh2D(4, 5), Torus2D(4, 4), Hypercube(4)]
 
 class TestRouteTable:
     """The per-topology route cache must be a transparent memo of
-    ``compute_route`` -- for every topology family, under eviction, and
-    without cross-topology leakage."""
+    ``compute_route`` -- for every topology family and without
+    cross-topology leakage."""
 
     @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.label)
     def test_cached_matches_uncached_for_all_pairs(self, topo):
@@ -109,31 +109,6 @@ class TestRouteTable:
         for src in topo.nodes():
             for dst in topo.nodes():
                 assert table.lookup(src, dst) == topo.compute_route(src, dst)
-
-    @pytest.mark.parametrize("topo", TOPOLOGIES, ids=lambda t: t.label)
-    def test_eviction_preserves_correctness(self, topo):
-        """A tiny table constantly evicts; answers must never change."""
-        table = RouteTable(topo, max_entries=4)
-        for _ in range(2):  # revisit evicted pairs
-            for src in topo.nodes():
-                for dst in topo.nodes():
-                    assert table.lookup(src, dst) == topo.compute_route(src, dst)
-                    assert len(table) <= 4
-
-    def test_eviction_is_fifo_and_bounded(self):
-        m = Mesh2D(3, 3)
-        table = RouteTable(m, max_entries=2)
-        table.lookup(0, 1)
-        table.lookup(0, 2)
-        assert len(table) == 2
-        table.lookup(0, 3)  # evicts the oldest (0 -> 1)
-        assert len(table) == 2
-        assert table.key(0, 1) not in table.routes
-        assert table.key(0, 3) in table.routes
-
-    def test_invalid_max_entries_rejected(self):
-        with pytest.raises(ValueError):
-            RouteTable(Mesh2D(2, 2), max_entries=0)
 
     def test_cross_topology_isolation(self):
         """A torus and the equal-sided mesh must not share a table: their

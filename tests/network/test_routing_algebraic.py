@@ -9,12 +9,10 @@ threshold crossover, so the representation switch can never change a
 simulated result.
 """
 
-import logging
 import random
 
 import pytest
 
-from repro.network import routing
 from repro.network.mesh import Mesh2D
 from repro.network.routing import (
     DENSE_NODE_LIMIT,
@@ -46,7 +44,7 @@ class TestAlgebraicEqualsTable:
     @pytest.mark.parametrize("topo", SMALL + LARGE, ids=lambda t: t.label)
     def test_routes_identical_to_table_and_compute(self, topo):
         alg = AlgebraicRouter(topo)
-        table = RouteTable(topo, max_entries=1 << 16)
+        table = RouteTable(topo)
         for src, dst in sample_pairs(topo):
             route = alg.lookup(src, dst)
             assert route == table.lookup(src, dst) == topo.compute_route(src, dst)
@@ -97,19 +95,17 @@ class TestThresholdCrossover:
     def test_same_pairs_route_consistently_across_the_crossover(self, make):
         """At 2^12 (cached) and 2^13 (algebraic) nodes, pairs that exist
         in both machines get routes that agree on the shared prefix of
-        dimensions -- and within each machine cached == uncached ==
+        dimensions -- and within each machine cached == computed ==
         algebraic."""
         below, above = make(12), make(13)
         assert below.n_nodes <= DENSE_NODE_LIMIT < above.n_nodes
         for topo in (below, above):
             router = get_route_table(topo)
             alg = AlgebraicRouter(topo)
-            uncached = RouteTable(topo, max_entries=1)  # evicts constantly
             for src, dst in sample_pairs(topo, k=100, seed=13):
                 expect = topo.compute_route(src, dst)
                 assert router.lookup(src, dst) == expect
                 assert alg.lookup(src, dst) == expect
-                assert uncached.lookup(src, dst) == expect
         # Pairs within the smaller machine's id range use identical
         # e-cube link *structure* in both (lowest differing dim first).
         for src, dst in sample_pairs(below, k=50, seed=17):
@@ -117,24 +113,3 @@ class TestThresholdCrossover:
                 above.compute_route(src, dst)
             )
 
-
-class TestBoundedTableWarning:
-    def test_direct_construction_above_limit_warns_once(self, caplog, monkeypatch):
-        monkeypatch.setattr(routing, "_warned_bounded", False)
-        big = Mesh2D(128, 64)
-        with caplog.at_level(logging.WARNING, logger="repro.network.routing"):
-            table = RouteTable(big)
-            RouteTable(big)  # second construction stays silent
-        hits = [r for r in caplog.records if "FIFO-bounded" in r.getMessage()]
-        assert len(hits) == 1
-        assert "AlgebraicRouter" in hits[0].getMessage()
-        # The legacy mode still bounds itself (it must not OOM)...
-        assert table.max_entries == routing._BOUNDED_ENTRIES
-        # ...but the package-level entry point avoids it entirely.
-        assert isinstance(get_route_table(big), AlgebraicRouter)
-
-    def test_explicit_bound_never_warns(self, caplog, monkeypatch):
-        monkeypatch.setattr(routing, "_warned_bounded", False)
-        with caplog.at_level(logging.WARNING, logger="repro.network.routing"):
-            RouteTable(Mesh2D(128, 64), max_entries=64)
-        assert not [r for r in caplog.records if "FIFO-bounded" in r.getMessage()]

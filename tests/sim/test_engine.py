@@ -160,9 +160,9 @@ class TestEngineEquivalence:
 
     @staticmethod
     def _rows():
-        from repro.analysis.experiments import fig2_cell, synthetic_cell
+        from repro.analysis.experiments import fig2_cell, workload_cell
 
-        rows = synthetic_cell(
+        rows = workload_cell(
             workload="zipf", strategy="4-ary", topology="mesh", side=4,
             params={"n_vars": 16, "ops": 24, "alpha": 0.8, "read_frac": 0.8},
             seed=0,
@@ -215,7 +215,7 @@ class TestEngineEquivalenceUnderFailures:
 
     @staticmethod
     def _run(topology, failures, strategy):
-        from repro.analysis.experiments import make_topology
+        from repro.network.topology import make_topology
         from repro.workloads import get_workload
 
         wl = get_workload("zipf")

@@ -107,12 +107,13 @@ class TestEngineEquivalenceAboveTheLimit:
         """One small zipf cell on an 8192-node machine (algebraic router +
         sparse stats active) must produce field-identical rows under the C
         kernel and the pure-Python loop."""
-        from repro.analysis.experiments import xscale_cell
+        from repro.analysis.experiments import workload_cell
 
         assert Hypercube(13).n_nodes > DENSE_NODE_LIMIT
-        cell = dict(nodes=8192, topology="hypercube", strategy="2-4-ary",
-                    ops=2, n_vars=8)
-        kernel_rows = xscale_cell(**cell)
+        cell = dict(workload="zipf", nodes=8192, topology="hypercube",
+                    strategy="2-4-ary",
+                    params={"n_vars": 8, "ops": 2, "alpha": 0.8, "read_frac": 0.9})
+        kernel_rows = workload_cell(**cell)
         monkeypatch.setattr(Simulator, "force_pure", True)
-        pure_rows = xscale_cell(**cell)
+        pure_rows = workload_cell(**cell)
         assert kernel_rows == pure_rows  # exact equality, field by field

@@ -119,6 +119,18 @@ class TestOrchestratorCli:
         err = capsys.readouterr().err
         assert "mesh-bound" in err
 
+    @pytest.mark.parametrize("name", ["xfail", "xadapt"])
+    def test_topology_ignored_note_for_internal_sweeps(self, name, capsys):
+        """An experiment that sweeps topologies itself says so -- decided
+        from its resolved parameters, not from its name."""
+        argv = [name, "--scale", "quick", "--topology", "torus", "--jobs", "2"]
+        if name == "xfail":
+            argv += ["--failures", "none"]  # one schedule is enough here
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"[{name}] note: sweeps its topologies internally" in err
+        assert "mesh-bound" not in err
+
     def test_bad_topology_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig6", "--scale", "quick", "--topology", "ring"])

@@ -60,11 +60,14 @@ def peak_rss_mb() -> float:
 def run_cell(nodes: int, topology: str, strategy: str, ops: int) -> dict:
     """Run the smoke cell under tracemalloc; returns the memory report."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.analysis.experiments import xscale_cell
+    from repro.exp import run_experiment
 
     tracemalloc.start()
     t0 = time.perf_counter()
-    rows = xscale_cell(nodes=nodes, topology=topology, strategy=strategy, ops=ops)
+    rows = run_experiment("xscale", param_overrides={
+        "nodes": (nodes,), "topologies": (topology,),
+        "strategies": (strategy,), "ops": ops,
+    }).rows
     wall = time.perf_counter() - t0
     _, py_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
