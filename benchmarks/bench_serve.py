@@ -15,6 +15,14 @@ bit-identically), and reports:
 * **latency p50/p95/p99** -- simulated enqueue-to-completion seconds.
 * hit rate, rejections, peak RSS.
 
+A second pinned row, ``serve_home``, serves the same load under
+``fixed-home`` (the paper's CC-NUMA baseline; the directory flows take a
+different path through the kernel from the tree's).  It rides in the
+same result file under ``rows`` and in the baseline, where
+``bench_compare.py`` holds it to the same gates, and gets its own
+history row.  It runs after the first in one process, so its
+``peak_rss_mb`` is the larger of the two.
+
 The result goes to ``benchmarks/results/BENCH_serve.json`` (CI artifact,
 gated against ``benchmarks/baselines/BENCH_serve.baseline.json`` by
 ``tools/bench_compare.py``) and a dated row is appended to the committed
@@ -34,6 +42,7 @@ committed baseline tracks the CI runner class.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
@@ -66,41 +75,47 @@ PINNED = dict(
     max_inflight=8192,
 )
 
+#: The directory-family row (bench name ``serve_home``): the same load
+#: under the fixed-home strategy.
+PINNED_HOME = {**PINNED, "strategy": "fixed-home"}
+
 #: One run is one million simulated requests (self-averaging: no
 #: best-of-N needed); override for a quick local look only -- the gate
 #: compares like with like because the pinned config is unchanged.
 REQUESTS = int(os.environ.get("REPRO_SERVE_REQUESTS", 1_000_000))
 
 
-def _make_session():
+def _make_session(pinned: dict = PINNED):
     from repro.network.topology import make_topology
     from repro.serve import ServeSession
 
-    topo = make_topology(PINNED["topology"], PINNED["side"])
+    topo = make_topology(pinned["topology"], pinned["side"])
     return ServeSession(
         topo,
-        PINNED["strategy"],
-        seed=PINNED["seed"],
-        max_queue=PINNED["max_queue"],
-        max_inflight=PINNED["max_inflight"],
+        pinned["strategy"],
+        seed=pinned["seed"],
+        max_queue=pinned["max_queue"],
+        max_inflight=pinned["max_inflight"],
     )
 
 
-def run_once(requests: int = REQUESTS, workers: int = 1) -> dict:
+def run_once(requests: int = REQUESTS, workers: int = 1,
+             pinned: dict = PINNED, bench: str = "serve") -> dict:
+    """One run of a pinned config (``workers > 1``: sharded over a fleet)."""
     from repro.serve import run_fleet, run_loadgen
 
     t0 = time.perf_counter()
     if workers == 1:
-        session = _make_session()
+        session = _make_session(pinned)
         report = run_loadgen(
             session,
-            workload=PINNED["workload"],
-            params=PINNED["params"],
-            arrival=PINNED["arrival"],
-            rate=PINNED["rate"],
+            workload=pinned["workload"],
+            params=pinned["params"],
+            arrival=pinned["arrival"],
+            rate=pinned["rate"],
             requests=requests,
-            seed=PINNED["seed"],
-            chunk=PINNED["chunk"],
+            seed=pinned["seed"],
+            chunk=pinned["chunk"],
         )
         wall = time.perf_counter() - t0
         assert report.requests == requests - report.rejected
@@ -118,15 +133,15 @@ def run_once(requests: int = REQUESTS, workers: int = 1) -> dict:
         )
     else:
         fleet = run_fleet(
-            _make_session,
+            functools.partial(_make_session, pinned),
             workers=workers,
             requests=requests,
-            seed=PINNED["seed"],
-            workload=PINNED["workload"],
-            params=PINNED["params"],
-            arrival=PINNED["arrival"],
-            rate=PINNED["rate"],
-            chunk=PINNED["chunk"],
+            seed=pinned["seed"],
+            workload=pinned["workload"],
+            params=pinned["params"],
+            arrival=pinned["arrival"],
+            rate=pinned["rate"],
+            chunk=pinned["chunk"],
         )
         wall = time.perf_counter() - t0
         f = fleet.fleet
@@ -147,10 +162,10 @@ def run_once(requests: int = REQUESTS, workers: int = 1) -> dict:
             simulated_msgs=f["total_msgs"],
         )
     return {
-        "bench": "serve",
+        "bench": bench,
         "bench_version": BENCH_VERSION,
         "engine": engine_name(),
-        "pinned": PINNED,
+        "pinned": pinned,
         "workers": workers,
         "best_wall_seconds": wall,
         "peak_rss_mb": peak_rss_mb(),
@@ -172,11 +187,15 @@ def test_serve_throughput():
     """Pytest entry point: a short run keeps the harness fast; the JSON is
     still emitted so local bench runs leave a perf point behind."""
     result = run_once(requests=20_000)
-    assert result["requests_per_sec"] > 0
-    assert result["latency_p50"] <= result["latency_p95"] <= result["latency_p99"]
+    result["rows"] = {
+        "serve_home": run_once(20_000, pinned=PINNED_HOME, bench="serve_home")
+    }
+    for row in (result, result["rows"]["serve_home"]):
+        assert row["requests_per_sec"] > 0
+        assert row["latency_p50"] <= row["latency_p95"] <= row["latency_p99"]
+        print(f"\n{row['bench']}: {row['requests_per_sec']:.0f} requests/sec "
+              f"(p99 {row['latency_p99'] * 1e3:.2f} sim-ms)")
     emit(result)
-    print(f"\nserve: {result['requests_per_sec']:.0f} requests/sec "
-          f"(p99 {result['latency_p99'] * 1e3:.2f} sim-ms)")
 
 
 def main(argv=None) -> int:
@@ -189,28 +208,32 @@ def main(argv=None) -> int:
                              "gated single-session row)")
     args = parser.parse_args(argv)
     result = run_once(workers=args.workers)
+    if args.workers == 1:
+        result["rows"] = {
+            "serve_home": run_once(pinned=PINNED_HOME, bench="serve_home")
+        }
     path = emit(result)
     from repro.exp.history import append_history
 
-    append_history(
-        {
-            "bench": "serve",
-            "engine": result["engine"],
-            "metric": "requests_per_sec",
-            "value": result["requests_per_sec"],
-            "peak_rss_mb": result["peak_rss_mb"],
-            "bench_version": BENCH_VERSION,
-            "workers": args.workers,
-        },
-        HISTORY_PATH,
-    )
-    label = f"serve[{result['engine']}]"
-    if args.workers != 1:
-        label = f"serve[{result['engine']} x{args.workers}]"
-    print(f"{label}: {result['requests_per_sec']:.0f} requests/sec "
-          f"({result['requests']} served, p50 {result['latency_p50'] * 1e3:.2f} / "
-          f"p99 {result['latency_p99'] * 1e3:.2f} sim-ms, "
-          f"peak {result['peak_rss_mb']:.1f} MiB) -> {path}")
+    for row in (result, *result.get("rows", {}).values()):
+        append_history(
+            {
+                "bench": row["bench"],
+                "engine": row["engine"],
+                "metric": "requests_per_sec",
+                "value": row["requests_per_sec"],
+                "peak_rss_mb": row["peak_rss_mb"],
+                "bench_version": BENCH_VERSION,
+                "workers": args.workers,
+            },
+            HISTORY_PATH,
+        )
+        fleet = f" x{args.workers}" if args.workers != 1 else ""
+        print(f"{row['bench']}[{row['engine']}{fleet}]: "
+              f"{row['requests_per_sec']:.0f} requests/sec "
+              f"({row['requests']} served, p50 {row['latency_p50'] * 1e3:.2f} / "
+              f"p99 {row['latency_p99'] * 1e3:.2f} sim-ms, "
+              f"peak {row['peak_rss_mb']:.1f} MiB) -> {path}")
     return 0
 
 

@@ -32,6 +32,7 @@ from typing import Any, Dict, Optional
 from ..network.topology import Topology
 from ..runtime.variables import GlobalVariable
 from .fixed_home import FixedHomeStrategy
+from .strategy import ResidencyMirror
 
 __all__ = ["DynRepStrategy"]
 
@@ -53,9 +54,11 @@ class DynRepStrategy(FixedHomeStrategy):
         self._read_counts: Dict[int, Dict[int, int]] = {}
         self.replications = 0
 
-    #: Hit path and owner-write rule are fixed home's, unchanged (only
-    #: the miss-side replication decision differs, and misses cross).
-    _mirror = FixedHomeStrategy._mirror
+    def _mirror(self) -> ResidencyMirror:
+        """Hit path and owner-write rule are fixed home's.  Whether a
+        miss replicates depends on ``threshold`` and a remote write
+        resets the read counts, so neither flow is static: both cross."""
+        return ResidencyMirror.over_processors(self.topology.n_nodes)
 
     # ------------------------------------------------------------------ API
     def _read_replicates(self, st, proc: int, var: GlobalVariable) -> bool:

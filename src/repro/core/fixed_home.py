@@ -214,13 +214,26 @@ class FixedHomeStrategy(DataManagementStrategy):
     # ----------------------------------------------------- residency mirror
     def _mirror(self) -> ResidencyMirror:
         """A read hits iff the reader holds a copy; the owner writes
-        locally.  Misses route through the (mutable) owner: no static
-        flow."""
-        return ResidencyMirror.over_processors(self.topology.n_nodes)
+        locally.  The home never moves and every miss replicates, so the
+        miss round trip and the invalidating write are static: the
+        directory flow."""
+        return ResidencyMirror.over_processors(self.topology.n_nodes, directory=True)
 
     def residency(self, vid: int):
         st = self._states[vid]
         return st.owner, st.copies, -1
+
+    def flow_row(self, vid: int):
+        return (
+            [self._states[vid].home],
+            float(self.registry.by_id(vid).payload_bytes),
+            self._leg_costs[vid],
+        )
+
+    def adopt(self, vid: int, members, top: int) -> None:
+        st = self._states[vid]
+        st.copies = set(members)
+        st.owner = top
 
     # --------------------------------------------------------------- repair
     def on_node_down(self, proc, t, down=frozenset()):

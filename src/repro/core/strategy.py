@@ -89,12 +89,31 @@ class ResidencyMirror(NamedTuple):
     tree: Optional[
         Tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]
     ] = None
+    #: The other static shape, a fixed home per variable
+    #: (:meth:`~DataManagementStrategy.flow_row` names it as a one-host
+    #: row): a read miss is the round trip ``reader -> home [-> owner]``
+    #: that leaves copies at the home and the reader and the ownership at
+    #: the home; a write by a non-owner is ``writer -> home``, a star of
+    #: invalidations from the home over every other copy, and the grant
+    #: back, the writer left owning the sole copy.
+    #: :meth:`~DataManagementStrategy.adopt`'s ``top`` carries the owner.
+    directory: bool = False
+
+    @property
+    def flow(self) -> Optional[str]:
+        """Which static flow the family declares: ``"tree"``,
+        ``"directory"`` or ``None`` (misses and remote writes cross)."""
+        if self.tree is not None:
+            return "tree"
+        return "directory" if self.directory else None
 
     @classmethod
-    def over_processors(cls, n: int, native_reads: bool = True) -> "ResidencyMirror":
+    def over_processors(
+        cls, n: int, native_reads: bool = True, directory: bool = False
+    ) -> "ResidencyMirror":
         """The directory families' table: one site per processor, owner
         writes are local."""
-        return cls(range(n), n, native_reads, True, False)
+        return cls(range(n), n, native_reads, True, False, directory=directory)
 
 
 class DataManagementStrategy:
@@ -219,13 +238,15 @@ class DataManagementStrategy:
         raise NotImplementedError
 
     def flow_row(self, vid: int) -> Tuple[Sequence[int], float, Tuple[float, ...]]:
-        """Static-flow families: ``(host of every site, payload bytes,
-        leg costs)`` of one variable -- the shape a native flow replays."""
+        """Static-flow families: ``(host of every site -- directory flow:
+        the home alone --, payload bytes, leg costs)`` of one variable --
+        the shape a native flow replays."""
         raise NotImplementedError
 
     def adopt(self, vid: int, members: Iterable[int], top: int) -> None:
         """Static-flow families: take over the copy placement natively
-        replayed flows produced (storage already accounted)."""
+        replayed flows produced (storage already accounted); ``top`` as
+        in :meth:`residency`, the owner under the directory flow."""
         raise NotImplementedError
 
     def delegate_storage(

@@ -121,7 +121,7 @@ def format_trend(
     ]
     if not rows:
         return "(no history rows match)"
-    header = f"{'date':<12} {'commit':<14} {'bench':<8} {'engine':<7} " \
+    header = f"{'date':<12} {'commit':<14} {'bench':<10} {'engine':<7} " \
              f"{'workers':>7} {'cpus':>5} {'metric':<17} {'value':>12} " \
              f"{'peak MiB':>9}"
     lines = [header, "-" * len(header)]
@@ -130,7 +130,7 @@ def format_trend(
         rss_col = f"{rss:>9.1f}" if rss is not None else f"{'-':>9}"
         lines.append(
             f"{r.get('date', '?'):<12} {r.get('commit', '-'):<14} "
-            f"{r.get('bench', '?'):<8} {r.get('engine', '?'):<7} "
+            f"{r.get('bench', '?'):<10} {r.get('engine', '?'):<7} "
             f"{r.get('workers', 1):>7} {r.get('cpus', '-'):>5} "
             f"{r.get('metric', '?'):<17} "
             f"{r.get('value', float('nan')):>12.2f} {rss_col}"

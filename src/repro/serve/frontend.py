@@ -10,7 +10,9 @@ Wire protocol (one JSON object per line, response mirrors any ``id``):
     {"op": "stats"}                                  -> {"ok": true, ...snapshot...}
 
 A rejected request (admission control) answers ``{"ok": false, "error":
-"busy"}`` -- clients are expected to back off.  Reads and writes are
+"busy"}`` -- clients are expected to back off.  A line longer than 64 KiB
+answers ``{"ok": false, "error": ...}`` once and the connection is
+closed (what follows it cannot be framed).  Reads and writes are
 answered when the simulated operation *completes*; the frontend's pump
 task micro-batches everything submitted since the last engine epoch
 (every ``batch_interval`` wall seconds), so responses arrive in bursts.
@@ -108,6 +110,13 @@ class ServeFrontend:
                     break
                 tasks.append(asyncio.create_task(
                     self._handle(line, writer, wlock)))
+        except ValueError as exc:
+            # A line past the stream's 64 KiB limit; what follows it is
+            # unframed: answer once, then hang up.
+            await self._send({"ok": False, "error": str(exc)}, writer, wlock)
+            await self._linger(reader, writer)
+        except ConnectionError:
+            pass  # the peer reset the connection: nobody left to answer
         finally:
             for t in tasks:
                 if not t.done():
@@ -128,6 +137,11 @@ class ServeFrontend:
             reply = {"ok": False, "error": str(exc)}
         if msg_id is not None:
             reply["id"] = msg_id
+        await self._send(reply, writer, wlock)
+
+    @staticmethod
+    async def _send(reply: Dict[str, Any], writer: asyncio.StreamWriter,
+                    wlock: asyncio.Lock) -> None:
         data = (json.dumps(reply, separators=(",", ":")) + "\n").encode()
         async with wlock:
             writer.write(data)
@@ -135,6 +149,23 @@ class ServeFrontend:
                 await writer.drain()
             except ConnectionError:
                 pass
+
+    @staticmethod
+    async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+                      seconds: float = 1.0) -> None:
+        """Send EOF, then drop what the peer still sends until it closes
+        (or ``seconds`` pass): closing a socket with unread input resets
+        the connection, and the reset can overtake the reply."""
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        try:
+            writer.write_eof()
+            await asyncio.wait_for(discard(), seconds)
+        except (asyncio.TimeoutError, OSError):
+            pass
 
     async def _dispatch(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         sess = self.session

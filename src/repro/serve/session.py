@@ -23,10 +23,10 @@ queued requests live in per-processor C rings, wake-up kicks and
 idle-until-arrival timers are native ``K_SREQ`` events, and a request
 whose data is locally resident (read hit / local write) completes without
 re-entering Python at all.  A family whose flow shapes are static (the
-access tree without remapping) has its read misses and writes replayed
-in the kernel too; for the others, misses and remote writes cross back
-(``R_SREQ``), run the unchanged strategy code, and re-sync the touched
-variable's mirror.  This module knows the declaration, never the family
+access tree without remapping, the fixed-home directory) has its read
+misses and writes replayed in the kernel too; for the others, misses
+and remote writes cross back (``R_SREQ``), run the unchanged strategy
+code, and re-sync the touched variable's mirror.  This module knows the declaration, never the family
 behind it.  Ingest is batched -- one Python->C call per queue drain
 carrying packed ``(proc, vid, op, arrival)`` arrays -- and completions
 come back the same way (packed arrays folded into the metric sketches).
@@ -96,6 +96,9 @@ __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
 #: it by identity.
 _PARK = object()
 _STOP = object()
+
+#: ``ResidencyMirror.flow`` -> the flow kind ``sim_serve_init`` arms.
+_KERNEL_FLOW = {None: 0, "tree": 1, "directory": 2}
 
 #: The kernel's packed completion records (``SReq`` in :mod:`repro.sim._ckern`).
 _REC = np.dtype([
@@ -257,7 +260,9 @@ class ServeSession:
             "crossed_writes": 0, "native_fallbacks": 0,
         }
         self._kpending = 0        # requests in the kernel's pending ring
-        self._static_flow = False  # the mirror declares static flows
+        #: The static flow the mirror declares, armed natively: "tree",
+        #: "directory" or None (misses and remote writes cross).
+        self._flow: Optional[str] = None
         self._batches: list = []  # packed pending batches (fast ingest)
         self._buffered = 0
         self._sim_end = 0.0       # max completion time seen (fast mode)
@@ -365,9 +370,9 @@ class ServeSession:
         if isinstance(mirror, str):
             return mirror
         lib, ffi, h = sim._lib, sim._ffi, sim._h
-        static = mirror.tree is not None
+        flow = mirror.flow
         stage = list(mirror.site_of)
-        if static:
+        if flow is not None:
             # The per-vid flow shape (hosts, costs, path geometry) is
             # static, so the read-miss and write flows are compiled into
             # the kernel: no request crosses into Python.  Native flows
@@ -375,20 +380,22 @@ class ServeSession:
             # storage accumulator: ONE float accumulation sequence
             # whichever side (native flow / fallback crossing) applies a
             # delta keeps the integral bit-identical to the pure path.
-            parent, depth, children = mirror.tree
-            stage += [*parent, *depth, 0, *accumulate(map(len, children)),
-                      *chain.from_iterable(children)]
+            if flow == "tree":
+                parent, depth, children = mirror.tree
+                stage += [*parent, *depth, 0, *accumulate(map(len, children)),
+                          *chain.from_iterable(children)]
             sim._stage_d[0:3] = strat.delegate_storage(
                 lambda delta, t: lib.sim_serve_storage_delta(h, delta, t)
             )
-        sim._reserve_stage(len(stage))
+        # + 1: sim_serve_export stages up to n_sites members and one more int
+        sim._reserve_stage(len(stage) + 1)
         sim._stage_i[0:len(stage)] = stage
         lib.sim_serve_init(
             h, mirror.n_sites, mirror.sole_copy_write, mirror.native_reads,
-            mirror.native_writes, static, self.max_inflight,
+            mirror.native_writes, _KERNEL_FLOW[flow], self.max_inflight,
         )
         self._kdrain = ffi.new("ServeDrain *")
-        self._static_flow = static
+        self._flow = flow
         for vid in range(len(rt.registry)):
             self._mirror_var(vid)
         # Completion routing: flows built by the strategies resolve their
@@ -418,9 +425,9 @@ class ServeSession:
 
     def _mirror_var(self, vid: int) -> None:
         """Arm/create time: the vid's residency and, for a static-flow
-        family, the shape its flows replay natively (node->host row,
-        payload, leg costs)."""
-        if self._static_flow:
+        family, the shape its flows replay natively (host row, payload,
+        leg costs)."""
+        if self._flow is not None:
             sim = self.rt.sim
             hosts, payload, costs = self.rt.strategy.flow_row(vid)
             sim._stage_i[0:len(hosts)] = hosts
@@ -449,7 +456,7 @@ class ServeSession:
         read = strat.read
         write = strat.write
         sync = self._sync
-        static = self._static_flow
+        static = self._flow is not None
         complete = lib.sim_serve_complete
         while True:
             p = out.a
@@ -535,7 +542,7 @@ class ServeSession:
         self.rt.strategy.fold_native(
             out.hits, out.wlocal, out.misses, out.wremote,
             (out.sc_integral, out.sc_last, out.sc_excess)
-            if self._static_flow else None,
+            if self._flow is not None else None,
         )
         counts = self._kcounts
         counts["native_reads"] += out.hits + out.misses
@@ -756,9 +763,11 @@ class ServeSession:
     # ------------------------------------------------------------- reporting
     def _dispatch_info(self) -> Dict[str, Any]:
         """The ``dispatch`` block: which path serves, why, and -- on the
-        fast path -- how many requests stayed in the kernel."""
+        fast path -- which native flow is armed (``None``: misses and
+        remote writes cross) and how many requests stayed in the kernel."""
         how = {"mode": self._mode, "reason": self._mode_reason}
         if self._mode == "fast":
+            how["flow"] = self._flow
             how.update(self._kcounts)
         return how
 
@@ -803,7 +812,7 @@ class ServeSession:
                     gen.close()
                     rt._gens[p] = None
             end = self._sim_end
-            if self._static_flow:
+            if self._flow is not None:
                 # Hand the state back: the copies native flows placed, and
                 # (the last drain folded its value) the storage
                 # accumulator, so the strategy reads as after a classic

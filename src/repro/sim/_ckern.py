@@ -79,9 +79,10 @@ typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SR
 typedef struct { SReq *buf; int cap, head, len; } SRing;
 
 /* Per-variable mirror state besides the membership bitset: owner (-1 =
- * home/main memory), member count and, for the tree flow mirror, the
- * component top, payload bytes and the 6 up/down leg costs. */
-typedef struct { int owner, count, top; double payload, cost[6]; } SVar;
+ * home/main memory), member count and, for the flow mirrors, the
+ * component top (tree) or the home processor (directory), payload bytes
+ * and the 6 up/down leg costs. */
+typedef struct { int owner, count, top, home; double payload, cost[6]; } SVar;
 
 /* What one pump produced, filled by sim_serve_drain. */
 typedef struct {
@@ -97,12 +98,13 @@ typedef struct {
     double awire, aover, aocc;
     int *hosts, *kid_cnt, *kid_off, *kids;  /* slices of one block (hosts) */
     Pend *pends; int n_pend, cap_pend;
-    /* native access-tree write (serve_tree_write): wr_nh > 0 makes done_id
-       the writer's processor and the completion native -- the reply chain
-       back down wr_hosts[0..wr_nh) (a slice of the hosts block), or, for a
+    /* native write (serve_tree_write, serve_home_write): wr_nh > 0 makes
+       done_id the writer's processor and the completion native -- the
+       reply chain back down wr_hosts[0..wr_nh) (a slice of the hosts
+       block; rdat: the modified copy, or a control grant), or, for a
        writer already at the root (wr_nh == 1), its K_SDONE */
     int wr_nh; int *wr_hosts;
-    double rwire, rover, rocc;
+    double rwire, rover, rocc; int rdat;
 } Mcast;
 
 typedef struct {
@@ -145,17 +147,19 @@ typedef struct {
     int sv_var_cap;
     unsigned long long *sv_bits;  /* sv_var_cap * sv_words */
     SVar *sv_var;                 /* per vid */
-    /* access-tree flow mirror: read misses and writes compiled into the
-       kernel (armed only when the strategy's flow shape is static -- no
-       remap, no memory pressure -- so tree serving stays native) */
-    int sv_tree_on;
+    /* flow mirror: read misses and writes compiled into the kernel (armed
+       only when the strategy's flow shape is static -- no remap, no
+       memory pressure -- so serving stays native).  sv_flow: 0 = none,
+       1 = access tree, 2 = fixed-home directory (needs no shape beyond
+       SVar.home; the tree fields below stay NULL) */
+    int sv_flow;
     int *sv_parent, *sv_depth;    /* [nsites] static tree shape */
     int *sv_kid_off, *sv_kid;     /* children of node i: sv_kid[off[i]..off[i+1]) */
     int *sv_host;                 /* per vid: nsites-wide node->host row */
     int *sv_scr_a, *sv_scr_b, *sv_path;  /* LCA walk / component scratch */
     i64 sv_misses, sv_wremote;    /* native flow deltas (folded by Python) */
     i64 sv_fallbacks;             /* native flows that crossed out instead */
-    /* storage-cost accumulator, moved into C (tree mirrors) so the time
+    /* storage-cost accumulator, moved into C (flow mirrors) so the time
        integral stays ONE float accumulation sequence (bit-identical to
        the pure path) */
     double sc_integral, sc_last, sc_excess;
@@ -663,8 +667,7 @@ static void ring_push(SRing *q, const SReq *it) {
     q->len++;
 }
 
-static int serve_tree_miss(Sim *s, int p, const SReq *cur);
-static int serve_tree_write(Sim *s, int p, const SReq *cur);
+static int serve_flow(Sim *s, int p, const SReq *cur);
 
 /* Dispatch queued requests for processor p until one must wait (timer),
  * one crosses into Python (returns 1, crossing filled), or the queue is
@@ -688,45 +691,28 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         q->head = (q->head + 1) & (q->cap - 1);
         q->len--;
         int vid = cur.vid;
-        int native = 0;
+        /* 1 = the mirror proves the strategy call side-effect-free,
+           0 = it proves a miss / remote write, -1 = it may not say */
+        int native = -1;
         if (cur.kind == 0) {
             if (s->sv_nat_r) {
                 unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
                 int site = s->sv_site_of[p];
-                if (w[site >> 6] & (1ULL << (site & 63))) {
-                    s->sv_hits++;
-                    native = 1;
-                } else if (s->sv_tree_on && serve_tree_miss(s, p, &cur)) {
-                    /* miss flow launched natively: this proc blocks until
-                       its K_SDONE, exactly like a crossed request */
-                    s->sv_cur[p] = cur;
-                    s->sv_state[p] = 2;
-                    return 0;
-                }
+                native = (w[site >> 6] & (1ULL << (site & 63))) != 0;
+                s->sv_hits += native;
             }
-        } else {
-            if (s->sv_nat_w) {
-                int local;
-                if (s->sv_wl_rule == 0) {
-                    local = (s->sv_var[vid].owner == p);
-                } else {
-                    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-                    int site = s->sv_site_of[p];
-                    local = (s->sv_var[vid].count == 1 &&
-                             (w[site >> 6] & (1ULL << (site & 63))) != 0);
-                }
-                if (local) {
-                    s->sv_wlocal++;
-                    native = 1;
-                } else if (s->sv_tree_on && serve_tree_write(s, p, &cur)) {
-                    /* invalidation flow launched natively */
-                    s->sv_cur[p] = cur;
-                    s->sv_state[p] = 2;
-                    return 0;
-                }
+        } else if (s->sv_nat_w) {
+            if (s->sv_wl_rule == 0) {
+                native = (s->sv_var[vid].owner == p);
+            } else {
+                unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
+                int site = s->sv_site_of[p];
+                native = (s->sv_var[vid].count == 1 &&
+                          (w[site >> 6] & (1ULL << (site & 63))) != 0);
             }
+            s->sv_wlocal += native;
         }
-        if (native) {
+        if (native == 1) {
             /* local hit / owner write: zero simulated time, zero side
                effects beyond the counter -- complete in place. */
             serve_record(s, &cur, s->sv_now);
@@ -734,6 +720,10 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         }
         s->sv_cur[p] = cur;
         s->sv_state[p] = 2;
+        if (native == 0 && s->sv_flow && serve_flow(s, p, &cur))
+            /* miss / invalidation flow launched natively: this proc
+               blocks until its K_SDONE, exactly like a crossed request */
+            return 0;
         s->sv_crossed[cur.kind]++;
         out->kind = R_SREQ;
         out->a = p;
@@ -771,11 +761,12 @@ static i64 serve_inject(Sim *s, double horizon) {
 }
 
 void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
-                    int tree, i64 max_inflight) {
-    /* staged in stage_i: site_of[n_nodes], then (tree != 0: the static
-       tree shape, which arms the native read-miss and write flows)
+                    int flow, i64 max_inflight) {
+    /* flow arms the native read-miss and write flows: 0 = none, 1 = the
+       access tree's, 2 = the fixed-home directory's.  Staged in stage_i:
+       site_of[n_nodes], then (flow == 1: the static tree shape)
        parent[nsites], depth[nsites], kid_off[nsites + 1] and the
-       kid_off[nsites] child ids it indexes; in stage_d (tree != 0): the
+       kid_off[nsites] child ids it indexes; in stage_d (flow != 0): the
        strategy's storage accumulator (integral, last, excess), which the
        kernel takes over because native flows place and drop copies */
     int n = s->n_nodes;
@@ -799,8 +790,12 @@ void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
     s->sv_bits = (unsigned long long *)calloc(
         (size_t)s->sv_var_cap * s->sv_words, sizeof(unsigned long long));
     s->sv_var = (SVar *)calloc(s->sv_var_cap, sizeof(SVar));
-    if (!tree) return;
-    s->sv_tree_on = 1;
+    s->sv_flow = flow;
+    if (!flow) return;
+    s->sc_integral = s->stage_d[0];
+    s->sc_last = s->stage_d[1];
+    s->sc_excess = s->stage_d[2];
+    if (flow != 1) return;
     s->sv_parent = (int *)malloc(nsites * sizeof(int));
     s->sv_depth = (int *)malloc(nsites * sizeof(int));
     memcpy(s->sv_parent, s->stage_i + n, nsites * sizeof(int));
@@ -814,9 +809,6 @@ void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
     s->sv_scr_b = (int *)malloc(nsites * sizeof(int));
     s->sv_path = (int *)malloc(2 * nsites * sizeof(int));
     s->sv_host = (int *)malloc((size_t)s->sv_var_cap * nsites * sizeof(int));
-    s->sc_integral = s->stage_d[0];
-    s->sc_last = s->stage_d[1];
-    s->sc_excess = s->stage_d[2];
 }
 
 static void sv_grow_vars(Sim *s, int vid) {
@@ -831,7 +823,7 @@ static void sv_grow_vars(Sim *s, int vid) {
            sizeof(unsigned long long));
     s->sv_var = (SVar *)realloc(s->sv_var, s->sv_var_cap * sizeof(SVar));
     memset(s->sv_var + old, 0, (s->sv_var_cap - old) * sizeof(SVar));
-    if (s->sv_tree_on)
+    if (s->sv_flow == 1)
         s->sv_host = (int *)realloc(
             s->sv_host, (size_t)s->sv_var_cap * s->sv_nsites * sizeof(int));
 }
@@ -853,11 +845,15 @@ void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members) {
 
 void sim_serve_var_flow(Sim *s, int vid, double payload, double cw, double co,
                         double cocc, double dw, double dov, double docc) {
-    /* node->host row staged in stage_i[0..nsites): the per-vid flow shape
-       a native read miss replays (costs from the strategy's leg table). */
+    /* the per-vid flow shape a native flow replays, staged in stage_i:
+       the node->host row [0..nsites) (tree) or the home processor [0]
+       (directory); costs from the strategy's leg table. */
     sv_grow_vars(s, vid);
-    memcpy(s->sv_host + (size_t)vid * s->sv_nsites, s->stage_i,
-           s->sv_nsites * sizeof(int));
+    if (s->sv_flow == 1)
+        memcpy(s->sv_host + (size_t)vid * s->sv_nsites, s->stage_i,
+               s->sv_nsites * sizeof(int));
+    else
+        s->sv_var[vid].home = s->stage_i[0];
     double *fc = s->sv_var[vid].cost;
     s->sv_var[vid].payload = payload;
     fc[0] = cw; fc[1] = co; fc[2] = cocc;
@@ -865,10 +861,10 @@ void sim_serve_var_flow(Sim *s, int vid, double payload, double cw, double co,
 }
 
 int sim_serve_export(Sim *s, int vid) {
-    /* the vid's residency as native misses left it: member sites into
-       stage_i[0..n), the component top into stage_i[n]; returns n
-       (Python adopts it before a crossed write; the arm-time staging of
-       site_of + tree shape already sized stage_i past nsites + 1). */
+    /* the vid's residency as native flows left it: member sites into
+       stage_i[0..n), the component top (directory flow: the owner) into
+       stage_i[n]; returns n (Python adopts it at a fallback crossing and
+       at close; arming sized stage_i past nsites + 1). */
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int n = 0;
     for (int wd = 0; wd < s->sv_words; wd++) {
@@ -879,7 +875,7 @@ int sim_serve_export(Sim *s, int vid) {
             bits &= bits - 1;
         }
     }
-    s->stage_i[n] = s->sv_var[vid].top;
+    s->stage_i[n] = s->sv_flow == 2 ? s->sv_var[vid].owner : s->sv_var[vid].top;
     return n;
 }
 
@@ -963,14 +959,15 @@ static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
 }
 
 /* Completion of a native write's invalidation at t: the modified copy
- * travels back down the request path (or, writer at the root, the
- * request is done) -- AccessTreeStrategy.write's after_inval. */
+ * (directory: the ownership grant) travels back down the request path,
+ * or, writer at the root, the request is done -- the write's
+ * after_inval / after_acks. */
 static void serve_write_reply(Sim *s, const Mcast *m, double t) {
     if (m->wr_nh == 1)
         heap_push(s, t, s->seqno++, K_SDONE, m->done_id, 0, 0, 0);
     else
         chain_push_path(s, t, m->wr_hosts, m->wr_nh, 1, m->rwire, m->rover,
-                        m->rocc, 1, m->done_id, 2);
+                        m->rocc, m->rdat, m->done_id, 2);
 }
 
 /* The new value reached the component root at t: multicast the
@@ -1013,7 +1010,7 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
     Mcast *m = s->mcs[id];
     m->wr_nh = np;
     m->wr_hosts = m->kids + tbl - 1;
-    m->rwire = fc[3]; m->rover = fc[4]; m->rocc = fc[5];
+    m->rwire = fc[3]; m->rover = fc[4]; m->rocc = fc[5]; m->rdat = 1;
     for (int i = 0; i < np; i++) m->wr_hosts[i] = row[path[i]];
     int *node = s->sv_scr_a, *from = s->sv_scr_b;  /* by local id */
     int n = 1, nk = 0;
@@ -1045,6 +1042,101 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
         chain_push_path(s, t, m->wr_hosts, np, 0, fc[3], fc[4], fc[5], 1,
                         id, 3);
     return 1;
+}
+
+/* A native fixed-home read miss: replay FixedHomeStrategy.read's miss
+ * body (_read_miss_flow, replicate always) without leaving C -- the
+ * round trip proc -> home [-> owner], control up, data down, after the
+ * state update in the Python path's order. */
+static int serve_home_miss(Sim *s, int p, const SReq *cur) {
+    SVar *var = &s->sv_var[cur->vid];
+    unsigned long long *w = s->sv_bits + (size_t)cur->vid * s->sv_words;
+    int home = var->home, nh = 2;
+    double t = s->sv_now;
+    s->sv_misses++;
+    s->stage_i[0] = p; s->stage_i[1] = home;
+    if (var->owner >= 0) {
+        /* the home fetches the value from the owner, which keeps a copy;
+           ownership moves back to main memory */
+        s->stage_i[nh++] = var->owner;
+        var->owner = -1;
+        if (!(w[home >> 6] & (1ULL << (home & 63)))) {
+            w[home >> 6] |= 1ULL << (home & 63);
+            var->count++;
+            sim_serve_storage_delta(s, var->payload, t);
+        }
+    }
+    /* The reader's copy.  REPLAYED QUIRK, not a fix: a reader that is the
+       home (a remote processor owning) just got its copy above, and
+       _read_miss_flow still accounts +payload for it here -- one new
+       member, two deltas.  The pinned storage_cost fingerprints carry
+       the double delta; see ROADMAP item 2. */
+    if (!(w[p >> 6] & (1ULL << (p & 63)))) {
+        w[p >> 6] |= 1ULL << (p & 63);
+        var->count++;
+    }
+    sim_serve_storage_delta(s, var->payload, t);
+    const double *fc = var->cost;
+    sim_push_chain_updown(s, t, nh, fc[0], fc[1], fc[2], fc[3], fc[4], fc[5],
+                          p, 2);
+    return 1;
+}
+
+/* A native fixed-home write by a non-owner: replay FixedHomeStrategy.write
+ * without leaving C.  Snapshot sorted(copies - {writer}) into a star
+ * multicast rooted at the home (local id 0; holder i is local id i + 1),
+ * collapse the copy set to the writer, who becomes the owner, then run
+ * request leg -> invalidations + acks -> grant leg -> K_SDONE with the
+ * tree write's native continuations (chain auto_resume 3, Mcast.wr_nh).
+ * All control messages; proc == home and a holder at the home are local
+ * legs, still legs; no holders: request -> grant with no K_MDOWN. */
+static int serve_home_write(Sim *s, int p, const SReq *cur) {
+    SVar *var = &s->sv_var[cur->vid];
+    unsigned long long *w = s->sv_bits + (size_t)cur->vid * s->sv_words;
+    const double *fc = var->cost;
+    double t = s->sv_now;
+    s->sv_wremote++;
+    int k = var->count - (int)((w[p >> 6] >> (p & 63)) & 1);
+    int tbl = k + 1;
+    /* block: hosts, kid_cnt, kid_off [tbl each], kids [k], {writer, home} */
+    int id = mc_alloc(s, tbl, 3 * tbl + k + 2, p, fc[0], fc[1], fc[2], 0,
+                      fc[0], fc[1], fc[2]);
+    Mcast *m = s->mcs[id];
+    m->wr_nh = 2;
+    m->wr_hosts = m->kids + k;
+    m->wr_hosts[0] = p; m->wr_hosts[1] = var->home;
+    m->rwire = fc[0]; m->rover = fc[1]; m->rocc = fc[2]; m->rdat = 0;
+    memset(m->kid_cnt, 0, 2 * tbl * sizeof(int));  /* kid_cnt and kid_off */
+    m->hosts[0] = var->home;
+    m->kid_cnt[0] = k;
+    int n = 0;
+    for (int wd = 0; wd < s->sv_words; wd++) {
+        unsigned long long bits = w[wd];
+        while (bits) {
+            int q = wd * 64 + __builtin_ctzll(bits);
+            bits &= bits - 1;
+            if (q == p) continue;
+            m->kids[n] = n + 1;
+            m->hosts[++n] = q;
+        }
+    }
+    /* state update, atomic at initiation */
+    sim_serve_storage_delta(s, (double)(1 - var->count) * var->payload, t);
+    memset(w, 0, s->sv_words * sizeof(unsigned long long));
+    w[p >> 6] |= 1ULL << (p & 63);
+    var->count = 1;
+    var->owner = p;
+    chain_push_path(s, t, m->wr_hosts, 2, 0, fc[0], fc[1], fc[2], 0, id, 3);
+    return 1;
+}
+
+/* The armed flow mirror's replay of a miss / a remote write; 0 = it could
+ * not (counted in sv_fallbacks): cross into Python. */
+static int serve_flow(Sim *s, int p, const SReq *cur) {
+    if (s->sv_flow == 1)
+        return cur->kind ? serve_tree_write(s, p, cur)
+                         : serve_tree_miss(s, p, cur);
+    return cur->kind ? serve_home_write(s, p, cur) : serve_home_miss(s, p, cur);
 }
 
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,

@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import socket
+import struct
 
 from repro.network.mesh import Mesh2D
 from repro.serve import ServeSession
@@ -54,3 +56,62 @@ class TestWireProtocol:
 
         report = asyncio.run(main())
         assert report.requests == 2 and report.created == 1
+
+
+class TestBadConnections:
+    """The edge answers what it cannot read, once, and hangs up; the
+    server and its other connections carry on (ROADMAP 4d)."""
+
+    def serve(self, scenario):
+        unhandled = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            sess = ServeSession(Mesh2D(2, 2), "fixed-home", seed=0)
+            sess.create(0, 64)
+            fe = await ServeFrontend(sess, batch_interval=0.002).start()
+            out = await scenario(fe.port)
+            # the server still serves a fresh connection
+            reader, writer = await asyncio.open_connection("127.0.0.1", fe.port)
+            writer.write(b'{"op": "read", "proc": 1, "vid": 0}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            writer.close()
+            await fe.aclose()
+            sess.close()
+            return out
+
+        out = asyncio.run(main())
+        assert not unhandled, unhandled
+        return out
+
+    def test_over_long_line_gets_one_error_reply_and_a_close(self):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "stats", "pad": "' + b"x" * (1 << 17) + b'"}\n')
+            writer.write(b'{"op": "stats"}\n')   # never read: the line before ends it
+            await writer.drain()
+            replies = (await reader.read()).splitlines()   # until the server closes
+            writer.close()
+            return replies
+
+        replies = self.serve(scenario)
+        assert len(replies) == 1
+        reply = json.loads(replies[0])
+        assert reply["ok"] is False and "limit" in reply["error"].lower()
+
+    def test_reset_connection_is_closed_quietly(self):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "read", "proc": 1, "vid": 0}\n')
+            await writer.drain()
+            # RST instead of FIN: the server's next read raises
+            # ConnectionResetError
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            writer.close()
+            await asyncio.sleep(0.05)
+
+        self.serve(scenario)

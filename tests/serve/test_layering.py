@@ -33,6 +33,15 @@ UNMIRRORED = {
                "variables, so there is no residency to mirror",
 }
 
+#: Family class -> the module whose differential sweep (``test_three_
+#: paths_agree``) holds the native replay of its static flow to the
+#: Python ``read``/``write``.  A mirror that declares a flow arms C code
+#: in place of the strategy's, so it needs an entry here.
+NATIVE_DIFFERENTIAL = {
+    "AccessTreeStrategy": "test_native_write.py",
+    "FixedHomeStrategy": "test_native_directory.py",
+}
+
 
 def _imported_modules(tree: ast.AST):
     for node in ast.walk(tree):
@@ -112,6 +121,19 @@ def test_every_registered_family_declares_a_mirror_or_is_listed(name):
         assert isinstance(declared, ResidencyMirror), declared
         assert len(declared.site_of) == 16
         assert all(0 <= site < declared.n_sites for site in declared.site_of)
+
+
+@pytest.mark.parametrize("name", sorted(set(STRATEGIES) - set(UNMIRRORED)))
+def test_every_declared_static_flow_has_a_native_differential_sweep(name):
+    strategy = _attached(name)
+    if strategy.residency_mirror().flow is None:
+        return
+    family = type(strategy).__name__
+    assert family in NATIVE_DIFFERENTIAL, (
+        f"{family} declares the {strategy.residency_mirror().flow} flow "
+        "but no differential sweep compares its native replay to Python")
+    sweep = pathlib.Path(__file__).with_name(NATIVE_DIFFERENTIAL[family])
+    assert "def test_three_paths_agree" in sweep.read_text()
 
 
 def test_bounded_memory_refuses_the_mirror_with_a_reason():

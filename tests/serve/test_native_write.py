@@ -80,7 +80,7 @@ class TestDifferentialSweep:
     def test_three_paths_agree(self, monkeypatch, arity, topology, read_frac):
         sess, report = self.serve(topology, arity, read_frac, fast=True)
         how = report.extra["dispatch"]
-        assert how["mode"] == "fast"
+        assert (how["mode"], how["flow"]) == ("fast", "tree")
         assert {k: how[k] for k in NATIVE_ONLY} == NATIVE_ONLY
         assert how["native_reads"] + how["native_writes"] == 400
         assert_components_connected(sess)
@@ -193,7 +193,7 @@ def test_remap_still_crosses_and_says_so():
     sess, report = run(True)
     how = report.extra["dispatch"]
     strat = sess.rt.strategy
-    assert how["mode"] == "fast"
+    assert (how["mode"], how["flow"]) == ("fast", None)
     assert how["crossed_writes"] == strat.write_remote > 0
     assert how["crossed_reads"] == strat.misses > 0
     assert how["native_writes"] == strat.write_local

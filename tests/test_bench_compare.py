@@ -227,6 +227,34 @@ class TestCli:
         assert "+50.0%" in captured.out
         assert "peak RSS regressed" in captured.err
 
+    def test_every_row_the_baseline_knows_is_gated(self, tmp_path, capsys):
+        """A result may carry further pinned rows (``rows``: name -> a
+        result of its own); each is held to the same gates."""
+        home = dict(payload(40.0, pinned={"strategy": "fixed-home"}), bench="serve_home")
+        base = write(tmp_path, "base.json", dict(payload(10.0), rows={"serve_home": home}))
+        args = ["--baseline", str(base), "--current"]
+        good = write(tmp_path, "good.json", dict(payload(10.0), rows={"serve_home": home}))
+        assert bench_compare.main(args + [str(good)]) == 0
+        assert "serve_home perf" in capsys.readouterr().out
+        slow = dict(home, cells_per_sec=20.0)
+        bad = write(tmp_path, "bad.json", dict(payload(10.0), rows={"serve_home": slow}))
+        assert bench_compare.main(args + [str(bad)]) == 1
+        lacking = write(tmp_path, "lacking.json", payload(10.0))
+        with pytest.raises(SystemExit, match="lacks the 'serve_home' row"):
+            bench_compare.main(args + [str(lacking)])
+
+    def test_update_baseline_ratchets_every_row(self, tmp_path):
+        home = payload(40.0, pinned={"strategy": "fixed-home"})
+        base = write(tmp_path, "base.json", dict(payload(10.0), rows={"serve_home": home}))
+        cur = write(tmp_path, "cur.json", dict(
+            payload(9.0), rows={"serve_home": dict(home, cells_per_sec=30.0)}))
+        assert bench_compare.main(
+            ["--current", str(cur), "--baseline", str(base), "--update-baseline"]) == 0
+        data = json.loads(base.read_text())
+        assert data["best"]["cells_per_sec"] == 10.0
+        assert data["rows"]["serve_home"]["cells_per_sec"] == 30.0
+        assert data["rows"]["serve_home"]["best"]["cells_per_sec"] == 40.0
+
     def test_committed_baselines_are_valid(self):
         """The baseline artifacts CI diffs against must stay well-formed:
         v2, per-engine, with the memory envelope present."""

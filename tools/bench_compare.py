@@ -217,6 +217,77 @@ def emit_summary(verdict: dict) -> None:
         fh.write("\n".join(lines))
 
 
+def ratchet(current: dict, old: dict) -> dict:
+    """The ``best`` block of a refreshed baseline: new best = max(old
+    best, current) per throughput metric (min for peak RSS), reset when
+    the pinned cell or bench version changed (numbers no longer
+    comparable)."""
+    best: dict = {}
+    if (old.get("bench_version") == current.get("bench_version")
+            and old.get("pinned") == current.get("pinned")):
+        best = dict(old.get("best", {}))
+        for key in METRIC_KEYS:
+            if key in old and key not in best:
+                best[key] = old[key]
+        if "peak_rss_mb" in old and "peak_rss_mb" not in best:
+            best["peak_rss_mb"] = old["peak_rss_mb"]
+    for key in METRIC_KEYS:
+        if key in current:
+            best[key] = max(float(best.get(key, current[key])),
+                            float(current[key]))
+    if "peak_rss_mb" in current:
+        best["peak_rss_mb"] = min(
+            float(best.get("peak_rss_mb", current["peak_rss_mb"])),
+            float(current["peak_rss_mb"]),
+        )
+    return best
+
+
+def gate(current: dict, baseline: dict, threshold: float) -> bool:
+    """Compare one result to its baseline, print the deltas (and the job
+    summary); ``False`` = a gate failed."""
+    verdict = compare(current, baseline, threshold)
+    thr = verdict["throughput"]
+    delta_pct = (thr["ratio"] - 1.0) * 100.0
+    label = thr["metric"].replace("_per_sec", "/sec")
+    name = verdict["bench"]
+    print(
+        f"{name} perf [{verdict['engine']}]: {thr['current']:.2f} {label} "
+        f"vs baseline {thr['baseline']:.2f} ({delta_pct:+.1f}%; gate at "
+        f"-{threshold * 100:.0f}%)"
+    )
+    best = verdict["best"]
+    b_pct = (best["ratio"] - 1.0) * 100.0
+    print(
+        f"{name} best [{verdict['engine']}]: {best['current']:.2f} {label} "
+        f"vs best-ever {best['best']:.2f} ({b_pct:+.1f}%; ratchet at "
+        f"-{BEST_THRESHOLD * 100:.0f}%)"
+    )
+    mem = verdict["memory"]
+    if mem is not None:
+        m_pct = (mem["ratio"] - 1.0) * 100.0
+        print(
+            f"{name} mem  [{verdict['engine']}]: {mem['current']:.1f} MiB peak "
+            f"vs baseline {mem['baseline']:.1f} ({m_pct:+.1f}%; gate at "
+            f"+{threshold * 100:.0f}%)"
+        )
+    else:
+        print("note: peak_rss_mb absent on one side; gating throughput only")
+    emit_summary(verdict)
+    if not verdict["ok"]:
+        if not thr["ok"]:
+            print("FAIL: throughput regressed beyond the allowed threshold",
+                  file=sys.stderr)
+        if not best["ok"]:
+            print("FAIL: throughput drifted more than "
+                  f"{BEST_THRESHOLD * 100:.0f}% below the recorded best",
+                  file=sys.stderr)
+        if mem is not None and not mem["ok"]:
+            print("FAIL: peak RSS regressed beyond the allowed threshold",
+                  file=sys.stderr)
+    return verdict["ok"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--current", type=pathlib.Path, default=DEFAULT_CURRENT,
@@ -248,79 +319,31 @@ def main(argv=None) -> int:
     if args.update_baseline:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         current = load(args.current)
-        # Carry the ratchet forward: new best = max(old best, current)
-        # per throughput metric (min for peak RSS), reset when the pinned
-        # cell or bench version changed (numbers no longer comparable).
-        best: dict = {}
-        if args.baseline.exists():
-            old = json.loads(args.baseline.read_text())
-            if (old.get("bench_version") == current.get("bench_version")
-                    and old.get("pinned") == current.get("pinned")):
-                best = dict(old.get("best", {}))
-                for key in METRIC_KEYS:
-                    if key in old and key not in best:
-                        best[key] = old[key]
-                if "peak_rss_mb" in old and "peak_rss_mb" not in best:
-                    best["peak_rss_mb"] = old["peak_rss_mb"]
-        for key in METRIC_KEYS:
-            if key in current:
-                best[key] = max(float(best.get(key, current[key])),
-                                float(current[key]))
-        if "peak_rss_mb" in current:
-            best["peak_rss_mb"] = min(
-                float(best.get("peak_rss_mb", current["peak_rss_mb"])),
-                float(current["peak_rss_mb"]),
-            )
-        current["best"] = best
+        old = json.loads(args.baseline.read_text()) if args.baseline.exists() else {}
+        current["best"] = ratchet(current, old)
+        for name, row in current.get("rows", {}).items():
+            row["best"] = ratchet(row, old.get("rows", {}).get(name, {}))
         args.baseline.write_text(
             json.dumps(current, indent=2, sort_keys=True) + "\n"
         )
-        print(f"baseline updated: {args.baseline} (best: {best})")
+        print(f"baseline updated: {args.baseline} (best: {current['best']})")
         return 0
 
     current = load(args.current)
     baseline = load(args.baseline)
-    verdict = compare(current, baseline, args.threshold)
-    thr = verdict["throughput"]
-    delta_pct = (thr["ratio"] - 1.0) * 100.0
-    label = thr["metric"].replace("_per_sec", "/sec")
-    name = verdict["bench"]
-    print(
-        f"{name} perf [{verdict['engine']}]: {thr['current']:.2f} {label} "
-        f"vs baseline {thr['baseline']:.2f} ({delta_pct:+.1f}%; gate at "
-        f"-{args.threshold * 100:.0f}%)"
-    )
-    best = verdict["best"]
-    b_pct = (best["ratio"] - 1.0) * 100.0
-    print(
-        f"{name} best [{verdict['engine']}]: {best['current']:.2f} {label} "
-        f"vs best-ever {best['best']:.2f} ({b_pct:+.1f}%; ratchet at "
-        f"-{BEST_THRESHOLD * 100:.0f}%)"
-    )
-    mem = verdict["memory"]
-    if mem is not None:
-        m_pct = (mem["ratio"] - 1.0) * 100.0
-        print(
-            f"{name} mem  [{verdict['engine']}]: {mem['current']:.1f} MiB peak "
-            f"vs baseline {mem['baseline']:.1f} ({m_pct:+.1f}%; gate at "
-            f"+{args.threshold * 100:.0f}%)"
-        )
-    else:
-        print("note: peak_rss_mb absent on one side; gating throughput only")
-    emit_summary(verdict)
-    if not verdict["ok"]:
-        if not thr["ok"]:
-            print("FAIL: throughput regressed beyond the allowed threshold",
-                  file=sys.stderr)
-        if not best["ok"]:
-            print("FAIL: throughput drifted more than "
-                  f"{BEST_THRESHOLD * 100:.0f}% below the recorded best",
-                  file=sys.stderr)
-        if mem is not None and not mem["ok"]:
-            print("FAIL: peak RSS regressed beyond the allowed threshold",
-                  file=sys.stderr)
-        return 1
-    return 0
+    ok = gate(current, baseline, args.threshold)
+    # A result file may carry further pinned rows of the same bench
+    # (``rows``: name -> a result of its own, e.g. BENCH_serve.json's
+    # ``serve_home``); every row the baseline knows is gated the same way.
+    for name, base_row in sorted(baseline.get("rows", {}).items()):
+        row = current.get("rows", {}).get(name)
+        if row is None:
+            raise SystemExit(
+                f"bench_compare: {args.current} lacks the {name!r} row the "
+                "baseline gates"
+            )
+        ok = gate(row, base_row, args.threshold) and ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
