@@ -86,9 +86,6 @@ class RefNode:
     mass: float = 0.0
     com: Vec = (0.0, 0.0, 0.0)
 
-    def is_cell(self) -> bool:  # pragma: no cover - trivial
-        return True
-
 
 def build_reference_tree(bodies: Sequence[BodyState], box: Optional[Tuple[Vec, float]] = None) -> RefNode:
     """Build the adaptive octree (one body per leaf) and fill in the

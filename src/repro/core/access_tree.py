@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..network.topology import Topology
 from ..runtime.locks import RaymondTreeLock
 from ..runtime.variables import GlobalVariable
-from ..sim.flows import multicast_acks
 from .decomposition import DecompositionTree, build_tree, parse_arity
 from .embedding import make_embedding
 from .strategy import DataManagementStrategy, ResidencyMirror
@@ -370,16 +369,10 @@ class AccessTreeStrategy(DataManagementStrategy):
             hosts.append(h if h is not None else emb.host(vid, n))
         value = self.registry.get(var)  # the value the fetched copy carries
         self._add_copies(var, cs, path, t)
-        # Compiled request/reply chain: the request climbs as control
-        # messages, the value descends as data -- the two cost shapes
-        # precomputed at registration.
-        cwire, cover, cocc, dwire, dover, docc = self._leg_costs[vid]
-        runtime = self.runtime
-        self.sim.push_updown(
-            t, hosts, cwire, cover, cocc, dwire, dover, docc,
-            resume_event=runtime.resume_event(proc, value),
-        )
-        return None
+        # The request climbs as control messages, the value descends as
+        # data -- the two cost shapes precomputed at registration.
+        ctrl, data = self._leg_costs[vid]
+        return self._launch(proc, t, hosts, ctrl, data, value)
 
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
         """Serve a write.  Returns ``t`` for a purely local write (sole copy
@@ -415,25 +408,26 @@ class AccessTreeStrategy(DataManagementStrategy):
             hosts.append(h if h is not None else emb.host(vid, n))
         payload = var.payload_bytes
 
-        # Snapshot the component structure (rooted at u) for the
-        # invalidation multicast before the state collapses.
-        mc_children: Dict[int, List[int]] = {}
-        mc_hosts: Dict[int, int] = {}
+        # Snapshot the component (rooted at u, local id 0) as the fanout
+        # of the invalidation multicast before the state collapses: each
+        # node's kids are its member parent, then its member children.
+        members = cs.nodes
         tree_nodes = self.tree.nodes
-        stack = [(u, -1)]
-        while stack:
-            n, frm = stack.pop()
+        reached = [(u, -1)]  # by local id: (node, the neighbour it came from)
+        mc_hosts: List[int] = []
+        kid_cnt: List[int] = []
+        kid_off: List[int] = []
+        kids: List[int] = []
+        for n, frm in reached:  # grows as it runs: breadth-first
             h = per_var[n]
-            mc_hosts[n] = h if h is not None else emb.host(vid, n)
+            mc_hosts.append(h if h is not None else emb.host(vid, n))
             tn = tree_nodes[n]
-            kids = []
-            if tn.parent is not None and tn.parent in cs.nodes and tn.parent != frm:
-                kids.append(tn.parent)
-            for c in tn.children:
-                if c in cs.nodes and c != frm:
-                    kids.append(c)
-            mc_children[n] = kids
-            stack.extend((k, n) for k in kids)
+            kid_off.append(len(kids))
+            for k in (tn.parent, *tn.children):
+                if k in members and k != frm:
+                    kids.append(len(reached))
+                    reached.append((k, n))
+            kid_cnt.append(len(kids) - kid_off[-1])
 
         # --- state update (atomic at initiation) ---
         if self._track_mem:
@@ -449,31 +443,14 @@ class AccessTreeStrategy(DataManagementStrategy):
         self.registry.set(var, value)
 
         # --- timing flow ---
-        sim = self.sim
-        runtime = self.runtime
-        # Both chains carry the value ("a message including the new value"
+        # Both ways carry the value ("a message including the new value"
         # to u; the modified copy back, leaving copies on the path): the
-        # data cost shape precomputed at registration.
-        dwire, dover, docc = self._leg_costs[vid][3:]
-        single = len(hosts) == 1  # writer already at u: no request travel
-
-        def after_request(t1: float) -> None:
-            multicast_acks(sim, u, mc_children, mc_hosts, t1, after_inval)
-
-        def after_inval(t2: float) -> None:
-            if single:
-                runtime.resume(proc, t2, None)
-                return
-            sim.push_path(
-                t2, hosts, dwire, dover, docc, True, True,
-                resume_event=runtime.resume_event(proc, None),
-            )
-
-        if single:
-            after_request(t)
-        else:
-            sim.push_path(t, hosts, dwire, dover, docc, True, False, after_request)
-        return None
+        # data cost shape precomputed at registration.  A writer already
+        # at u has a one-host path: only the multicast runs.
+        data = self._leg_costs[vid][1]
+        return self._launch(
+            proc, t, hosts, data, data, fanout=(mc_hosts, kid_cnt, kid_off, kids)
+        )
 
     # ----------------------------------------------------- residency mirror
     def _mirror(self) -> ResidencyMirror:
@@ -499,7 +476,7 @@ class AccessTreeStrategy(DataManagementStrategy):
         return (
             [host(vid, node) for node in range(len(self.tree.nodes))],
             float(self.registry.by_id(vid).payload_bytes),
-            self._leg_costs[vid],
+            self._leg_costs[vid][1][:3],
         )
 
     def adopt(self, vid: int, members, top: int) -> None:

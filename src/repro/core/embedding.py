@@ -103,9 +103,6 @@ class Embedding:
             per_var = self._cache[vid] = [None] * self._n_tree_nodes
         return per_var
 
-    def hosts_for(self, vid: int, nodes) -> List[int]:
-        return [self.host(vid, n) for n in nodes]
-
     def override(self, vid: int, node: int, host: int) -> None:
         """Pin ``node``'s host (the node-remapping feature)."""
         self.per_var_hosts(vid)[node] = host

@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..network.topology import Topology
 from ..runtime.locks import HomeLock
 from ..runtime.variables import GlobalVariable
-from ..sim.flows import chain, multicast_acks
 from .strategy import DataManagementStrategy, ResidencyMirror, next_live_node
 
 __all__ = ["FixedHomeStrategy"]
@@ -140,9 +139,7 @@ class FixedHomeStrategy(DataManagementStrategy):
         self, st: _VarState, proc: int, var: GlobalVariable, t: float, replicate: bool
     ) -> None:
         """The home round-trip of a read miss: request up ``proc -> home
-        [-> owner]`` as control messages, the value back down as data
-        (both read flows compile to the engine's up/down chain form).
-        """
+        [-> owner]`` as control messages, the value back down as data."""
         payload = var.payload_bytes
         hosts: List[int] = [proc, st.home]
         if st.owner != HOME:
@@ -158,11 +155,8 @@ class FixedHomeStrategy(DataManagementStrategy):
             st.copies.add(proc)
             self._storage_delta(payload, t)
             self._mem_insert(st, var, proc, t)
-        value = self.registry.get(var)
-        self.sim.push_updown(
-            t, hosts, *self._leg_costs[var.vid],
-            resume_event=self.runtime.resume_event(proc, value),
-        )
+        ctrl, data = self._leg_costs[var.vid]
+        self._launch(proc, t, hosts, ctrl, data, self.registry.get(var))
 
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
         """Serve a write.  Owner writes are free; otherwise the home
@@ -194,22 +188,14 @@ class FixedHomeStrategy(DataManagementStrategy):
         self._mem_insert(st, var, proc, t)
 
         # --- timing flow: request; star-multicast invalidations + acks
-        # through the home; ownership grant back to the writer. ---
-        mc_children = {-1: list(range(len(holders)))}
-        mc_hosts = {-1: home}
-        for i, q in enumerate(holders):
-            mc_hosts[i] = q
-        sim = self.sim
-        runtime = self.runtime
-
-        def after_request(t1: float) -> None:
-            multicast_acks(sim, -1, mc_children, mc_hosts, t1, after_acks)
-
-        def after_acks(t2: float) -> None:
-            chain(sim, [(home, proc, 0, False)], t2, lambda t3: runtime.resume(proc, t3, None))
-
-        chain(sim, [(proc, home, 0, False)], t, after_request)
-        return None
+        # through the home (local id 0; holder i is local id i + 1);
+        # ownership grant back to the writer.  All control messages. ---
+        k = len(holders)
+        ctrl = self._leg_costs[var.vid][0]
+        return self._launch(
+            proc, t, [proc, home], ctrl, ctrl,
+            fanout=([home, *holders], [k] + [0] * k, [0] * (k + 1), range(1, k + 1)),
+        )
 
     # ----------------------------------------------------- residency mirror
     def _mirror(self) -> ResidencyMirror:
@@ -227,7 +213,7 @@ class FixedHomeStrategy(DataManagementStrategy):
         return (
             [self._states[vid].home],
             float(self.registry.by_id(vid).payload_bytes),
-            self._leg_costs[vid],
+            self._leg_costs[vid][1][:3],
         )
 
     def adopt(self, vid: int, members, top: int) -> None:

@@ -109,13 +109,10 @@ class MigratoryStrategy(DataManagementStrategy):
             return t, self.registry.get(var)
         self.misses += 1
         self.forwards += 1
-        value = self.registry.get(var)
-        hosts = self._hosts(proc, st)
-        self.sim.push_updown(
-            t, hosts, *self._leg_costs[var.vid],
-            resume_event=self.runtime.resume_event(proc, value),
+        ctrl, data = self._leg_costs[var.vid]
+        return self._launch(
+            proc, t, self._hosts(proc, st), ctrl, data, self.registry.get(var)
         )
-        return None
 
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
         """Owner writes are free; a non-owner write migrates the copy to
@@ -140,11 +137,8 @@ class MigratoryStrategy(DataManagementStrategy):
                 old_mem.remove(var.vid)
             self._mem_insert(var, proc)
         # --- timing flow: control request up, the migrating copy down ---
-        self.sim.push_updown(
-            t, hosts, *self._leg_costs[var.vid],
-            resume_event=self.runtime.resume_event(proc, None),
-        )
-        return None
+        ctrl, data = self._leg_costs[var.vid]
+        return self._launch(proc, t, hosts, ctrl, data)
 
     # ----------------------------------------------------- residency mirror
     def _mirror(self) -> ResidencyMirror:

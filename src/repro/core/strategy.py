@@ -155,9 +155,9 @@ class DataManagementStrategy:
         self._sc_integral = 0.0
         self._sc_excess = 0.0
         self._sc_last = 0.0
-        # Per-variable compiled leg cost shapes (Simulator.leg_costs),
-        # resolved once at registration for the engine's inline chains.
-        self._leg_costs: Dict[int, Tuple[float, ...]] = {}
+        # Per-variable (control, data) leg cost shapes (Simulator.leg_costs),
+        # resolved once at registration for the flows.
+        self._leg_costs: Dict[int, Tuple[tuple, tuple]] = {}
 
     def register(self, var: GlobalVariable) -> None:
         """A variable was created; place its initial sole copy."""
@@ -171,6 +171,16 @@ class DataManagementStrategy:
     def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> float:
         """Serve a write; returns its completion time."""
         raise NotImplementedError
+
+    def _launch(
+        self, proc: int, t: float, hosts, up, down, value: Any = None, fanout=None
+    ) -> None:
+        """Launch the flow ``proc`` blocks on (the arguments of
+        :meth:`repro.sim.engine.Simulator.push_flow`); the runtime resumes
+        ``proc`` with ``value`` at its completion time.  Returns ``None``,
+        which is what ``read`` / ``write`` return for a launched flow."""
+        self.runtime.flow_value[proc] = value
+        self.sim.push_flow(t, hosts, up, down, proc, fanout)
 
     def lock(self, proc: int, var: GlobalVariable, t: float, grant: GrantCallback) -> None:
         self._locks.lock(proc, var.vid, var.creator, t, grant)
@@ -239,8 +249,8 @@ class DataManagementStrategy:
 
     def flow_row(self, vid: int) -> Tuple[Sequence[int], float, Tuple[float, ...]]:
         """Static-flow families: ``(host of every site -- directory flow:
-        the home alone --, payload bytes, leg costs)`` of one variable --
-        the shape a native flow replays."""
+        the home alone --, payload bytes, the data leg's (wire, overhead,
+        occupancy))`` of one variable -- the shape a native flow replays."""
         raise NotImplementedError
 
     def adopt(self, vid: int, members: Iterable[int], top: int) -> None:

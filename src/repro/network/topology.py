@@ -209,13 +209,6 @@ class Hypercube(Topology):
     def n_links(self) -> int:
         return self.dim * self.n_nodes
 
-    def dim_link(self, node: int, d: int) -> int:
-        """Directed link id from ``node`` across dimension ``d``."""
-        self._check_node(node)
-        if not (0 <= d < self.dim):
-            raise ValueError(f"dimension {d} outside 0..{self.dim - 1}")
-        return node * self.dim + d
-
     def link_endpoints(self, link: int) -> Tuple[int, int]:
         if not (0 <= link < self.n_links):
             raise ValueError(f"link {link} outside 0..{self.n_links - 1}")

@@ -144,6 +144,12 @@ class Runtime:
         recorder=None,
     ):
         self.sim = Simulator(topology, machine)
+        # The one flow completion: a strategy stashes what the blocked
+        # processor resumes with (a read's value) when it launches the
+        # flow -- at most one is in flight per processor, programs block
+        # on it -- and the engine calls the hook at the completion time.
+        self.flow_value: List[Any] = [None] * topology.n_nodes
+        self.sim.resume_hook = self._flow_done
         self.registry = VariableRegistry()
         self.memory = MemoryBook(topology.n_nodes, capacity_bytes)
         self.charge_compute = charge_compute
@@ -449,25 +455,10 @@ class Runtime:
                 raise ValueError(f"unknown mark {req.kind!r}")
             raise TypeError(f"program on p{p} yielded unexpected object {req!r}")
 
-    def resume(self, proc: int, t: float, value: Any) -> None:
-        """Called by strategy flows when a blocking operation completes."""
-        self.sim.schedule(t, self._step, proc, value)
-
-    def resume_event(self, proc: int, value: Any) -> tuple:
-        """``(callback, args)`` continuation equivalent to
-        :meth:`resume`\\ ``(proc, completion_time, value)``, for the
-        engine's flow builders (``resume_event=``): the engine schedules
-        it *at* the flow's completion time, which the compiled kernel does
-        without re-entering Python.  Honors test harnesses that override
-        :meth:`resume` on the instance to capture completions."""
-        if "resume" in self.__dict__:
-            return (self._call_resume_override, (proc, value))
-        return (self._step, (proc, value))
-
-    def _call_resume_override(self, proc: int, value: Any) -> None:
-        """Dispatch an overridden :meth:`resume` at the completion event
-        (``sim.now`` is the completion time when this runs)."""
-        self.resume(proc, self.sim.now, value)
+    def _flow_done(self, proc: int) -> None:
+        """The simulator's resume hook: the flow ``proc`` blocked on
+        completed now."""
+        self._step(proc, self.flow_value[proc])
 
     # -------------------------------------------------------------- barriers
     def _on_barrier_release(self, proc: int, t: float) -> None:

@@ -86,7 +86,7 @@ from ..network.machine import GCEL, MachineModel
 from ..network.topology import Topology
 from ..runtime.api import ComputeReq, ReadReq, RecvReq, WriteReq
 from ..runtime.launcher import Runtime
-from ..sim.engine import ServeResume
+from ..sim import _ckern
 from ..workloads.trace import Trace, TraceRecorder
 
 __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
@@ -356,13 +356,15 @@ class ServeSession:
         self._set_classic(reason)
 
     def _arm_fast(self) -> Optional[str]:
-        """Mirror the strategy's residency state into the kernel and
-        switch completion routing to native events.  Returns ``None``
-        when armed, else the reason for refusing (session untouched)."""
+        """Mirror the strategy's residency state into the kernel, which
+        from then on completes flows natively (``K_SDONE``).  Returns
+        ``None`` when armed, else the reason for refusing (session
+        untouched)."""
         rt = self.rt
         sim = rt.sim
         if sim._h is None:
-            return "no C kernel (the pure-Python engine is running)"
+            why = _ckern.unavailable_reason() or "this simulator was built on the pure-Python engine"
+            return f"no C kernel ({why})"
         if sim._failview is not None:
             return "a failure schedule is installed (native flows bypass the failure view)"
         strat = rt.strategy
@@ -398,16 +400,6 @@ class ServeSession:
         self._flow = flow
         for vid in range(len(rt.registry)):
             self._mirror_var(vid)
-        # Completion routing: flows built by the strategies resolve their
-        # continuation through these two runtime hooks -- override them
-        # (instance attributes) so completions become native K_SDONE
-        # events, pushed at the exact code points (and with the exact
-        # sequence numbers) the classic path's resumes occupy.
-        def _fast_resume(proc, t, value, _lib=lib, _h=h):
-            _lib.sim_serve_push_done(_h, proc, t)
-
-        rt.resume = _fast_resume
-        rt.resume_event = lambda proc, value: ServeResume(proc)
         sim.serve_cb = self._serve_cb
         return None
 
@@ -429,9 +421,9 @@ class ServeSession:
         leg costs)."""
         if self._flow is not None:
             sim = self.rt.sim
-            hosts, payload, costs = self.rt.strategy.flow_row(vid)
+            hosts, payload, data_cost = self.rt.strategy.flow_row(vid)
             sim._stage_i[0:len(hosts)] = hosts
-            sim._lib.sim_serve_var_flow(sim._h, vid, payload, *costs)
+            sim._lib.sim_serve_var_flow(sim._h, vid, payload, *data_cost)
         self._sync(vid)
 
     def _adopt(self, vid: int) -> None:

@@ -1,12 +1,14 @@
 """Optional compiled event-loop kernel (cffi + cc), with pure-Python fallback.
 
-The discrete-event hot loop -- heap, chain/multicast flow stepping, leg
-timing, traffic accounting -- is a few hundred machine-level operations
-per message leg, but costs ~1.2 microseconds in CPython even after the
-inline-event overhaul.  This module compiles the identical loop to native
-code at first use and drives it through ``cffi``'s ABI mode: chains and
-multicasts execute entirely in C, and control returns to Python only for
-generic events (program steps, barriers, locks) and flow completions.
+The discrete-event hot loop -- heap, flow stepping, leg timing, traffic
+accounting -- is a few hundred machine-level operations per message leg,
+but costs ~1.2 microseconds in CPython even after the inline-event
+overhaul.  This module compiles the identical loop to native code at
+first use and drives it through ``cffi``'s ABI mode: a flow
+(``sim_push_flow``: path up, invalidation multicast, path back down)
+executes entirely in C, and control returns to Python only for generic
+events (program steps, barriers, locks) and to resume the processor a
+finished flow blocked (``R_RESUME``).
 
 Arithmetic is mirrored operation-for-operation from the pure-Python loop
 in :mod:`repro.sim.engine` (same IEEE doubles, same order), and event keys
@@ -26,8 +28,9 @@ returns ``R_NEED_ROUTE`` and Python feeds the route via ``sim_set_route``.
 
 Gating: the kernel engages only when ``cffi`` is importable, a C compiler
 is available, and ``REPRO_PURE_PYTHON`` is unset.  Any failure along the
-way (no compiler, sandboxed tmpdir, dlopen error) silently falls back to
-the pure-Python engine; nothing in the package *requires* the kernel.
+way (no compiler, sandboxed tmpdir, dlopen error) falls back to the
+pure-Python engine -- nothing in the package *requires* the kernel -- and
+:func:`unavailable_reason` keeps why.
 The shared object is cached under ``$REPRO_CKERN_DIR`` (default: a
 per-user directory in the system tempdir) keyed by a hash of the C
 source, so compilation happens once per source revision.
@@ -42,7 +45,7 @@ import subprocess
 import sys
 import tempfile
 
-__all__ = ["load_kernel", "CKERN_SOURCE"]
+__all__ = ["load_kernel", "unavailable_reason", "CKERN_SOURCE"]
 
 CKERN_SOURCE = r"""
 #include <stdlib.h>
@@ -51,17 +54,32 @@ CKERN_SOURCE = r"""
 typedef long long i64;
 
 enum { K_GEN = 0, K_CHAIN = 1, K_MDOWN = 2, K_MACK = 3,
-       K_SREQ = 4, K_SDONE = 5 };
-enum { R_DONE = 0, R_GENERIC = 1, R_CHAIN_DONE = 2, R_MC_DONE = 3,
-       R_NEED_ROUTE = 4, R_SREQ = 5 };
+       K_SREQ = 4, K_SDONE = 5, K_RESUME = 6 };
+enum { R_DONE = 0, R_GENERIC = 1, R_RESUME = 2, R_NEED_ROUTE = 4, R_SREQ = 5 };
 
 typedef struct { double time; i64 seq; int kind, a, b, c, d; } Ev;
-typedef struct { int kind; int a; int b; double time; double targ; } Crossing;
+typedef struct { int kind; int a; int b; double time; } Crossing;
 
-typedef struct { int src, dst, dat; double wire, over, occ; } Leg;
-typedef struct { int n, done_id, auto_resume; Leg legs[]; } Chain;
+/* cost shape of a message leg: wire bytes, NIC overhead per end, link
+ * occupancy, data (1) or control (0) */
+typedef struct { double wire, over, occ; int dat; } Shape;
 
 typedef struct { int remaining; double tmax; int node; int parent_host; int parent; } Pend;
+
+/* One protocol flow -- the only message pattern there is.  Legs run up
+ * the host path path[0..nh) with cost shape up; from path[nh-1] a control
+ * multicast with combining acks runs over the fanout tables (tbl nodes,
+ * local id 0 the root, node i's kids at kids[kid_off[i]..+kid_cnt[i]);
+ * tbl == 0: none); legs run back down the path with shape down; then
+ * processor proc is resumed.  The tables are slices of the trailing
+ * block, after the path. */
+typedef struct {
+    int id, proc, nh, tbl;
+    Shape up, down;
+    int *hosts, *kid_cnt, *kid_off, *kids;
+    Pend *pends; int n_pend, cap_pend;
+    int path[];
+} Flow;
 
 /* ------------------------------------------------------- serving fast path
  * One request through its whole life: pending injection, queued at its
@@ -81,8 +99,8 @@ typedef struct { SReq *buf; int cap, head, len; } SRing;
 /* Per-variable mirror state besides the membership bitset: owner (-1 =
  * home/main memory), member count and, for the flow mirrors, the
  * component top (tree) or the home processor (directory), payload bytes
- * and the 6 up/down leg costs. */
-typedef struct { int owner, count, top, home; double payload, cost[6]; } SVar;
+ * and the data cost shape of that payload. */
+typedef struct { int owner, count, top, home; double payload; Shape data; } SVar;
 
 /* What one pump produced, filled by sim_serve_drain. */
 typedef struct {
@@ -93,24 +111,10 @@ typedef struct {
 } ServeDrain;
 
 typedef struct {
-    int done_id;
-    double dwire, dover, docc; int ddat;
-    double awire, aover, aocc;
-    int *hosts, *kid_cnt, *kid_off, *kids;  /* slices of one block (hosts) */
-    Pend *pends; int n_pend, cap_pend;
-    /* native write (serve_tree_write, serve_home_write): wr_nh > 0 makes
-       done_id the writer's processor and the completion native -- the
-       reply chain back down wr_hosts[0..wr_nh) (a slice of the hosts
-       block; rdat: the modified copy, or a control grant), or, for a
-       writer already at the root (wr_nh == 1), its K_SDONE */
-    int wr_nh; int *wr_hosts;
-    double rwire, rover, rocc; int rdat;
-} Mcast;
-
-typedef struct {
     int n_nodes;
     i64 seqno;
     double hop, local_ov;
+    Shape ctrl;                   /* the one control-message cost shape */
     double *link_free, *nic_free;               /* borrowed (numpy) */
     double *st_bytes; i64 *st_msgs, *st_startups, *st_receives;  /* borrowed */
     i64 st_total, st_data, st_local;
@@ -122,8 +126,7 @@ typedef struct {
     int topo_kind, t_rows, t_cols, t_dim, t_nh, t_nv, t_mesh_links;
     int cache_routes;
     int *rt_scratch;
-    Chain **chains; int ch_cap; int *ch_free; int ch_free_n;
-    Mcast **mcs; int mc_cap; int *mc_free; int mc_free_n;
+    Flow **flows; int fl_cap; int *fl_free; int fl_free_n;
     int *stage_i;
     double *stage_d;
     int stage_cap;
@@ -368,257 +371,187 @@ int sim_compute_route(Sim *s, int src, int dst) {
 int *sim_route_scratch(Sim *s) { return s->rt_scratch; }
 
 /* --------------------------------------------------------------- one leg */
-static double do_leg(Sim *s, double time, int src, int dst, double wire,
-                     double over, double occ, int isdat, int *need) {
-    if (src == dst) {
-        s->st_startups[src]++; s->st_receives[dst]++;
-        s->st_total++; s->st_local++;
-        if (isdat) s->st_data++;
-        return time + s->local_ov;
-    }
+/* The links of src -> dst (src != dst) and their count; NULL: only Python
+ * knows the route and must supply it (sim_set_route).  store: a computed
+ * route may enter the route hash (a probe is side-effect-free: never). */
+static const int *leg_route(Sim *s, int src, int dst, int store, int *len) {
     i64 key = (i64)src * s->n_nodes + dst;
     int slot = rt_slot(s, key);
-    int len;
-    int *links;
     if (slot >= 0) {
-        len = s->rt_len[slot];
-        links = s->arena + s->rt_off[slot];
-    } else if (s->topo_kind) {
-        len = topo_route(s, src, dst, s->rt_scratch);
-        if (s->cache_routes) {
-            /* rt_store may realloc the arena: sequence the call before
-               reading s->arena (a combined expression is free to load
-               the old pointer first). */
-            int off = rt_store(s, key, s->rt_scratch, len);
-            links = s->arena + off;
-        } else {
-            links = s->rt_scratch;
-        }
-    } else {
-        *need = 1;
-        return 0.0;
+        *len = s->rt_len[slot];
+        return s->arena + s->rt_off[slot];
     }
-    double t_send = s->nic_free[src];
-    if (time > t_send) t_send = time;
-    double depart = t_send + over;
-    double start = depart;
-    for (int k = 0; k < len; k++) {
-        double v = s->link_free[links[k]];
-        if (v > start) start = v;
-    }
-    double end = start + occ;
-    double arrive = end + len * s->hop;
-    double t_recv = s->nic_free[dst];
-    if (arrive > t_recv) t_recv = arrive;
-    arrive = t_recv + over;
-    s->nic_free[src] = depart;
-    for (int k = 0; k < len; k++) {
-        int lk = links[k];
-        s->link_free[lk] = end;
-        s->st_bytes[lk] += wire;
-        s->st_msgs[lk]++;
-    }
-    s->nic_free[dst] = arrive;
-    s->st_startups[src]++; s->st_receives[dst]++;
-    s->st_total++;
-    /* A zero-link route (unreachable pair under failures) crosses no
-       link; the pure engine's LinkStats counts such legs as local. */
-    if (len == 0) s->st_local++;
-    if (isdat) s->st_data++;
-    return arrive;
+    if (!s->topo_kind) return 0;
+    *len = topo_route(s, src, dst, s->rt_scratch);
+    if (!(store && s->cache_routes)) return s->rt_scratch;
+    /* rt_store may realloc the arena: sequence the call before reading
+       s->arena (a combined expression is free to load the old pointer
+       first). */
+    int off = rt_store(s, key, s->rt_scratch, *len);
+    return s->arena + off;
 }
 
-/* side-effect-free timing of one leg (send_leg(count=False)) */
-double sim_probe_leg(Sim *s, double time, int src, int dst, double wire,
-                     double over, double occ) {
-    if (src == dst) return time + s->local_ov;
-    int slot = rt_slot(s, (i64)src * s->n_nodes + dst);
-    int len;
-    const int *links;
-    if (slot >= 0) {
-        len = s->rt_len[slot];
-        links = s->arena + s->rt_off[slot];
-    } else if (s->topo_kind) {
-        /* probes are side-effect-free: compute into scratch, don't cache */
-        len = topo_route(s, src, dst, s->rt_scratch);
-        links = s->rt_scratch;
-    } else {
-        return -1.0; /* caller must set the route and retry */
-    }
+/* The timing arithmetic of one remote leg: the one copy of what the
+ * bit-identity contract is about (the pure loop's, operation for
+ * operation).  Writes no resource state: returns the arrival, and hands
+ * back when the sender's NIC (depart) and the links (end) come free. */
+static inline double leg_timing(const Sim *s, double time, int src, int dst,
+                                const int *links, int len, double over,
+                                double occ, double *depart, double *end) {
     double t_send = s->nic_free[src];
     if (time > t_send) t_send = time;
-    double depart = t_send + over;
-    double start = depart;
+    *depart = t_send + over;
+    double start = *depart;
     for (int k = 0; k < len; k++) {
         double v = s->link_free[links[k]];
         if (v > start) start = v;
     }
-    double end = start + occ;
-    double arrive = end + len * s->hop;
+    *end = start + occ;
+    double arrive = *end + len * s->hop;
     double t_recv = s->nic_free[dst];
     if (arrive > t_recv) t_recv = arrive;
     return t_recv + over;
 }
 
+/* One counted leg: timing, resource state, traffic.  Returns the arrival,
+ * or -1 (before any side effect) when Python must supply the route. */
+static double do_leg(Sim *s, double time, int src, int dst, const Shape *sh) {
+    int len = 0;
+    double arrive = time + s->local_ov;
+    if (src != dst) {
+        const int *links = leg_route(s, src, dst, 1, &len);
+        if (!links) return -1.0;
+        double depart, end;
+        arrive = leg_timing(s, time, src, dst, links, len, sh->over, sh->occ,
+                            &depart, &end);
+        s->nic_free[src] = depart;
+        for (int k = 0; k < len; k++) {
+            int lk = links[k];
+            s->link_free[lk] = end;
+            s->st_bytes[lk] += sh->wire;
+            s->st_msgs[lk]++;
+        }
+        s->nic_free[dst] = arrive;
+    }
+    s->st_startups[src]++; s->st_receives[dst]++;
+    s->st_total++;
+    /* Local, or a zero-link route (unreachable pair under failures): it
+       crosses no link, and the pure engine's LinkStats counts it local. */
+    if (len == 0) s->st_local++;
+    if (sh->dat) s->st_data++;
+    return arrive;
+}
+
+/* side-effect-free timing of one leg (send_leg(count=False)); -1 => route
+   needed */
+double sim_probe_leg(Sim *s, double time, int src, int dst, double over,
+                     double occ) {
+    if (src == dst) return time + s->local_ov;
+    int len;
+    const int *links = leg_route(s, src, dst, 0, &len);
+    if (!links) return -1.0;
+    double depart, end;
+    return leg_timing(s, time, src, dst, links, len, over, occ, &depart, &end);
+}
+
 /* counting leg driven from Python's send_leg(); -1 => route needed */
 double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat) {
-    if (src != dst && !s->topo_kind) {
-        int slot = rt_slot(s, (i64)src * s->n_nodes + dst);
-        if (slot < 0) return -1.0;
-    }
-    int need = 0;
-    return do_leg(s, time, src, dst, wire, over, occ, isdat, &need);
+    Shape sh = {wire, over, occ, isdat};
+    return do_leg(s, time, src, dst, &sh);
 }
 
-/* --------------------------------------------------------------- chains */
-static int chain_alloc(Sim *s, int n, int done_id, int auto_resume) {
+/* ------------------------------------------------------------------ flows */
+static Flow *flow_new(Sim *s, int proc, int nh, int tbl, int n_kids,
+                      Shape up, Shape down) {
+    /* a flow whose path and fanout tables are left for the caller to fill */
     int id;
-    if (s->ch_free_n) {
-        id = s->ch_free[--s->ch_free_n];
+    if (s->fl_free_n) {
+        id = s->fl_free[--s->fl_free_n];
     } else {
-        id = s->ch_cap;
-        s->ch_cap = s->ch_cap ? s->ch_cap * 2 : 64;
-        s->chains = (Chain **)realloc(s->chains, s->ch_cap * sizeof(Chain *));
-        s->ch_free = (int *)realloc(s->ch_free, s->ch_cap * sizeof(int));
-        memset(s->chains + id, 0, (s->ch_cap - id) * sizeof(Chain *));
-        for (int i = s->ch_cap - 1; i > id; i--) s->ch_free[s->ch_free_n++] = i;
+        id = s->fl_cap;
+        s->fl_cap = s->fl_cap ? s->fl_cap * 2 : 64;
+        s->flows = (Flow **)realloc(s->flows, s->fl_cap * sizeof(Flow *));
+        s->fl_free = (int *)realloc(s->fl_free, s->fl_cap * sizeof(int));
+        memset(s->flows + id, 0, (s->fl_cap - id) * sizeof(Flow *));
+        for (int i = s->fl_cap - 1; i > id; i--) s->fl_free[s->fl_free_n++] = i;
     }
-    Chain *ch = (Chain *)malloc(sizeof(Chain) + n * sizeof(Leg));
-    ch->n = n;
-    ch->done_id = done_id;
-    ch->auto_resume = auto_resume;
-    s->chains[id] = ch;
-    return id;
+    Flow *f = (Flow *)malloc(sizeof(Flow) +
+                             (nh + 3 * tbl + n_kids) * sizeof(int));
+    f->id = id; f->proc = proc; f->nh = nh; f->tbl = tbl;
+    f->up = up; f->down = down;
+    f->hosts = f->path + nh;
+    f->kid_cnt = f->hosts + tbl;
+    f->kid_off = f->hosts + 2 * tbl;
+    f->kids = f->hosts + 3 * tbl;
+    f->pends = 0; f->n_pend = 0; f->cap_pend = 0;
+    s->flows[id] = f;
+    return f;
 }
 
-static void chain_free(Sim *s, int id) {
-    free(s->chains[id]);
-    s->chains[id] = 0;
-    s->ch_free[s->ch_free_n++] = id;
-}
-
-void sim_push_chain_updown(Sim *s, double t, int nh, double cw, double co,
-                           double cocc, double dw, double dov, double docc,
-                           int done_id, int auto_resume) {
-    /* hosts staged in stage_i[0..nh); nh >= 2.  Up = control, down = data. */
-    int n = 2 * (nh - 1);
-    int id = chain_alloc(s, n, done_id, auto_resume);
-    Chain *ch = s->chains[id];
-    int *hosts = s->stage_i;
-    for (int j = 0; j < nh - 1; j++) {
-        ch->legs[j] = (Leg){hosts[j], hosts[j + 1], 0, cw, co, cocc};
-        ch->legs[nh - 1 + j] =
-            (Leg){hosts[nh - 1 - j], hosts[nh - 2 - j], 1, dw, dov, docc};
+static int flow_new_pend(Flow *f, int remaining, double tmax, int node,
+                         int parent_host, int parent) {
+    if (f->n_pend == f->cap_pend) {
+        f->cap_pend = f->cap_pend ? f->cap_pend * 2 : 8;
+        f->pends = (Pend *)realloc(f->pends, f->cap_pend * sizeof(Pend));
     }
-    heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
-}
-
-static void chain_push_path(Sim *s, double t, const int *hosts, int nh,
-                            int reverse, double w, double o, double occ,
-                            int isdat, int done_id, int auto_resume) {
-    /* one cost shape, one direction along hosts[0..nh) */
-    int n = nh - 1;
-    int id = chain_alloc(s, n, done_id, auto_resume);
-    Chain *ch = s->chains[id];
-    for (int j = 0; j < n; j++)
-        ch->legs[j] = reverse
-            ? (Leg){hosts[nh - 1 - j], hosts[nh - 2 - j], isdat, w, o, occ}
-            : (Leg){hosts[j], hosts[j + 1], isdat, w, o, occ};
-    heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
-}
-
-void sim_push_chain_path(Sim *s, double t, int nh, int reverse, double w,
-                         double o, double occ, int isdat, int done_id,
-                         int auto_resume) {
-    /* hosts staged in stage_i[0..nh) */
-    chain_push_path(s, t, s->stage_i, nh, reverse, w, o, occ, isdat, done_id,
-                    auto_resume);
-}
-
-void sim_push_chain_legs(Sim *s, double t, int n, int done_id) {
-    /* generic legs: stage_i holds src,dst,isdat triples; stage_d holds
-       wire,over,occ triples. */
-    int id = chain_alloc(s, n, done_id, 0);
-    Chain *ch = s->chains[id];
-    const int *si = s->stage_i;
-    const double *sd = s->stage_d;
-    for (int j = 0; j < n; j++, si += 3, sd += 3)
-        ch->legs[j] = (Leg){si[0], si[1], si[2], sd[0], sd[1], sd[2]};
-    heap_push(s, t, s->seqno++, K_CHAIN, id, 0, 0, 0);
-}
-
-/* -------------------------------------------------------------- multicast */
-static int mc_new_pend(Mcast *m, int remaining, double tmax, int node,
-                       int parent_host, int parent) {
-    if (m->n_pend == m->cap_pend) {
-        m->cap_pend *= 2;
-        m->pends = (Pend *)realloc(m->pends, m->cap_pend * sizeof(Pend));
-    }
-    Pend *p = &m->pends[m->n_pend];
+    Pend *p = &f->pends[f->n_pend];
     p->remaining = remaining; p->tmax = tmax; p->node = node;
     p->parent_host = parent_host; p->parent = parent;
-    return m->n_pend++;
+    return f->n_pend++;
 }
 
-static int mc_alloc(Sim *s, int tbl, int n_ints, int done_id, double dwire,
-                    double dover, double docc, int ddat, double awire,
-                    double aover, double aocc) {
-    /* a multicast over tbl nodes whose tables (hosts, kid_cnt, kid_off,
-       kids, ...) are slices of one n_ints block, left for the caller to
-       fill */
-    int id;
-    if (s->mc_free_n) {
-        id = s->mc_free[--s->mc_free_n];
-    } else {
-        id = s->mc_cap;
-        s->mc_cap = s->mc_cap ? s->mc_cap * 2 : 16;
-        s->mcs = (Mcast **)realloc(s->mcs, s->mc_cap * sizeof(Mcast *));
-        s->mc_free = (int *)realloc(s->mc_free, s->mc_cap * sizeof(int));
-        memset(s->mcs + id, 0, (s->mc_cap - id) * sizeof(Mcast *));
-        for (int i = s->mc_cap - 1; i > id; i--) s->mc_free[s->mc_free_n++] = i;
+/* The one completion, at t: resume the flow's processor -- natively
+ * (K_SDONE) when serving is armed, else through Python's resume hook. */
+static void flow_done(Sim *s, Flow *f, double t) {
+    heap_push(s, t, s->seqno++, s->serve_on ? K_SDONE : K_RESUME, f->proc,
+              0, 0, 0);
+    s->flows[f->id] = 0;
+    s->fl_free[s->fl_free_n++] = f->id;
+    free(f->pends);
+    free(f);
+}
+
+/* The answer leaves the far end of the path at t: back down, leg nh - 1
+ * on; a one-host path has no legs. */
+static void flow_reply(Sim *s, Flow *f, double t) {
+    if (f->nh > 1)
+        heap_push(s, t, s->seqno++, K_CHAIN, f->id, f->nh - 1, 0, 0);
+    else
+        flow_done(s, f, t);
+}
+
+/* The request reached the far end of the path at t: multicast over the
+ * fanout (root pend = index 0), or, absent or childless, answer at once. */
+static void flow_turn(Sim *s, Flow *f, double t) {
+    int n = f->tbl ? f->kid_cnt[0] : 0;
+    if (!n) {
+        flow_reply(s, f, t);
+        return;
     }
-    Mcast *m = (Mcast *)malloc(sizeof(Mcast));
-    m->done_id = done_id;
-    m->dwire = dwire; m->dover = dover; m->docc = docc; m->ddat = ddat;
-    m->awire = awire; m->aover = aover; m->aocc = aocc;
-    m->hosts = (int *)malloc(n_ints * sizeof(int));
-    m->kid_cnt = m->hosts + tbl;
-    m->kid_off = m->hosts + 2 * tbl;
-    m->kids = m->hosts + 3 * tbl;
-    m->cap_pend = 8;
-    m->pends = (Pend *)malloc(m->cap_pend * sizeof(Pend));
-    m->n_pend = 0;
-    m->wr_nh = 0;
-    s->mcs[id] = m;
-    return id;
+    flow_new_pend(f, n, t, 0, 0, -1);
+    const int *kk = f->kids + f->kid_off[0];
+    for (int j = 0; j < n; j++)
+        heap_push(s, t, s->seqno++, K_MDOWN, f->id, kk[j], f->hosts[0], 0);
 }
 
-static void mc_start(Sim *s, int id, double t, int root_host,
-                     const int *root_kids, int n_kids) {
-    mc_new_pend(s->mcs[id], n_kids, t, 0, 0, -1); /* root pend = index 0 */
-    for (int j = 0; j < n_kids; j++)
-        heap_push(s, t, s->seqno++, K_MDOWN, id, root_kids[j], root_host, 0);
+static void flow_push(Sim *s, Flow *f, double t) {
+    /* start a filled flow at t */
+    if (f->nh > 1)
+        heap_push(s, t, s->seqno++, K_CHAIN, f->id, 0, 0, 0);
+    else
+        flow_turn(s, f, t);
 }
 
-void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
-                    int total_kids, double dwire, double dover, double docc,
-                    int ddat, double awire, double aover, double aocc,
-                    int done_id) {
-    /* stage_i layout: hosts[tbl], kid_cnt[tbl], kid_off[tbl],
-       kids[total_kids], root_kids[n_kids] */
-    int n_ints = 3 * tbl + total_kids;
-    int id = mc_alloc(s, tbl, n_ints, done_id, dwire, dover, docc, ddat,
-                      awire, aover, aocc);
-    memcpy(s->mcs[id]->hosts, s->stage_i, n_ints * sizeof(int));
-    mc_start(s, id, t, root_host, s->stage_i + n_ints, n_kids);
-}
-
-static void mc_free_one(Sim *s, int id) {
-    Mcast *m = s->mcs[id];
-    free(m->hosts); free(m->pends); free(m);
-    s->mcs[id] = 0;
-    s->mc_free[s->mc_free_n++] = id;
+void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
+                   double uw, double uo, double uocc, int udat,
+                   double dw, double dov, double docc, int ddat) {
+    /* stage_i layout: path[nh], then the fanout tables hosts[tbl],
+       kid_cnt[tbl], kid_off[tbl], kids[n_kids] */
+    Flow *f = flow_new(s, proc, nh, tbl, n_kids, (Shape){uw, uo, uocc, udat},
+                       (Shape){dw, dov, docc, ddat});
+    memcpy(f->path, s->stage_i, (nh + 3 * tbl + n_kids) * sizeof(int));
+    flow_push(s, f, t);
 }
 
 /* ------------------------------------------------------- serving fast path
@@ -631,7 +564,7 @@ static void mc_free_one(Sim *s, int id) {
  *
  *   parked kick          ->  K_SREQ pushed at injection (idle proc)
  *   queued-gap ComputeReq->  K_SREQ pushed at the previous completion
- *   flow auto-resume     ->  K_SDONE at the chain-completion push point
+ *   flow completion      ->  K_SDONE where unarmed flows push K_RESUME
  *   strategy done > now  ->  sim_serve_push_done (Python crossing point)
  *   local hit/write      ->  handled natively when the residency mirror
  *                            proves the strategy call is side-effect-free
@@ -843,21 +776,19 @@ void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members) {
     s->sv_var[vid].top = top;
 }
 
-void sim_serve_var_flow(Sim *s, int vid, double payload, double cw, double co,
-                        double cocc, double dw, double dov, double docc) {
+void sim_serve_var_flow(Sim *s, int vid, double payload, double dw,
+                        double dov, double docc) {
     /* the per-vid flow shape a native flow replays, staged in stage_i:
        the node->host row [0..nsites) (tree) or the home processor [0]
-       (directory); costs from the strategy's leg table. */
+       (directory); the data cost shape from the strategy's leg table. */
     sv_grow_vars(s, vid);
     if (s->sv_flow == 1)
         memcpy(s->sv_host + (size_t)vid * s->sv_nsites, s->stage_i,
                s->sv_nsites * sizeof(int));
     else
         s->sv_var[vid].home = s->stage_i[0];
-    double *fc = s->sv_var[vid].cost;
     s->sv_var[vid].payload = payload;
-    fc[0] = cw; fc[1] = co; fc[2] = cocc;
-    fc[3] = dw; fc[4] = dov; fc[5] = docc;
+    s->sv_var[vid].data = (Shape){dw, dov, docc, 1};
 }
 
 int sim_serve_export(Sim *s, int vid) {
@@ -913,8 +844,6 @@ static int sv_tree_path_cut(Sim *s, int a, int b,
     return -1;  /* no member on the path: invariant broken, cross out */
 }
 
-int sim_ensure_stage(Sim *s, int n);
-
 /* AccessTreeStrategy._add_copies: a copy on every node of path[0..np),
  * component side outward (count/top/storage updated in the same order). */
 static void sv_add_copies(Sim *s, SVar *var, unsigned long long *w,
@@ -936,9 +865,9 @@ static void sv_add_copies(Sim *s, SVar *var, unsigned long long *w,
 
 /* A native access-tree read miss: replay AccessTreeStrategy.read's miss
  * body without leaving C -- walk to the component, extend the copy set
- * down the path, and push the same up/down chain the Python path pushes,
- * consuming the same seqnos.  Returns 0 to fall back to a Python
- * crossing. */
+ * down the path, and push the flow the Python path pushes (request up,
+ * value down), consuming the same seqnos.  Returns 0 to fall back to a
+ * Python crossing. */
 static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
     int vid = cur->vid;
     SVar *var = &s->sv_var[vid];
@@ -949,49 +878,21 @@ static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
     double t = s->sv_now;
     s->sv_misses++;
     sv_add_copies(s, var, w, path, np, t);
-    sim_ensure_stage(s, np);
     const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
-    for (int i = 0; i < np; i++) s->stage_i[i] = row[path[i]];
-    const double *fc = var->cost;
-    sim_push_chain_updown(s, t, np, fc[0], fc[1], fc[2], fc[3], fc[4], fc[5],
-                          p, 2);
+    Flow *f = flow_new(s, p, np, 0, 0, s->ctrl, var->data);
+    for (int i = 0; i < np; i++) f->path[i] = row[path[i]];
+    flow_push(s, f, t);
     return 1;
-}
-
-/* Completion of a native write's invalidation at t: the modified copy
- * (directory: the ownership grant) travels back down the request path,
- * or, writer at the root, the request is done -- the write's
- * after_inval / after_acks. */
-static void serve_write_reply(Sim *s, const Mcast *m, double t) {
-    if (m->wr_nh == 1)
-        heap_push(s, t, s->seqno++, K_SDONE, m->done_id, 0, 0, 0);
-    else
-        chain_push_path(s, t, m->wr_hosts, m->wr_nh, 1, m->rwire, m->rover,
-                        m->rocc, m->rdat, m->done_id, 2);
-}
-
-/* The new value reached the component root at t: multicast the
- * invalidations over the snapshot, or reply at once when the root held
- * the sole copy -- after_request + multicast_acks' childless case. */
-static void serve_write_mcast(Sim *s, int id, double t) {
-    Mcast *m = s->mcs[id];
-    if (m->kid_cnt[0]) {
-        mc_start(s, id, t, m->hosts[0], m->kids, m->kid_cnt[0]);
-    } else {
-        serve_write_reply(s, m, t);
-        mc_free_one(s, id);
-    }
 }
 
 /* A native access-tree write (not the local sole-copy one): replay
  * AccessTreeStrategy.write without leaving C.  Cut the leaf-to-top path
- * at the first member u; snapshot the component rooted at u into a
- * multicast (local id 0 = u; each node's kids in write's order: member
- * parent first, then the tree's child order); collapse the copy set to
- * the path u..leaf; run request chain -> invalidation -> reply chain ->
- * K_SDONE, the continuations native (chain auto_resume 3, Mcast.wr_nh)
- * where the Python path crosses on R_CHAIN_DONE / R_MC_DONE, consuming
- * the same seqnos.  Returns 0 to fall back to a Python crossing. */
+ * at the first member u; snapshot the component rooted at u into the
+ * flow's fanout (local id 0 = u; each node's kids in write's order:
+ * member parent first, then the tree's child order); collapse the copy
+ * set to the path u..leaf; push the flow: the new value up to u, the
+ * invalidations over the snapshot, the modified copy back down.  Returns
+ * 0 to fall back to a Python crossing. */
 static int serve_tree_write(Sim *s, int p, const SReq *cur) {
     int vid = cur->vid;
     SVar *var = &s->sv_var[vid];
@@ -1001,33 +902,26 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
     if (np < 1) { s->sv_fallbacks++; return 0; }
     double t = s->sv_now;
     s->sv_wremote++;
-    const double *fc = var->cost;
     const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
     int u = path[np - 1], tbl = var->count;
-    /* block: hosts, kid_cnt, kid_off [tbl each], kids [tbl - 1], path hosts */
-    int id = mc_alloc(s, tbl, 4 * tbl - 1 + np, p, fc[0], fc[1], fc[2], 0,
-                      fc[0], fc[1], fc[2]);
-    Mcast *m = s->mcs[id];
-    m->wr_nh = np;
-    m->wr_hosts = m->kids + tbl - 1;
-    m->rwire = fc[3]; m->rover = fc[4]; m->rocc = fc[5]; m->rdat = 1;
-    for (int i = 0; i < np; i++) m->wr_hosts[i] = row[path[i]];
+    Flow *f = flow_new(s, p, np, tbl, tbl - 1, var->data, var->data);
+    for (int i = 0; i < np; i++) f->path[i] = row[path[i]];
     int *node = s->sv_scr_a, *from = s->sv_scr_b;  /* by local id */
     int n = 1, nk = 0;
-    node[0] = u; from[0] = -1; m->hosts[0] = row[u];
+    node[0] = u; from[0] = -1; f->hosts[0] = row[u];
     for (int i = 0; i < n; i++) {
         int x = node[i], frm = from[i];
         const int *kid = s->sv_kid + s->sv_kid_off[x];
         int nc = s->sv_kid_off[x + 1] - s->sv_kid_off[x];
-        m->kid_off[i] = nk;
+        f->kid_off[i] = nk;
         for (int j = -1; j < nc; j++) {     /* j == -1: the parent */
             int k = j < 0 ? s->sv_parent[x] : kid[j];
             if (k < 0 || k == frm || !(w[k >> 6] & (1ULL << (k & 63))))
                 continue;
-            node[n] = k; from[n] = x; m->hosts[n] = row[k];
-            m->kids[nk++] = n++;
+            node[n] = k; from[n] = x; f->hosts[n] = row[k];
+            f->kids[nk++] = n++;
         }
-        m->kid_cnt[i] = nk - m->kid_off[i];
+        f->kid_cnt[i] = nk - f->kid_off[i];
     }
     /* state update, atomic at initiation */
     sim_serve_storage_delta(s, (double)(1 - var->count) * var->payload, t);
@@ -1036,11 +930,7 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
     var->count = 1;
     var->top = u;
     sv_add_copies(s, var, w, path, np, t);
-    if (np == 1)
-        serve_write_mcast(s, id, t);     /* writer already at u */
-    else
-        chain_push_path(s, t, m->wr_hosts, np, 0, fc[3], fc[4], fc[5], 1,
-                        id, 3);
+    flow_push(s, f, t);
     return 1;
 }
 
@@ -1051,14 +941,12 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
 static int serve_home_miss(Sim *s, int p, const SReq *cur) {
     SVar *var = &s->sv_var[cur->vid];
     unsigned long long *w = s->sv_bits + (size_t)cur->vid * s->sv_words;
-    int home = var->home, nh = 2;
+    int home = var->home, owner = var->owner;
     double t = s->sv_now;
     s->sv_misses++;
-    s->stage_i[0] = p; s->stage_i[1] = home;
-    if (var->owner >= 0) {
+    if (owner >= 0) {
         /* the home fetches the value from the owner, which keeps a copy;
            ownership moves back to main memory */
-        s->stage_i[nh++] = var->owner;
         var->owner = -1;
         if (!(w[home >> 6] & (1ULL << (home & 63)))) {
             w[home >> 6] |= 1ULL << (home & 63);
@@ -1070,45 +958,38 @@ static int serve_home_miss(Sim *s, int p, const SReq *cur) {
        home (a remote processor owning) just got its copy above, and
        _read_miss_flow still accounts +payload for it here -- one new
        member, two deltas.  The pinned storage_cost fingerprints carry
-       the double delta; see ROADMAP item 2. */
+       the double delta; see ROADMAP item 1(b). */
     if (!(w[p >> 6] & (1ULL << (p & 63)))) {
         w[p >> 6] |= 1ULL << (p & 63);
         var->count++;
     }
     sim_serve_storage_delta(s, var->payload, t);
-    const double *fc = var->cost;
-    sim_push_chain_updown(s, t, nh, fc[0], fc[1], fc[2], fc[3], fc[4], fc[5],
-                          p, 2);
+    Flow *f = flow_new(s, p, owner >= 0 ? 3 : 2, 0, 0, s->ctrl, var->data);
+    f->path[0] = p; f->path[1] = home;
+    if (owner >= 0) f->path[2] = owner;
+    flow_push(s, f, t);
     return 1;
 }
 
 /* A native fixed-home write by a non-owner: replay FixedHomeStrategy.write
  * without leaving C.  Snapshot sorted(copies - {writer}) into a star
- * multicast rooted at the home (local id 0; holder i is local id i + 1),
- * collapse the copy set to the writer, who becomes the owner, then run
- * request leg -> invalidations + acks -> grant leg -> K_SDONE with the
- * tree write's native continuations (chain auto_resume 3, Mcast.wr_nh).
- * All control messages; proc == home and a holder at the home are local
- * legs, still legs; no holders: request -> grant with no K_MDOWN. */
+ * fanout rooted at the home (local id 0; holder i is local id i + 1),
+ * collapse the copy set to the writer, who becomes the owner, then push
+ * the flow: request leg, invalidations + acks, grant leg.  All control
+ * messages; proc == home and a holder at the home are local legs, still
+ * legs; no holders: request -> grant with no K_MDOWN. */
 static int serve_home_write(Sim *s, int p, const SReq *cur) {
     SVar *var = &s->sv_var[cur->vid];
     unsigned long long *w = s->sv_bits + (size_t)cur->vid * s->sv_words;
-    const double *fc = var->cost;
     double t = s->sv_now;
     s->sv_wremote++;
     int k = var->count - (int)((w[p >> 6] >> (p & 63)) & 1);
     int tbl = k + 1;
-    /* block: hosts, kid_cnt, kid_off [tbl each], kids [k], {writer, home} */
-    int id = mc_alloc(s, tbl, 3 * tbl + k + 2, p, fc[0], fc[1], fc[2], 0,
-                      fc[0], fc[1], fc[2]);
-    Mcast *m = s->mcs[id];
-    m->wr_nh = 2;
-    m->wr_hosts = m->kids + k;
-    m->wr_hosts[0] = p; m->wr_hosts[1] = var->home;
-    m->rwire = fc[0]; m->rover = fc[1]; m->rocc = fc[2]; m->rdat = 0;
-    memset(m->kid_cnt, 0, 2 * tbl * sizeof(int));  /* kid_cnt and kid_off */
-    m->hosts[0] = var->home;
-    m->kid_cnt[0] = k;
+    Flow *f = flow_new(s, p, 2, tbl, k, s->ctrl, s->ctrl);
+    f->path[0] = p; f->path[1] = var->home;
+    memset(f->kid_cnt, 0, 2 * tbl * sizeof(int));  /* kid_cnt and kid_off */
+    f->hosts[0] = var->home;
+    f->kid_cnt[0] = k;
     int n = 0;
     for (int wd = 0; wd < s->sv_words; wd++) {
         unsigned long long bits = w[wd];
@@ -1116,8 +997,8 @@ static int serve_home_write(Sim *s, int p, const SReq *cur) {
             int q = wd * 64 + __builtin_ctzll(bits);
             bits &= bits - 1;
             if (q == p) continue;
-            m->kids[n] = n + 1;
-            m->hosts[++n] = q;
+            f->kids[n] = n + 1;
+            f->hosts[++n] = q;
         }
     }
     /* state update, atomic at initiation */
@@ -1126,7 +1007,7 @@ static int serve_home_write(Sim *s, int p, const SReq *cur) {
     w[p >> 6] |= 1ULL << (p & 63);
     var->count = 1;
     var->owner = p;
-    chain_push_path(s, t, m->wr_hosts, 2, 0, fc[0], fc[1], fc[2], 0, id, 3);
+    flow_push(s, f, t);
     return 1;
 }
 
@@ -1201,7 +1082,6 @@ void sim_push_generic(Sim *s, double t, int obj) {
     heap_push(s, t, s->seqno++, K_GEN, obj, 0, 0, 0);
 }
 
-int sim_heap_size(Sim *s) { return s->heap_n; }
 i64 sim_total_msgs(Sim *s) { return s->st_total; }
 i64 sim_data_msgs(Sim *s) { return s->st_data; }
 i64 sim_local_msgs(Sim *s) { return s->st_local; }
@@ -1228,105 +1108,61 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
         if (s->heap[0].time > horizon) break;
         Ev ev = heap_pop(s);
         s->sv_now = ev.time;
-        if (ev.kind == K_CHAIN) {
-            Chain *ch = s->chains[ev.a];
-            int i = ev.b;
-            const Leg *leg = &ch->legs[i];
-            int need = 0;
-            double arrive = do_leg(s, ev.time, leg->src, leg->dst, leg->wire,
-                                   leg->over, leg->occ, leg->dat, &need);
-            if (need) {
-                out->kind = R_NEED_ROUTE;
-                out->a = leg->src; out->b = leg->dst;
-                heap_push(s, ev.time, ev.seq, ev.kind, ev.a, ev.b, ev.c, ev.d);
-                return R_NEED_ROUTE;
-            }
-            i++;
-            if (i == ch->n) {
-                if (ch->auto_resume) {
-                    /* completion just resumes a processor: schedule the
-                       stored generic continuation at the completion time
-                       without crossing into Python (seq order matches the
-                       crossing-based path: nothing runs in between).
-                       auto_resume == 2 is the serving fast path: done_id
-                       is the processor id and the completion is consumed
-                       natively (K_SDONE) instead of re-entering Python.
-                       auto_resume == 3 is a native write's request chain:
-                       done_id is its multicast, started here. */
-                    if (ch->auto_resume == 3)
-                        serve_write_mcast(s, ch->done_id, arrive);
-                    else
-                        heap_push(s, arrive, s->seqno++,
-                                  ch->auto_resume == 2 ? K_SDONE : K_GEN,
-                                  ch->done_id, 0, 0, 0);
-                    chain_free(s, ev.a);
-                    continue;
-                }
-                out->kind = R_CHAIN_DONE;
-                out->a = ch->done_id;
-                out->time = ev.time;
-                out->targ = arrive;
-                chain_free(s, ev.a);
-                return R_CHAIN_DONE;
-            }
-            heap_push(s, arrive, s->seqno++, K_CHAIN, ev.a, i, 0, 0);
-            continue;
-        }
-        if (ev.kind == K_MDOWN) {
-            Mcast *m = s->mcs[ev.a];
-            int node = ev.b;
-            int hn = m->hosts[node];
-            int need = 0;
-            double t_here = do_leg(s, ev.time, ev.c, hn, m->dwire, m->dover,
-                                   m->docc, m->ddat, &need);
-            if (need) {
-                out->kind = R_NEED_ROUTE;
-                out->a = ev.c; out->b = hn;
-                heap_push(s, ev.time, ev.seq, ev.kind, ev.a, ev.b, ev.c, ev.d);
-                return R_NEED_ROUTE;
-            }
-            int cnt = m->kid_cnt[node];
-            if (cnt) {
-                int np = mc_new_pend(m, cnt, t_here, node, ev.c, ev.d);
-                int *kk = m->kids + m->kid_off[node];
-                for (int j = 0; j < cnt; j++)
-                    heap_push(s, t_here, s->seqno++, K_MDOWN, ev.a, kk[j], hn, np);
+        if (ev.kind >= K_CHAIN && ev.kind <= K_MACK) {
+            /* one leg of a flow: up or down its path (K_CHAIN leg b), an
+               invalidation into node b from host c, or b's combined ack
+               back to host c (d: the pend it reports to) */
+            Flow *f = s->flows[ev.a];
+            const Shape *sh = &s->ctrl;
+            int src, dst;
+            if (ev.kind == K_CHAIN) {
+                int up = ev.b < f->nh - 1;
+                int j = up ? ev.b : 2 * (f->nh - 1) - ev.b;
+                src = f->path[j]; dst = f->path[up ? j + 1 : j - 1];
+                sh = up ? &f->up : &f->down;
+            } else if (ev.kind == K_MDOWN) {
+                src = ev.c; dst = f->hosts[ev.b];
             } else {
-                heap_push(s, t_here, s->seqno++, K_MACK, ev.a, node, ev.c, ev.d);
+                src = f->hosts[ev.b]; dst = ev.c;
             }
-            continue;
-        }
-        if (ev.kind == K_MACK) {
-            Mcast *m = s->mcs[ev.a];
-            int hn = m->hosts[ev.b];
-            int need = 0;
-            double t_ack = do_leg(s, ev.time, hn, ev.c, m->awire, m->aover,
-                                  m->aocc, 0, &need);
-            if (need) {
+            double arrive = do_leg(s, ev.time, src, dst, sh);
+            if (arrive < 0.0) {
                 out->kind = R_NEED_ROUTE;
-                out->a = hn; out->b = ev.c;
+                out->a = src; out->b = dst;
                 heap_push(s, ev.time, ev.seq, ev.kind, ev.a, ev.b, ev.c, ev.d);
                 return R_NEED_ROUTE;
             }
-            Pend *p = &m->pends[ev.d];
-            p->remaining--;
-            if (t_ack > p->tmax) p->tmax = t_ack;
-            if (p->remaining == 0) {
-                if (p->parent < 0) {
-                    if (m->wr_nh) {
-                        serve_write_reply(s, m, p->tmax);
-                        mc_free_one(s, ev.a);
-                        continue;
-                    }
-                    out->kind = R_MC_DONE;
-                    out->a = m->done_id;
-                    out->time = ev.time;
-                    out->targ = p->tmax;
-                    mc_free_one(s, ev.a);
-                    return R_MC_DONE;
+            if (ev.kind == K_CHAIN) {
+                int i = ev.b + 1;
+                if (i == f->nh - 1)
+                    flow_turn(s, f, arrive);
+                else if (i == 2 * (f->nh - 1))
+                    flow_done(s, f, arrive);
+                else
+                    heap_push(s, arrive, s->seqno++, K_CHAIN, ev.a, i, 0, 0);
+            } else if (ev.kind == K_MDOWN) {
+                int cnt = f->kid_cnt[ev.b];
+                if (cnt) {
+                    int np = flow_new_pend(f, cnt, arrive, ev.b, ev.c, ev.d);
+                    const int *kk = f->kids + f->kid_off[ev.b];
+                    for (int j = 0; j < cnt; j++)
+                        heap_push(s, arrive, s->seqno++, K_MDOWN, ev.a, kk[j],
+                                  dst, np);
+                } else {
+                    heap_push(s, arrive, s->seqno++, K_MACK, ev.a, ev.b, ev.c,
+                              ev.d);
                 }
-                heap_push(s, p->tmax, s->seqno++, K_MACK, ev.a, p->node,
-                          p->parent_host, p->parent);
+            } else {
+                Pend *p = &f->pends[ev.d];
+                p->remaining--;
+                if (arrive > p->tmax) p->tmax = arrive;
+                if (p->remaining == 0) {
+                    if (p->parent < 0)
+                        flow_reply(s, f, p->tmax);   /* the root: all acked */
+                    else
+                        heap_push(s, p->tmax, s->seqno++, K_MACK, ev.a,
+                                  p->node, p->parent_host, p->parent);
+                }
             }
             continue;
         }
@@ -1336,15 +1172,16 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
             continue;
         }
         if (ev.kind == K_SDONE) {
-            /* a Python-owned flow (or auto_resume==2 chain) completed */
+            /* the request's flow (or Python-timed completion) is done */
             serve_record(s, &s->sv_cur[ev.a], ev.time);
             if (serve_advance(s, ev.a, out)) return R_SREQ;
             continue;
         }
-        out->kind = R_GENERIC;
+        /* K_GEN: a = the Python event; K_RESUME: a = the processor */
+        out->kind = ev.kind == K_RESUME ? R_RESUME : R_GENERIC;
         out->a = ev.a;
         out->time = ev.time;
-        return R_GENERIC;
+        return out->kind;
     }
     if (s->serve_on) {
         s->sv_phase = 0;
@@ -1356,12 +1193,14 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
 }
 
 /* ----------------------------------------------------------- lifecycle */
-Sim *sim_new(int n_nodes, double hop, double local_ov, double *link_free,
-             double *nic_free, int stage_cap) {
+Sim *sim_new(int n_nodes, double hop, double local_ov, double cwire,
+             double cover, double cocc, double *link_free, double *nic_free,
+             int stage_cap) {
     Sim *s = (Sim *)calloc(1, sizeof(Sim));
     s->n_nodes = n_nodes;
     s->hop = hop;
     s->local_ov = local_ov;
+    s->ctrl = (Shape){cwire, cover, cocc, 0};
     s->link_free = link_free;
     s->nic_free = nic_free;
     s->heap_cap = 256;
@@ -1394,14 +1233,13 @@ int *sim_stage_i(Sim *s) { return s->stage_i; }
 double *sim_stage_d(Sim *s) { return s->stage_d; }
 
 void sim_free(Sim *s) {
-    for (int i = 0; i < s->ch_cap; i++) free(s->chains[i]);
-    for (int i = 0; i < s->mc_cap; i++) {
-        if (s->mcs[i]) {
-            Mcast *m = s->mcs[i];
-            free(m->hosts); free(m->pends); free(m);
+    for (int i = 0; i < s->fl_cap; i++) {
+        if (s->flows[i]) {
+            free(s->flows[i]->pends);
+            free(s->flows[i]);
         }
     }
-    free(s->chains); free(s->ch_free); free(s->mcs); free(s->mc_free);
+    free(s->flows); free(s->fl_free);
     free(s->heap); free(s->rt_keys); free(s->rt_off); free(s->rt_len);
     free(s->arena); free(s->rt_scratch); free(s->stage_i); free(s->stage_d);
     serve_free(s);
@@ -1411,7 +1249,7 @@ void sim_free(Sim *s) {
 
 _CDEF = """
 typedef long long i64;
-typedef struct { int kind; int a; int b; double time; double targ; } Crossing;
+typedef struct { int kind; int a; int b; double time; } Crossing;
 typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SReq;
 typedef struct {
     i64 n_rec, inflight, pending, hits, wlocal, misses, wremote;
@@ -1421,8 +1259,9 @@ typedef struct {
 } ServeDrain;
 typedef struct Sim Sim;
 
-Sim *sim_new(int n_nodes, double hop, double local_ov, double *link_free,
-             double *nic_free, int stage_cap);
+Sim *sim_new(int n_nodes, double hop, double local_ov, double cwire,
+             double cover, double cocc, double *link_free, double *nic_free,
+             int stage_cap);
 void sim_free(Sim *s);
 int *sim_stage_i(Sim *s);
 double *sim_stage_d(Sim *s);
@@ -1436,31 +1275,22 @@ void sim_set_topology(Sim *s, int kind, int rows, int cols, int dim,
 int sim_compute_route(Sim *s, int src, int dst);
 int *sim_route_scratch(Sim *s);
 void sim_push_generic(Sim *s, double t, int obj);
-void sim_push_chain_updown(Sim *s, double t, int nh, double cw, double co,
-                           double cocc, double dw, double dov, double docc,
-                           int done_id, int auto_resume);
-void sim_push_chain_path(Sim *s, double t, int nh, int reverse, double w,
-                         double o, double occ, int isdat, int done_id,
-                         int auto_resume);
-void sim_push_chain_legs(Sim *s, double t, int n, int done_id);
-void sim_push_mcast(Sim *s, double t, int root_host, int n_kids, int tbl,
-                    int total_kids, double dwire, double dover, double docc,
-                    int ddat, double awire, double aover, double aocc,
-                    int done_id);
+void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
+                   double uw, double uo, double uocc, int udat,
+                   double dw, double dov, double docc, int ddat);
 int sim_run_until(Sim *s, Crossing *out, double horizon);
-int sim_heap_size(Sim *s);
 i64 sim_total_msgs(Sim *s);
 i64 sim_data_msgs(Sim *s);
 i64 sim_local_msgs(Sim *s);
 double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat);
-double sim_probe_leg(Sim *s, double time, int src, int dst, double wire,
-                     double over, double occ);
+double sim_probe_leg(Sim *s, double time, int src, int dst, double over,
+                     double occ);
 void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
                     int tree, i64 max_inflight);
 void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members);
-void sim_serve_var_flow(Sim *s, int vid, double payload, double cw, double co,
-                        double cocc, double dw, double dov, double docc);
+void sim_serve_var_flow(Sim *s, int vid, double payload, double dw,
+                        double dov, double docc);
 int sim_serve_export(Sim *s, int vid);
 void sim_serve_storage_delta(Sim *s, double delta, double t);
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
@@ -1471,11 +1301,12 @@ void sim_serve_push_done(Sim *s, int p, double done);
 void sim_serve_drain(Sim *s, ServeDrain *out);
 """
 
-#: Staging buffer capacity (ints/doubles); bounds one chain/multicast/route.
+#: Staging buffer capacity (ints/doubles); bounds one flow/route.
 STAGE_CAP = 1 << 16
 
 _KERNEL = None
 _KERNEL_TRIED = False
+_UNAVAILABLE = ""
 
 
 def _build_dir() -> pathlib.Path:
@@ -1520,8 +1351,7 @@ class Kernel:
 
     R_DONE = 0
     R_GENERIC = 1
-    R_CHAIN_DONE = 2
-    R_MC_DONE = 3
+    R_RESUME = 2
     R_NEED_ROUTE = 4
     R_SREQ = 5
 
@@ -1531,12 +1361,14 @@ class Kernel:
 
 
 def load_kernel():
-    """The process-wide kernel, or ``None`` when unavailable/disabled."""
-    global _KERNEL, _KERNEL_TRIED
+    """The process-wide kernel, or ``None`` when unavailable/disabled
+    (:func:`unavailable_reason` then says why)."""
+    global _KERNEL, _KERNEL_TRIED, _UNAVAILABLE
     if _KERNEL_TRIED:
         return _KERNEL
     _KERNEL_TRIED = True
     if os.environ.get("REPRO_PURE_PYTHON"):
+        _UNAVAILABLE = "REPRO_PURE_PYTHON is set"
         return None
     try:
         from cffi import FFI
@@ -1545,6 +1377,18 @@ def load_kernel():
         ffi.cdef(_CDEF)
         lib = ffi.dlopen(str(_compile()))
         _KERNEL = Kernel(ffi, lib)
-    except Exception:
-        _KERNEL = None
+    except ImportError as exc:
+        _UNAVAILABLE = f"cffi is not importable: {exc}"
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace").strip()
+        _UNAVAILABLE = f"the C compiler failed: {stderr[-500:] or exc}"
+    except Exception as exc:  # no compiler, unwritable cache dir, dlopen error
+        _UNAVAILABLE = f"{type(exc).__name__}: {exc}"
     return _KERNEL
+
+
+def unavailable_reason() -> str:
+    """Why :func:`load_kernel` returned ``None`` (``REPRO_PURE_PYTHON``
+    set, ``cffi`` not importable, the compiler's error text, the
+    ``dlopen`` error); ``""`` while the kernel is loaded or untried."""
+    return _UNAVAILABLE

@@ -28,15 +28,17 @@ goes through the event heap.
 
 Hot path
 --------
-Protocol flows (chains, invalidation multicasts) are *compiled*: their
-legs' wire sizes and machine cost terms are resolved at construction, and
-the event loop steps them inline -- one heap pop per message leg, no
-per-leg Python function calls (see the ``_CHAIN``/``_MDOWN``/``_MACK``
-event kinds below).  When the optional C kernel is available
+Every protocol operation is one *flow* (:meth:`Simulator.push_flow`):
+message legs up a host path, an optional invalidation multicast with
+combining acks from its far end, legs back down, then the issuing
+processor is resumed through :attr:`Simulator.resume_hook`.  A flow is
+*compiled* -- its legs' wire sizes and machine cost terms are resolved
+when it is pushed -- and the event loop steps it inline: one heap pop per
+message leg, no per-leg Python function calls (the ``_CHAIN`` / ``_MDOWN``
+/ ``_MACK`` event kinds below).  When the optional C kernel is available
 (:mod:`repro.sim._ckern`), the same loop runs natively and Python is
-re-entered only for generic events and flow completions; both engines
-produce bit-identical results, leg for leg.  The deprecated
-``Simulator.mesh`` alias of ``topology`` was removed on schedule.
+re-entered only for generic events and to resume a processor; both
+engines produce bit-identical results, leg for leg.
 """
 
 from __future__ import annotations
@@ -68,52 +70,20 @@ class SimDeadlock(RuntimeError):
 #: directly in its own frame -- no closure call, no ``send_leg`` call, no
 #: ``schedule`` call per leg.  Event keys ``(time, seq)`` and all
 #: resource/stat side effects are produced at exactly the code points the
-#: closure-based flows used, so results are bit-identical; only the
-#: interpreter overhead changes.  Item layouts (flat; heap comparisons
-#: never reach slot 2 because seq is unique):
+#: C kernel produces them, so results are bit-identical.  ``flow`` is the
+#: record :meth:`Simulator.push_flow` builds.  Item layouts (flat; heap
+#: comparisons never reach slot 2 because seq is unique):
 #:   generic : (time, seq, callback, args)
-#:   _CHAIN  : (time, seq, _CHAIN, legs, index, done)
-#:   _MDOWN  : (time, seq, _MDOWN, ctx, node, parent_host, pend)
-#:   _MACK   : (time, seq, _MACK, ctx, node, parent_host, pend)
+#:   _CHAIN  : (time, seq, _CHAIN, flow, leg index)
+#:   _MDOWN  : (time, seq, _MDOWN, flow, node, parent_host, pend)
+#:   _MACK   : (time, seq, _MACK, flow, node, parent_host, pend)
 _CHAIN = object()
 _MDOWN = object()
 _MACK = object()
 
-
-class ServeResume:
-    """Serving fast-path completion marker for ``resume_event``.
-
-    When the serving session runs in kernel-fast mode, a flow whose
-    completion should feed the C-side request dispatcher passes
-    ``ServeResume(proc)`` as ``resume_event``: the kernel pushes a
-    native ``K_SDONE`` for ``proc`` at the completion time (the exact
-    push point of the classic auto-resume), consuming the same seqno, so
-    event order is bit-identical to the generator-based path.  Only
-    meaningful in kernel mode -- the serving fast path requires the C
-    kernel.
-    """
-
-    __slots__ = ("proc",)
-
-    def __init__(self, proc: int):
-        self.proc = proc
-
-
-class _ResumeDone:
-    """Pure-engine completion shim for ``resume_event``: schedules the
-    stored ``callback(*args)`` at the flow's completion time (seq assigned
-    at completion, exactly like the kernel's auto-resume push)."""
-
-    __slots__ = ("_sim", "_event")
-
-    def __init__(self, sim: "Simulator", event: tuple):
-        self._sim = sim
-        self._event = event
-
-    def __call__(self, t: float) -> None:
-        cb, args = self._event
-        sim = self._sim
-        heapq.heappush(sim._heap, (t, next(sim._seq), cb, args))
+#: A leg cost shape: ``(wire bytes, NIC overhead per end, link occupancy,
+#: is_data)``.
+Shape = Tuple[float, float, float, bool]
 
 
 class Simulator:
@@ -169,6 +139,8 @@ class Simulator:
         "_np_arrays",
         "_failview",
         "serve_cb",
+        "resume_hook",
+        "_ctrl_shape",
     )
 
     def __init__(self, topology: Topology, machine: MachineModel):
@@ -195,6 +167,13 @@ class Simulator:
         self._bandwidth = machine.link_bandwidth
         self._hop_latency = machine.hop_latency
         self._local_overhead = machine.local_overhead
+        ctrl = machine.ctrl_bytes
+        self._ctrl_shape: Shape = (
+            ctrl,
+            self._nic_fixed + ctrl * self._nic_byte,
+            ctrl / self._bandwidth,
+            False,
+        )
 
         # The shipped topology classes have closed-form routing that the
         # kernel mirrors natively (sim_set_topology) -- the hot loop never
@@ -235,6 +214,7 @@ class Simulator:
                     topology.n_nodes,
                     machine.hop_latency,
                     machine.local_overhead,
+                    *self._ctrl_shape[:3],
                     ffi.cast("double *", link_free.ctypes.data),
                     ffi.cast("double *", nic_free.ctypes.data),
                     _ckern.STAGE_CAP,
@@ -272,6 +252,12 @@ class Simulator:
         #: Serving fast-path crossing handler (set by ServeSession when it
         #: arms kernel-fast mode); receives the Crossing for R_SREQ.
         self.serve_cb = None
+        #: The one flow completion: ``resume_hook(proc)`` runs as an event
+        #: at the completion time of the flow ``proc`` blocked on
+        #: (:meth:`push_flow`).  The :class:`~repro.runtime.launcher.
+        #: Runtime` installs it; a kernel armed for serving consumes the
+        #: completion natively instead.
+        self.resume_hook: Optional[Callable[[int], None]] = None
         self._stats = None
         self.stats = LinkStats(topology)
 
@@ -327,7 +313,7 @@ class Simulator:
 
     def _reserve_stage(self, n: int) -> None:
         """Grow the kernel staging buffers when a flow outsizes them (huge
-        multicasts / chains on very large machines)."""
+        fanouts / paths on very large machines)."""
         if n > self._stage_cap:
             self._stage_cap = self._lib.sim_ensure_stage(self._h, n)
             self._stage_i = self._lib.sim_stage_i(self._h)
@@ -370,12 +356,6 @@ class Simulator:
         if self._h is not None:
             self._lib.sim_clear_routes(self._h)
 
-    @property
-    def pending_events(self) -> int:
-        if self._h is not None:
-            return self._lib.sim_heap_size(self._h)
-        return len(self._heap)
-
     def run(self, until: Optional[float] = None) -> None:
         """Drain the event heap, optionally only up to a time horizon.
 
@@ -406,7 +386,7 @@ class Simulator:
 
     def _run_kernel(self, until: Optional[float] = None) -> None:
         """Drive the C kernel; re-enter Python only for generic events,
-        flow completions, and route-table misses."""
+        to resume a processor, and for route-table misses."""
         lib = self._lib
         h = self._h
         out = self._out
@@ -423,13 +403,9 @@ class Simulator:
                 free.append(i)
                 self.now = out.time
                 cb(*args)
-            elif r == 2 or r == 3:  # chain / multicast completion
-                i = out.a
-                done = objs[i]
-                objs[i] = None
-                free.append(i)
+            elif r == 2:  # a flow completed: resume its processor
                 self.now = out.time
-                done(out.targ)
+                self.resume_hook(out.a)
             elif r == 4:  # route miss: supply and re-enter
                 self._supply_route(out.a, out.b)
             elif r == 5:  # serving fast path: a request crossed to Python
@@ -451,6 +427,7 @@ class Simulator:
         nn = self._n_nodes
         hop = self._hop_latency
         local_ov = self._local_overhead
+        ctrl = self._ctrl_shape
         CHAIN = _CHAIN
         MDOWN = _MDOWN
         MACK = _MACK
@@ -461,331 +438,180 @@ class Simulator:
         last = self.last_event_time
         while heap:
             item = pop(heap)
-            if item[0] > horizon:
+            time = item[0]
+            if time > horizon:
                 push(heap, item)  # same (time, seq): resumes in exact order
                 break
-            last = item[0]
+            last = time
             cb = item[2]
+            # Which leg this event is: a flow's next path leg, an
+            # invalidation into `node` from its parent's host, or `node`'s
+            # combined ack back to it.
             if cb is CHAIN:
-                time = item[0]
-                legs = item[3]
-                i = item[4]
-                src, dst, wire, over, occ, is_data = legs[i]
-                if src == dst:
-                    arrive = time + local_ov
-                    pend_append(((), 0, src, dst, is_data))
-                else:
-                    t_send = nic[src]
-                    if time > t_send:
-                        t_send = time
-                    depart = t_send + over
-                    links = routes.get(src * nn + dst)
-                    if links is None:
-                        links = lookup(src, dst)
-                    start = depart
-                    for link in links:
-                        v = lf[link]
-                        if v > start:
-                            start = v
-                    end = start + occ
-                    arrive = end + len(links) * hop
-                    t_recv = nic[dst]
-                    if arrive > t_recv:
-                        t_recv = arrive
-                    arrive = t_recv + over
-                    nic[src] = depart
-                    for link in links:
-                        lf[link] = end
-                    nic[dst] = arrive
-                    pend_append((links, wire, src, dst, is_data))
-                i += 1
-                if i == len(legs):
-                    self.now = time
-                    item[5](arrive)
-                else:
-                    push(heap, (arrive, seq_next(), CHAIN, legs, i, item[5]))
+                flow = item[3]
+                src, dst, wire, over, occ, is_data = flow[0][item[4]]
+            elif cb is MDOWN:
+                flow = item[3]
+                src = item[5]
+                dst = flow[2][0][item[4]]
+                wire, over, occ, is_data = ctrl
+            elif cb is MACK:
+                flow = item[3]
+                src = flow[2][0][item[4]]
+                dst = item[5]
+                wire, over, occ, is_data = ctrl
+            else:
+                self.now = time
+                cb(*item[3])
+                stats = self._stats
+                if len(stats._pending) >= self._flush_at:
+                    stats._flush()  # keep pure-engine memory flat on huge runs
+                pend_append = stats._pending.append
                 continue
-            if cb is MDOWN:
-                # Multicast down-leg into `node`, then fan out to its
-                # children (or start the combining ack when childless).
-                time = item[0]
-                ctx = item[3]
+            # The leg's timing: the arithmetic _ckern's leg_timing mirrors.
+            if src == dst:
+                arrive = time + local_ov
+                pend_append(((), 0, src, dst, is_data))
+            else:
+                t_send = nic[src]
+                if time > t_send:
+                    t_send = time
+                depart = t_send + over
+                links = routes.get(src * nn + dst)
+                if links is None:
+                    links = lookup(src, dst)
+                start = depart
+                for link in links:
+                    v = lf[link]
+                    if v > start:
+                        start = v
+                end = start + occ
+                arrive = end + len(links) * hop
+                t_recv = nic[dst]
+                if arrive > t_recv:
+                    t_recv = arrive
+                arrive = t_recv + over
+                nic[src] = depart
+                for link in links:
+                    lf[link] = end
+                nic[dst] = arrive
+                pend_append((links, wire, src, dst, is_data))
+            # What the delivered leg sets off.
+            if cb is CHAIN:
+                i = item[4] + 1
+                if i == flow[1]:
+                    self._flow_turn(flow, arrive)
+                elif i == len(flow[0]):
+                    push(heap, (arrive, seq_next(), self.resume_hook, (flow[3],)))
+                else:
+                    push(heap, (arrive, seq_next(), CHAIN, flow, i))
+            elif cb is MDOWN:
+                # Fan out to the node's children, or start the combining
+                # ack when childless.
                 node = item[4]
-                parent_host = item[5]
-                children, hosts, dwire, dover, docc, dis_data = ctx[:6]
-                hn = hosts[node]
-                if parent_host == hn:
-                    t_here = time + local_ov
-                    pend_append(((), 0, parent_host, hn, dis_data))
+                _, kid_cnt, kid_off, kids = flow[2]
+                cnt = kid_cnt[node]
+                if cnt:
+                    npend = [cnt, arrive, node, src, item[6]]
+                    off = kid_off[node]
+                    for kid in kids[off : off + cnt]:
+                        push(heap, (arrive, seq_next(), MDOWN, flow, kid, dst, npend))
                 else:
-                    t_send = nic[parent_host]
-                    if time > t_send:
-                        t_send = time
-                    depart = t_send + dover
-                    links = routes.get(parent_host * nn + hn)
-                    if links is None:
-                        links = lookup(parent_host, hn)
-                    start = depart
-                    for link in links:
-                        v = lf[link]
-                        if v > start:
-                            start = v
-                    end = start + docc
-                    t_here = end + len(links) * hop
-                    t_recv = nic[hn]
-                    if t_here > t_recv:
-                        t_recv = t_here
-                    t_here = t_recv + dover
-                    nic[parent_host] = depart
-                    for link in links:
-                        lf[link] = end
-                    nic[hn] = t_here
-                    pend_append((links, dwire, parent_host, hn, dis_data))
-                kids = children.get(node)
-                if kids:
-                    npend = [len(kids), t_here, node, parent_host, item[6]]
-                    for kid in kids:
-                        push(heap, (t_here, seq_next(), MDOWN, ctx, kid, hn, npend))
-                else:
-                    push(heap, (t_here, seq_next(), MACK, ctx, node, parent_host, item[6]))
-                continue
-            if cb is MACK:
-                # Combined ack from `node` back to its parent's host.
-                time = item[0]
-                ctx = item[3]
-                hosts = ctx[1]
-                awire = ctx[6]
-                aover = ctx[7]
-                parent_host = item[5]
-                hn = hosts[item[4]]
-                if hn == parent_host:
-                    t_ack = time + local_ov
-                    pend_append(((), 0, hn, parent_host, False))
-                else:
-                    t_send = nic[hn]
-                    if time > t_send:
-                        t_send = time
-                    depart = t_send + aover
-                    links = routes.get(hn * nn + parent_host)
-                    if links is None:
-                        links = lookup(hn, parent_host)
-                    start = depart
-                    for link in links:
-                        v = lf[link]
-                        if v > start:
-                            start = v
-                    end = start + ctx[8]
-                    t_ack = end + len(links) * hop
-                    t_recv = nic[parent_host]
-                    if t_ack > t_recv:
-                        t_recv = t_ack
-                    t_ack = t_recv + aover
-                    nic[hn] = depart
-                    for link in links:
-                        lf[link] = end
-                    nic[parent_host] = t_ack
-                    pend_append((links, awire, hn, parent_host, False))
+                    push(heap, (arrive, seq_next(), MACK, flow, node, src, item[6]))
+            else:
                 pend = item[6]
                 pend[0] -= 1
-                if t_ack > pend[1]:
-                    pend[1] = t_ack
+                if arrive > pend[1]:
+                    pend[1] = arrive
                 if pend[0] == 0:
                     if pend[2] is None:
-                        self.now = item[0]
-                        pend[4](pend[1])  # root: flow complete
+                        self._flow_reply(flow, pend[1])  # the root: all acked
                     else:
-                        push(heap, (pend[1], seq_next(), MACK, ctx, pend[2], pend[3], pend[4]))
-                continue
-            self.now = item[0]
-            cb(*item[3])
-            stats = self._stats
-            if len(stats._pending) >= self._flush_at:
-                stats._flush()  # keep pure-engine memory flat on huge runs
-            pend_append = stats._pending.append
+                        push(heap, (pend[1], seq_next(), MACK, flow, pend[2], pend[3], pend[4]))
         self.last_event_time = last
 
-    # -------------------------------------------------------- flow builders
-    def leg_costs(self, payload_bytes: int) -> Tuple[float, ...]:
-        """``(cwire, cover, cocc, dwire, dover, docc)``: the compiled cost
-        shapes of a request/reply pair for one payload size -- control
-        legs up, data legs down -- as :meth:`push_updown` takes them."""
-        cwire = self._ctrl_bytes
+    # ------------------------------------------------------------- the flow
+    def leg_costs(self, payload_bytes: int) -> Tuple[Shape, Shape]:
+        """``(control, data)``: the compiled cost shapes of a request and
+        of a message carrying ``payload_bytes``, as :meth:`push_flow`
+        takes them."""
         dwire = payload_bytes + self._header_bytes
-        return (
-            cwire,
-            self._nic_fixed + cwire * self._nic_byte,
-            cwire / self._bandwidth,
+        return self._ctrl_shape, (
             dwire,
             self._nic_fixed + dwire * self._nic_byte,
             dwire / self._bandwidth,
+            True,
         )
 
-    def push_chain(self, t: float, legs: list, done: Callable[[float], None]) -> None:
-        """Schedule a compiled leg chain (see :func:`repro.sim.flows.chain`).
-
-        ``legs`` holds ``(src, dst, wire, overhead, occupancy, is_data)``
-        tuples -- wire size and the machine cost terms precomputed at
-        construction.  Must not be empty.
-        """
-        if self._h is not None:
-            self._reserve_stage(3 * len(legs))
-            stage_i = self._stage_i
-            stage_d = self._stage_d
-            for j, (src, dst, wire, over, occ, is_data) in enumerate(legs):
-                k = 3 * j
-                stage_i[k] = src
-                stage_i[k + 1] = dst
-                stage_i[k + 2] = 1 if is_data else 0
-                stage_d[k] = wire
-                stage_d[k + 1] = over
-                stage_d[k + 2] = occ
-            self._lib.sim_push_chain_legs(self._h, t, len(legs), self._obj_put(done))
-            return
-        heapq.heappush(self._heap, (t, next(self._seq), _CHAIN, legs, 0, done))
-
-    def push_updown(
+    def push_flow(
         self,
         t: float,
         hosts: Sequence[int],
-        cwire: float,
-        cover: float,
-        cocc: float,
-        dwire: float,
-        dover: float,
-        docc: float,
-        done: Callable[[float], None] = None,
-        resume_event: tuple = None,
+        up: Shape,
+        down: Shape,
+        proc: int,
+        fanout: Optional[Tuple[Sequence[int], ...]] = None,
     ) -> None:
-        """Schedule the request/reply chain ``hosts[0] -> .. -> hosts[-1] ->
-        .. -> hosts[0]``: control legs up, data legs back down (the access
-        tree read and the fixed-home round trip).  ``len(hosts) >= 2``.
+        """Schedule one protocol flow starting at ``t`` -- the only message
+        pattern there is -- and resume ``proc`` when it completes.
 
-        Completion: either ``done(completion_time)`` is called, or -- the
-        overwhelmingly common case -- ``resume_event=(callback, args)``
-        schedules ``callback(*args)`` *at* the completion time, which the
-        C kernel does without re-entering Python.
+        Legs run up ``hosts[0] -> .. -> hosts[-1]`` with cost shape ``up``
+        (each in its own event at its ready time, so reservations stay
+        FCFS in simulated time).  With ``fanout``, a control multicast
+        with combining acks then runs from ``hosts[-1]``: ``fanout`` is
+        the dense tables ``(hosts, kid_cnt, kid_off, kids)`` of the
+        multicast tree, local id 0 the root, node ``i``'s children
+        ``kids[kid_off[i] : kid_off[i] + kid_cnt[i]]``.  Legs then run
+        back down the path with shape ``down``, and ``resume_hook(proc)``
+        runs as an event at the completion time.  A one-host path has no
+        legs; an absent or childless fanout completes at once.  State
+        updates stay with the caller, atomic at initiation: a flow carries
+        only timing and traffic accounting.
         """
-        if self._h is not None:
-            self._reserve_stage(len(hosts))
-            self._stage_i[0 : len(hosts)] = hosts
-            if type(resume_event) is ServeResume:
-                obj, auto = resume_event.proc, 2
-            elif resume_event is not None:
-                obj, auto = self._obj_put(resume_event), 1
-            else:
-                obj, auto = self._obj_put(done), 0
-            self._lib.sim_push_chain_updown(
-                self._h, t, len(hosts), cwire, cover, cocc, dwire, dover, docc,
-                obj, auto,
-            )
-            return
-        legs = []
-        prev = hosts[0]
-        for h in hosts[1:]:
-            legs.append((prev, h, cwire, cover, cocc, False))
-            prev = h
         n = len(hosts)
-        for i in range(n - 1, 0, -1):
-            legs.append((hosts[i], hosts[i - 1], dwire, dover, docc, True))
-        if resume_event is not None:
-            done = _ResumeDone(self, resume_event)
-        heapq.heappush(self._heap, (t, next(self._seq), _CHAIN, legs, 0, done))
-
-    def push_path(
-        self,
-        t: float,
-        hosts: Sequence[int],
-        wire: float,
-        over: float,
-        occ: float,
-        is_data: bool,
-        reverse: bool,
-        done: Callable[[float], None] = None,
-        resume_event: tuple = None,
-    ) -> None:
-        """Schedule a one-way chain along ``hosts`` (reversed when
-        ``reverse``), all legs sharing one cost shape.  ``len(hosts) >= 2``.
-        Completion semantics as in :meth:`push_updown`.
-        """
         if self._h is not None:
-            self._reserve_stage(len(hosts))
-            self._stage_i[0 : len(hosts)] = hosts
-            if type(resume_event) is ServeResume:
-                obj, auto = resume_event.proc, 2
-            elif resume_event is not None:
-                obj, auto = self._obj_put(resume_event), 1
-            else:
-                obj, auto = self._obj_put(done), 0
-            self._lib.sim_push_chain_path(
-                self._h, t, len(hosts), 1 if reverse else 0, wire, over, occ,
-                1 if is_data else 0, obj, auto,
-            )
-            return
-        legs = []
-        n = len(hosts)
-        if reverse:
-            for i in range(n - 1, 0, -1):
-                legs.append((hosts[i], hosts[i - 1], wire, over, occ, is_data))
-        else:
-            prev = hosts[0]
-            for h in hosts[1:]:
-                legs.append((prev, h, wire, over, occ, is_data))
-                prev = h
-        if resume_event is not None:
-            done = _ResumeDone(self, resume_event)
-        heapq.heappush(self._heap, (t, next(self._seq), _CHAIN, legs, 0, done))
-
-    def push_multicast(
-        self,
-        root_host: int,
-        kids: list,
-        children: dict,
-        hosts: dict,
-        payload: int,
-        t: float,
-        done: Callable[[float], None],
-    ) -> None:
-        """Schedule a multicast-with-combining-acks flow rooted at
-        ``root_host`` over the ``kids`` of the root (see
-        :func:`repro.sim.flows.multicast_acks`).  ``kids`` must be
-        non-empty (the childless case completes synchronously upstream).
-        """
-        is_data = payload > 0
-        dwire = payload + self._header_bytes if is_data else self._ctrl_bytes
-        dover = self._nic_fixed + dwire * self._nic_byte
-        docc = dwire / self._bandwidth
-        awire = self._ctrl_bytes
-        aover = self._nic_fixed + awire * self._nic_byte
-        aocc = awire / self._bandwidth
-        if self._h is not None:
-            # Remap tree node ids to dense local ids for the C tables.
-            nodes = list(hosts)
-            idx = {n: i for i, n in enumerate(nodes)}
-            tbl = len(nodes)
-            stage = [hosts[n] for n in nodes]
-            kid_cnt = []
-            kid_off = []
-            kids_flat: list = []
-            for n in nodes:
-                ks = children.get(n) or ()
-                kid_off.append(len(kids_flat))
-                kid_cnt.append(len(ks))
-                kids_flat.extend(idx[k] for k in ks)
-            stage += kid_cnt + kid_off + kids_flat + [idx[k] for k in kids]
+            stage = hosts
+            tbl = n_kids = 0
+            if fanout is not None:
+                tbl = len(fanout[0])
+                n_kids = len(fanout[3])
+                stage = [*hosts, *itertools.chain.from_iterable(fanout)]
             self._reserve_stage(len(stage))
             self._stage_i[0 : len(stage)] = stage
-            self._lib.sim_push_mcast(
-                self._h, t, root_host, len(kids), tbl, len(kids_flat),
-                dwire, dover, docc, 1 if is_data else 0, awire, aover, aocc,
-                self._obj_put(done),
-            )
+            self._lib.sim_push_flow(self._h, t, proc, n, tbl, n_kids, *up, *down)
             return
-        ctx = (children, hosts, dwire, dover, docc, is_data, awire, aover, aocc)
-        pend = [len(kids), t, None, None, done]
-        heap = self._heap
-        seq_next = self._seq.__next__
-        for kid in kids:
-            heapq.heappush(heap, (t, seq_next(), _MDOWN, ctx, kid, root_host, pend))
+        legs = [(hosts[i], hosts[i + 1], *up) for i in range(n - 1)]
+        legs += [(hosts[i], hosts[i - 1], *down) for i in range(n - 1, 0, -1)]
+        # (legs, index of the leg the multicast runs before, fanout, proc)
+        flow = (legs, n - 1 if fanout is not None else -1, fanout, proc)
+        if legs:
+            heapq.heappush(self._heap, (t, next(self._seq), _CHAIN, flow, 0))
+        else:
+            self._flow_turn(flow, t)
+
+    def _flow_turn(self, flow: tuple, t: float) -> None:
+        """The request reached the far end of the path at ``t``: start the
+        multicast, or, the fanout absent or childless, answer at once."""
+        fanout = flow[2]
+        if fanout is None or not fanout[1][0]:
+            self._flow_reply(flow, t)
+            return
+        hosts, kid_cnt, kid_off, kids = fanout
+        pend = [kid_cnt[0], t, None, None, None]  # the root's
+        for kid in kids[kid_off[0] : kid_off[0] + kid_cnt[0]]:
+            heapq.heappush(
+                self._heap, (t, next(self._seq), _MDOWN, flow, kid, hosts[0], pend)
+            )
+
+    def _flow_reply(self, flow: tuple, t: float) -> None:
+        """The answer leaves the far end at ``t``: the legs back down, or,
+        on a one-host path, the completion."""
+        legs = flow[0]
+        if legs:
+            item = (t, next(self._seq), _CHAIN, flow, len(legs) // 2)
+        else:
+            item = (t, next(self._seq), self.resume_hook, (flow[3],))
+        heapq.heappush(self._heap, item)
 
     # -------------------------------------------------------------- messages
     def send_leg(
@@ -836,10 +662,10 @@ class Simulator:
                     self._supply_route(src, dst)
                     r = lib.sim_send_leg(self._h, ready, src, dst, wire, overhead, occ, flag)
                 return r
-            r = lib.sim_probe_leg(self._h, ready, src, dst, wire, overhead, occ)
+            r = lib.sim_probe_leg(self._h, ready, src, dst, overhead, occ)
             if r < 0.0:
                 self._supply_route(src, dst)
-                r = lib.sim_probe_leg(self._h, ready, src, dst, wire, overhead, occ)
+                r = lib.sim_probe_leg(self._h, ready, src, dst, overhead, occ)
             return r
 
         if src == dst:
@@ -873,18 +699,3 @@ class Simulator:
             nic[dst] = done
             self._stats._pending.append((links, wire, src, dst, is_data))
         return done
-
-    def send_chain(
-        self,
-        hosts: Sequence[int],
-        payload_bytes: int,
-        ready: float,
-        is_data: bool,
-    ) -> float:
-        """Time a store-and-forward chain of legs through ``hosts`` (the
-        access-tree request/reply pattern: every intermediate tree node
-        receives, inspects, and forwards).  Returns final completion time."""
-        t = ready
-        for a, b in zip(hosts, hosts[1:]):
-            t = self.send_leg(a, b, payload_bytes, t, is_data)
-        return t

@@ -18,6 +18,15 @@ from repro.network.mesh import Mesh2D
 from repro.runtime.launcher import Runtime
 
 
+def capture_completions(driver):
+    """Point the runtime's resume hook (``Simulator.resume_hook``) at the
+    driver: a finished flow is recorded, no generator is resumed."""
+    rt = driver.rt
+    rt.sim.resume_hook = lambda p: driver.completions.append(
+        (p, rt.sim.now, rt.flow_value[p])
+    )
+
+
 class Driver:
     """Drives raw strategy operations without SPMD programs: flow
     completions are captured instead of resuming generators."""
@@ -27,7 +36,7 @@ class Driver:
         self.strategy = get_strategy(strategy_name, self.mesh, seed=seed)
         self.rt = Runtime(self.mesh, self.strategy, machine, seed=seed, **kw)
         self.completions = []
-        self.rt.resume = lambda p, t, v: self.completions.append((p, t, v))
+        capture_completions(self)
 
     def create(self, name, size, creator, value):
         return self.rt.create_var(name, size, creator, value)

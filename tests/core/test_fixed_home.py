@@ -17,7 +17,8 @@ class Driver:
         self.strategy = get_strategy("fixed-home", self.mesh, seed=seed)
         self.rt = Runtime(self.mesh, self.strategy, machine, seed=seed, **kw)
         self.completions = []
-        self.rt.resume = lambda p, t, v: self.completions.append((p, t, v))
+        sim = self.rt.sim  # flow completions are captured, no generator resumes
+        sim.resume_hook = lambda p: self.completions.append((p, sim.now, self.rt.flow_value[p]))
 
     def create(self, name, size, creator, value):
         return self.rt.create_var(name, size, creator, value)

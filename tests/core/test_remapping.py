@@ -15,7 +15,12 @@ from repro.network.machine import GCEL, ZERO_COST
 from repro.network.mesh import Mesh2D
 from repro.runtime.launcher import Runtime
 
-from test_access_tree import Driver, component_is_connected, top_is_unique_shallowest
+from test_access_tree import (
+    Driver,
+    capture_completions,
+    component_is_connected,
+    top_is_unique_shallowest,
+)
 
 
 def make_driver(threshold, **kw):
@@ -27,7 +32,7 @@ def make_driver(threshold, **kw):
     d.strategy = strategy
     d.rt = rt
     d.completions = []
-    rt.resume = lambda p, t, v: d.completions.append((p, t, v))
+    capture_completions(d)
     return d
 
 

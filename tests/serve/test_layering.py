@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+import repro.core.registry
 import repro.serve
 from repro.core.registry import STRATEGIES, get_strategy
 from repro.core.strategy import ResidencyMirror
@@ -103,6 +104,49 @@ def test_kernel_serving_abi_stays_small():
     protos = re.findall(r"\bsim_serve_\w+\s*\(", _ckern._CDEF)
     assert len(protos) == len(set(protos))
     assert len(protos) <= 12, protos
+
+
+def test_one_flow_entry_point_and_one_completion_code():
+    """Every protocol is one flow: the kernel exposes one flow push beside
+    the generic event push, and a finished flow has one way back into
+    Python -- "resume this processor"."""
+    pushes = set(re.findall(r"\bsim_push_\w+", _ckern._CDEF))
+    assert pushes == {"sim_push_generic", "sim_push_flow"}
+    assert not hasattr(_ckern.Kernel, "R_CHAIN_DONE")
+    assert not hasattr(_ckern.Kernel, "R_MC_DONE")
+
+
+CORE_DIR = pathlib.Path(repro.core.registry.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(CORE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_strategy_reads_and_writes_hold_no_continuation(path):
+    """``read`` / ``write`` compute hosts, update state and launch one
+    flow; the engine sequences it.  No nested function, no callback."""
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, ast.keyword):
+            assert fn.arg != "done", f"{path.name}:{fn.value.lineno} passes done="
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in ("read", "write"):
+            continue
+        for node in ast.walk(fn):
+            nested = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            assert not nested or node is fn, (
+                f"{path.name}:{node.lineno} nests a function in {fn.name}()")
+
+
+def test_session_assigns_no_attribute_on_the_runtime():
+    """Completion routing belongs to the runtime (``Simulator.resume_hook``)
+    and the kernel (``K_SDONE`` once armed): the session overrides neither."""
+    for node in ast.walk(ast.parse((SERVE_DIR / "session.py").read_text())):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                assert ast.unparse(target.value) not in ("rt", "self.rt"), (
+                    f"session.py:{node.lineno} assigns {ast.unparse(target)}")
 
 
 def _attached(spec):

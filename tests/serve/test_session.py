@@ -6,8 +6,15 @@ ingest queue never exceeds ``max_queue``, the in-flight window never
 exceeds ``max_inflight``, and arrivals are clamped nondecreasing.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.network.mesh import Mesh2D
 from repro.serve import QueueFull, ServeSession
 
@@ -182,3 +189,35 @@ class TestSnapshot:
         assert rep.engine in ("ckern", "pure")
         d = rep.as_dict()
         assert d["requests"] == 20 and "latency_p95" in d
+
+
+_REPORT_FALLBACK = """
+import json
+from repro.network.mesh import Mesh2D
+from repro.serve import ServeSession
+from repro.sim import _ckern
+
+session = ServeSession(Mesh2D(2, 2), "4-ary")
+session.submit("r", 1, session.create(0))
+report = session.close()
+print(json.dumps({"kernel": _ckern.unavailable_reason(), "engine": report.engine,
+                  "dispatch": report.extra["dispatch"]}))
+"""
+
+
+@pytest.mark.parametrize("env,why", [
+    ({"CC": "/nonexistent"}, "/nonexistent"),
+    ({"REPRO_PURE_PYTHON": "1"}, "REPRO_PURE_PYTHON is set"),
+], ids=["no-compiler", "disabled"])
+def test_falling_back_to_the_pure_engine_says_why(tmp_path, env, why):
+    """Silent fallback is a bug: a process that cannot load the kernel
+    keeps the reason, and the serve ``dispatch`` block carries it."""
+    inherited = {k: v for k, v in os.environ.items() if k != "REPRO_PURE_PYTHON"}
+    env = {**inherited, "REPRO_CKERN_DIR": str(tmp_path), **env,
+           "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _REPORT_FALLBACK], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    seen = json.loads(out)
+    assert why in seen["kernel"]
+    assert seen["engine"] == "pure"
+    assert seen["dispatch"] == {"mode": "classic", "reason": f"no C kernel ({seen['kernel']})"}

@@ -248,18 +248,3 @@ class TestEngineEquivalenceUnderFailures:
         monkeypatch.setattr(Simulator, "force_pure", True)
         pure_fields = self._run(topology, failures, strategy)
         assert kernel_fields == pure_fields  # exact equality, field by field
-
-
-class TestSendChain:
-    def test_chain_equals_sequential_legs(self):
-        s1 = sim()
-        t_chain = s1.send_chain([0, 1, 2], 500, ready=0.0, is_data=True)
-        s2 = sim()
-        t1 = s2.send_leg(0, 1, 500, ready=0.0, is_data=True)
-        t2 = s2.send_leg(1, 2, 500, ready=t1, is_data=True)
-        assert t_chain == pytest.approx(t2)
-
-    def test_single_host_chain_is_noop(self):
-        s = sim()
-        assert s.send_chain([3], 100, ready=1.0, is_data=True) == 1.0
-        assert s.stats.total_msgs == 0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.network.machine import GCEL
 from repro.network.mesh import Mesh2D
 from repro.network.routing import route_links
+from repro.sim import _ckern
 from repro.sim.engine import Simulator
-from repro.sim.flows import chain
 
 legs_strategy = st.lists(
     st.tuples(
@@ -59,29 +59,86 @@ def test_traffic_conservation(legs):
     assert sim.stats.total_msgs == len(legs)
 
 
-@given(legs_strategy)
+hosts_strategy = st.lists(st.integers(0, 15), min_size=1, max_size=5)
+
+
+@given(hosts_strategy, st.integers(0, 4096))
 @settings(max_examples=30, deadline=None)
-def test_chain_completion_after_all_legs(legs):
-    """A chain's completion time dominates every leg's earliest possible
-    time and the chain records exactly its legs."""
-    mesh = Mesh2D(4, 4)
-    sim = Simulator(mesh, GCEL)
+def test_round_trip_completion_after_all_legs(hosts, payload):
+    """A round trip's completion time dominates every leg's earliest
+    possible time and the flow records exactly its legs."""
+    sim = Simulator(Mesh2D(4, 4), GCEL)
     done = []
-    chain(sim, legs, 0.0, done.append)
+    sim.resume_hook = lambda proc: done.append(sim.now)
+    ctrl, data = sim.leg_costs(payload)
+    sim.push_flow(0.0, hosts, ctrl, data, hosts[0])
     sim.run()
     assert len(done) == 1
-    assert done[0] >= 0.0
-    assert sim.stats.total_msgs == len(legs)
-    # Lower bound: sum of pure NIC overheads along the chain (no link or
-    # queueing term can make it faster).
+    assert sim.stats.total_msgs == 2 * (len(hosts) - 1)
+    # Lower bound: sum of pure NIC overheads along the path, both ways (no
+    # link or queueing term can make it faster).
     lower = 0.0
-    for src, dst, payload, is_data in legs:
+    for src, dst in zip(hosts, hosts[1:]):
         if src == dst:
-            lower += GCEL.local_overhead
+            lower += 2 * GCEL.local_overhead
         else:
-            wire = payload + GCEL.header_bytes if is_data else GCEL.ctrl_bytes
-            lower += 2 * GCEL.nic_overhead(wire) + wire / GCEL.link_bandwidth
+            for wire in (GCEL.ctrl_bytes, payload + GCEL.header_bytes):
+                lower += 2 * GCEL.nic_overhead(wire) + wire / GCEL.link_bandwidth
     assert done[0] >= lower * (1 - 1e-9)
+
+
+@st.composite
+def fanouts(draw, root_host):
+    """Dense fanout tables of a random multicast tree of depth <= 3 (a
+    lone root included: the childless fanout)."""
+    parents = [None]
+    depth = [0]
+    for i in range(1, draw(st.integers(1, 8))):
+        p = draw(st.integers(0, i - 1))
+        if depth[p] == 3:
+            p = 0
+        parents.append(p)
+        depth.append(depth[p] + 1)
+    children = [[i for i, p in enumerate(parents) if p == n] for n in range(len(parents))]
+    hosts = [root_host] + [draw(st.integers(0, 15)) for _ in parents[1:]]
+    kid_cnt = [len(c) for c in children]
+    kid_off = [sum(kid_cnt[:n]) for n in range(len(parents))]
+    return hosts, kid_cnt, kid_off, [k for c in children for k in c]
+
+
+@st.composite
+def flows(draw):
+    hosts = draw(hosts_strategy)  # repeats allowed: local legs
+    shapes = [draw(st.one_of(st.none(), st.integers(0, 4096))) for _ in range(2)]
+    fanout = draw(st.one_of(st.none(), fanouts(hosts[-1])))
+    return draw(st.sampled_from([0.0, 1e-5, 1e-4])), hosts, shapes, fanout
+
+
+def _run_flows(drawn, pure, monkeypatch):
+    monkeypatch.setattr(Simulator, "force_pure", pure)
+    sim = Simulator(Mesh2D(4, 4), GCEL)
+    done = []
+    sim.resume_hook = lambda proc: done.append((proc, sim.now))
+    ctrl = sim.leg_costs(0)[0]
+    for proc, (t, hosts, payloads, fanout) in enumerate(drawn):
+        # None: the control shape; a payload size: the data shape
+        up, down = (ctrl if p is None else sim.leg_costs(p)[1] for p in payloads)
+        sim.push_flow(t, hosts, up, down, proc, fanout)
+    sim.run()
+    stats = sim.stats
+    return (done, list(stats.link_bytes), list(stats.link_msgs), list(stats.startups),
+            list(sim.link_free), list(sim.nic_free))
+
+
+@pytest.mark.skipif(_ckern.load_kernel() is None, reason="needs both engines")
+@given(st.lists(flows(), min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_concurrent_flows_are_engine_identical(drawn):
+    """2-4 concurrent random flows: the pure loop and the C kernel agree
+    exactly on completion order and times, per-link bytes and messages,
+    startups, and the final link / NIC availability."""
+    with pytest.MonkeyPatch.context() as mp:
+        assert _run_flows(drawn, True, mp) == _run_flows(drawn, False, mp)
 
 
 def test_heatmap_of_real_run():
