@@ -7,11 +7,10 @@ of."""
 from .experiments import (
     barneshut_cell,
     barneshut_scaling_cell,
-    bitonic_cell,
     fig2_cell,
     fig9_rows_from_cells,
     fig10_rows_from_cells,
-    matmul_cell,
+    handopt_cell,
     remapping_cell,
     scale_params,
     workload_cell,
@@ -22,8 +21,7 @@ __all__ = [
     "scale_params",
     "workload_cell",
     "fig2_cell",
-    "matmul_cell",
-    "bitonic_cell",
+    "handopt_cell",
     "barneshut_cell",
     "barneshut_scaling_cell",
     "remapping_cell",

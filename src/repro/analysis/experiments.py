@@ -14,12 +14,12 @@ and how its table looks, is declared once, in
 
 :func:`workload_cell` is the general cell -- any registered workload
 under any strategy spec, topology, embedding, barrier, memory capacity
-and failure schedule.  The other six exist because they are genuinely
+and failure schedule.  The other five exist because they are genuinely
 different programs: :func:`fig2_cell` and :func:`remapping_cell` run
-custom SPMD programs, :func:`matmul_cell` and :func:`bitonic_cell` pair
-the hand-optimized baseline with the strategies so the rows can carry
-ratios, and :func:`barneshut_cell` / :func:`barneshut_scaling_cell`
-carry the per-phase breakdown Figures 9-11 derive from.
+custom SPMD programs, :func:`handopt_cell` pairs the hand-optimized
+baseline with the strategies so the rows can carry ratios, and
+:func:`barneshut_cell` / :func:`barneshut_scaling_cell` carry the
+per-phase breakdown Figures 9-11 derive from.
 
 Scaling: :func:`scale_params` resolves the ``REPRO_SCALE`` environment
 variable (``quick`` / ``default`` / ``paper``) into the per-figure
@@ -46,8 +46,7 @@ __all__ = [
     # cell functions (the repro.exp orchestrator's unit of work)
     "workload_cell",
     "fig2_cell",
-    "matmul_cell",
-    "bitonic_cell",
+    "handopt_cell",
     "barneshut_cell",
     "barneshut_scaling_cell",
     "remapping_cell",
@@ -176,8 +175,8 @@ def scale_params(figure: str, scale: Optional[str] = None) -> Dict[str, object]:
         # reachable since the engine hot-path overhaul.  Quick keeps one
         # large machine for smoke coverage; default/paper sweep the full
         # axis with growing per-processor load.  Paper extends past the
-        # dense-table limit (2^14) now that routing is algebraic and stats
-        # are sparse there; the 2^17 point is nightly-only via --nodes
+        # dense-table limit (2^14) now that routing is algebraic there;
+        # the 2^17 point is nightly-only via --nodes
         # (see EXPERIMENTS.md "Memory ceiling").
         "xscale": {
             "quick": dict(nodes=(1024,), ops=4),
@@ -248,107 +247,51 @@ def fig2_cell(
     ]
 
 
-# --------------------------------------------------------------------- fig 3
-def matmul_cell(
+# ------------------------------------------------------------- figs 3/4, 6/7
+def handopt_cell(
+    workload: str,
     side: int,
-    block_entries: int,
+    size: int,
     strategies: Sequence[str],
-    machine: MachineModel = GCEL,
-    seed: int = 0,
-    embedding: str = "modified",
-) -> List[Row]:
-    """One matmul cell: the hand-optimized baseline plus every strategy in
-    ``strategies`` on one (mesh side, block size) point.  Baseline and
-    measurements stay in one cell because the ratios need the baseline."""
-    wl = get_workload("matmul")
-    mesh = Mesh2D(side, side)
-    params = {"block_entries": block_entries}
-    base = wl.run(mesh, "handopt", machine=machine, seed=seed, params=params)
-    rows: List[Row] = [
-        {
-            "strategy": "handopt",
-            "workload": "matmul",
-            "side": side,
-            "block": block_entries,
-            "congestion_bytes": base.congestion_bytes,
-            "time": base.time,
-            "congestion_ratio": 1.0,
-            "time_ratio": 1.0,
-            **base.metrics.to_row(),
-        }
-    ]
-    for name in strategies:
-        res = wl.run(
-            mesh, name, machine=machine, seed=seed, embedding=embedding, params=params
-        )
-        rows.append(
-            {
-                "strategy": name,
-                "workload": "matmul",
-                "side": side,
-                "block": block_entries,
-                "congestion_bytes": res.congestion_bytes,
-                "time": res.time,
-                "congestion_ratio": res.congestion_bytes / base.congestion_bytes,
-                "time_ratio": res.time / base.time,
-                **res.metrics.to_row(),
-            }
-        )
-    return rows
-
-
-# --------------------------------------------------------------------- fig 6
-def bitonic_cell(
-    side: int,
-    keys: int,
-    strategies: Sequence[str],
+    labels: Sequence[Tuple[str, str]],
     machine: MachineModel = GCEL,
     seed: int = 0,
     embedding: str = "modified",
     topology: str = "mesh",
 ) -> List[Row]:
-    """One bitonic cell: hand-optimized baseline plus every strategy in
-    ``strategies`` on one (topology, side, keys/processor) point.
+    """One baseline-plus-ratios cell over any workload with
+    ``has_handopt``: the hand-optimized baseline plus every strategy in
+    ``strategies`` on one (topology, side, size) point.  Baseline and
+    measurements stay in one cell because the ratios need the baseline.
 
-    ``topology`` selects the interconnect family at ``side * side``
-    processors (``"mesh"``, ``"torus"``, ``"hypercube"``); bitonic only
-    depends on the decomposition-tree leaf numbering, so it runs unchanged
-    on every topology -- the workload behind the cross-topology
-    experiments.
+    ``size`` is the workload's size parameter (matmul block entries,
+    bitonic keys per processor).  ``labels`` is the row's label columns,
+    in order, as ``(column, field)`` pairs over the point's fields
+    ``topology``, ``network``, ``nodes``, ``side`` and ``size``.
     """
-    wl = get_workload("bitonic")
+    wl = get_workload(workload)
     topo = make_topology(topology, side)
-    params = {"keys": keys}
-    base = wl.run(topo, "handopt", machine=machine, seed=seed, params=params)
-    rows: List[Row] = [
-        {
-            "strategy": "handopt",
-            "workload": "bitonic",
-            "topology": topology,
-            "network": topo.label,
-            "nodes": topo.n_nodes,
-            "side": side,
-            "keys": keys,
-            "congestion_bytes": base.congestion_bytes,
-            "time": base.time,
-            "congestion_ratio": 1.0,
-            "time_ratio": 1.0,
-            **base.metrics.to_row(),
-        }
-    ]
-    for name in strategies:
+    point = {
+        "topology": topology,
+        "network": topo.label,
+        "nodes": topo.n_nodes,
+        "side": side,
+        "size": size,
+    }
+    rows: List[Row] = []
+    base = None
+    for name in ("handopt", *strategies):
         res = wl.run(
-            topo, name, machine=machine, seed=seed, embedding=embedding, params=params
+            topo, name, machine=machine, seed=seed, embedding=embedding,
+            params={wl.size_param: size},
         )
+        if base is None:
+            base = res
         rows.append(
             {
                 "strategy": name,
-                "workload": "bitonic",
-                "topology": topology,
-                "network": topo.label,
-                "nodes": topo.n_nodes,
-                "side": side,
-                "keys": keys,
+                "workload": workload,
+                **{column: point[field] for column, field in labels},
                 "congestion_bytes": res.congestion_bytes,
                 "time": res.time,
                 "congestion_ratio": res.congestion_bytes / base.congestion_bytes,

@@ -14,7 +14,7 @@ same cells as Figure 8 -- under a warm cache they cost nothing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis import experiments as E
 from ..apps.barneshut import CELL_BYTES
@@ -133,44 +133,55 @@ def _fig2_cells(p: Params) -> List[Cell]:
     ]
 
 
+def _handopt(workload: str, labels: Tuple[Tuple[str, str], ...], **kwargs: Any) -> Cell:
+    """One :func:`~repro.analysis.experiments.handopt_cell`: the
+    hand-optimized baseline plus the strategies, with ratios."""
+    return Cell.make(E.handopt_cell, workload=workload, labels=labels,
+                     seed=0, **kwargs)
+
+
+#: Label columns of the matmul / bitonic rows, as (column, point field).
+_MATMUL_LABELS = (("side", "side"), ("block", "size"))
+_BITONIC_LABELS = (("topology", "topology"), ("network", "network"),
+                   ("nodes", "nodes"), ("side", "side"), ("keys", "size"))
+
+
 def _fig3_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.matmul_cell, side=p["side"], block_entries=block,
-                  strategies=FIG3_STRATEGIES, seed=0)
+        _handopt("matmul", _MATMUL_LABELS, side=p["side"], size=block,
+                 strategies=FIG3_STRATEGIES)
         for block in p["blocks"]
     ]
 
 
 def _fig4_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.matmul_cell, side=side, block_entries=p["block_entries"],
-                  strategies=FIG3_STRATEGIES, seed=0)
+        _handopt("matmul", _MATMUL_LABELS, side=side, size=p["block_entries"],
+                 strategies=FIG3_STRATEGIES)
         for side in p["sides"]
     ]
 
 
 def _fig6_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.bitonic_cell, side=p["side"], keys=keys,
-                  strategies=FIG6_STRATEGIES, seed=0,
-                  topology=p.get("topology", "mesh"))
+        _handopt("bitonic", _BITONIC_LABELS, side=p["side"], size=keys,
+                 strategies=FIG6_STRATEGIES, topology=p.get("topology", "mesh"))
         for keys in p["keys"]
     ]
 
 
 def _fig7_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.bitonic_cell, side=side, keys=p["keys"],
-                  strategies=FIG6_STRATEGIES, seed=0,
-                  topology=p.get("topology", "mesh"))
+        _handopt("bitonic", _BITONIC_LABELS, side=side, size=p["keys"],
+                 strategies=FIG6_STRATEGIES, topology=p.get("topology", "mesh"))
         for side in p["sides"]
     ]
 
 
 def _xtopo_cells(p: Params) -> List[Cell]:
     return [
-        Cell.make(E.bitonic_cell, side=p["side"], keys=p["keys"],
-                  strategies=p["strategies"], seed=0, topology=topology)
+        _handopt("bitonic", _BITONIC_LABELS, side=p["side"], size=p["keys"],
+                 strategies=p["strategies"], topology=topology)
         for topology in p["topologies"]
     ]
 

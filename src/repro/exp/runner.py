@@ -9,15 +9,11 @@ result is sanitized to its JSON form before use, so
 * ``jobs=N`` output is identical to serial output, and
 * a warm-cache run is byte-identical to the cold run that filled it.
 
-Statistics sharding: the cell is the parallelism grain, so each worker
-process accumulates traffic into its *own* :class:`~repro.network.stats
-.LinkStats` (sparse above the dense-node limit) and reduces it to row
-scalars at snapshot time -- the order-exact integer-sum path that
-:meth:`~repro.network.stats.LinkStats.merge_from` pins down.  Nothing
-per-link ever crosses a process boundary; what the parent folds across
-workers is the **memory envelope**: every worker reports its peak RSS and
-:func:`run_cells` returns the max as ``peak_rss_mb``, the number the
-CI scale gate commits against.
+The cell is the parallelism grain: each worker reduces its cells to row
+scalars itself, so nothing per-link ever crosses a process boundary.
+What the parent folds across workers is the **memory envelope**: every
+worker reports its peak RSS and :func:`run_cells` returns the max as
+``peak_rss_mb``.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ routes.  All shipped topologies have *closed-form* dimension-order /
 e-cube routing, so large machines use an :class:`AlgebraicRouter`
 instead: the same ``lookup`` surface, but every route is recomputed on
 demand from the coordinates -- O(1) memory, no eviction cliff.
-:func:`get_route_table` picks the representation; the threshold is the
-single dense/sparse switch the statistics layer
-(:mod:`repro.network.stats`) and the simulator's C kernel share.
+:func:`get_route_table` picks the representation; the simulator's C
+kernel keys its own route cache off the same threshold.
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ __all__ = [
 
 #: Up to this many nodes a topology's table is unbounded ("dense"): every
 #: routed pair is kept for the life of the process.  Above it
-#: :func:`get_route_table` switches to the :class:`AlgebraicRouter`; the
-#: statistics layer keys its dense/sparse accumulator switch off the same
-#: constant, so "large machine" means one thing package-wide.
+#: :func:`get_route_table` switches to the :class:`AlgebraicRouter`, and
+#: the C kernel stops caching the routes it computes.
 DENSE_NODE_LIMIT = 4096
 
 

@@ -14,51 +14,31 @@ The paper's two measured quantities are
 
 Phases: the Barnes-Hut evaluation breaks congestion and time down by
 algorithm phase (Figures 9 and 10), and the matrix experiments measure the
-communication time of specific call types.  :class:`LinkStats` supports
-cheap snapshot/delta accounting so the runtime can attribute traffic to the
-currently executing phase.
+communication time of specific call types.  A phase is its own
+:class:`LinkStats`: the runtime swaps the accumulator the engine adds into
+at each labelled barrier and sums the phase accumulators into the run
+total (:meth:`LinkStats.merge_state`).
 
-Implementation note: counters are fed through a **batched record path**.
-The hot path (one :meth:`record` per message leg, millions per large run)
-only appends to flat Python buffers -- no per-leg array indexing at all;
-the buffers are folded into the accumulators with ``numpy.bincount``
-whenever an aggregate is read (snapshot, checkpoint, render, or any
-counter property).  Reads flush first, so every externally visible value
-is exactly what the eager per-leg accounting used to produce: all byte
-sizes are integers, whose float64 sums are exact regardless of
-accumulation order, making snapshots and renders byte-identical to the
-pre-batching implementation.
-
-Dense vs sparse accumulators
-----------------------------
-Up to :data:`repro.network.routing.DENSE_NODE_LIMIT` nodes the per-link
-accumulators are preallocated dense numpy arrays (one float64 + one int64
-slot per directed link).  Above the limit -- the same threshold that
-switches routing from the cached table to the algebraic router -- the
-per-link counters are held **sparsely**: three parallel arrays (sorted
-touched link ids, their byte sums, their message counts) that each fold
-merges via ``numpy.unique``/``bincount``.  Aggregates (congestion,
-totals, snapshots) read the sparse triple directly; only the explicit
-dense views (:attr:`LinkStats.link_bytes` and friends, used by renders
-and phase checkpoints) materialize an O(n_links) array on demand.
-Because every fold is an order-exact integer sum, both representations
-produce identical aggregates -- :meth:`LinkStats.merge_from` relies on
-the same property to combine per-worker accumulators.
-
-The C event kernel accumulates eagerly through raw array pointers, so
-binding it (:meth:`LinkStats.bind_kernel`) densifies a sparse instance
-first; at kernel speeds the O(n_links) arrays are the cheaper trade.
+One representation: five preallocated numpy arrays (bytes and messages per
+directed link, startups and receives per processor, and the three message
+counts).  The C event kernel increments all five eagerly through borrowed
+pointers.  The pure loop feeds them through a **batched record path**: the
+hot path (one :meth:`record` per message leg, millions per large run) only
+appends to a flat Python buffer, which is folded into the arrays with
+``numpy.bincount`` whenever an aggregate is read.  Reads flush first, and
+every counter is an integer-valued sum -- exact in float64 whatever the
+accumulation order -- so both engines, any fold cadence and any merge
+order produce identical values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .routing import DENSE_NODE_LIMIT
 from .topology import Topology
 
 __all__ = ["LinkStats", "StatsSnapshot", "PhaseStats"]
@@ -66,7 +46,7 @@ __all__ = ["LinkStats", "StatsSnapshot", "PhaseStats"]
 
 @dataclass(frozen=True)
 class StatsSnapshot:
-    """Immutable summary of traffic between two points of a run."""
+    """Immutable summary of one accumulator: a run, or one phase of it."""
 
     congestion_bytes: float
     congestion_msgs: int
@@ -106,138 +86,29 @@ class LinkStats:
     """
 
     __slots__ = (
-        "mesh",
         "topology",
         "_link_bytes",
         "_link_msgs",
-        "_s_ids",
-        "_s_bytes",
-        "_s_msgs",
         "_startups",
         "_receives",
-        "_total_msgs",
-        "_data_msgs",
-        "_local_msgs",
+        "_counts",
         "_pending",
-        "_kern_lib",
-        "_kern_h",
     )
 
-    def __init__(self, topology: Topology, dense: Optional[bool] = None):
-        # Historic attribute name: the stats object predates the topology
-        # abstraction, and ``.mesh`` is part of its public surface.
-        self.mesh = topology
+    def __init__(self, topology: Topology):
         self.topology = topology
         n = topology.n_links
         p = topology.n_nodes
-        if dense is None:
-            dense = p <= DENSE_NODE_LIMIT
-        if dense:
-            self._link_bytes = np.zeros(n, dtype=np.float64)
-            self._link_msgs = np.zeros(n, dtype=np.int64)
-            self._s_ids = self._s_bytes = self._s_msgs = None
-        else:
-            # Sparse mode (large machines): per-link counters exist only
-            # for links actually crossed -- three parallel arrays keyed by
-            # sorted link id.  _flush() merges into them; the dense views
-            # (link_bytes / link_msgs) materialize on demand.
-            self._link_bytes = None
-            self._link_msgs = None
-            self._s_ids = np.empty(0, dtype=np.intp)
-            self._s_bytes = np.empty(0, dtype=np.float64)
-            self._s_msgs = np.empty(0, dtype=np.int64)
+        self._link_bytes = np.zeros(n, dtype=np.float64)
+        self._link_msgs = np.zeros(n, dtype=np.int64)
         self._startups = np.zeros(p, dtype=np.int64)  # message sends per proc
         self._receives = np.zeros(p, dtype=np.int64)
-        self._total_msgs = 0
-        self._data_msgs = 0
-        self._local_msgs = 0
+        self._counts = np.zeros(3, dtype=np.int64)  # total, data, local msgs
         # Batched record path: one (links, size, src, dst, is_data) tuple
-        # per leg, folded into the arrays by _flush().  The simulator
-        # appends to this buffer directly.
+        # per leg, folded into the arrays by _flush().  The pure loop
+        # appends to this buffer directly; the C kernel never does (it
+        # increments the arrays above in place).
         self._pending: list = []
-        # When the C event kernel is active it accumulates *eagerly* into
-        # the arrays above (shared memory) and keeps the scalar message
-        # counters on its side; see bind_kernel()/absorb_kernel().
-        self._kern_lib = None
-        self._kern_h = None
-
-    # --------------------------------------------------------- representation
-    @property
-    def dense(self) -> bool:
-        """Whether per-link counters are dense arrays (vs the sparse triple)."""
-        return self._link_bytes is not None
-
-    def _densify(self) -> None:
-        """Switch a sparse instance to dense arrays permanently (required by
-        the C kernel, which accumulates through raw array pointers)."""
-        if self._link_bytes is not None:
-            return
-        self._flush()
-        n = self.topology.n_links
-        lb = np.zeros(n, dtype=np.float64)
-        lm = np.zeros(n, dtype=np.int64)
-        lb[self._s_ids] = self._s_bytes
-        lm[self._s_ids] = self._s_msgs
-        self._link_bytes = lb
-        self._link_msgs = lm
-        self._s_ids = self._s_bytes = self._s_msgs = None
-
-    def _merge_sparse(self, ids: np.ndarray, byt: np.ndarray, msgs: np.ndarray) -> None:
-        """Add ``(ids, bytes, msgs)`` -- ids sorted unique -- into the sparse
-        triple.  Every sum is of integer-valued float64 / int64, so the
-        result is independent of merge order (order-exact)."""
-        if self._s_ids.size == 0:
-            self._s_ids = ids.astype(np.intp, copy=True)
-            self._s_bytes = byt.astype(np.float64, copy=True)
-            self._s_msgs = msgs.astype(np.int64, copy=True)
-            return
-        union = np.union1d(self._s_ids, ids)
-        nb = np.zeros(union.size, dtype=np.float64)
-        nm = np.zeros(union.size, dtype=np.int64)
-        pos = np.searchsorted(union, self._s_ids)
-        nb[pos] = self._s_bytes
-        nm[pos] = self._s_msgs
-        pos = np.searchsorted(union, ids)
-        nb[pos] += byt
-        nm[pos] += msgs
-        self._s_ids, self._s_bytes, self._s_msgs = union.astype(np.intp), nb, nm
-
-    # ------------------------------------------------------- kernel binding
-    def bind_kernel(self, lib, handle) -> None:
-        """Attach the C kernel whose counters complement ours (the kernel
-        writes the per-link/per-proc arrays directly via shared memory).
-        Densifies a sparse instance first -- the kernel's eager per-leg
-        accumulation needs real arrays to write into."""
-        self._densify()
-        self._kern_lib = lib
-        self._kern_h = handle
-
-    def absorb_kernel(self) -> None:
-        """Fold the kernel's scalar counters into ours and detach (called
-        before the kernel is re-pointed at a successor stats object)."""
-        lib = self._kern_lib
-        if lib is None:
-            return
-        h = self._kern_h
-        self._total_msgs += lib.sim_total_msgs(h)
-        self._data_msgs += lib.sim_data_msgs(h)
-        self._local_msgs += lib.sim_local_msgs(h)
-        self._kern_lib = None
-        self._kern_h = None
-
-    def _scalar_counters(self) -> Tuple[int, int, int]:
-        """Flushed ``(total, data, local)`` message counts, kernel included."""
-        self._flush()
-        t = self._total_msgs
-        d = self._data_msgs
-        loc = self._local_msgs
-        lib = self._kern_lib
-        if lib is not None:
-            h = self._kern_h
-            t += lib.sim_total_msgs(h)
-            d += lib.sim_data_msgs(h)
-            loc += lib.sim_local_msgs(h)
-        return t, d, loc
 
     # ------------------------------------------------------------- recording
     def record(
@@ -264,50 +135,26 @@ class LinkStats:
         if crossing:
             flat = np.fromiter(chain.from_iterable(links_col), dtype=np.intp, count=crossing)
             sizes = np.fromiter(sizes_col, dtype=np.float64, count=m)
-            weights = np.repeat(sizes, counts)
-            if self._link_bytes is not None:
-                nl = self._link_bytes.shape[0]
-                self._link_bytes += np.bincount(flat, weights=weights, minlength=nl)
-                self._link_msgs += np.bincount(flat, minlength=nl)
-            else:
-                ids, inv = np.unique(flat, return_inverse=True)
-                self._merge_sparse(
-                    ids,
-                    np.bincount(inv, weights=weights),
-                    np.bincount(inv).astype(np.int64),
-                )
+            nl = self._link_bytes.shape[0]
+            self._link_bytes += np.bincount(flat, weights=np.repeat(sizes, counts), minlength=nl)
+            self._link_msgs += np.bincount(flat, minlength=nl)
         p = self._startups.shape[0]
         self._startups += np.bincount(np.fromiter(src_col, dtype=np.intp, count=m), minlength=p)
         self._receives += np.bincount(np.fromiter(dst_col, dtype=np.intp, count=m), minlength=p)
-        self._total_msgs += m
-        self._data_msgs += data_col.count(True)
-        self._local_msgs += int((counts == 0).sum())
+        self._counts += (m, data_col.count(True), int((counts == 0).sum()))
 
     # ------------------------------------------------------------- counters
     @property
     def link_bytes(self) -> np.ndarray:
-        """Bytes transmitted per directed link (float64 array).
-
-        In sparse mode this *materializes* an O(n_links) array; prefer the
-        aggregate properties (congestion/total) on large machines."""
+        """Bytes transmitted per directed link (float64 array)."""
         self._flush()
-        if self._link_bytes is not None:
-            return self._link_bytes
-        out = np.zeros(self.topology.n_links, dtype=np.float64)
-        out[self._s_ids] = self._s_bytes
-        return out
+        return self._link_bytes
 
     @property
     def link_msgs(self) -> np.ndarray:
-        """Messages transmitted per directed link (int64 array).
-
-        Materialized on demand in sparse mode, like :attr:`link_bytes`."""
+        """Messages transmitted per directed link (int64 array)."""
         self._flush()
-        if self._link_msgs is not None:
-            return self._link_msgs
-        out = np.zeros(self.topology.n_links, dtype=np.int64)
-        out[self._s_ids] = self._s_msgs
-        return out
+        return self._link_msgs
 
     @property
     def startups(self) -> np.ndarray:
@@ -322,75 +169,66 @@ class LinkStats:
         return self._receives
 
     @property
+    def counts(self) -> np.ndarray:
+        """``(total, data, local)`` message counts (int64 array)."""
+        self._flush()
+        return self._counts
+
+    @property
     def total_msgs(self) -> int:
-        return self._scalar_counters()[0]
+        return int(self.counts[0])
 
     @property
     def data_msgs(self) -> int:
-        return self._scalar_counters()[1]
+        return int(self.counts[1])
 
     @property
     def ctrl_msgs(self) -> int:
-        t, d, _ = self._scalar_counters()
-        return t - d
+        total, data, _ = self.counts
+        return int(total - data)
 
     @property
     def local_msgs(self) -> int:
-        return self._scalar_counters()[2]
+        return int(self.counts[2])
 
     # ----------------------------------------------------------- aggregation
     @property
     def congestion_bytes(self) -> float:
         """Max bytes across any single directed link (the paper's congestion
         measured in data volume)."""
-        self._flush()
-        if self._link_bytes is not None:
-            return float(self._link_bytes.max(initial=0.0))
-        return float(self._s_bytes.max(initial=0.0))
+        return float(self.link_bytes.max(initial=0.0))
 
     @property
     def congestion_msgs(self) -> int:
         """Max messages across any single directed link (the paper's
         Barnes-Hut congestion unit)."""
-        self._flush()
-        if self._link_msgs is not None:
-            return int(self._link_msgs.max(initial=0))
-        return int(self._s_msgs.max(initial=0))
+        return int(self.link_msgs.max(initial=0))
 
     @property
     def total_bytes(self) -> float:
         """Total communication load: sum over links of transmitted bytes."""
-        self._flush()
-        if self._link_bytes is not None:
-            return float(self._link_bytes.sum())
-        return float(self._s_bytes.sum())
+        return float(self.link_bytes.sum())
 
     @property
     def total_link_msgs(self) -> int:
-        self._flush()
-        if self._link_msgs is not None:
-            return int(self._link_msgs.sum())
-        return int(self._s_msgs.sum())
+        return int(self.link_msgs.sum())
+
+    def _touched(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, bytes, msgs)`` of the links that carried traffic."""
+        lb, lm = self.link_bytes, self.link_msgs
+        ids = np.flatnonzero((lb != 0.0) | (lm != 0))
+        return ids, lb[ids], lm[ids]
 
     def hottest_links(self, k: int = 5) -> list[tuple[int, int, int, float, int]]:
         """The ``k`` most byte-loaded links as ``(link, src, dst, bytes,
-        msgs)``; handy when debugging why a strategy saturates a region."""
-        self._flush()
-        # Only links that carried traffic rank, and ties break on the
-        # lower link id -- the same answer from the dense and sparse
-        # representations.
-        if self._link_bytes is not None:
-            lb, lm = self._link_bytes, self._link_msgs
-            ids = np.flatnonzero((lb != 0.0) | (lm != 0))
-            byt, msgs = lb[ids], lm[ids]
-        else:
-            ids, byt, msgs = self._s_ids, self._s_bytes, self._s_msgs
-        order = np.lexsort((ids, -byt))[:k]
-        picks = [(int(ids[i]), float(byt[i]), int(msgs[i])) for i in order]
+        msgs)``; handy when debugging why a strategy saturates a region.
+        Only links that carried traffic rank; ties break on the lower id."""
+        ids, byt, msgs = self._touched()
         out = []
-        for link, b, msgs in picks:
-            s, d = self.mesh.link_endpoints(link)
-            out.append((link, s, d, b, msgs))
+        for i in np.lexsort((ids, -byt))[:k]:
+            link = int(ids[i])
+            s, d = self.topology.link_endpoints(link)
+            out.append((link, s, d, float(byt[i]), int(msgs[i])))
         return out
 
     def render(self, width: int = 4) -> str:
@@ -411,7 +249,7 @@ class LinkStats:
         the wraparound wires cannot be drawn inside the grid; they are
         appended as per-row / per-column lines below it, normalized against
         the same peak."""
-        m = self.mesh
+        m = self.topology
         lb = self.link_bytes
         interior = getattr(m, "_mesh_links", m.n_links)
         wire_load: Dict[Tuple[int, int], float] = {}
@@ -488,146 +326,51 @@ class LinkStats:
             lines.append(f"{link:<5d} {s:<4d} {d:<4d} {b:<6.0f} {msgs}")
         return "\n".join(lines)
 
-    def merge_from(self, other: "LinkStats") -> None:
-        """Fold another accumulator of the same topology into this one.
-
-        This is the per-worker sharding primitive: each worker accumulates
-        into a private :class:`LinkStats` and the parent merges them at
-        snapshot time.  Every counter is an integer-valued sum, so the
-        merged aggregates are independent of worker order (order-exact) --
-        byte-identical to single-process accumulation."""
-        if other.topology.n_links != self.topology.n_links:
-            raise ValueError("merge_from: topologies differ in link count")
-        self._flush()
-        t, d, loc = other._scalar_counters()  # flushes other, kernel included
-        self._total_msgs += t
-        self._data_msgs += d
-        self._local_msgs += loc
-        self._startups += other._startups
-        self._receives += other._receives
-        if self._link_bytes is not None:
-            if other._link_bytes is not None:
-                self._link_bytes += other._link_bytes
-                self._link_msgs += other._link_msgs
-            else:
-                self._link_bytes[other._s_ids] += other._s_bytes
-                self._link_msgs[other._s_ids] += other._s_msgs
-        elif other._link_bytes is not None:
-            touched = np.flatnonzero(
-                (other._link_msgs != 0) | (other._link_bytes != 0.0)
-            )
-            self._merge_sparse(
-                touched,
-                other._link_bytes[touched],
-                other._link_msgs[touched],
-            )
-        else:
-            self._merge_sparse(other._s_ids, other._s_bytes, other._s_msgs)
-
-    # ------------------------------------------------------ fleet transport
+    # ---------------------------------------------------------------- merging
     def state(self) -> Dict[str, object]:
         """Picklable counter state (worker -> parent transport for the
-        serving fleet).  Per-link counters ship sparse -- indices plus
-        counts -- whatever the in-memory representation, so the payload
-        scales with links *touched*, not machine size."""
-        t, d, loc = self._scalar_counters()  # flushes, kernel included
-        if self._link_bytes is not None:
-            ids = np.flatnonzero(
-                (self._link_msgs != 0) | (self._link_bytes != 0.0)
-            )
-            byt = self._link_bytes[ids]
-            msgs = self._link_msgs[ids]
-        else:
-            ids, byt, msgs = self._s_ids, self._s_bytes, self._s_msgs
+        serving fleet).  Per-link counters ship as indices plus counts, so
+        the payload scales with links *touched*, not machine size."""
+        ids, byt, msgs = self._touched()
+        total, data, local = map(int, self._counts)
         return {
             "n_links": self.topology.n_links,
-            "ids": np.asarray(ids, dtype=np.intp),
-            "bytes": np.asarray(byt, dtype=np.float64),
-            "msgs": np.asarray(msgs, dtype=np.int64),
+            "ids": ids,
+            "bytes": byt,
+            "msgs": msgs,
             "startups": self._startups.copy(),
             "receives": self._receives.copy(),
-            "total_msgs": t,
-            "data_msgs": d,
-            "local_msgs": loc,
+            "total_msgs": total,
+            "data_msgs": data,
+            "local_msgs": local,
         }
 
     def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold a :meth:`state` dict into this accumulator (the cross-
-        process face of :meth:`merge_from`; identical order-exact sums)."""
+        """Fold a :meth:`state` dict into this accumulator: the one merge,
+        across the fleet's processes and, in process, of a run's phase
+        accumulators into its total.  Every counter is an integer-valued
+        sum, so the result is independent of merge order (order-exact) --
+        byte-identical to accumulating everything in one place."""
         if state["n_links"] != self.topology.n_links:
             raise ValueError("merge_state: topologies differ in link count")
         self._flush()
-        self._total_msgs += int(state["total_msgs"])
-        self._data_msgs += int(state["data_msgs"])
-        self._local_msgs += int(state["local_msgs"])
+        ids = state["ids"]
+        self._link_bytes[ids] += state["bytes"]
+        self._link_msgs[ids] += state["msgs"]
         self._startups += state["startups"]
         self._receives += state["receives"]
-        ids = state["ids"]
-        if self._link_bytes is not None:
-            self._link_bytes[ids] += state["bytes"]
-            self._link_msgs[ids] += state["msgs"]
-        else:
-            self._merge_sparse(ids, state["bytes"], state["msgs"])
+        self._counts += (state["total_msgs"], state["data_msgs"], state["local_msgs"])
 
     def snapshot(self) -> StatsSnapshot:
-        t, d, loc = self._scalar_counters()
+        total, data, local = map(int, self.counts)
         return StatsSnapshot(
             congestion_bytes=self.congestion_bytes,
             congestion_msgs=self.congestion_msgs,
             total_bytes=self.total_bytes,
-            total_msgs=t,
+            total_msgs=total,
             max_startups=int(self._startups.max(initial=0)),
             total_startups=int(self._startups.sum()),
-            data_msgs=d,
-            ctrl_msgs=t - d,
-            local_msgs=loc,
+            data_msgs=data,
+            ctrl_msgs=total - data,
+            local_msgs=local,
         )
-
-    # ------------------------------------------------------------ phase book
-    def checkpoint(self) -> "_Checkpoint":
-        """Capture raw counters; combine with the current state later via
-        :meth:`delta` to obtain a :class:`StatsSnapshot` for the interval.
-
-        Phase accounting captures *dense* link arrays (materialized on
-        demand in sparse mode -- phase-instrumented applications run at
-        small scale, where the instance is dense anyway)."""
-        t, d, loc = self._scalar_counters()
-        lb = self.link_bytes
-        lm = self.link_msgs
-        return _Checkpoint(
-            link_bytes=lb.copy() if lb is self._link_bytes else lb,
-            link_msgs=lm.copy() if lm is self._link_msgs else lm,
-            startups=self._startups.copy(),
-            total_msgs=t,
-            data_msgs=d,
-            ctrl_msgs=t - d,
-            local_msgs=loc,
-        )
-
-    def delta(self, since: "_Checkpoint") -> StatsSnapshot:
-        t, d, loc = self._scalar_counters()
-        db = self.link_bytes - since.link_bytes
-        dm = self.link_msgs - since.link_msgs
-        ds = self._startups - since.startups
-        return StatsSnapshot(
-            congestion_bytes=float(db.max(initial=0.0)),
-            congestion_msgs=int(dm.max(initial=0)),
-            total_bytes=float(db.sum()),
-            total_msgs=t - since.total_msgs,
-            max_startups=int(ds.max(initial=0)),
-            total_startups=int(ds.sum()),
-            data_msgs=d - since.data_msgs,
-            ctrl_msgs=(t - d) - since.ctrl_msgs,
-            local_msgs=loc - since.local_msgs,
-        )
-
-
-@dataclass
-class _Checkpoint:
-    link_bytes: np.ndarray
-    link_msgs: np.ndarray
-    startups: np.ndarray
-    total_msgs: int
-    data_msgs: int
-    ctrl_msgs: int
-    local_msgs: int

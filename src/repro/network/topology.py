@@ -9,7 +9,7 @@ be studied without touching the simulator or the strategies:
 
 * **nodes** -- processors numbered ``0 .. P-1``;
 * **dense directed-link ids** -- every directed link has an integer id in
-  ``0 .. num_links-1`` so traffic counters and link-availability times live
+  ``0 .. n_links-1`` so traffic counters and link-availability times live
   in flat arrays;
 * **deterministic routing** -- :meth:`compute_route` returns the unique
   link path the machine's router would use (dimension-order on meshes and
@@ -84,11 +84,6 @@ class Topology:
     def n_links(self) -> int:
         """Total number of *directed* links."""
         raise NotImplementedError
-
-    @property
-    def num_links(self) -> int:
-        """Alias of :attr:`n_links` (flat-array sizing in the simulator)."""
-        return self.n_links
 
     def link_endpoints(self, link: int) -> Tuple[int, int]:
         """``(src_node, dst_node)`` of a directed link id."""

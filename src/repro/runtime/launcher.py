@@ -17,7 +17,7 @@ import numpy as np
 
 from ..metrics import latency_percentiles
 from ..network.machine import GCEL, MachineModel
-from ..network.stats import LinkStats, PhaseStats, StatsSnapshot
+from ..network.stats import LinkStats, PhaseStats
 from ..network.topology import Topology
 from ..sim.engine import SimDeadlock, Simulator
 from .api import (
@@ -66,35 +66,15 @@ def _describe_block(req: Any) -> str:
 
 
 class _PhaseAcc:
-    """Accumulated per-link traffic / time / compute of one named phase."""
+    """One named phase: the traffic accumulator the engine adds into while
+    the phase is open, plus its time and per-processor compute."""
 
-    __slots__ = ("link_bytes", "link_msgs", "startups", "time", "compute",
-                 "total_msgs", "data_msgs", "ctrl_msgs", "local_msgs")
+    __slots__ = ("stats", "time", "compute")
 
-    def __init__(self, n_links: int, n_procs: int):
-        self.link_bytes = np.zeros(n_links)
-        self.link_msgs = np.zeros(n_links, dtype=np.int64)
-        self.startups = np.zeros(n_procs, dtype=np.int64)
-        self.compute = np.zeros(n_procs)
+    def __init__(self, stats: LinkStats):
+        self.stats = stats
         self.time = 0.0
-        self.total_msgs = 0
-        self.data_msgs = 0
-        self.ctrl_msgs = 0
-        self.local_msgs = 0
-
-    def to_phase_stats(self, name: str) -> PhaseStats:
-        snap = StatsSnapshot(
-            congestion_bytes=float(self.link_bytes.max(initial=0.0)),
-            congestion_msgs=int(self.link_msgs.max(initial=0)),
-            total_bytes=float(self.link_bytes.sum()),
-            total_msgs=self.total_msgs,
-            max_startups=int(self.startups.max(initial=0)),
-            total_startups=int(self.startups.sum()),
-            data_msgs=self.data_msgs,
-            ctrl_msgs=self.ctrl_msgs,
-            local_msgs=self.local_msgs,
-        )
-        return PhaseStats(name=name, stats=snap, time=self.time)
+        self.compute = np.zeros(stats.topology.n_nodes)
 
 
 class Runtime:
@@ -209,12 +189,12 @@ class Runtime:
         self._barrier_label_set = False
         self._barrier_reset = False
 
-        # phase + measurement accounting
+        # phase + measurement accounting: every named phase owns the
+        # LinkStats the engine adds into while it is open (first opened
+        # first; the simulator's initial accumulator is "main"'s).
         self.measure_start = 0.0
         self._phase_name = "main"
-        self._phase_order: List[str] = []
-        self._phase_acc: Dict[str, _PhaseAcc] = {}
-        self._ckpt = self.sim.stats.checkpoint()
+        self._phase_acc: Dict[str, _PhaseAcc] = {"main": _PhaseAcc(self.sim.stats)}
         self._phase_start = 0.0
         self._compute_by_proc = np.zeros(p)
         self._phase_compute_mark = np.zeros(p)
@@ -247,8 +227,17 @@ class Runtime:
             )
         end = max(self._final_time)
         self._close_phase(end)
-        phases = [self._phase_acc[n].to_phase_stats(n) for n in self._phase_order]
-        stats = self.sim.stats.snapshot()
+        phases = [
+            PhaseStats(name=name, stats=acc.stats.snapshot(), time=acc.time)
+            for name, acc in self._phase_acc.items()
+        ]
+        # The run total is the (order-exact) sum of the phase accumulators;
+        # it is what sim.stats holds from here on.
+        total = LinkStats(topo)
+        for acc in self._phase_acc.values():
+            total.merge_state(acc.stats.state())
+        self.sim.stats = total
+        stats = total.snapshot()
         # The base DataManagementStrategy guarantees the counters (and
         # NullStrategy inherits them), so no getattr defensiveness here.
         strategy = self.strategy
@@ -472,13 +461,10 @@ class Runtime:
                 self._barrier_label = None
                 self._barrier_label_set = False
                 self._close_phase(boundary)
-                self._phase_name = label
-                self._phase_start = boundary
+                self._open_phase(label, boundary)
             if self._barrier_reset:
                 self._barrier_reset = False
                 self._reset_measurement(at=boundary)
-                if label is not None:
-                    self._phase_name = label
             for proc_, t_ in releases:
                 self.sim.schedule(t_, self._step, proc_, None)
 
@@ -492,37 +478,31 @@ class Runtime:
 
     # ------------------------------------------------- phases / measurement
     def _close_phase(self, t: float) -> None:
-        name = self._phase_name
-        acc = self._phase_acc.get(name)
-        if acc is None:
-            acc = self._phase_acc[name] = _PhaseAcc(
-                self.sim.topology.n_links, self.sim.topology.n_nodes
-            )
-            self._phase_order.append(name)
-        stats = self.sim.stats
-        cur = stats.checkpoint()
-        acc.link_bytes += cur.link_bytes - self._ckpt.link_bytes
-        acc.link_msgs += cur.link_msgs - self._ckpt.link_msgs
-        acc.startups += cur.startups - self._ckpt.startups
-        acc.total_msgs += cur.total_msgs - self._ckpt.total_msgs
-        acc.data_msgs += cur.data_msgs - self._ckpt.data_msgs
-        acc.ctrl_msgs += cur.ctrl_msgs - self._ckpt.ctrl_msgs
-        acc.local_msgs += cur.local_msgs - self._ckpt.local_msgs
+        """Book the open phase's time and compute up to ``t`` (its traffic
+        is already in its own accumulator)."""
+        acc = self._phase_acc[self._phase_name]
         acc.time += max(0.0, t - self._phase_start)
         acc.compute += self._compute_by_proc - self._phase_compute_mark
         self._phase_compute_mark = self._compute_by_proc.copy()
-        self._ckpt = cur
+
+    def _open_phase(self, name: str, t: float) -> None:
+        """Point the engine at ``name``'s accumulator from instant ``t``
+        (a recurring name re-binds the one it already has)."""
+        acc = self._phase_acc.get(name)
+        if acc is None:
+            acc = self._phase_acc[name] = _PhaseAcc(LinkStats(self.sim.topology))
+        self.sim.stats = acc.stats
+        self._phase_name = name
+        self._phase_start = t
 
     def _reset_measurement(self, at: Optional[float] = None) -> None:
         """Zero all traffic and phase accounting from instant ``at``
-        (default: now)."""
+        (default: now): every phase accumulator is dropped and the open
+        phase gets a fresh one."""
         t = self.sim.now if at is None else at
-        self.sim.stats = LinkStats(self.sim.topology)
         self.measure_start = t
-        self._phase_order = []
         self._phase_acc = {}
-        self._ckpt = self.sim.stats.checkpoint()
-        self._phase_start = t
+        self._open_phase(self._phase_name, t)
         self._compute_by_proc[:] = 0.0
         self._phase_compute_mark[:] = 0.0
         # No request is in flight at a measurement boundary (it is a
@@ -530,13 +510,8 @@ class Runtime:
         # sample restarts cleanly and the storage integral re-anchors at
         # the boundary with the currently-held copies still accruing.
         del self._lat[:]
-        strategy = self.strategy
-        reset = getattr(strategy, "reset_counters", None)
-        if reset is not None:
-            reset()
-        reset_storage = getattr(strategy, "reset_storage", None)
-        if reset_storage is not None:
-            reset_storage(t)
+        self.strategy.reset_counters()
+        self.strategy.reset_storage(t)
 
 
 def run_spmd(

@@ -116,8 +116,9 @@ typedef struct {
     double hop, local_ov;
     Shape ctrl;                   /* the one control-message cost shape */
     double *link_free, *nic_free;               /* borrowed (numpy) */
-    double *st_bytes; i64 *st_msgs, *st_startups, *st_receives;  /* borrowed */
-    i64 st_total, st_data, st_local;
+    /* borrowed: the bound LinkStats' five arrays (sim_set_stats);
+       st_counts is {total, data, local} messages */
+    double *st_bytes; i64 *st_msgs, *st_startups, *st_receives, *st_counts;
     Ev *heap; int heap_n, heap_cap;
     i64 *rt_keys; int *rt_off, *rt_len; int rt_cap, rt_count;
     int *arena; int ar_used, ar_cap;
@@ -434,11 +435,11 @@ static double do_leg(Sim *s, double time, int src, int dst, const Shape *sh) {
         s->nic_free[dst] = arrive;
     }
     s->st_startups[src]++; s->st_receives[dst]++;
-    s->st_total++;
+    s->st_counts[0]++;
+    if (sh->dat) s->st_counts[1]++;
     /* Local, or a zero-link route (unreachable pair under failures): it
        crosses no link, and the pure engine's LinkStats counts it local. */
-    if (len == 0) s->st_local++;
-    if (sh->dat) s->st_data++;
+    if (len == 0) s->st_counts[2]++;
     return arrive;
 }
 
@@ -1082,15 +1083,11 @@ void sim_push_generic(Sim *s, double t, int obj) {
     heap_push(s, t, s->seqno++, K_GEN, obj, 0, 0, 0);
 }
 
-i64 sim_total_msgs(Sim *s) { return s->st_total; }
-i64 sim_data_msgs(Sim *s) { return s->st_data; }
-i64 sim_local_msgs(Sim *s) { return s->st_local; }
-
 void sim_set_stats(Sim *s, double *bytes, i64 *msgs, i64 *startups,
-                   i64 *receives) {
+                   i64 *receives, i64 *counts) {
     s->st_bytes = bytes; s->st_msgs = msgs;
     s->st_startups = startups; s->st_receives = receives;
-    s->st_total = 0; s->st_data = 0; s->st_local = 0;
+    s->st_counts = counts;
 }
 
 int sim_run_until(Sim *s, Crossing *out, double horizon) {
@@ -1267,7 +1264,7 @@ int *sim_stage_i(Sim *s);
 double *sim_stage_d(Sim *s);
 int sim_ensure_stage(Sim *s, int n);
 void sim_set_stats(Sim *s, double *bytes, i64 *msgs, i64 *startups,
-                   i64 *receives);
+                   i64 *receives, i64 *counts);
 void sim_set_route(Sim *s, int src, int dst, int n);
 void sim_clear_routes(Sim *s);
 void sim_set_topology(Sim *s, int kind, int rows, int cols, int dim,
@@ -1279,9 +1276,6 @@ void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
                    double uw, double uo, double uocc, int udat,
                    double dw, double dov, double docc, int ddat);
 int sim_run_until(Sim *s, Crossing *out, double horizon);
-i64 sim_total_msgs(Sim *s);
-i64 sim_data_msgs(Sim *s);
-i64 sim_local_msgs(Sim *s);
 double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat);
 double sim_probe_leg(Sim *s, double time, int src, int dst, double over,

@@ -201,7 +201,7 @@ class Simulator:
         if kern is not None:
             import numpy as np
 
-            link_free = np.zeros(topology.num_links, dtype=np.float64)
+            link_free = np.zeros(topology.n_links, dtype=np.float64)
             nic_free = np.zeros(topology.n_nodes, dtype=np.float64)
             self.link_free = link_free
             self.nic_free = nic_free
@@ -238,7 +238,7 @@ class Simulator:
             self._obj_free: List[int] = []
         else:
             self._h = None
-            self.link_free = [0.0] * topology.num_links
+            self.link_free = [0.0] * topology.n_links
             self.nic_free = [0.0] * topology.n_nodes
         # Pure-loop pending-stats fold cadence.  Above the dense limit
         # routes are computed fresh per leg (AlgebraicRouter), so pending
@@ -258,7 +258,6 @@ class Simulator:
         #: Runtime` installs it; a kernel armed for serving consumes the
         #: completion natively instead.
         self.resume_hook: Optional[Callable[[int], None]] = None
-        self._stats = None
         self.stats = LinkStats(topology)
 
     # ----------------------------------------------------------------- stats
@@ -268,28 +267,24 @@ class Simulator:
 
     @stats.setter
     def stats(self, st: LinkStats) -> None:
-        """Swap the traffic accounting (measurement reset).
-
-        In kernel mode the C side accumulates eagerly into the stats
-        arrays, so the old stats object absorbs the kernel counters before
-        the kernel is re-pointed (and zeroed) at the new arrays.
-        """
-        old = self._stats
+        """Swap the accumulator traffic is added into (a phase boundary,
+        a measurement reset).  The pure loop appends to its pending buffer;
+        the C kernel increments its five arrays through borrowed pointers,
+        so a swap is one re-point."""
+        topo = self.topology
+        if (st.topology.n_links, st.topology.n_nodes) != (topo.n_links, topo.n_nodes):
+            raise ValueError("stats accumulator is shaped for another topology")
         self._stats = st
         if self._h is not None:
-            if old is not None:
-                old.absorb_kernel()
-            st._densify()  # the kernel accumulates into dense arrays
-            lib = self._lib
-            ffi = self._ffi
-            lib.sim_set_stats(
+            cast = self._ffi.cast
+            self._lib.sim_set_stats(
                 self._h,
-                ffi.cast("double *", st._link_bytes.ctypes.data),
-                ffi.cast("i64 *", st._link_msgs.ctypes.data),
-                ffi.cast("i64 *", st._startups.ctypes.data),
-                ffi.cast("i64 *", st._receives.ctypes.data),
+                cast("double *", st._link_bytes.ctypes.data),
+                cast("i64 *", st._link_msgs.ctypes.data),
+                cast("i64 *", st._startups.ctypes.data),
+                cast("i64 *", st._receives.ctypes.data),
+                cast("i64 *", st._counts.ctypes.data),
             )
-            st.bind_kernel(lib, self._h)
 
     # ------------------------------------------------------------ event heap
     def schedule(self, time: float, callback: Callable, *args) -> None:
@@ -432,7 +427,7 @@ class Simulator:
         MDOWN = _MDOWN
         MACK = _MACK
         # The pending-stats append is rebound after every generic callback
-        # (only those can swap self.stats, via measurement resets); the
+        # (only those can swap self.stats: phase boundaries, resets); the
         # inline flow steps between two generic events all hit one binding.
         pend_append = self._stats._pending.append
         last = self.last_event_time

@@ -249,8 +249,8 @@ class TestXscaleSpec:
 #: The cell functions left after the eleven per-experiment copies of
 #: "run a workload, pick some columns" were folded into workload_cell.
 CELL_FUNCTIONS = {
-    experiments.workload_cell, experiments.fig2_cell, experiments.matmul_cell,
-    experiments.bitonic_cell, experiments.barneshut_cell,
+    experiments.workload_cell, experiments.fig2_cell, experiments.handopt_cell,
+    experiments.barneshut_cell,
     experiments.barneshut_scaling_cell, experiments.remapping_cell,
 }
 
@@ -259,7 +259,7 @@ class TestOneDefinitionPerExperiment:
     """The registry is the only description of an experiment and
     run_experiment the only way to run one."""
 
-    def test_every_registered_cell_is_one_of_the_seven(self):
+    def test_every_registered_cell_is_one_of_the_six(self):
         reached = {
             cell.fn for name in ALL_NAMES for cell in get_spec(name).cells(scale="quick")
         }

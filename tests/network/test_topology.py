@@ -34,7 +34,6 @@ class TestTorusStructure:
     def test_link_count(self):
         t = Torus2D(3, 4)
         assert t.n_links == Mesh2D(3, 4).n_links + 2 * 3 + 2 * 4
-        assert t.num_links == t.n_links
 
     def test_mesh_link_ids_are_preserved(self):
         """Interior links keep the mesh's ids, so mesh tooling transfers."""

@@ -9,6 +9,7 @@ it that way, and keep the kernel's serving ABI from growing back.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
@@ -19,6 +20,7 @@ import repro.serve
 from repro.core.registry import STRATEGIES, get_strategy
 from repro.core.strategy import ResidencyMirror
 from repro.network.mesh import Mesh2D
+from repro.network.stats import LinkStats
 from repro.runtime.launcher import Runtime
 from repro.serve import ServeSession
 from repro.sim import _ckern
@@ -114,6 +116,17 @@ def test_one_flow_entry_point_and_one_completion_code():
     assert pushes == {"sim_push_generic", "sim_push_flow"}
     assert not hasattr(_ckern.Kernel, "R_CHAIN_DONE")
     assert not hasattr(_ckern.Kernel, "R_MC_DONE")
+
+
+def test_traffic_has_one_accumulator_and_no_counter_side_channel():
+    """LinkStats is one representation the kernel adds into through
+    borrowed pointers: nothing to choose at construction, and no accessor
+    for message counts kept on the C side."""
+    protos = re.findall(r"\bsim_\w+\s*\(", _ckern._CDEF)
+    assert len(protos) == len(set(protos))
+    assert len(protos) <= 25, protos
+    assert not re.search(r"\bsim_\w+_msgs\b", _ckern._CDEF)
+    assert list(inspect.signature(LinkStats.__init__).parameters) == ["self", "topology"]
 
 
 CORE_DIR = pathlib.Path(repro.core.registry.__file__).parent

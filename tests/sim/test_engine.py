@@ -142,6 +142,27 @@ class TestSendLeg:
         assert t1 == t2  # no hidden serialization between hypothetical legs
 
 
+class TestStatsSwap:
+    def test_swapped_accumulator_takes_the_traffic_from_then_on(self):
+        from repro.network.stats import LinkStats
+
+        s = sim()
+        first = s.stats
+        s.send_leg(0, 1, 500, ready=0.0, is_data=True)
+        s.stats = second = LinkStats(s.topology)
+        s.send_leg(0, 1, 500, ready=1.0, is_data=False)
+        s.send_leg(2, 2, 0, ready=1.0, is_data=False)
+        assert list(first.counts) == [1, 1, 0]
+        assert list(second.counts) == [2, 0, 1]
+        assert first.total_bytes > second.total_bytes > 0
+
+    def test_accumulator_of_another_topology_is_rejected(self):
+        from repro.network.stats import LinkStats
+
+        with pytest.raises(ValueError, match="another topology"):
+            sim().stats = LinkStats(Mesh2D(3, 3))
+
+
 class TestMeshAlias:
     def test_mesh_alias_removed(self):
         """``Simulator.mesh`` was deprecated in the topology-generic

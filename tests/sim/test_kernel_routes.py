@@ -104,8 +104,8 @@ class TestArenaGrowth:
 @kernel_only
 class TestEngineEquivalenceAboveTheLimit:
     def test_kernel_matches_pure_python_at_8192_nodes(self, monkeypatch):
-        """One small zipf cell on an 8192-node machine (algebraic router +
-        sparse stats active) must produce field-identical rows under the C
+        """One small zipf cell on an 8192-node machine (algebraic router
+        active) must produce field-identical rows under the C
         kernel and the pure-Python loop."""
         from repro.analysis.experiments import workload_cell
 

@@ -61,6 +61,28 @@ class TestGate:
                  "--baseline", str(tmp_path / "baseline.json")]
             )
 
+    def test_report_names_the_engine_that_ran(self, tmp_path):
+        from repro.network.machine import GCEL
+        from repro.network.mesh import Mesh2D
+        from repro.sim import _ckern
+        from repro.sim.engine import Simulator
+
+        assert scale_smoke.main(args(tmp_path, "--update-baseline")) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        ran_c = Simulator(Mesh2D(4, 4), GCEL)._h is not None
+        assert report["engine"] == ("c" if ran_c else "pure")
+        assert report.get("engine_reason") == (None if ran_c else _ckern.unavailable_reason())
+        assert json.loads((tmp_path / "baseline.json").read_text())["engine"] == report["engine"]
+
+    def test_other_engines_ceiling_refuses_to_gate(self, tmp_path):
+        assert scale_smoke.main(args(tmp_path, "--update-baseline")) == 0
+        baseline = json.loads((tmp_path / "baseline.json").read_text())
+        baseline["engine"] = "pure" if baseline["engine"] == "c" else "c"
+        baseline["ceiling_mb"] = 0.1  # would fail if it were compared
+        (tmp_path / "baseline.json").write_text(json.dumps(baseline))
+        with pytest.raises(SystemExit, match="engine.*not comparing"):
+            scale_smoke.main(args(tmp_path))
+
     def test_missing_baseline_is_a_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
             scale_smoke.main(args(tmp_path))
@@ -76,3 +98,4 @@ class TestCommittedCeiling:
             "ops": scale_smoke.DEFAULT_OPS,
         }
         assert baseline["ceiling_mb"] > baseline["measured_peak_rss_mb"]
+        assert baseline["engine"] == "c"

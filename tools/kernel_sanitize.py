@@ -5,7 +5,8 @@ The kernel (``repro.sim._ckern.CKERN_SOURCE``) is compiled at first use
 and cached under ``$REPRO_CKERN_DIR`` by content hash.  This tool plants
 an instrumented build at exactly that name in a scratch directory --
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined``
--- so the package loads it without any flag of its own, then runs pytest
+plus ``-Wall -Wextra -Werror`` (the source is warning-clean; this is the
+build that keeps it so) -- so the package loads it without any flag of its own, then runs pytest
 (default: ``tests/serve tests/sim``) with the ASan runtime preloaded::
 
     python tools/kernel_sanitize.py                 # the default test dirs
@@ -28,7 +29,7 @@ import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined",
-            "-fno-sanitize-recover=undefined"]
+            "-fno-sanitize-recover=undefined", "-Wall", "-Wextra", "-Werror"]
 DEFAULT_TESTS = ["tests/serve", "tests/sim"]
 
 

@@ -15,12 +15,15 @@ peak RSS exceeds the committed ceiling in
 ``benchmarks/baselines/MEM_scale.baseline.json``.
 
 The ceiling is a *hard* number, not a ratio: the point of the algebraic
-router + sparse stats overhaul is that memory no longer scales with
-``nodes^2``, and the committed ceiling is what keeps that property from
-silently regressing.  ``--update-baseline`` rewrites the ceiling as
-``headroom x`` the just-measured peak (default 1.5x) -- regenerate it
-deliberately, on the CI runner class, when the envelope legitimately
-changes.
+router is that route memory no longer scales with ``nodes^2`` (what is
+left is per-processor launcher and strategy state), and the committed
+ceiling is what keeps that property from silently regressing.  It is a
+ceiling for one engine: the report records the engine that actually ran
+(and, when that is the pure loop, why the C kernel did not), and a run
+on the other engine is refused rather than gated.  ``--update-baseline``
+rewrites the ceiling as ``headroom x`` the just-measured peak (default
+1.5x) -- regenerate it deliberately, on the CI runner class, when the
+envelope legitimately changes.
 
 Tracemalloc's Python-heap peak is reported alongside RSS for diagnosis
 (it shows *which* side grew: Python objects vs numpy/C buffers), but only
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import resource
 import sys
@@ -57,6 +59,19 @@ def peak_rss_mb() -> float:
     return peak / 1024.0
 
 
+def engine_used(nodes: int, topology: str) -> dict:
+    """Which engine a simulator of this machine gets in this process:
+    ``{"engine": "c"}``, or ``"pure"`` with the kernel's reason."""
+    from repro.network.machine import GCEL
+    from repro.network.topology import make_topology_nodes
+    from repro.sim import _ckern
+    from repro.sim.engine import Simulator
+
+    if Simulator(make_topology_nodes(topology, nodes), GCEL)._h is not None:
+        return {"engine": "c"}
+    return {"engine": "pure", "engine_reason": _ckern.unavailable_reason()}
+
+
 def run_cell(nodes: int, topology: str, strategy: str, ops: int) -> dict:
     """Run the smoke cell under tracemalloc; returns the memory report."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -80,9 +95,9 @@ def run_cell(nodes: int, topology: str, strategy: str, ops: int) -> dict:
             "strategy": strategy,
             "ops": ops,
         },
-        "engine": "pure" if os.environ.get("REPRO_PURE_PYTHON") else "c",
         "wall_seconds": wall,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(),  # read before engine_used() allocates
+        **engine_used(nodes, topology),
         "tracemalloc_peak_mb": py_peak / (1024.0 * 1024.0),
         "congestion_per_node": rows[0]["congestion_per_node"],
         "total_msgs": rows[0]["total_msgs"],
@@ -122,6 +137,7 @@ def main(argv=None) -> int:
         ceiling = {
             "bench": "scale_smoke",
             "cell": report["cell"],
+            "engine": report["engine"],
             "ceiling_mb": round(args.headroom * report["peak_rss_mb"], 1),
             "measured_peak_rss_mb": round(report["peak_rss_mb"], 1),
             "headroom": args.headroom,
@@ -139,6 +155,14 @@ def main(argv=None) -> int:
         raise SystemExit(
             "scale_smoke: the measured cell differs from the committed "
             "ceiling's cell; refresh deliberately with --update-baseline"
+        )
+    if baseline.get("engine") != report["engine"]:
+        why = report.get("engine_reason")
+        raise SystemExit(
+            f"scale_smoke: this run used the {report['engine']} engine"
+            + (f" ({why})" if why else "")
+            + f" but the committed ceiling is the {baseline.get('engine')} "
+            "engine's; not comparing"
         )
     ceiling = float(baseline["ceiling_mb"])
     print(
