@@ -86,8 +86,10 @@ def _serve_main(args: argparse.Namespace) -> int:
             print(json.dumps(out))
             return 0
         topo = make_topology(args.topology or "mesh", args.side)
+        # Nothing reads a long-running server's trace: recording it would
+        # grow by one op per request, forever.
         session = ServeSession(
-            topo, strategy, seed=args.seed,
+            topo, strategy, seed=args.seed, record=False,
             max_queue=args.max_queue, max_inflight=args.max_inflight,
         )
         serve_forever(session, args.host, args.port)

@@ -9,20 +9,40 @@ Wire protocol (one JSON object per line, response mirrors any ``id``):
     {"op": "write", "proc": 3, "vid": 0, "value": 1} -> {"ok": true, "time": t}
     {"op": "stats"}                                  -> {"ok": true, ...snapshot...}
 
-A rejected request (admission control) answers ``{"ok": false, "error":
+A write's ``value`` is an integer in int64 range (default 0; anything
+else is an error reply); a read returns the value of the last write
+initiated before it (see :mod:`repro.serve.session`, "Completions").  A
+rejected request (admission control) answers ``{"ok": false, "error":
 "busy"}`` -- clients are expected to back off.  A line longer than 64 KiB
 answers ``{"ok": false, "error": ...}`` once and the connection is
-closed (what follows it cannot be framed).  Reads and writes are
-answered when the simulated operation *completes*; the frontend's pump
-task micro-batches everything submitted since the last engine epoch
-(every ``batch_interval`` wall seconds), so responses arrive in bursts.
-Live requests are mapped onto the simulated clock ``tick`` seconds
-apart (the open-loop :mod:`~repro.serve.loadgen` is the tool for
-*controlled* arrival processes; the frontend serves whatever shows up).
+closed (what follows it cannot be framed).  Live requests are mapped
+onto the simulated clock ``tick`` seconds apart (the open-loop
+:mod:`~repro.serve.loadgen` is the tool for *controlled* arrival
+processes; the frontend serves whatever shows up).
 
-Everything runs on one thread: handlers only touch the session between
-pumps, and ``pump`` itself is a plain blocking call inside the event
-loop -- micro-batching keeps each call short.
+How lines become replies
+------------------------
+A connection's read loop takes whatever bytes have arrived and handles
+every complete line at once: ``stats``, ``create``, malformed lines and
+``busy`` are answered there; an accepted read or write is remembered
+under its request id.  The first accepted request of a burst schedules
+one pump (``call_soon``), which runs once every connection has handed
+over what arrived in the same event-loop turn: it serves everything
+queued, takes the completions (:meth:`ServeSession.drain_completions`)
+and writes each connection its replies, in completion order, with one
+``write``.  There is no timer and no per-request task or future: an idle
+frontend does nothing, a busy one pumps as often as lines arrive.  The
+read loop awaits ``drain()`` before reading more, so a client that stops
+reading stops being read.
+
+A connection that sends EOF still gets the replies it is owed (a last
+line without a newline is answered like any other), then is closed.  A
+reply owed to a connection that has gone (reset or closed) is
+counted in ``replies_dropped``; the ``stats`` op reports it beside
+``replies_sent``, and the two add up to the requests completed.
+
+Everything runs on one thread: the session is only touched from the
+event loop, and ``pump`` itself is a plain blocking call inside it.
 """
 
 from __future__ import annotations
@@ -30,11 +50,36 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .session import ServeSession
 
 __all__ = ["ServeFrontend", "selfcheck", "serve_forever"]
+
+#: The longest line the frontend frames (asyncio's default stream limit).
+LINE_LIMIT = 1 << 16
+
+_TOO_LONG = (json.dumps({"ok": False, "error": f"line exceeds the {LINE_LIMIT}-byte limit"})
+             + "\n").encode()
+
+#: ``json.loads`` of a ``str`` / ``json.dumps(separators=(",", ":"))``,
+#: without building a codec per line.
+_decode = json.JSONDecoder().decode
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _Conn:
+    """One client connection: its writer, how many replies it is owed,
+    whether its read loop still runs and whether replies may still be
+    written to it."""
+
+    __slots__ = ("writer", "owed", "reading", "writing")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self.owed = 0
+        self.reading = True
+        self.writing = True
 
 
 class ServeFrontend:
@@ -47,21 +92,23 @@ class ServeFrontend:
         port: int = 0,
         *,
         tick: float = 1e-6,
-        batch_interval: float = 0.005,
     ):
         self.session = session
         self.host = host
         self.port = port
         self.tick = tick
-        self.batch_interval = batch_interval
+        self.replies_sent = 0
+        self.replies_dropped = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pump_task: Optional[asyncio.Task] = None
-        self._closing = False
+        self._pump_handle: Optional[asyncio.Handle] = None
+        # request id -> (connection, the reply's ``"id"`` suffix, is a read)
+        self._owed: Dict[int, tuple] = {}
+        # open connection -> its read loop's task
+        self._conns: Dict[_Conn, asyncio.Task] = {}
 
     async def start(self) -> "ServeFrontend":
         self._server = await asyncio.start_server(self._client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._pump_task = asyncio.create_task(self._pump_loop())
         return self
 
     async def wait_closed(self) -> None:
@@ -69,29 +116,54 @@ class ServeFrontend:
             await self._server.wait_closed()
 
     async def aclose(self) -> None:
-        self._closing = True
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
+        """Stop pumping and accepting, and hang up on every client; what
+        is still queued is the session's to finish (``close()``)."""
+        if self._pump_handle is not None:
+            self._pump_handle.cancel()
+            self._pump_handle = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        readers = list(self._conns.values())
+        for conn in list(self._conns):
+            self._hang_up(conn)
+        if readers:
+            await asyncio.wait(readers)  # each sees its EOF and returns
 
     # ------------------------------------------------------------------ pump
-    async def _pump_loop(self) -> None:
+    def _pump(self) -> None:
+        """Serve everything that arrived since the last pump and answer it.
+        No horizon: live arrivals are assigned at the simulated clock as
+        they come in (there is no predetermined future stream to stay
+        behind, unlike the open-loop loadgen), so a full drain is always
+        timeline-exact."""
+        self._pump_handle = None
         sess = self.session
-        while not self._closing:
-            await asyncio.sleep(self.batch_interval)
-            if sess.queue_depth or sess.inflight:
-                # Serve everything that arrived since the last epoch.  No
-                # horizon: live arrivals are assigned at the simulated
-                # clock as they come in (there is no predetermined future
-                # stream to stay behind, unlike the open-loop loadgen), so
-                # a full drain is always timeline-exact.
-                sess.pump()
+        sess.pump()
+        ids, done, values = sess.drain_completions()
+        owed = self._owed
+        replies: Dict[_Conn, List[str]] = {}
+        for rid, t, v in zip(ids.tolist(), done.tolist(), values.tolist()):
+            entry = owed.pop(rid, None)
+            if entry is None:
+                continue  # submitted to the session by someone else
+            conn, tag, read = entry
+            line = (f'{{"ok":true,"time":{t!r},"value":{v}{tag}}}' if read
+                    else f'{{"ok":true,"time":{t!r}{tag}}}')
+            out = replies.get(conn)
+            if out is None:
+                replies[conn] = [line]
+            else:
+                out.append(line)
+        for conn, out in replies.items():
+            conn.owed -= len(out)
+            if conn.writing and not conn.writer.is_closing():
+                conn.writer.write(("\n".join(out) + "\n").encode())
+                self.replies_sent += len(out)
+            else:
+                self.replies_dropped += len(out)
+            if not conn.reading and not conn.owed:
+                self._hang_up(conn)
 
     def _next_arrival(self) -> float:
         floor = self.session.arrival_floor + self.tick
@@ -101,54 +173,92 @@ class ServeFrontend:
     # --------------------------------------------------------------- clients
     async def _client(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        wlock = asyncio.Lock()
-        tasks = []
+        conn = _Conn(writer)
+        self._conns[conn] = asyncio.current_task()
+        rest = b""
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                data = await reader.read(LINE_LIMIT)
+                if not data:
+                    if rest:
+                        self._handle(conn, [rest])  # a last line cut short by EOF
                     break
-                tasks.append(asyncio.create_task(
-                    self._handle(line, writer, wlock)))
-        except ValueError as exc:
-            # A line past the stream's 64 KiB limit; what follows it is
-            # unframed: answer once, then hang up.
-            await self._send({"ok": False, "error": str(exc)}, writer, wlock)
-            await self._linger(reader, writer)
+                lines = (rest + data).split(b"\n")
+                rest = lines.pop()
+                # A read is at most LINE_LIMIT bytes, so only the first
+                # line (it carries the previous tail) or the new tail can
+                # be over-long.  What follows one is unframed: answer
+                # once, then hang up.
+                too_long = len(rest) > LINE_LIMIT
+                if lines and len(lines[0]) > LINE_LIMIT:
+                    lines, too_long = [], True
+                self._handle(conn, lines)
+                if too_long:
+                    conn.writing = False  # replies still owed are dropped
+                    writer.write(_TOO_LONG)
+                    await self._linger(reader, writer)
+                    self._hang_up(conn)
+                    break
+                await writer.drain()
         except ConnectionError:
             pass  # the peer reset the connection: nobody left to answer
         finally:
-            for t in tasks:
-                if not t.done():
-                    t.cancel()
-            writer.close()
+            conn.reading = False
+            if not conn.owed or writer.is_closing():
+                self._hang_up(conn)
 
-    async def _handle(self, line: bytes, writer: asyncio.StreamWriter,
-                      wlock: asyncio.Lock) -> None:
-        reply: Dict[str, Any]
-        msg_id = None
-        try:
-            msg = json.loads(line)
-            msg_id = msg.get("id")
-            reply = await self._dispatch(msg)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # malformed input must not kill the server
-            reply = {"ok": False, "error": str(exc)}
-        if msg_id is not None:
-            reply["id"] = msg_id
-        await self._send(reply, writer, wlock)
+    def _hang_up(self, conn: _Conn) -> None:
+        self._conns.pop(conn, None)
+        conn.writing = False
+        conn.writer.close()
 
-    @staticmethod
-    async def _send(reply: Dict[str, Any], writer: asyncio.StreamWriter,
-                    wlock: asyncio.Lock) -> None:
-        data = (json.dumps(reply, separators=(",", ":")) + "\n").encode()
-        async with wlock:
-            writer.write(data)
+    def _handle(self, conn: _Conn, lines: List[bytes]) -> None:
+        """Handle the complete lines one read delivered: answer what can be
+        answered now (one ``write``), submit reads and writes, and schedule
+        the pump that answers those."""
+        sess = self.session
+        submit = sess.try_submit
+        owed = self._owed
+        now: List[str] = []
+        accepted = 0
+        for line in lines:
+            cid = None
             try:
-                await writer.drain()
-            except ConnectionError:
-                pass
+                msg = _decode(line.decode())
+                cid = msg.get("id")
+                op = msg.get("op")
+                if op == "read" or op == "write":
+                    read = op == "read"
+                    if submit("r" if read else "w", int(msg["proc"]), int(msg["vid"]),
+                              value=0 if read else msg.get("value", 0),
+                              arrival=self._next_arrival()):
+                        tag = ("" if cid is None
+                               else f',"id":{cid}' if cid.__class__ is int
+                               else ',"id":' + _encode(cid))
+                        owed[sess.accepted - 1] = (conn, tag, read)
+                        accepted += 1
+                        continue
+                    reply = {"ok": False, "error": "busy"}
+                elif op == "stats":
+                    reply = {"ok": True, **sess.snapshot(),
+                             "replies_sent": self.replies_sent,
+                             "replies_dropped": self.replies_dropped}
+                elif op == "create":
+                    vid = sess.create(int(msg.get("proc", 0)), int(msg.get("payload", 256)))
+                    reply = {"ok": True, "vid": vid}
+                else:
+                    reply = {"ok": False, "error": f"unknown op {op!r}"}
+            except Exception as exc:  # malformed input must not kill the server
+                reply = {"ok": False, "error": str(exc)}
+            if cid is not None:
+                reply["id"] = cid
+            now.append(_encode(reply))
+        if now:
+            conn.writer.write(("\n".join(now) + "\n").encode())
+        if accepted:
+            conn.owed += accepted
+            if self._pump_handle is None:
+                self._pump_handle = asyncio.get_running_loop().call_soon(self._pump)
 
     @staticmethod
     async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
@@ -167,38 +277,6 @@ class ServeFrontend:
         except (asyncio.TimeoutError, OSError):
             pass
 
-    async def _dispatch(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        sess = self.session
-        op = msg.get("op")
-        if op == "stats":
-            return {"ok": True, **sess.snapshot()}
-        if op == "create":
-            vid = sess.create(int(msg.get("proc", 0)), int(msg.get("payload", 256)))
-            return {"ok": True, "vid": vid}
-        if op in ("read", "write"):
-            fut = asyncio.get_running_loop().create_future()
-
-            def done(_item, t, value, fut=fut):
-                if not fut.done():
-                    fut.set_result((t, value))
-
-            ok = sess.try_submit(
-                "r" if op == "read" else "w",
-                int(msg["proc"]),
-                int(msg["vid"]),
-                value=msg.get("value", 0),
-                arrival=self._next_arrival(),
-                on_done=done,
-            )
-            if not ok:
-                return {"ok": False, "error": "busy"}
-            t, value = await fut
-            reply = {"ok": True, "time": t}
-            if op == "read":
-                reply["value"] = value
-            return reply
-        return {"ok": False, "error": f"unknown op {op!r}"}
-
 
 def serve_forever(
     session: ServeSession,
@@ -206,14 +284,11 @@ def serve_forever(
     port: int = 7411,
     *,
     tick: float = 1e-6,
-    batch_interval: float = 0.005,
 ) -> None:
     """Run the frontend until interrupted (the ``repro serve`` command)."""
 
     async def main() -> None:
-        fe = await ServeFrontend(
-            session, host, port, tick=tick, batch_interval=batch_interval
-        ).start()
+        fe = await ServeFrontend(session, host, port, tick=tick).start()
         print(f"serving {session.rt.strategy.name} on "
               f"{session.rt.sim.topology.label}: {fe.host}:{fe.port}",
               file=sys.stderr)
@@ -272,7 +347,7 @@ def selfcheck(
         session = ServeSession(Mesh2D(side, side), strategy, seed=seed)
         for vid in range(n_vars):
             session.create(vid % session.n_procs, 256)
-        fe = await ServeFrontend(session, batch_interval=0.002).start()
+        fe = await ServeFrontend(session).start()
         per = requests // clients
         answered = sum(await asyncio.gather(
             *(client(fe.port, r, per) for r in range(clients))
@@ -289,6 +364,7 @@ def selfcheck(
             "latency_p50": rep.latency_p50,
             "latency_p99": rep.latency_p99,
             "hit_rate": rep.hit_rate,
+            "dispatch": rep.extra["dispatch"],
         }
 
     return asyncio.run(main())

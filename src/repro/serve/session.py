@@ -36,12 +36,23 @@ the classic path, so a served run is **bit-identical** between the two
 
 The mode is decided lazily at the first :meth:`ServeSession.pump`:
 ``fast=None`` (the default) picks the fast path when eligible, the
-classic generators otherwise; submitting with an ``on_done`` callback
-before the first pump commits the session to the classic path (the C
-queues cannot carry Python callbacks).  Which path ran, and why a faster
-one was refused, is in ``ServeReport.extra["dispatch"]`` and
+classic generators otherwise.  Which path ran, and why a faster one was
+refused, is in ``ServeReport.extra["dispatch"]`` and
 :meth:`ServeSession.snapshot`; on the fast path the block also counts
 the requests the kernel completed natively and those that crossed.
+
+Completions
+-----------
+A request's id is its accept index (:meth:`ServeSession.submit` returns
+it).  :meth:`ServeSession.drain_completions` hands back what the most
+recent pump completed -- ids, simulated completion times, values -- the
+same on both paths.  Values are integers in int64 range.  A write stores
+its value and a read takes the variable's current one when the request
+is *initiated*, exactly where the classic path reads and writes the
+variable registry; so a read returns the last write initiated before it,
+even one that completes later.  On the fast path the values live in the
+kernel's per-variable value cell, and the registry is not authoritative
+for them: a request that crosses into the strategy still writes 0 there.
 
 Micro-batching and bounded run-ahead
 ------------------------------------
@@ -76,7 +87,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -104,7 +115,23 @@ _KERNEL_FLOW = {None: 0, "tree": 1, "directory": 2}
 _REC = np.dtype([
     ("proc", "i4"), ("vid", "i4"), ("kind", "i4"), ("pad", "i4"),
     ("arrival", "f8"), ("eff", "f8"), ("done", "f8"), ("wall", "f8"),
+    ("id", "i8"), ("value", "i8"),
 ])
+
+#: One completion as :meth:`ServeSession.drain_completions` reports it.
+_DONE = np.dtype([("id", "i8"), ("done", "f8"), ("value", "i8")])
+
+_I64 = 1 << 63
+
+
+def _int64(value: Any) -> int:
+    """``value`` as a request carries it: an integer in int64 range (the
+    kernel's value cell), on every dispatch path alike."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+        if -_I64 <= value < _I64:
+            return value
+    raise ValueError(f"value must be an integer in int64 range, not {value!r}")
 
 
 class QueueFull(RuntimeError):
@@ -128,9 +155,9 @@ class ServeRecorder(TraceRecorder):
 class _Item:
     """One queued request (slots: this is allocated per served request)."""
 
-    __slots__ = ("kind", "proc", "vid", "value", "arrival", "eff", "wall", "cb")
+    __slots__ = ("kind", "proc", "vid", "value", "arrival", "eff", "wall", "id")
 
-    def __init__(self, kind, proc, vid, value, arrival, wall, cb):
+    def __init__(self, kind, proc, vid, value, arrival, wall, id):
         self.kind = kind
         self.proc = proc
         self.vid = vid
@@ -138,7 +165,7 @@ class _Item:
         self.arrival = arrival  # requested simulated arrival (latency zero point)
         self.eff = arrival      # effective issue floor (clamped at injection)
         self.wall = wall
-        self.cb = cb
+        self.id = id            # accept index
 
 
 @dataclass
@@ -268,6 +295,11 @@ class ServeSession:
         self._sim_end = 0.0       # max completion time seen (fast mode)
         self._rec_batches: list = []     # retained completion records
         self._rec_prev: Optional[list] = None  # per-proc prev completion
+        # What the most recent pump completed (drain_completions): the
+        # classic dispatchers append (id, done, value) rows, the fast path
+        # keeps three columns; a pump clears both when it starts.
+        self._done_rows: list = []
+        self._done_cols: Optional[tuple] = None
         # Start the dispatchers: every processor parks at t=0, ready to be
         # kicked awake by its first request.  Both modes start them (the
         # fast path leaves them parked forever): the t=0 startup events
@@ -288,6 +320,7 @@ class ServeSession:
         wlat_add = self._lat_wall.add
         clock = self._clock
         perf = time.perf_counter
+        done_add = self._done_rows.append
         while True:
             if not q:
                 self._park_time[p] = sim.now
@@ -304,17 +337,15 @@ class ServeSession:
             if it.kind == "r":
                 value = yield ReadReq(by_id(it.vid))
             else:
-                yield WriteReq(by_id(it.vid), it.value)
-                value = None
+                value = it.value
+                yield WriteReq(by_id(it.vid), value)
             done = sim.now
             clock[p] = done
             lat_add(done - it.arrival)
             wlat_add(perf() - it.wall)
             self._inflight -= 1
             self.completed += 1
-            cb = it.cb
-            if cb is not None:
-                cb(it, done, value)
+            done_add((it.id, done, value))
 
     # ------------------------------------------------------- mode selection
     def _set_classic(self, reason: str) -> None:
@@ -324,11 +355,13 @@ class ServeSession:
             # Packed batches arrived before the mode was decided: unpack
             # them ahead of any scalar tail already in the ingest deque.
             items: deque = deque()
-            for kinds, procs, vids, arr, walls in self._batches:
+            first = self.accepted - self._buffered - len(self._ingest)
+            for kinds, procs, vids, arr, walls, values in self._batches:
                 for i in range(len(kinds)):
                     items.append(_Item(
                         "r" if kinds[i] == 0 else "w", int(procs[i]),
-                        int(vids[i]), 0, float(arr[i]), float(walls[i]), None,
+                        int(vids[i]), int(values[i]), float(arr[i]),
+                        float(walls[i]), first + len(items),
                     ))
             self._batches.clear()
             self._buffered = 0
@@ -338,9 +371,9 @@ class ServeSession:
     def _decide_mode(self) -> None:
         # The classic generator dispatchers are not a fallback awaiting
         # deletion: they are the only path on the pure-Python engine (and
-        # under failures, bounded memory, callbacks or an undeclared
-        # family), and the reference the differential tests compare the
-        # kernel fast path against.
+        # under failures, bounded memory or an undeclared family), and the
+        # reference the differential tests compare the kernel fast path
+        # against.
         if self._fast_opt is False:
             self._set_classic("fast=False was requested")
             return
@@ -485,6 +518,7 @@ class ServeSession:
             np.fromiter((it.vid for it in items), dtype=np.int32, count=m),
             np.fromiter((it.arrival for it in items), dtype=np.float64, count=m),
             np.fromiter((it.wall for it in items), dtype=np.float64, count=m),
+            np.fromiter((it.value for it in items), dtype=np.int64, count=m),
         ))
         self._buffered += m
         items.clear()
@@ -493,7 +527,7 @@ class ServeSession:
         self._pack_ingest()
         sim = self.rt.sim
         lib, h, cast = sim._lib, sim._h, sim._ffi.cast
-        for kinds, procs, vids, arr, walls in self._batches:
+        for kinds, procs, vids, arr, walls, values in self._batches:
             self._kpending = lib.sim_serve_ingest(
                 h, len(kinds),
                 cast("const int *", procs.ctypes.data),
@@ -501,6 +535,7 @@ class ServeSession:
                 cast("const int *", kinds.ctypes.data),
                 cast("const double *", arr.ctypes.data),
                 cast("const double *", walls.ctypes.data),
+                cast("const i64 *", values.ctypes.data),
             )
         self._batches.clear()
         self._buffered = 0
@@ -518,6 +553,7 @@ class ServeSession:
                 sim._ffi.buffer(out.recs, n * _REC.itemsize), dtype=_REC
             )
             done = recs["done"].copy()
+            self._done_cols = (recs["id"].copy(), done, recs["value"].copy())
             self._lat_sim.add_many(done - recs["arrival"])
             self._lat_wall.add_many(time.perf_counter() - recs["wall"])
             if self.recorder is not None:
@@ -551,8 +587,8 @@ class ServeSession:
         self._drain()
 
     # ---------------------------------------------------------------- ingest
-    def create(self, proc: int, payload_bytes: int = 256, value: Any = 0) -> int:
-        """Create a variable now; returns its vid.
+    def create(self, proc: int, payload_bytes: int = 256) -> int:
+        """Create a variable (value 0) now; returns its vid.
 
         Creation is local bookkeeping (zero messages, zero simulated
         time), exactly as in batch programs, and replay hoists creates --
@@ -561,6 +597,8 @@ class ServeSession:
         """
         if self._closed:
             raise RuntimeError("session is closed")
+        if not 0 <= proc < self.n_procs:
+            raise ValueError(f"no such processor: {proc}")
         if self._mode == "fast" and self.recorder is not None and self.accepted:
             raise RuntimeError(
                 "cannot create variables after requests were accepted on the "
@@ -568,9 +606,7 @@ class ServeSession:
                 "hoists creates); create everything up front, or open the "
                 "session with record=False or fast=False"
             )
-        var = self.rt.create_var(
-            f"s{len(self.rt.registry)}", payload_bytes, proc, value
-        )
+        var = self.rt.create_var(f"s{len(self.rt.registry)}", payload_bytes, proc, 0)
         self.created += 1
         if self._mode == "fast":
             self._mirror_var(var.vid)
@@ -582,18 +618,18 @@ class ServeSession:
         proc: int,
         vid: int,
         *,
-        value: Any = 0,
+        value: int = 0,
         arrival: Optional[float] = None,
-        on_done: Optional[Callable[[Any, float, Any], None]] = None,
     ) -> bool:
         """Queue one read (``"r"``) or write (``"w"``); ``False`` =
         admission control rejected it (queue at ``max_queue``).
 
-        ``arrival`` is the simulated arrival time; arrivals are clamped
-        nondecreasing (``None`` = right after the previous one).
-        ``on_done(item, sim_completion_time, value)`` fires inside the
-        pump when the request completes.  Passing ``on_done`` before the
-        first pump commits the session to the classic dispatch path.
+        An accepted request's id is its accept index (``accepted - 1``
+        right after); :meth:`drain_completions` reports it when a pump
+        completes the request.  ``value`` is what a write stores: an
+        integer in int64 range (``ValueError`` otherwise, on either
+        path).  ``arrival`` is the simulated arrival time; arrivals are
+        clamped nondecreasing (``None`` = right after the previous one).
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -603,15 +639,8 @@ class ServeSession:
             raise ValueError(f"no such processor: {proc}")
         if not 0 <= vid < len(self.rt.registry):
             raise ValueError(f"no such variable: {vid}")
-        if on_done is not None:
-            if self._mode == "fast":
-                raise RuntimeError(
-                    "on_done callbacks need the classic dispatch path, but "
-                    "this session is already on the kernel fast path (open "
-                    "it with fast=False to keep callbacks)"
-                )
-            if self._mode is None:
-                self._set_classic("an on_done callback was submitted (the C queues carry none)")
+        if value.__class__ is not int or not -_I64 <= value < _I64:
+            value = _int64(value)
         if self.queue_depth >= self.max_queue:
             self.rejected += 1
             return False
@@ -622,14 +651,16 @@ class ServeSession:
         if arrival is None or arrival < floor:
             arrival = floor
         self._arrival_floor = arrival
-        self._ingest.append(_Item(kind, proc, vid, value, arrival, wall, on_done))
+        self._ingest.append(_Item(kind, proc, vid, value, arrival, wall, self.accepted))
         self.accepted += 1
         return True
 
-    def submit(self, kind: str, proc: int, vid: int, **kw: Any) -> None:
-        """:meth:`try_submit` that raises :class:`QueueFull` on rejection."""
+    def submit(self, kind: str, proc: int, vid: int, **kw: Any) -> int:
+        """:meth:`try_submit` that returns the request id and raises
+        :class:`QueueFull` on rejection."""
         if not self.try_submit(kind, proc, vid, **kw):
             raise QueueFull(f"ingest queue at capacity ({self.max_queue})")
+        return self.accepted - 1
 
     def submit_batch(self, reads, procs, vids, arrivals) -> int:
         """Vectorized :meth:`try_submit`: queue a whole epoch of requests
@@ -638,7 +669,8 @@ class ServeSession:
         ``vids`` integer arrays, ``arrivals`` the simulated arrival
         times; all the same length.  Admission accepts the longest prefix
         the queue has room for (identical to per-item submission, since
-        arrivals are nondecreasing) and returns the accepted count.
+        arrivals are nondecreasing) and returns the accepted count; their
+        ids are the consecutive accept indices, and writes store 0.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -677,7 +709,8 @@ class ServeSession:
         # pending stream stays FIFO.
         self._pack_ingest()
         self._batches.append((kinds, procs[:k], vids[:k], arr,
-                              np.full(k, wall, dtype=np.float64)))
+                              np.full(k, wall, dtype=np.float64),
+                              np.zeros(k, dtype=np.int64)))
         self._buffered += k
         self.accepted += k
         return k
@@ -729,6 +762,8 @@ class ServeSession:
         """
         if self._closed:
             raise RuntimeError("session is closed")
+        self._done_rows.clear()
+        self._done_cols = None
         if self._mode is None:
             self._decide_mode()
         if self._mode == "fast":
@@ -751,6 +786,17 @@ class ServeSession:
             sim.run(until)
             if not n:
                 return
+
+    def drain_completions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, done, values)``: the requests the most recent
+        :meth:`pump` completed, in completion order -- request ids, simulated
+        completion times, and each write's stored / read's returned value.
+        The same records on both dispatch paths; held until the next pump
+        starts."""
+        if self._done_cols is not None:
+            return self._done_cols
+        rows = np.array(self._done_rows, dtype=_DONE)
+        return rows["id"], rows["done"], rows["value"]
 
     # ------------------------------------------------------------- reporting
     def _dispatch_info(self) -> Dict[str, Any]:

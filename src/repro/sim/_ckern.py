@@ -87,10 +87,15 @@ typedef struct {
  * 1 = write.  arrival is the requested simulated arrival (latency zero
  * point), eff the effective issue floor (clamped at injection, exactly
  * like the Python session's _inject), done the completion time, wall the
- * perf_counter() stamp taken at submission.  The session reads the record
- * array as a numpy structured dtype (serve/session.py _REC), so the
- * layout is ABI. */
-typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SReq;
+ * perf_counter() stamp taken at submission, id the accept index (numbered
+ * at ingest), value what a write stores / what a read returned (stamped
+ * at initiation).  The session reads the record array as a numpy
+ * structured dtype (serve/session.py _REC), so the layout is ABI. */
+typedef struct {
+    int proc, vid, kind, pad;
+    double arrival, eff, done, wall;
+    i64 id, value;
+} SReq;
 
 /* FIFO ring of requests (the pending queue and every processor's queue);
  * cap is a power of two. */
@@ -99,8 +104,14 @@ typedef struct { SReq *buf; int cap, head, len; } SRing;
 /* Per-variable mirror state besides the membership bitset: owner (-1 =
  * home/main memory), member count and, for the flow mirrors, the
  * component top (tree) or the home processor (directory), payload bytes
- * and the data cost shape of that payload. */
-typedef struct { int owner, count, top, home; double payload; Shape data; } SVar;
+ * and the data cost shape of that payload; value is the variable's value
+ * cell (0 until a write is initiated). */
+typedef struct {
+    int owner, count, top, home;
+    double payload;
+    Shape data;
+    i64 value;
+} SVar;
 
 /* What one pump produced, filled by sim_serve_drain. */
 typedef struct {
@@ -138,6 +149,7 @@ typedef struct {
     SRing *sv_q;                  /* per-proc request rings */
     SRing sv_pend;                /* admitted, awaiting injection */
     SReq *sv_cur;                 /* per-proc request crossed into Python */
+    i64 sv_next_id;               /* id of the next ingested request */
     unsigned char *sv_state;      /* 0 idle, 1 timer pending, 2 crossed */
     i64 sv_inflight, sv_max_inflight, sv_round_n;
     i64 sv_hits, sv_wlocal;       /* native counter deltas (folded by Python) */
@@ -625,6 +637,12 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         q->head = (q->head + 1) & (q->cap - 1);
         q->len--;
         int vid = cur.vid;
+        /* initiation: values follow it (the classic path reads / writes
+           the registry at this same point), not completion */
+        if (cur.kind)
+            s->sv_var[vid].value = cur.value;
+        else
+            cur.value = s->sv_var[vid].value;
         /* 1 = the mirror proves the strategy call side-effect-free,
            0 = it proves a miss / remote write, -1 = it may not say */
         int native = -1;
@@ -1023,13 +1041,15 @@ static int serve_flow(Sim *s, int p, const SReq *cur) {
 
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
                      const int *kinds, const double *arrivals,
-                     const double *walls) {
+                     const double *walls, const i64 *values) {
     /* append n admitted requests to the pending ring (ONE call per
-       queue drain: the batched-ingest half of the fast path) */
+       queue drain: the batched-ingest half of the fast path), numbered
+       in ingest order */
     SReq it = {0};
     for (i64 j = 0; j < n; j++) {
         it.proc = procs[j]; it.vid = vids[j]; it.kind = kinds[j];
         it.arrival = arrivals[j]; it.wall = walls[j];
+        it.id = s->sv_next_id++; it.value = values[j];
         ring_push(&s->sv_pend, &it);
     }
     return s->sv_pend.len;
@@ -1247,7 +1267,11 @@ void sim_free(Sim *s) {
 _CDEF = """
 typedef long long i64;
 typedef struct { int kind; int a; int b; double time; } Crossing;
-typedef struct { int proc, vid, kind, pad; double arrival, eff, done, wall; } SReq;
+typedef struct {
+    int proc, vid, kind, pad;
+    double arrival, eff, done, wall;
+    i64 id, value;
+} SReq;
 typedef struct {
     i64 n_rec, inflight, pending, hits, wlocal, misses, wremote;
     i64 crossed_r, crossed_w, fallbacks;
@@ -1289,7 +1313,7 @@ int sim_serve_export(Sim *s, int vid);
 void sim_serve_storage_delta(Sim *s, double delta, double t);
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
                      const int *kinds, const double *arrivals,
-                     const double *walls);
+                     const double *walls, const i64 *values);
 int sim_serve_complete(Sim *s, Crossing *out, int p, double done);
 void sim_serve_push_done(Sim *s, int p, double done);
 void sim_serve_drain(Sim *s, ServeDrain *out);

@@ -8,6 +8,7 @@ import struct
 from repro.network.mesh import Mesh2D
 from repro.serve import ServeSession
 from repro.serve.frontend import ServeFrontend, selfcheck
+from repro.sim import _ckern
 
 
 class TestSelfcheck:
@@ -23,7 +24,7 @@ class TestWireProtocol:
     def test_create_read_write_stats_and_errors(self):
         async def main():
             sess = ServeSession(Mesh2D(2, 2), "fixed-home", seed=0)
-            fe = await ServeFrontend(sess, batch_interval=0.002).start()
+            fe = await ServeFrontend(sess).start()
             reader, writer = await asyncio.open_connection("127.0.0.1", fe.port)
 
             async def ask(msg):
@@ -57,6 +58,37 @@ class TestWireProtocol:
         report = asyncio.run(main())
         assert report.requests == 2 and report.created == 1
 
+    def test_create_after_reads_on_an_unrecorded_session(self):
+        """``repro serve``'s session records nothing (a long-running
+        server would grow by one op per request): on the fast path that
+        is also what lets a client create a variable after the first
+        request and read it back."""
+        async def main():
+            sess = ServeSession(Mesh2D(4, 4), "4-ary", seed=0, record=False)
+            sess.create(0, 64)
+            fe = await ServeFrontend(sess).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", fe.port)
+
+            async def ask(msg):
+                writer.write((json.dumps(msg) + "\n").encode())
+                return json.loads(await reader.readline())
+
+            assert (await ask({"op": "read", "proc": 5, "vid": 0}))["ok"]
+            assert (await ask({"op": "write", "proc": 9, "vid": 0, "value": -3}))["ok"]
+            assert (await ask({"op": "read", "proc": 5, "vid": 0}))["value"] == -3
+            assert await ask({"op": "create", "proc": 2, "payload": 32}) == {"ok": True, "vid": 1}
+            assert (await ask({"op": "write", "proc": 7, "vid": 1, "value": 1 << 62}))["ok"]
+            assert (await ask({"op": "read", "proc": 2, "vid": 1}))["value"] == 1 << 62
+            stats = await ask({"op": "stats"})
+            writer.close()
+            await fe.aclose()
+            sess.close()
+            return stats
+
+        stats = asyncio.run(main())
+        assert stats["completed"] == 5 and stats["created"] == 2
+        assert stats["dispatch"]["mode"] == ("fast" if _ckern.load_kernel() else "classic")
+
 
 class TestBadConnections:
     """The edge answers what it cannot read, once, and hangs up; the
@@ -70,7 +102,7 @@ class TestBadConnections:
                 lambda loop, context: unhandled.append(context))
             sess = ServeSession(Mesh2D(2, 2), "fixed-home", seed=0)
             sess.create(0, 64)
-            fe = await ServeFrontend(sess, batch_interval=0.002).start()
+            fe = await ServeFrontend(sess).start()
             out = await scenario(fe.port)
             # the server still serves a fresh connection
             reader, writer = await asyncio.open_connection("127.0.0.1", fe.port)
@@ -100,6 +132,26 @@ class TestBadConnections:
         assert len(replies) == 1
         reply = json.loads(replies[0])
         assert reply["ok"] is False and "limit" in reply["error"].lower()
+
+    def test_a_reply_owed_to_a_hung_up_connection_is_counted(self):
+        """The read is accepted, then the over-long line behind it hangs
+        the connection up before the pump answers: the reply is counted
+        as dropped, not lost silently."""
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "read", "proc": 1, "vid": 0}\n' + b"x" * (1 << 17) + b"\n")
+            await writer.drain()
+            replies = (await reader.read()).splitlines()
+            writer.close()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "stats"}\n')
+            stats = json.loads(await reader.readline())
+            writer.close()
+            return replies, stats
+
+        replies, stats = self.serve(scenario)
+        assert [json.loads(r)["ok"] for r in replies] == [False]
+        assert (stats["completed"], stats["replies_sent"], stats["replies_dropped"]) == (1, 0, 1)
 
     def test_reset_connection_is_closed_quietly(self):
         async def scenario(port):

@@ -23,6 +23,7 @@ from repro.network.mesh import Mesh2D
 from repro.network.stats import LinkStats
 from repro.runtime.launcher import Runtime
 from repro.serve import ServeSession
+from repro.serve.frontend import ServeFrontend
 from repro.sim import _ckern
 
 SERVE_DIR = pathlib.Path(repro.serve.__file__).parent
@@ -160,6 +161,19 @@ def test_session_assigns_no_attribute_on_the_runtime():
             if isinstance(target, ast.Attribute):
                 assert ast.unparse(target.value) not in ("rt", "self.rt"), (
                     f"session.py:{node.lineno} assigns {ast.unparse(target)}")
+
+
+def test_completions_carry_ids_not_callbacks():
+    """One completion API on both dispatch paths: no per-request callback
+    to force the classic dispatchers, no creation value the kernel's value
+    cell would not see, and a frontend that pumps when lines arrive -- no
+    batch timer, no per-request future or lock."""
+    assert "on_done" not in inspect.signature(ServeSession.try_submit).parameters
+    assert "value" not in inspect.signature(ServeSession.create).parameters
+    assert "batch_interval" not in inspect.signature(ServeFrontend.__init__).parameters
+    source = (SERVE_DIR / "frontend.py").read_text()
+    assert "create_future" not in source and "asyncio.Lock" not in source
+    assert not re.search(r"callback|on_done", inspect.getsource(ServeSession._decide_mode))
 
 
 def _attached(spec):

@@ -135,29 +135,32 @@ class TestArrivalClock:
         sess.submit("r", 3, 3, arrival=3.5)
         assert sess.arrival_floor == 3.5
 
-    def test_completion_callback_fires_with_sim_time(self):
-        sess = make_session()
-        seen = []
-        sess.submit("r", 3, 0, arrival=0.5,
-                    on_done=lambda it, t, v: seen.append((it.vid, t)))
+    @pytest.mark.parametrize("fast", [None, False])
+    def test_completion_is_drained_with_sim_time(self, fast):
+        sess = make_session(fast=fast)
+        rid = sess.submit("r", 3, 0, arrival=0.5)
         sess.pump()
-        assert len(seen) == 1
-        vid, t = seen[0]
-        assert vid == 0 and t >= 0.5
+        ids, done, values = sess.drain_completions()
+        assert ids.tolist() == [rid] == [0]
+        assert done[0] >= 0.5 and values.tolist() == [0]
+        sess.pump()  # the next pump starts empty
+        assert [len(col) for col in sess.drain_completions()] == [0, 0, 0]
 
-    def test_latency_measured_from_requested_arrival(self):
+    @pytest.mark.parametrize("fast", [None, False])
+    def test_latency_measured_from_requested_arrival(self, fast):
         """A queued-behind request's latency includes its wait."""
-        sess = make_session(max_inflight=1)
-        done = []
+        sess = make_session(max_inflight=1, fast=fast)
         for i in range(8):
             # Writes from alternating far processors: every request costs
             # simulated time (no processor ends up holding the only copy),
             # so the single-slot window makes later ones wait longer.
-            sess.submit("w", 15 if i % 2 else 12, 0, arrival=0.0,
-                        on_done=lambda it, t, v: done.append(t))
+            sess.submit("w", 15 if i % 2 else 12, 0, arrival=0.0, value=i)
+        sess.pump()
+        ids, done, values = sess.drain_completions()
+        assert ids.tolist() == values.tolist() == list(range(8))
+        assert done.tolist() == sorted(done.tolist())
         rep = sess.close()
         assert rep.requests == 8
-        assert done == sorted(done)
         # All arrivals were 0.0, so p99 latency ~= the last completion.
         assert rep.latency_p99 > rep.latency_p50 > 0.0
 
