@@ -472,9 +472,8 @@ class AccessTreeStrategy(DataManagementStrategy):
         return -1, cs.nodes, cs.top
 
     def flow_row(self, vid: int):
-        host = self.embedding.host
         return (
-            [host(vid, node) for node in range(len(self.tree.nodes))],
+            self.embedding.host_row(vid),
             float(self.registry.by_id(vid).payload_bytes),
             self._leg_costs[vid][1][:3],
         )

@@ -21,7 +21,10 @@ implemented for the paper's mesh:
 Both embeddings are deterministic functions of ``(seed, variable id)`` and
 are computed lazily, node by node: Barnes-Hut creates hundreds of thousands
 of variables, and only the tree nodes actually touched by the protocol ever
-need a host.
+need a host.  :meth:`Embedding.host_row` hands out a variable's whole row
+at once (what the kernel's residency mirror replays flows from); under the
+modified embedding a row is a function of the root's host alone, so it is
+one lookup into a table built once per embedding.
 
 Per-topology variants (selected by :func:`make_embedding` from the tree's
 topology; the mesh classes above are untouched so mesh results stay
@@ -46,7 +49,9 @@ tree at the requesting processor, as the protocol requires.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
+
+import numpy as np
 
 from .decomposition import DecompositionTree
 
@@ -61,6 +66,10 @@ __all__ = [
 
 _MIX1 = 0x9E3779B97F4A7C15
 _MIX2 = 1000003
+
+#: Largest ``processors x tree nodes`` row table :meth:`ModifiedEmbedding.
+#: host_row` builds (16 MiB of int32); larger machines walk the nodes.
+_ROW_TABLE_LIMIT = 1 << 22
 
 
 def _key(seed: int, vid: int, node: int) -> int:
@@ -83,6 +92,7 @@ class Embedding:
         self.seed = seed
         self._n_tree_nodes = len(tree.nodes)
         self._cache: Dict[int, List[Optional[int]]] = {}
+        self._pinned: Set[int] = set()  # vids with an overridden host
 
     def host(self, vid: int, node: int) -> int:
         """Processor hosting tree ``node`` of variable ``vid``'s access tree."""
@@ -106,6 +116,16 @@ class Embedding:
     def override(self, vid: int, node: int, host: int) -> None:
         """Pin ``node``'s host (the node-remapping feature)."""
         self.per_var_hosts(vid)[node] = host
+        self._pinned.add(vid)
+
+    def host_row(self, vid: int) -> np.ndarray:
+        """The host of every tree node of ``vid``'s access tree, indexed by
+        node id (int32)."""
+        host = self.host
+        return np.fromiter(
+            (host(vid, node) for node in range(self._n_tree_nodes)),
+            dtype=np.int32, count=self._n_tree_nodes,
+        )
 
     def _compute(self, vid: int, node: int, per_var: List[Optional[int]]) -> int:
         raise NotImplementedError
@@ -113,6 +133,7 @@ class Embedding:
     def forget(self, vid: int) -> None:
         """Drop the lazy cache of a variable (used when variables die)."""
         self._cache.pop(vid, None)
+        self._pinned.discard(vid)
 
 
 class RandomEmbedding(Embedding):
@@ -135,6 +156,45 @@ class ModifiedEmbedding(Embedding):
     coordinates modulo its own submesh size; only the root is random."""
 
     name = "modified"
+
+    _row_table: Optional[np.ndarray] = None
+
+    def host_row(self, vid: int) -> np.ndarray:
+        """A child's host depends only on its parent's, so the row is the
+        root host's row of one table (not for a pinned variable)."""
+        if vid in self._pinned or self.tree.mesh.n_nodes * self._n_tree_nodes > _ROW_TABLE_LIMIT:
+            return super().host_row(vid)
+        if self._row_table is None:
+            self._row_table = self._build_row_table()
+        root = self.tree.root
+        return self._row_table[self._compute(vid, root, None)]
+
+    def _build_row_table(self) -> np.ndarray:
+        """``table[r, node]``: the host of ``node`` when the root sits on
+        processor ``r`` -- :meth:`_compute`'s rule, level by level over
+        every root at once (a leaf's one-processor region gives it its
+        own processor)."""
+        tree = self.tree
+        topo = tree.mesh
+        coord = np.array([topo.coord(x) for x in range(topo.n_nodes)])
+        node_at = np.array(
+            [[topo.node(r, c) for c in range(topo.cols)] for r in range(topo.rows)],
+            dtype=np.int32,
+        )
+        row0, col0, rows, cols = (
+            np.array([getattr(n, f) for n in tree.nodes]) for f in ("row0", "col0", "rows", "cols")
+        )
+        depth, parent = np.array(tree.depth), np.array(tree.parent)
+        table = np.empty((topo.n_nodes, len(tree.nodes)), dtype=np.int32)
+        table[:, tree.root] = np.arange(topo.n_nodes)
+        for d in range(1, tree.height + 1):
+            idx = np.flatnonzero(depth == d)
+            par = parent[idx]
+            hosts = table[:, par]
+            r = row0[idx] + (coord[hosts, 0] - row0[par]) % rows[idx]
+            c = col0[idx] + (coord[hosts, 1] - col0[par]) % cols[idx]
+            table[:, idx] = node_at[r, c]
+        return table
 
     def _compute(self, vid: int, node: int, per_var: List[Optional[int]]) -> int:
         tree = self.tree
@@ -185,6 +245,9 @@ class TorusModifiedEmbedding(ModifiedEmbedding):
     """
 
     name = "modified"
+
+    # the row table encodes the mesh rule, not this one
+    host_row = Embedding.host_row
 
     def _compute(self, vid: int, node: int, per_var: List[Optional[int]]) -> int:
         tree = self.tree

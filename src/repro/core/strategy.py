@@ -59,10 +59,11 @@ GrantCallback = Callable[[float], None]
 
 
 class ResidencyMirror(NamedTuple):
-    """What a family lets a serving fast path assume (its decision table).
+    """What a family lets the kernel's residency mirror assume (its
+    decision table).
 
-    The fast path mirrors, per variable, *who holds a copy* as a member
-    set over ``n_sites`` residency sites (:meth:`DataManagementStrategy.
+    The runtime mirrors, per variable, *who holds a copy* as a member set
+    over ``n_sites`` residency sites (:meth:`DataManagementStrategy.
     residency`) and completes a request without calling the strategy when
     the table says the call would only bump a counter.  Everything else
     crosses into the unchanged :meth:`~DataManagementStrategy.read` /
@@ -85,7 +86,8 @@ class ResidencyMirror(NamedTuple):
     #: writes then replay natively from
     #: :meth:`~DataManagementStrategy.flow_row`, and
     #: :meth:`~DataManagementStrategy.adopt` imports the copy placement
-    #: they left (at a fallback crossing, and when the session closes).
+    #: they left (before a fallback crossing, and when the run or the
+    #: serving session ends).
     tree: Optional[
         Tuple[Sequence[int], Sequence[int], Sequence[Sequence[int]]]
     ] = None
@@ -226,10 +228,10 @@ class DataManagementStrategy:
         self._sc_last = at
 
     # ---------------------------------------------------- residency mirror
-    # The serving contract (see docs/ARCHITECTURE.md, "The kernel fast
-    # path").  A family opts in by defining ``_mirror`` *in its own class
+    # The runtime's contract (see docs/ARCHITECTURE.md, "The residency
+    # mirror").  A family opts in by defining ``_mirror`` *in its own class
     # body*: a subclass that declares nothing may have overridden the hit
-    # path, so it is served by the classic dispatchers.
+    # path, so its requests always call read / write.
 
     def residency_mirror(self) -> Union[ResidencyMirror, str]:
         """The family's :class:`ResidencyMirror` (call after

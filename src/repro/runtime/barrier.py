@@ -14,9 +14,10 @@ hotspot behaviour that a fixed central service exhibits on large meshes.
 
 Timing note: the combining pass is computed when the last processor
 arrives -- by then the arrival times of all processors are known and the
-leg times can be computed in one post-order sweep.  Barrier messages are
-control-sized, so acquiring their link reservations slightly late has no
-measurable effect on the surrounding traffic.
+leg times can be computed in one post-order sweep
+(:meth:`repro.sim.engine.Simulator.combine`, one call into the C kernel).
+Barrier messages are control-sized, so acquiring their link reservations
+slightly late has no measurable effect on the surrounding traffic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.decomposition import DecompositionTree, build_tree
 from ..core.embedding import ModifiedEmbedding
-from ..sim.engine import Simulator
+from ..sim.engine import CombineTables, Simulator
 
 __all__ = ["TreeBarrier", "CentralBarrier", "make_barrier"]
 
@@ -42,7 +43,8 @@ class TreeBarrier:
         self.sim = sim
         self.tree = tree if tree is not None else build_tree(sim.topology, stride=2, terminal=1)
         self.embedding = ModifiedEmbedding(self.tree, seed=seed ^ 0xBA221E2)
-        self._arrivals: Dict[int, float] = {}
+        self.tables = self._tables()
+        self._arrivals: List[float] = [0.0] * self.n_procs
         self._callbacks: Dict[int, Callable[[int, float], None]] = {}
         self.episodes = 0
 
@@ -50,63 +52,43 @@ class TreeBarrier:
     def n_procs(self) -> int:
         return self.sim.topology.n_nodes
 
-    def _host(self, node: int) -> int:
-        return self.embedding.host(_BARRIER_VID, node)
-
-    def arrive(self, proc: int, t: float, callback: Callable[[int, float], None]) -> None:
-        """Processor ``proc`` reaches the barrier at time ``t``;
-        ``callback(proc, release_time)`` fires when the barrier opens."""
-        if proc in self._arrivals:
-            raise RuntimeError(f"processor {proc} arrived twice at the same barrier")
-        self._arrivals[proc] = t
-        self._callbacks[proc] = callback
-        if len(self._arrivals) == self.n_procs:
-            self._complete()
-
-    def _complete(self) -> None:
-        sim, tree = self.sim, self.tree
-        ready: Dict[int, float] = {}
-
-        # Post-order: time at which each tree node has collected its subtree.
+    def _tables(self) -> CombineTables:
+        """The combining tree, dense, in the pass's pre-order: a node is
+        listed before its subtree, its last child's subtree first."""
+        tree = self.tree
         order: List[int] = []
         stack = [tree.root]
         while stack:
             n = stack.pop()
             order.append(n)
             stack.extend(tree.nodes[n].children)
-        for n in reversed(order):
-            node = tree.nodes[n]
-            if node.is_leaf:
-                proc = tree.mesh.node(node.row0, node.col0)
-                ready[n] = self._arrivals[proc]
-            else:
-                t = 0.0
-                host = self._host(n)
-                for c in node.children:
-                    t_arr = sim.send_leg(self._host(c), host, 0, ready[c], is_data=False)
-                    if t_arr > t:
-                        t = t_arr
-                ready[n] = t
-
-        # Pre-order: broadcast release.
-        release: Dict[int, float] = {tree.root: ready[tree.root]}
+        local = {n: i for i, n in enumerate(order)}
+        host = [self.embedding.host(_BARRIER_VID, n) for n in order]
+        kid_off, kids, leaf_proc = [0], [], []
         for n in order:
             node = tree.nodes[n]
-            host = self._host(n)
-            for c in node.children:
-                release[c] = sim.send_leg(host, self._host(c), 0, release[n], is_data=False)
+            kids.extend(local[c] for c in node.children)
+            kid_off.append(len(kids))
+            leaf_proc.append(tree.mesh.node(node.row0, node.col0) if node.is_leaf else -1)
+        return CombineTables(host, kid_off, kids, leaf_proc)
 
+    def arrive(self, proc: int, t: float, callback: Callable[[int, float], None]) -> None:
+        """Processor ``proc`` reaches the barrier at time ``t``;
+        ``callback(proc, release_time)`` fires when the barrier opens."""
+        if proc in self._callbacks:
+            raise RuntimeError(f"processor {proc} arrived twice at the same barrier")
+        self._arrivals[proc] = t
+        self._callbacks[proc] = callback
+        if len(self._callbacks) == self.n_procs:
+            self._complete()
+
+    def _complete(self) -> None:
+        release = self.sim.combine(self.tables, self._arrivals)
         callbacks = self._callbacks
-        arrivals = dict(self._arrivals)
-        self._arrivals.clear()
         self._callbacks = {}
         self.episodes += 1
-        for n in order:
-            node = tree.nodes[n]
-            if node.is_leaf:
-                proc = tree.mesh.node(node.row0, node.col0)
-                callbacks[proc](proc, release[n])
-        del arrivals
+        for proc in self.tables.leaf_order:
+            callbacks[proc](proc, release[proc])
 
 
 class CentralBarrier:

@@ -6,11 +6,36 @@ request to the data-management strategy, the barrier component, the lock
 manager or the message-passing layer, advancing virtual time through the
 event heap.  Zero-cost completions (cache hits, local writes) are resumed
 inline to keep large runs fast.
+
+The residency mirror
+--------------------
+On the C kernel a read or write need not call the strategy at all.  A
+family declares what the kernel may assume
+(:meth:`~repro.core.strategy.DataManagementStrategy.residency_mirror`:
+which sites hold a copy, when a hit or a local write is side-effect-free,
+and whether its miss and write flows have a static shape), and
+:meth:`Runtime.arm_mirror` copies every variable's residency into the
+kernel.  From then on one kernel call (``sim_access``) completes a hit or
+a local write in place, and replays a static family's read miss or remote
+write as the very flow the strategy would launch -- same state update,
+same event keys, so results are bit-identical.  What the mirror cannot
+decide *crosses*: the strategy adopts the copy placement native flows
+left, runs its unchanged ``read`` / ``write``, and the variable is
+re-synced.  The kernel keeps the hit/miss counters and the storage
+accumulator meanwhile; :meth:`Runtime.fold_mirror` hands them back at a
+measurement reset and :meth:`Runtime.release_mirror` everything at the
+end.  A batch :meth:`Runtime.run` arms the mirror when the family has a
+static flow (crossings outnumber native hits elsewhere, and armed
+dynrep / migratory / remapping cells measured 1.1-1.7x slower); the
+serving session (:mod:`repro.serve.session`) arms it for every declared
+family and adds its request rings on top.  ``RunResult.extra["execution"]``
+says which path ran and why a faster one was refused.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate, chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,6 +44,7 @@ from ..metrics import latency_percentiles
 from ..network.machine import GCEL, MachineModel
 from ..network.stats import LinkStats, PhaseStats
 from ..network.topology import Topology
+from ..sim import _ckern
 from ..sim.engine import SimDeadlock, Simulator
 from .api import (
     BarrierReq,
@@ -40,6 +66,12 @@ from .variables import GlobalVariable, VariableRegistry
 __all__ = ["Runtime", "run_spmd"]
 
 ProgramFactory = Callable[[Env], Any]
+
+#: ``ResidencyMirror.flow`` -> the flow kind ``sim_mirror_init`` arms.
+_KERNEL_FLOW = {None: 0, "tree": 1, "directory": 2}
+
+#: ``sim_access`` results (``A_*`` in :mod:`repro.sim._ckern`).
+_A_DONE, _A_FLOW = _ckern.Kernel.A_DONE, _ckern.Kernel.A_FLOW
 
 
 def _describe_block(req: Any) -> str:
@@ -199,18 +231,170 @@ class Runtime:
         self._compute_by_proc = np.zeros(p)
         self._phase_compute_mark = np.zeros(p)
 
+        # The residency mirror (module docstring): unarmed, every read and
+        # write calls the strategy.  access_reason says why either way;
+        # mirror_counts are the whole run's native / crossed requests.
+        self.access_reason = "the residency mirror is armed when the run starts"
+        self.mirror_flow: Optional[str] = None
+        self.mirror_counts = dict.fromkeys(
+            ("native_reads", "native_writes", "crossed_reads", "crossed_writes",
+             "native_fallbacks"), 0)
+        self._access = None  # sim_access once armed
+        self._counts = np.zeros(7, dtype=np.int64)  # the kernel's MC_* counters
+        self._storage = np.zeros(3)  # the storage accumulator (static flow)
+        self._storage_sink = None
+
     # ------------------------------------------------------------- variables
     def create_var(self, name: str, payload_bytes: int, creator: int, value: Any) -> GlobalVariable:
         var = self.registry.create(name, payload_bytes, creator, value)
         self.strategy.register(var)
+        if self._access is not None:
+            self.mirror_var(var.vid)
         if self._recorder is not None:
             self._recorder.record_create(creator, var)
         return var
+
+    # ------------------------------------------------------ residency mirror
+    def arm_mirror(self, static_flow: bool = True) -> Optional[str]:
+        """Copy the strategy's residency state into the C kernel's mirror,
+        which from then on completes what it can decide without the
+        strategy.  ``static_flow`` also requires a family whose misses and
+        remote writes replay natively.  Returns ``None`` once armed, else
+        the reason it refused (nothing armed); either way the reason is
+        ``access_reason``."""
+        sim = self.sim
+        strat = self.strategy
+        if sim._h is None:
+            why = _ckern.unavailable_reason() or "this simulator was built on the pure-Python engine"
+            reason = f"no C kernel ({why})"
+        elif self._failview is not None:
+            reason = "a failure schedule is installed (native flows bypass the failure view)"
+        else:
+            mirror = strat.residency_mirror()
+            if isinstance(mirror, str):
+                reason = mirror
+            elif static_flow and mirror.flow is None:
+                reason = (f"{type(strat).__name__} declares no static flow: "
+                          "its misses and remote writes would cross")
+            else:
+                reason = None
+        if reason is not None:
+            self.access_reason = reason
+            return reason
+        lib, h = sim._lib, sim._h
+        flow = mirror.flow
+        stage = list(mirror.site_of)
+        if flow is not None:
+            # The per-vid flow shape (hosts, costs, path geometry) is
+            # static, so read misses and writes replay in the kernel.  They
+            # place and drop copies, so the kernel also feeds the storage
+            # accumulator: ONE float accumulation sequence whichever side
+            # (native flow / crossing) applies a delta keeps the integral
+            # bit-identical to the strategy path.
+            if flow == "tree":
+                parent, depth, children = mirror.tree
+                stage += [*parent, *depth, 0, *accumulate(map(len, children)),
+                          *chain.from_iterable(children)]
+            self._storage_sink = lambda delta, t: lib.sim_mirror_storage_delta(h, delta, t)
+            self._storage[:] = strat.delegate_storage(self._storage_sink)
+        # mirror_var stages up to n_sites members and an n_sites host row;
+        # sim_mirror_export n_sites members and one more int
+        sim._reserve_stage(max(len(stage), 2 * mirror.n_sites) + 1)
+        sim._stage_i[0:len(stage)] = stage
+        cast = sim._ffi.cast
+        lib.sim_mirror_init(
+            h, mirror.n_sites, mirror.sole_copy_write, mirror.native_reads,
+            mirror.native_writes, _KERNEL_FLOW[flow],
+            cast("i64 *", self._counts.ctypes.data),
+            cast("double *", self._storage.ctypes.data),
+        )
+        self.mirror_flow = flow
+        self._access = lib.sim_access
+        for vid in range(len(self.registry)):
+            self.mirror_var(vid)
+        self.access_reason = "C kernel active and the strategy declares a residency mirror"
+        return None
+
+    def mirror_var(self, vid: int, shape: bool = True) -> None:
+        """Copy one variable's residency (owner, member sites, top) into
+        the mirror and, with ``shape`` under a static flow, the shape its
+        flows replay (host row, payload, data leg costs)."""
+        owner, members, top = self.strategy.residency(vid)
+        sim = self.sim
+        stage = sim._stage_i
+        k = len(members)
+        stage[0:k] = list(members)
+        if shape and self.mirror_flow is not None:
+            hosts, payload, data = self.strategy.flow_row(vid)
+            row = np.asarray(hosts, dtype=np.int32)
+            sim._ffi.memmove(stage + k, row, row.nbytes)
+            sim._lib.sim_mirror_var(sim._h, vid, owner, top, k, 1, payload, *data)
+        else:
+            sim._lib.sim_mirror_var(sim._h, vid, owner, top, k, 0, 0.0, 0.0, 0.0, 0.0)
+
+    def _adopt(self, vid: int) -> None:
+        """Static flow: hand the strategy the copy placement the native
+        flows left for one variable."""
+        sim = self.sim
+        k = sim._lib.sim_mirror_export(sim._h, vid)
+        stage = sim._stage_i
+        self.strategy.adopt(vid, stage[0:k], stage[k])
+
+    def cross(self, proc: int, var: GlobalVariable, write: bool, value: Any, t: float):
+        """Run one request the mirror could not complete through the
+        strategy -- adopt the placement native flows left, call ``read`` /
+        ``write``, re-sync the variable -- and return what that returned."""
+        if self.mirror_flow is not None:
+            self._adopt(var.vid)
+        strat = self.strategy
+        res = strat.write(proc, var, value, t) if write else strat.read(proc, var, t)
+        self.mirror_var(var.vid, shape=False)
+        return res
+
+    def fold_mirror(self) -> None:
+        """Move what the kernel counted since the last fold into the
+        strategy's counters and :attr:`mirror_counts`, and (static flow)
+        hand the strategy the storage accumulator's current state."""
+        hits, wlocal, misses, wremote, crossed_r, crossed_w, fallbacks = self._counts.tolist()
+        self._counts[:] = 0
+        self.strategy.fold_native(
+            hits, wlocal, misses, wremote,
+            tuple(self._storage.tolist()) if self.mirror_flow is not None else None,
+        )
+        counts = self.mirror_counts
+        counts["native_reads"] += hits + misses
+        counts["native_writes"] += wlocal + wremote
+        counts["crossed_reads"] += crossed_r
+        counts["crossed_writes"] += crossed_w
+        counts["native_fallbacks"] += fallbacks
+
+    def release_mirror(self) -> None:
+        """Hand the strategy back everything the mirror kept -- counters,
+        copy placements, the storage accumulator -- so it reads as after a
+        run without the mirror."""
+        self.fold_mirror()
+        if self.mirror_flow is not None:
+            for vid in range(len(self.registry)):
+                self._adopt(vid)
+            self.strategy.reclaim_storage()
+
+    def execution(self) -> Dict[str, Any]:
+        """Which engine and which access path ran, why, and how many
+        requests the mirror completed natively or sent across."""
+        return {
+            "engine": "ckern" if self.sim._h is not None else "pure",
+            "access": "mirror" if self._access is not None else "strategy",
+            "reason": self.access_reason,
+            "flow": self.mirror_flow,
+            **self.mirror_counts,
+        }
 
     # ------------------------------------------------------------------ run
     def run(self, program: ProgramFactory) -> RunResult:
         """Run ``program(env)`` on every processor to completion."""
         topo = self.sim.topology
+        if self._access is None:
+            self.arm_mirror()
         for p in range(topo.n_nodes):
             self._gens[p] = program(Env(self, p))
             self.sim.schedule(0.0, self._step, p, None)
@@ -225,6 +409,8 @@ class Runtime:
                 f"{topo.n_nodes - self._finished} processors never finished; "
                 f"blocked: {', '.join(blocked[:10])}"
             )
+        if self._access is not None:
+            self.release_mirror()
         end = max(self._final_time)
         self._close_phase(end)
         phases = [
@@ -265,7 +451,7 @@ class Runtime:
             requests_retried=self.requests_retried,
             repairs=self.repairs,
             failure_events=view.events_applied if view is not None else 0,
-            extra={},
+            extra={"execution": self.execution()},
         )
 
     # -------------------------------------------------------------- failures
@@ -309,6 +495,11 @@ class Runtime:
         schedule = sim.schedule
         lat_append = self._lat.append
         pending = self._lat_pending
+        # The residency mirror, when armed: one kernel call per read/write;
+        # values stay in the registry, read / written at initiation.
+        access = self._access
+        h = sim._h
+        values = self.registry._values
         # A request whose flow blocked us completes exactly now: close
         # out its latency sample (see __init__).
         issued = pending[p]
@@ -332,10 +523,24 @@ class Runtime:
             cls = req.__class__
             now = sim.now
             if cls is ReadReq:
-                if retried is not None and req.var.vid in retried:
-                    retried.discard(req.var.vid)
+                var = req.var
+                if retried is not None and var.vid in retried:
+                    retried.discard(var.vid)
                     self.requests_retried += 1
-                res = strategy.read(p, req.var, now)
+                if access is None:
+                    res = strategy.read(p, var, now)
+                else:
+                    r = access(h, p, var.vid, 0, now)
+                    if r == _A_DONE:  # a hit
+                        value = values[var.vid]
+                        lat_append(0.0)
+                        continue
+                    if r == _A_FLOW:  # the miss flow resumes us
+                        self.flow_value[p] = values[var.vid]
+                        pending[p] = now
+                        self._blocked_on[p] = req
+                        return
+                    res = self.cross(p, var, False, None, now)
                 if res is None:
                     # Miss: a flow was launched; it resumes us on completion.
                     pending[p] = now
@@ -349,11 +554,26 @@ class Runtime:
                 schedule(done, self._step, p, value)
                 return
             if cls is WriteReq:
-                if retried is not None and req.var.vid in retried:
-                    retried.discard(req.var.vid)
+                var = req.var
+                if retried is not None and var.vid in retried:
+                    retried.discard(var.vid)
                     self.requests_retried += 1
-                done = strategy.write(p, req.var, req.value, now)
                 value = None
+                if access is None:
+                    done = strategy.write(p, var, req.value, now)
+                else:
+                    r = access(h, p, var.vid, 1, now)
+                    if r == _A_DONE:  # a local write
+                        values[var.vid] = req.value
+                        lat_append(0.0)
+                        continue
+                    if r == _A_FLOW:  # the invalidation flow resumes us
+                        values[var.vid] = req.value
+                        self.flow_value[p] = None
+                        pending[p] = now
+                        self._blocked_on[p] = req
+                        return
+                    done = self.cross(p, var, True, req.value, now)
                 if done is None:
                     pending[p] = now
                     self._blocked_on[p] = req
@@ -510,8 +730,12 @@ class Runtime:
         # sample restarts cleanly and the storage integral re-anchors at
         # the boundary with the currently-held copies still accruing.
         del self._lat[:]
+        if self._access is not None:
+            self.fold_mirror()
         self.strategy.reset_counters()
         self.strategy.reset_storage(t)
+        if self._storage_sink is not None:
+            self._storage[:] = self.strategy.delegate_storage(self._storage_sink)
 
 
 def run_spmd(

@@ -15,21 +15,21 @@ latency percentiles report).
 
 The kernel fast path
 --------------------
-When the C kernel is active and the strategy declares a residency mirror
-(:meth:`~repro.core.strategy.DataManagementStrategy.residency_mirror`:
-which sites hold a copy, when a hit / a local write is side-effect-free),
-the whole dispatcher state machine above is mirrored *inside* the kernel:
-queued requests live in per-processor C rings, wake-up kicks and
-idle-until-arrival timers are native ``K_SREQ`` events, and a request
-whose data is locally resident (read hit / local write) completes without
-re-entering Python at all.  A family whose flow shapes are static (the
-access tree without remapping, the fixed-home directory) has its read
-misses and writes replayed in the kernel too; for the others, misses
-and remote writes cross back (``R_SREQ``), run the unchanged strategy
-code, and re-sync the touched variable's mirror.  This module knows the declaration, never the family
-behind it.  Ingest is batched -- one Python->C call per queue drain
-carrying packed ``(proc, vid, op, arrival)`` arrays -- and completions
-come back the same way (packed arrays folded into the metric sketches).
+When the runtime can arm the kernel's residency mirror
+(:meth:`~repro.runtime.launcher.Runtime.arm_mirror`: C kernel active, no
+failure schedule, a strategy that declares a mirror), the whole
+dispatcher state machine above is mirrored *inside* the kernel: queued
+requests live in per-processor C rings, wake-up kicks and
+idle-until-arrival timers are native ``K_SREQ`` events, and each request
+goes through the mirror a batch run uses -- a hit or a local write
+completes without re-entering Python, a static family's (the access tree
+without remapping, the fixed-home directory) read miss or write replays
+in the kernel, and what the mirror cannot decide crosses back
+(``R_SREQ``) into :meth:`~repro.runtime.launcher.Runtime.cross`.  This
+module knows the runtime's mirror, never the family behind it.  Ingest
+is batched -- one Python->C call per queue drain carrying packed
+``(proc, vid, op, arrival)`` arrays -- and completions come back the
+same way (packed arrays folded into the metric sketches).
 Event keys ``(time, seq)`` are assigned at the same logical points as
 the classic path, so a served run is **bit-identical** between the two
 (pinned by the differential suite in ``tests/serve/test_replay.py``).
@@ -86,7 +86,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate, chain
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -97,7 +96,6 @@ from ..network.machine import GCEL, MachineModel
 from ..network.topology import Topology
 from ..runtime.api import ComputeReq, ReadReq, RecvReq, WriteReq
 from ..runtime.launcher import Runtime
-from ..sim import _ckern
 from ..workloads.trace import Trace, TraceRecorder
 
 __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
@@ -107,9 +105,6 @@ __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
 #: it by identity.
 _PARK = object()
 _STOP = object()
-
-#: ``ResidencyMirror.flow`` -> the flow kind ``sim_serve_init`` arms.
-_KERNEL_FLOW = {None: 0, "tree": 1, "directory": 2}
 
 #: The kernel's packed completion records (``SReq`` in :mod:`repro.sim._ckern`).
 _REC = np.dtype([
@@ -278,18 +273,7 @@ class ServeSession:
         self._mode_reason = "undecided until the first pump"
         self._fast_opt = fast
         self._kdrain = None       # the ServeDrain struct drains fill
-        # Fast-path request counts of the "dispatch" block, summed over
-        # drains: completed inside the kernel, crossed into the strategy's
-        # Python, and native flows that bailed out to a crossing (no copy
-        # holder on the walked path).
-        self._kcounts = {
-            "native_reads": 0, "native_writes": 0, "crossed_reads": 0,
-            "crossed_writes": 0, "native_fallbacks": 0,
-        }
         self._kpending = 0        # requests in the kernel's pending ring
-        #: The static flow the mirror declares, armed natively: "tree",
-        #: "directory" or None (misses and remote writes cross).
-        self._flow: Optional[str] = None
         self._batches: list = []  # packed pending batches (fast ingest)
         self._buffered = 0
         self._sim_end = 0.0       # max completion time seen (fast mode)
@@ -377,10 +361,15 @@ class ServeSession:
         if self._fast_opt is False:
             self._set_classic("fast=False was requested")
             return
-        reason = self._arm_fast()
+        rt = self.rt
+        reason = rt.arm_mirror(static_flow=False)
         if reason is None:
+            sim = rt.sim
+            sim._lib.sim_serve_init(sim._h, self.max_inflight)
+            self._kdrain = sim._ffi.new("ServeDrain *")
+            sim.serve_cb = self._serve_cb
             self._mode = "fast"
-            self._mode_reason = "C kernel active and the strategy declares a residency mirror"
+            self._mode_reason = rt.access_reason
             return
         if self._fast_opt is True:
             raise RuntimeError(
@@ -388,119 +377,23 @@ class ServeSession:
             )
         self._set_classic(reason)
 
-    def _arm_fast(self) -> Optional[str]:
-        """Mirror the strategy's residency state into the kernel, which
-        from then on completes flows natively (``K_SDONE``).  Returns
-        ``None`` when armed, else the reason for refusing (session
-        untouched)."""
-        rt = self.rt
-        sim = rt.sim
-        if sim._h is None:
-            why = _ckern.unavailable_reason() or "this simulator was built on the pure-Python engine"
-            return f"no C kernel ({why})"
-        if sim._failview is not None:
-            return "a failure schedule is installed (native flows bypass the failure view)"
-        strat = rt.strategy
-        mirror = strat.residency_mirror()
-        if isinstance(mirror, str):
-            return mirror
-        lib, ffi, h = sim._lib, sim._ffi, sim._h
-        flow = mirror.flow
-        stage = list(mirror.site_of)
-        if flow is not None:
-            # The per-vid flow shape (hosts, costs, path geometry) is
-            # static, so the read-miss and write flows are compiled into
-            # the kernel: no request crosses into Python.  Native flows
-            # place and drop copies, so the kernel also takes over the
-            # storage accumulator: ONE float accumulation sequence
-            # whichever side (native flow / fallback crossing) applies a
-            # delta keeps the integral bit-identical to the pure path.
-            if flow == "tree":
-                parent, depth, children = mirror.tree
-                stage += [*parent, *depth, 0, *accumulate(map(len, children)),
-                          *chain.from_iterable(children)]
-            sim._stage_d[0:3] = strat.delegate_storage(
-                lambda delta, t: lib.sim_serve_storage_delta(h, delta, t)
-            )
-        # + 1: sim_serve_export stages up to n_sites members and one more int
-        sim._reserve_stage(len(stage) + 1)
-        sim._stage_i[0:len(stage)] = stage
-        lib.sim_serve_init(
-            h, mirror.n_sites, mirror.sole_copy_write, mirror.native_reads,
-            mirror.native_writes, _KERNEL_FLOW[flow], self.max_inflight,
-        )
-        self._kdrain = ffi.new("ServeDrain *")
-        self._flow = flow
-        for vid in range(len(rt.registry)):
-            self._mirror_var(vid)
-        sim.serve_cb = self._serve_cb
-        return None
-
     # ------------------------------------------------- fast-path internals
-    def _sync(self, vid: int) -> None:
-        """Copy one variable's residency (owner, member sites, top) into
-        the kernel's mirror."""
-        owner, members, top = self.rt.strategy.residency(vid)
-        members = list(members)
-        k = len(members)
-        sim = self.rt.sim
-        sim._reserve_stage(k)
-        sim._stage_i[0:k] = members
-        sim._lib.sim_serve_sync_var(sim._h, vid, owner, top, k)
-
-    def _mirror_var(self, vid: int) -> None:
-        """Arm/create time: the vid's residency and, for a static-flow
-        family, the shape its flows replay natively (host row, payload,
-        leg costs)."""
-        if self._flow is not None:
-            sim = self.rt.sim
-            hosts, payload, data_cost = self.rt.strategy.flow_row(vid)
-            sim._stage_i[0:len(hosts)] = hosts
-            sim._lib.sim_serve_var_flow(sim._h, vid, payload, *data_cost)
-        self._sync(vid)
-
-    def _adopt(self, vid: int) -> None:
-        """Static flow: hand the strategy the copy placement the native
-        flows left for one variable."""
-        sim = self.rt.sim
-        k = sim._lib.sim_serve_export(sim._h, vid)
-        stage = sim._stage_i
-        self.rt.strategy.adopt(vid, stage[0:k], stage[k])
-
     def _serve_cb(self, out) -> None:
-        """Handle an ``R_SREQ`` crossing: a request whose data is not
-        locally resident runs the unchanged strategy code, the touched
-        variable's residency mirror is re-synced, and the completion is
-        routed back natively.  Where native flows moved the copies
-        (static flow: only a fallback crosses), the strategy adopts the
-        placement first."""
+        """Handle an ``R_SREQ`` crossing: a request the mirror could not
+        complete runs through :meth:`Runtime.cross` (writes store 0 in the
+        registry: values live in the kernel), and its completion is routed
+        back natively."""
         sim = self.rt.sim
-        lib, h = sim._lib, sim._h
-        strat = self.rt.strategy
+        complete, h = sim._lib.sim_serve_complete, sim._h
         by_id = self.rt.registry.by_id
-        read = strat.read
-        write = strat.write
-        sync = self._sync
-        static = self._flow is not None
-        complete = lib.sim_serve_complete
+        cross = self.rt.cross
         while True:
             p = out.a
-            code = out.b
-            vid = code >> 1
-            t = out.time
-            if static:
-                self._adopt(vid)
-            if code & 1:
-                done = write(p, by_id(vid), 0, t)
-            else:
-                res = read(p, by_id(vid), t)
-                done = None if res is None else res[0]
-            sync(vid)
+            write = out.b & 1
+            res = cross(p, by_id(out.b >> 1), write, 0, out.time)
+            done = res if write or res is None else res[0]
             if done is None:
                 return  # flow in flight: completes via K_SDONE
-            if done > t:
-                lib.sim_serve_push_done(h, p, done)
-                return
             if not complete(h, out, p, done):
                 return
 
@@ -542,8 +435,8 @@ class ServeSession:
 
     def _drain(self) -> None:
         """Pull what the pump produced -- completion records (one packed
-        array), queue gauges, native counters, the storage accumulator --
-        and fold it into the session and the strategy."""
+        array), queue gauges -- into the session, and fold the mirror's
+        counters into the strategy."""
         sim = self.rt.sim
         out = self._kdrain
         sim._lib.sim_serve_drain(sim._h, out)
@@ -567,17 +460,7 @@ class ServeSession:
                 self._sim_end = end
         self._inflight = out.inflight
         self._kpending = out.pending
-        self.rt.strategy.fold_native(
-            out.hits, out.wlocal, out.misses, out.wremote,
-            (out.sc_integral, out.sc_last, out.sc_excess)
-            if self._flow is not None else None,
-        )
-        counts = self._kcounts
-        counts["native_reads"] += out.hits + out.misses
-        counts["native_writes"] += out.wlocal + out.wremote
-        counts["crossed_reads"] += out.crossed_r
-        counts["crossed_writes"] += out.crossed_w
-        counts["native_fallbacks"] += out.fallbacks
+        self.rt.fold_mirror()
 
     def _pump_fast(self, until: Optional[float]) -> None:
         self._flush_batches()
@@ -608,8 +491,6 @@ class ServeSession:
             )
         var = self.rt.create_var(f"s{len(self.rt.registry)}", payload_bytes, proc, 0)
         self.created += 1
-        if self._mode == "fast":
-            self._mirror_var(var.vid)
         return var.vid
 
     def try_submit(
@@ -805,8 +686,8 @@ class ServeSession:
         remote writes cross) and how many requests stayed in the kernel."""
         how = {"mode": self._mode, "reason": self._mode_reason}
         if self._mode == "fast":
-            how["flow"] = self._flow
-            how.update(self._kcounts)
+            how["flow"] = self.rt.mirror_flow
+            how.update(self.rt.mirror_counts)
         return how
 
     def snapshot(self) -> Dict[str, Any]:
@@ -850,14 +731,9 @@ class ServeSession:
                     gen.close()
                     rt._gens[p] = None
             end = self._sim_end
-            if self._flow is not None:
-                # Hand the state back: the copies native flows placed, and
-                # (the last drain folded its value) the storage
-                # accumulator, so the strategy reads as after a classic
-                # session.
-                for vid in range(len(rt.registry)):
-                    self._adopt(vid)
-                rt.strategy.reclaim_storage()
+            # Hand the state back, so the strategy reads as after a
+            # classic session.
+            rt.release_mirror()
         else:
             for p in range(self.n_procs):
                 if self._parked[p]:

@@ -8,7 +8,11 @@ first use and drives it through ``cffi``'s ABI mode: a flow
 (``sim_push_flow``: path up, invalidation multicast, path back down)
 executes entirely in C, and control returns to Python only for generic
 events (program steps, barriers, locks) and to resume the processor a
-finished flow blocked (``R_RESUME``).
+finished flow blocked (``R_RESUME``).  Two more Python loops are one
+call each: a read or write against the residency mirror (``sim_access``:
+a hit or local write completes in place, a static family's miss or
+remote write is pushed as its flow) and a tree barrier's combining pass
+(``sim_combine``).
 
 Arithmetic is mirrored operation-for-operation from the pure-Python loop
 in :mod:`repro.sim.engine` (same IEEE doubles, same order), and event keys
@@ -56,6 +60,12 @@ typedef long long i64;
 enum { K_GEN = 0, K_CHAIN = 1, K_MDOWN = 2, K_MACK = 3,
        K_SREQ = 4, K_SDONE = 5, K_RESUME = 6 };
 enum { R_DONE = 0, R_GENERIC = 1, R_RESUME = 2, R_NEED_ROUTE = 4, R_SREQ = 5 };
+/* what the residency mirror did with one access (sim_access) */
+enum { A_DONE = 0, A_FLOW = 1, A_CROSS = 2 };
+/* the mirror's counters, in the borrowed array's order (Python folds and
+   zeroes them) */
+enum { MC_HITS = 0, MC_WLOCAL, MC_MISSES, MC_WREMOTE, MC_CROSSED_R,
+       MC_CROSSED_W, MC_FALLBACKS };
 
 typedef struct { double time; i64 seq; int kind, a, b, c, d; } Ev;
 typedef struct { int kind; int a; int b; double time; } Crossing;
@@ -115,9 +125,7 @@ typedef struct {
 
 /* What one pump produced, filled by sim_serve_drain. */
 typedef struct {
-    i64 n_rec, inflight, pending, hits, wlocal, misses, wremote;
-    i64 crossed_r, crossed_w, fallbacks;
-    double sc_integral, sc_last, sc_excess;
+    i64 n_rec, inflight, pending;
     const SReq *recs;
 } ServeDrain;
 
@@ -140,9 +148,8 @@ typedef struct {
     int *rt_scratch;
     Flow **flows; int fl_cap; int *fl_free; int fl_free_n;
     int *stage_i;
-    double *stage_d;
     int stage_cap;
-    /* ------------------------------------------------- serving fast path */
+    /* ---------------------------------------- serving rings (serve only) */
     int serve_on;                 /* armed by sim_serve_init */
     int sv_phase;                 /* 0 = inject next, 1 = running */
     double sv_now;                /* time of the last event popped */
@@ -152,11 +159,12 @@ typedef struct {
     i64 sv_next_id;               /* id of the next ingested request */
     unsigned char *sv_state;      /* 0 idle, 1 timer pending, 2 crossed */
     i64 sv_inflight, sv_max_inflight, sv_round_n;
-    i64 sv_hits, sv_wlocal;       /* native counter deltas (folded by Python) */
-    i64 sv_crossed[2];            /* R_SREQ crossings, by request kind */
     SReq *sv_rec; i64 sv_rec_n, sv_rec_cap;  /* completions, drained per pump */
-    /* residency mirror: per-vid membership bitset over "sites" (procs for
-       the directory families, tree nodes for the access tree) */
+    /* ------------------------------- residency mirror (batch and serve) */
+    int mirror_on;                /* armed by sim_mirror_init */
+    i64 *mc;                      /* borrowed: the MC_* counters */
+    /* per-vid membership bitset over "sites" (procs for the directory
+       families, tree nodes for the access tree) */
     int sv_nsites, sv_words, sv_wl_rule;
     int sv_nat_r, sv_nat_w;       /* the family's native hit / local write flags */
     int *sv_site_of;              /* proc -> site (identity or leaf_of) */
@@ -173,12 +181,10 @@ typedef struct {
     int *sv_kid_off, *sv_kid;     /* children of node i: sv_kid[off[i]..off[i+1]) */
     int *sv_host;                 /* per vid: nsites-wide node->host row */
     int *sv_scr_a, *sv_scr_b, *sv_path;  /* LCA walk / component scratch */
-    i64 sv_misses, sv_wremote;    /* native flow deltas (folded by Python) */
-    i64 sv_fallbacks;             /* native flows that crossed out instead */
-    /* storage-cost accumulator, moved into C (flow mirrors) so the time
-       integral stays ONE float accumulation sequence (bit-identical to
-       the pure path) */
-    double sc_integral, sc_last, sc_excess;
+    /* borrowed: the storage-cost accumulator {integral, last, excess},
+       fed from C (flow mirrors) so the time integral stays ONE float
+       accumulation sequence (bit-identical to the pure path) */
+    double *sc;
 } Sim;
 
 /* ------------------------------------------------------------------ heap */
@@ -376,12 +382,12 @@ static int topo_route(Sim *s, int src, int dst, int *out) {
 }
 
 int sim_compute_route(Sim *s, int src, int dst) {
-    /* Test/debug surface: route length, links in sim_route_scratch(). */
+    /* Test/debug surface: route length, links into stage_i[0..n). */
     if (!s->topo_kind) return -1;
-    return topo_route(s, src, dst, s->rt_scratch);
+    int n = topo_route(s, src, dst, s->rt_scratch);
+    memcpy(s->stage_i, s->rt_scratch, n * sizeof(int));
+    return n;
 }
-
-int *sim_route_scratch(Sim *s) { return s->rt_scratch; }
 
 /* --------------------------------------------------------------- one leg */
 /* The links of src -> dst (src != dst) and their count; NULL: only Python
@@ -515,7 +521,8 @@ static int flow_new_pend(Flow *f, int remaining, double tmax, int node,
 }
 
 /* The one completion, at t: resume the flow's processor -- natively
- * (K_SDONE) when serving is armed, else through Python's resume hook. */
+ * (K_SDONE) when the serving rings are armed, else through Python's
+ * resume hook (a batch run on the residency mirror included). */
 static void flow_done(Sim *s, Flow *f, double t) {
     heap_push(s, t, s->seqno++, s->serve_on ? K_SDONE : K_RESUME, f->proc,
               0, 0, 0);
@@ -567,186 +574,76 @@ void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
     flow_push(s, f, t);
 }
 
-/* ------------------------------------------------------- serving fast path
- *
- * The request path of the serving session, mirrored move for move from
- * serve/session.py's dispatcher generators (see that module's docstring):
- * same event keys (time, seq) at the same logical points, so a served
- * run is bit-identical between this fast path and the classic
- * generator-based path.
- *
- *   parked kick          ->  K_SREQ pushed at injection (idle proc)
- *   queued-gap ComputeReq->  K_SREQ pushed at the previous completion
- *   flow completion      ->  K_SDONE where unarmed flows push K_RESUME
- *   strategy done > now  ->  sim_serve_push_done (Python crossing point)
- *   local hit/write      ->  handled natively when the residency mirror
- *                            proves the strategy call is side-effect-free
- */
-
-static void serve_record(Sim *s, const SReq *it, double done) {
-    if (s->sv_rec_n == s->sv_rec_cap) {
-        s->sv_rec_cap *= 2;
-        s->sv_rec = (SReq *)realloc(s->sv_rec, s->sv_rec_cap * sizeof(SReq));
-    }
-    SReq *r = &s->sv_rec[s->sv_rec_n++];
-    *r = *it;
-    r->done = done;
-    s->sv_inflight--;
-}
-
-static void ring_init(SRing *q, int cap) {
-    q->buf = (SReq *)malloc(cap * sizeof(SReq));
-    q->cap = cap; q->head = 0; q->len = 0;
-}
-
-static void ring_push(SRing *q, const SReq *it) {
-    if (q->len == q->cap) {
-        SReq *nb = (SReq *)malloc(2 * q->cap * sizeof(SReq));
-        for (int j = 0; j < q->len; j++)
-            nb[j] = q->buf[(q->head + j) & (q->cap - 1)];
-        free(q->buf);
-        q->buf = nb;
-        q->cap *= 2;
-        q->head = 0;
-    }
-    q->buf[(q->head + q->len) & (q->cap - 1)] = *it;
-    q->len++;
-}
-
-static int serve_flow(Sim *s, int p, const SReq *cur);
-
-/* Dispatch queued requests for processor p until one must wait (timer),
- * one crosses into Python (returns 1, crossing filled), or the queue is
- * empty.  Mirrors the dispatcher generator's loop head. */
-static int serve_advance(Sim *s, int p, Crossing *out) {
-    SRing *q = &s->sv_q[p];
-    for (;;) {
-        if (!q->len) {
-            s->sv_state[p] = 0;      /* parked */
-            return 0;
-        }
-        SReq *head = &q->buf[q->head];
-        if (head->eff > s->sv_now) {
-            /* idle until the arrival: the classic path schedules a kick
-               (parked) or a ComputeReq resume (queued gap) here. */
-            heap_push(s, head->eff, s->seqno++, K_SREQ, p, 0, 0, 0);
-            s->sv_state[p] = 1;
-            return 0;
-        }
-        SReq cur = *head;
-        q->head = (q->head + 1) & (q->cap - 1);
-        q->len--;
-        int vid = cur.vid;
-        /* initiation: values follow it (the classic path reads / writes
-           the registry at this same point), not completion */
-        if (cur.kind)
-            s->sv_var[vid].value = cur.value;
-        else
-            cur.value = s->sv_var[vid].value;
-        /* 1 = the mirror proves the strategy call side-effect-free,
-           0 = it proves a miss / remote write, -1 = it may not say */
-        int native = -1;
-        if (cur.kind == 0) {
-            if (s->sv_nat_r) {
-                unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-                int site = s->sv_site_of[p];
-                native = (w[site >> 6] & (1ULL << (site & 63))) != 0;
-                s->sv_hits += native;
-            }
-        } else if (s->sv_nat_w) {
-            if (s->sv_wl_rule == 0) {
-                native = (s->sv_var[vid].owner == p);
-            } else {
-                unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
-                int site = s->sv_site_of[p];
-                native = (s->sv_var[vid].count == 1 &&
-                          (w[site >> 6] & (1ULL << (site & 63))) != 0);
-            }
-            s->sv_wlocal += native;
-        }
-        if (native == 1) {
-            /* local hit / owner write: zero simulated time, zero side
-               effects beyond the counter -- complete in place. */
-            serve_record(s, &cur, s->sv_now);
+/* --------------------------------------------------------- combining pass
+ * A tree barrier's combining pass in one call: the arrivals climb the
+ * combining tree, the release runs back down -- the legs the pure loop of
+ * Simulator.combine sends, in the same order, so reservations and traffic
+ * are bit-identical.  The tree is dense and numbered in the pass's
+ * pre-order (node 0 the root): host[i], children kids[kid_off[i] ..
+ * kid_off[i + 1]), leaf_proc[i] the processor of a leaf (-1 inside).
+ * times[n] is scratch; release[p] receives processor p's release time.
+ * Every route must be closed-form (no failure view, a shipped topology). */
+void sim_combine(Sim *s, int n, const int *host, const int *kid_off,
+                 const int *kids, const int *leaf_proc,
+                 const double *arrivals, double *times, double *release) {
+    for (int i = n - 1; i >= 0; i--) {
+        if (leaf_proc[i] >= 0) {
+            times[i] = arrivals[leaf_proc[i]];
             continue;
         }
-        s->sv_cur[p] = cur;
-        s->sv_state[p] = 2;
-        if (native == 0 && s->sv_flow && serve_flow(s, p, &cur))
-            /* miss / invalidation flow launched natively: this proc
-               blocks until its K_SDONE, exactly like a crossed request */
-            return 0;
-        s->sv_crossed[cur.kind]++;
-        out->kind = R_SREQ;
-        out->a = p;
-        out->b = vid * 2 + cur.kind;
-        out->time = s->sv_now;
-        return 1;
-    }
-}
-
-/* One injection round: move pending requests whose arrival is within the
- * horizon into the per-proc queues while the in-flight window has room.
- * Mirrors ServeSession.pump's inject loop (same admission order, same
- * eff clamp, same kick points). */
-static i64 serve_inject(Sim *s, double horizon) {
-    i64 n = 0;
-    SRing *pend = &s->sv_pend;
-    while (pend->len && s->sv_inflight < s->sv_max_inflight) {
-        SReq *it = &pend->buf[pend->head];
-        if (it->arrival > horizon) break;
-        double eff = it->arrival < s->sv_now ? s->sv_now : it->arrival;
-        it->eff = eff;
-        int p = it->proc;
-        ring_push(&s->sv_q[p], it);
-        pend->head = (pend->head + 1) & (pend->cap - 1);
-        pend->len--;
-        if (s->sv_state[p] == 0) {
-            /* parked processor: the wake-up kick, stamped at eff */
-            heap_push(s, eff, s->seqno++, K_SREQ, p, 0, 0, 0);
-            s->sv_state[p] = 1;
+        double t = 0.0;
+        for (int j = kid_off[i]; j < kid_off[i + 1]; j++) {
+            int c = kids[j];
+            double a = do_leg(s, times[c], host[c], host[i], &s->ctrl);
+            if (a > t) t = a;
         }
-        s->sv_inflight++;
-        n++;
+        times[i] = t;
     }
-    return n;
+    for (int i = 0; i < n; i++) {
+        for (int j = kid_off[i]; j < kid_off[i + 1]; j++) {
+            int c = kids[j];
+            times[c] = do_leg(s, times[i], host[i], host[c], &s->ctrl);
+        }
+        if (leaf_proc[i] >= 0) release[leaf_proc[i]] = times[i];
+    }
 }
 
-void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
-                    int flow, i64 max_inflight) {
+/* ------------------------------------------------------- residency mirror
+ *
+ * Who holds a copy of each variable, mirrored from the strategy's
+ * declaration (ResidencyMirror), so that an access whose outcome the
+ * mirror can prove completes without calling the strategy: a hit or a
+ * local write in place, and -- for a family whose flow shapes are static
+ * -- a read miss or a remote write as the very flow the strategy would
+ * launch, after the same state update, consuming the same seqnos.  The
+ * runtime arms it for batch runs (sim_access from its request loop) and
+ * for serving sessions (the rings below call the same code). */
+
+void sim_mirror_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
+                     int flow, i64 *counts, double *storage) {
     /* flow arms the native read-miss and write flows: 0 = none, 1 = the
        access tree's, 2 = the fixed-home directory's.  Staged in stage_i:
        site_of[n_nodes], then (flow == 1: the static tree shape)
        parent[nsites], depth[nsites], kid_off[nsites + 1] and the
-       kid_off[nsites] child ids it indexes; in stage_d (flow != 0): the
-       strategy's storage accumulator (integral, last, excess), which the
-       kernel takes over because native flows place and drop copies */
+       kid_off[nsites] child ids it indexes.  Borrowed: counts (the MC_*
+       counters) and storage (the strategy's storage accumulator, fed from
+       here because native flows place and drop copies). */
     int n = s->n_nodes;
-    s->serve_on = 1;
+    s->mirror_on = 1;
+    s->mc = counts;
+    s->sc = storage;
     s->sv_nsites = nsites;
     s->sv_words = (nsites + 63) >> 6;
     s->sv_wl_rule = wl_rule;
     s->sv_nat_r = nat_r;
     s->sv_nat_w = nat_w;
-    s->sv_max_inflight = max_inflight;
-    s->sv_q = (SRing *)malloc(n * sizeof(SRing));
-    for (int p = 0; p < n; p++) ring_init(&s->sv_q[p], 16);
-    ring_init(&s->sv_pend, 1024);
-    s->sv_cur = (SReq *)calloc(n, sizeof(SReq));
-    s->sv_state = (unsigned char *)calloc(n, 1);
     s->sv_site_of = (int *)malloc(n * sizeof(int));
     memcpy(s->sv_site_of, s->stage_i, n * sizeof(int));
-    s->sv_rec_cap = 4096;
-    s->sv_rec = (SReq *)malloc(s->sv_rec_cap * sizeof(SReq));
     s->sv_var_cap = 256;
     s->sv_bits = (unsigned long long *)calloc(
         (size_t)s->sv_var_cap * s->sv_words, sizeof(unsigned long long));
     s->sv_var = (SVar *)calloc(s->sv_var_cap, sizeof(SVar));
     s->sv_flow = flow;
-    if (!flow) return;
-    s->sc_integral = s->stage_d[0];
-    s->sc_last = s->stage_d[1];
-    s->sc_excess = s->stage_d[2];
     if (flow != 1) return;
     s->sv_parent = (int *)malloc(nsites * sizeof(int));
     s->sv_depth = (int *)malloc(nsites * sizeof(int));
@@ -780,9 +677,15 @@ static void sv_grow_vars(Sim *s, int vid) {
             s->sv_host, (size_t)s->sv_var_cap * s->sv_nsites * sizeof(int));
 }
 
-void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members) {
-    /* member sites staged in stage_i[0..n_members); top is the component
-       top the native miss walk starts from (tree mirrors only) */
+void sim_mirror_var(Sim *s, int vid, int owner, int top, int n_members,
+                    int shape, double payload, double dw, double dov,
+                    double docc) {
+    /* One variable's residency: the member sites staged in
+       stage_i[0..n_members), the owner, and the component top the native
+       miss walk starts from (tree mirrors only).  shape != 0 also sets
+       the flow shape a native flow replays, staged after the members: the
+       node->host row (nsites ints, tree) or the home processor (one int,
+       directory), and the payload's data cost shape. */
     sv_grow_vars(s, vid);
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     memset(w, 0, s->sv_words * sizeof(unsigned long long));
@@ -790,31 +693,26 @@ void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members) {
         int site = s->stage_i[j];
         w[site >> 6] |= 1ULL << (site & 63);
     }
-    s->sv_var[vid].owner = owner;
-    s->sv_var[vid].count = n_members;
-    s->sv_var[vid].top = top;
-}
-
-void sim_serve_var_flow(Sim *s, int vid, double payload, double dw,
-                        double dov, double docc) {
-    /* the per-vid flow shape a native flow replays, staged in stage_i:
-       the node->host row [0..nsites) (tree) or the home processor [0]
-       (directory); the data cost shape from the strategy's leg table. */
-    sv_grow_vars(s, vid);
+    SVar *var = &s->sv_var[vid];
+    var->owner = owner;
+    var->count = n_members;
+    var->top = top;
+    if (!shape) return;
+    const int *row = s->stage_i + n_members;
     if (s->sv_flow == 1)
-        memcpy(s->sv_host + (size_t)vid * s->sv_nsites, s->stage_i,
+        memcpy(s->sv_host + (size_t)vid * s->sv_nsites, row,
                s->sv_nsites * sizeof(int));
     else
-        s->sv_var[vid].home = s->stage_i[0];
-    s->sv_var[vid].payload = payload;
-    s->sv_var[vid].data = (Shape){dw, dov, docc, 1};
+        var->home = row[0];
+    var->payload = payload;
+    var->data = (Shape){dw, dov, docc, 1};
 }
 
-int sim_serve_export(Sim *s, int vid) {
+int sim_mirror_export(Sim *s, int vid) {
     /* the vid's residency as native flows left it: member sites into
        stage_i[0..n), the component top (directory flow: the owner) into
-       stage_i[n]; returns n (Python adopts it at a fallback crossing and
-       at close; arming sized stage_i past nsites + 1). */
+       stage_i[n]; returns n (Python adopts it before a crossing and when
+       the run or session ends; arming sized stage_i past nsites + 1). */
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int n = 0;
     for (int wd = 0; wd < s->sv_words; wd++) {
@@ -829,13 +727,15 @@ int sim_serve_export(Sim *s, int vid) {
     return n;
 }
 
-void sim_serve_storage_delta(Sim *s, double delta, double t) {
-    /* exact mirror of DataManagementStrategy._storage_delta */
-    if (t > s->sc_last) {
-        s->sc_integral += s->sc_excess * (t - s->sc_last);
-        s->sc_last = t;
+void sim_mirror_storage_delta(Sim *s, double delta, double t) {
+    /* exact mirror of DataManagementStrategy._storage_delta, on the
+       borrowed {integral, last, excess} */
+    double *sc = s->sc;
+    if (t > sc[1]) {
+        sc[0] += sc[2] * (t - sc[1]);
+        sc[1] = t;
     }
-    s->sc_excess += delta;
+    sc[2] += delta;
 }
 
 /* tree_path(leaf, top) cut at the first component member (inclusive):
@@ -875,27 +775,25 @@ static void sv_add_copies(Sim *s, SVar *var, unsigned long long *w,
         if (!(w[node >> 6] & bit)) {
             w[node >> 6] |= bit;
             var->count++;
-            sim_serve_storage_delta(s, var->payload, t);
+            sim_mirror_storage_delta(s, var->payload, t);
             if (depth[node] < depth[top]) top = node;
         }
     }
     var->top = top;
 }
 
-/* A native access-tree read miss: replay AccessTreeStrategy.read's miss
- * body without leaving C -- walk to the component, extend the copy set
- * down the path, and push the flow the Python path pushes (request up,
- * value down), consuming the same seqnos.  Returns 0 to fall back to a
- * Python crossing. */
-static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
-    int vid = cur->vid;
+/* A native access-tree read miss by p at t: replay AccessTreeStrategy.read's
+ * miss body without leaving C -- walk to the component, extend the copy
+ * set down the path, and push the flow the Python path pushes (request
+ * up, value down), consuming the same seqnos.  Returns 0 to fall back to
+ * a Python crossing. */
+static int tree_miss(Sim *s, int p, int vid, double t) {
     SVar *var = &s->sv_var[vid];
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int *path = s->sv_path;
     int np = sv_tree_path_cut(s, s->sv_site_of[p], var->top, w, path);
-    if (np < 2) { s->sv_fallbacks++; return 0; }
-    double t = s->sv_now;
-    s->sv_misses++;
+    if (np < 2) { s->mc[MC_FALLBACKS]++; return 0; }
+    s->mc[MC_MISSES]++;
     sv_add_copies(s, var, w, path, np, t);
     const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
     Flow *f = flow_new(s, p, np, 0, 0, s->ctrl, var->data);
@@ -912,15 +810,13 @@ static int serve_tree_miss(Sim *s, int p, const SReq *cur) {
  * set to the path u..leaf; push the flow: the new value up to u, the
  * invalidations over the snapshot, the modified copy back down.  Returns
  * 0 to fall back to a Python crossing. */
-static int serve_tree_write(Sim *s, int p, const SReq *cur) {
-    int vid = cur->vid;
+static int tree_write(Sim *s, int p, int vid, double t) {
     SVar *var = &s->sv_var[vid];
     unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int *path = s->sv_path;
     int np = sv_tree_path_cut(s, s->sv_site_of[p], var->top, w, path);
-    if (np < 1) { s->sv_fallbacks++; return 0; }
-    double t = s->sv_now;
-    s->sv_wremote++;
+    if (np < 1) { s->mc[MC_FALLBACKS]++; return 0; }
+    s->mc[MC_WREMOTE]++;
     const int *row = s->sv_host + (size_t)vid * s->sv_nsites;
     int u = path[np - 1], tbl = var->count;
     Flow *f = flow_new(s, p, np, tbl, tbl - 1, var->data, var->data);
@@ -943,7 +839,7 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
         f->kid_cnt[i] = nk - f->kid_off[i];
     }
     /* state update, atomic at initiation */
-    sim_serve_storage_delta(s, (double)(1 - var->count) * var->payload, t);
+    sim_mirror_storage_delta(s, (double)(1 - var->count) * var->payload, t);
     memset(w, 0, s->sv_words * sizeof(unsigned long long));
     w[u >> 6] |= 1ULL << (u & 63);
     var->count = 1;
@@ -957,12 +853,11 @@ static int serve_tree_write(Sim *s, int p, const SReq *cur) {
  * body (_read_miss_flow, replicate always) without leaving C -- the
  * round trip proc -> home [-> owner], control up, data down, after the
  * state update in the Python path's order. */
-static int serve_home_miss(Sim *s, int p, const SReq *cur) {
-    SVar *var = &s->sv_var[cur->vid];
-    unsigned long long *w = s->sv_bits + (size_t)cur->vid * s->sv_words;
+static int home_miss(Sim *s, int p, int vid, double t) {
+    SVar *var = &s->sv_var[vid];
+    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
     int home = var->home, owner = var->owner;
-    double t = s->sv_now;
-    s->sv_misses++;
+    s->mc[MC_MISSES]++;
     if (owner >= 0) {
         /* the home fetches the value from the owner, which keeps a copy;
            ownership moves back to main memory */
@@ -970,7 +865,7 @@ static int serve_home_miss(Sim *s, int p, const SReq *cur) {
         if (!(w[home >> 6] & (1ULL << (home & 63)))) {
             w[home >> 6] |= 1ULL << (home & 63);
             var->count++;
-            sim_serve_storage_delta(s, var->payload, t);
+            sim_mirror_storage_delta(s, var->payload, t);
         }
     }
     /* The reader's copy.  REPLAYED QUIRK, not a fix: a reader that is the
@@ -982,7 +877,7 @@ static int serve_home_miss(Sim *s, int p, const SReq *cur) {
         w[p >> 6] |= 1ULL << (p & 63);
         var->count++;
     }
-    sim_serve_storage_delta(s, var->payload, t);
+    sim_mirror_storage_delta(s, var->payload, t);
     Flow *f = flow_new(s, p, owner >= 0 ? 3 : 2, 0, 0, s->ctrl, var->data);
     f->path[0] = p; f->path[1] = home;
     if (owner >= 0) f->path[2] = owner;
@@ -997,11 +892,10 @@ static int serve_home_miss(Sim *s, int p, const SReq *cur) {
  * the flow: request leg, invalidations + acks, grant leg.  All control
  * messages; proc == home and a holder at the home are local legs, still
  * legs; no holders: request -> grant with no K_MDOWN. */
-static int serve_home_write(Sim *s, int p, const SReq *cur) {
-    SVar *var = &s->sv_var[cur->vid];
-    unsigned long long *w = s->sv_bits + (size_t)cur->vid * s->sv_words;
-    double t = s->sv_now;
-    s->sv_wremote++;
+static int home_write(Sim *s, int p, int vid, double t) {
+    SVar *var = &s->sv_var[vid];
+    unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
+    s->mc[MC_WREMOTE]++;
     int k = var->count - (int)((w[p >> 6] >> (p & 63)) & 1);
     int tbl = k + 1;
     Flow *f = flow_new(s, p, 2, tbl, k, s->ctrl, s->ctrl);
@@ -1021,7 +915,7 @@ static int serve_home_write(Sim *s, int p, const SReq *cur) {
         }
     }
     /* state update, atomic at initiation */
-    sim_serve_storage_delta(s, (double)(1 - var->count) * var->payload, t);
+    sim_mirror_storage_delta(s, (double)(1 - var->count) * var->payload, t);
     memset(w, 0, s->sv_words * sizeof(unsigned long long));
     w[p >> 6] |= 1ULL << (p & 63);
     var->count = 1;
@@ -1030,13 +924,175 @@ static int serve_home_write(Sim *s, int p, const SReq *cur) {
     return 1;
 }
 
-/* The armed flow mirror's replay of a miss / a remote write; 0 = it could
- * not (counted in sv_fallbacks): cross into Python. */
-static int serve_flow(Sim *s, int p, const SReq *cur) {
-    if (s->sv_flow == 1)
-        return cur->kind ? serve_tree_write(s, p, cur)
-                         : serve_tree_miss(s, p, cur);
-    return cur->kind ? serve_home_write(s, p, cur) : serve_home_miss(s, p, cur);
+/* One access to vid by p at t (kind 0 = read, 1 = write), counted.
+ * A_DONE: the mirror proves the strategy call would only bump a counter
+ * (a hit, a local write); A_FLOW: it proves a miss / a remote write and
+ * the armed static flow replayed it (the flow resumes p); A_CROSS: the
+ * strategy must run it -- the mirror may not say, or the native flow fell
+ * back (no member on the walked path). */
+static int mirror_access(Sim *s, int p, int vid, int kind, double t) {
+    /* 1 = side-effect-free, 0 = a miss / remote write, -1 = may not say */
+    int native = -1;
+    const unsigned long long *w = s->sv_bits + (size_t)vid * s->sv_words;
+    int site = s->sv_site_of[p];
+    int held = (int)((w[site >> 6] >> (site & 63)) & 1);
+    if (kind == 0) {
+        if (s->sv_nat_r) {
+            native = held;
+            s->mc[MC_HITS] += native;
+        }
+    } else if (s->sv_nat_w) {
+        native = s->sv_wl_rule ? (s->sv_var[vid].count == 1 && held)
+                               : (s->sv_var[vid].owner == p);
+        s->mc[MC_WLOCAL] += native;
+    }
+    if (native == 1) return A_DONE;
+    if (native == 0 && s->sv_flow) {
+        int pushed = s->sv_flow == 1
+            ? (kind ? tree_write(s, p, vid, t) : tree_miss(s, p, vid, t))
+            : (kind ? home_write(s, p, vid, t) : home_miss(s, p, vid, t));
+        if (pushed) return A_FLOW;
+    }
+    s->mc[MC_CROSSED_R + kind]++;
+    return A_CROSS;
+}
+
+int sim_access(Sim *s, int p, int vid, int kind, double t) {
+    /* the batch runtime's request loop: one read / write, A_* result */
+    return mirror_access(s, p, vid, kind, t);
+}
+
+/* ---------------------------------------------------------- serving rings
+ *
+ * The request path of the serving session, mirrored move for move from
+ * serve/session.py's dispatcher generators (see that module's docstring):
+ * same event keys (time, seq) at the same logical points, so a served
+ * run is bit-identical between this fast path and the classic
+ * generator-based path.  Needs the residency mirror armed first.
+ *
+ *   parked kick          ->  K_SREQ pushed at injection (idle proc)
+ *   queued-gap ComputeReq->  K_SREQ pushed at the previous completion
+ *   flow completion      ->  K_SDONE where unarmed flows push K_RESUME
+ *   strategy done > now  ->  sim_serve_complete (Python crossing point)
+ *   local hit/write      ->  completed in place (mirror_access A_DONE)
+ */
+
+static void serve_record(Sim *s, const SReq *it, double done) {
+    if (s->sv_rec_n == s->sv_rec_cap) {
+        s->sv_rec_cap *= 2;
+        s->sv_rec = (SReq *)realloc(s->sv_rec, s->sv_rec_cap * sizeof(SReq));
+    }
+    SReq *r = &s->sv_rec[s->sv_rec_n++];
+    *r = *it;
+    r->done = done;
+    s->sv_inflight--;
+}
+
+static void ring_init(SRing *q, int cap) {
+    q->buf = (SReq *)malloc(cap * sizeof(SReq));
+    q->cap = cap; q->head = 0; q->len = 0;
+}
+
+static void ring_push(SRing *q, const SReq *it) {
+    if (q->len == q->cap) {
+        SReq *nb = (SReq *)malloc(2 * q->cap * sizeof(SReq));
+        for (int j = 0; j < q->len; j++)
+            nb[j] = q->buf[(q->head + j) & (q->cap - 1)];
+        free(q->buf);
+        q->buf = nb;
+        q->cap *= 2;
+        q->head = 0;
+    }
+    q->buf[(q->head + q->len) & (q->cap - 1)] = *it;
+    q->len++;
+}
+
+/* Dispatch queued requests for processor p until one must wait (timer),
+ * one crosses into Python (returns 1, crossing filled), or the queue is
+ * empty.  Mirrors the dispatcher generator's loop head. */
+static int serve_advance(Sim *s, int p, Crossing *out) {
+    SRing *q = &s->sv_q[p];
+    for (;;) {
+        if (!q->len) {
+            s->sv_state[p] = 0;      /* parked */
+            return 0;
+        }
+        SReq *head = &q->buf[q->head];
+        if (head->eff > s->sv_now) {
+            /* idle until the arrival: the classic path schedules a kick
+               (parked) or a ComputeReq resume (queued gap) here. */
+            heap_push(s, head->eff, s->seqno++, K_SREQ, p, 0, 0, 0);
+            s->sv_state[p] = 1;
+            return 0;
+        }
+        SReq cur = *head;
+        q->head = (q->head + 1) & (q->cap - 1);
+        q->len--;
+        /* initiation: values follow it (the classic path reads / writes
+           the registry at this same point), not completion */
+        if (cur.kind)
+            s->sv_var[cur.vid].value = cur.value;
+        else
+            cur.value = s->sv_var[cur.vid].value;
+        int r = mirror_access(s, p, cur.vid, cur.kind, s->sv_now);
+        if (r == A_DONE) {
+            /* zero simulated time, zero side effects: complete in place */
+            serve_record(s, &cur, s->sv_now);
+            continue;
+        }
+        s->sv_cur[p] = cur;
+        s->sv_state[p] = 2;
+        if (r == A_FLOW)
+            /* this proc blocks until its K_SDONE, exactly like a crossed
+               request */
+            return 0;
+        out->kind = R_SREQ;
+        out->a = p;
+        out->b = cur.vid * 2 + cur.kind;
+        out->time = s->sv_now;
+        return 1;
+    }
+}
+
+/* One injection round: move pending requests whose arrival is within the
+ * horizon into the per-proc queues while the in-flight window has room.
+ * Mirrors ServeSession.pump's inject loop (same admission order, same
+ * eff clamp, same kick points). */
+static i64 serve_inject(Sim *s, double horizon) {
+    i64 n = 0;
+    SRing *pend = &s->sv_pend;
+    while (pend->len && s->sv_inflight < s->sv_max_inflight) {
+        SReq *it = &pend->buf[pend->head];
+        if (it->arrival > horizon) break;
+        double eff = it->arrival < s->sv_now ? s->sv_now : it->arrival;
+        it->eff = eff;
+        int p = it->proc;
+        ring_push(&s->sv_q[p], it);
+        pend->head = (pend->head + 1) & (pend->cap - 1);
+        pend->len--;
+        if (s->sv_state[p] == 0) {
+            /* parked processor: the wake-up kick, stamped at eff */
+            heap_push(s, eff, s->seqno++, K_SREQ, p, 0, 0, 0);
+            s->sv_state[p] = 1;
+        }
+        s->sv_inflight++;
+        n++;
+    }
+    return n;
+}
+
+void sim_serve_init(Sim *s, i64 max_inflight) {
+    /* the serving rings, over an armed residency mirror */
+    int n = s->n_nodes;
+    s->serve_on = 1;
+    s->sv_max_inflight = max_inflight;
+    s->sv_q = (SRing *)malloc(n * sizeof(SRing));
+    for (int p = 0; p < n; p++) ring_init(&s->sv_q[p], 16);
+    ring_init(&s->sv_pend, 1024);
+    s->sv_cur = (SReq *)calloc(n, sizeof(SReq));
+    s->sv_state = (unsigned char *)calloc(n, 1);
+    s->sv_rec_cap = 4096;
+    s->sv_rec = (SReq *)malloc(s->sv_rec_cap * sizeof(SReq));
 }
 
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
@@ -1056,43 +1112,34 @@ i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
 }
 
 int sim_serve_complete(Sim *s, Crossing *out, int p, double done) {
-    /* Python-side strategy returned an immediate completion (done <= now):
-       record it and keep dispatching; 1 = next request crossed (out). */
+    /* The crossed request of p completes at `done`, as the Python-side
+       strategy timed it.  Later than now: the exact analogue of the
+       classic path's schedule(done, _step, ...), returns 0.  Now: record
+       it and keep dispatching; 1 = the next request crossed (out). */
+    if (done > s->sv_now) {
+        heap_push(s, done, s->seqno++, K_SDONE, p, 0, 0, 0);
+        return 0;
+    }
     serve_record(s, &s->sv_cur[p], done);
     return serve_advance(s, p, out);
 }
 
-void sim_serve_push_done(Sim *s, int p, double done) {
-    /* Python-side strategy flow will complete at `done` (> now): the
-       exact analogue of the classic path's schedule(done, _step, ...) */
-    heap_push(s, done, s->seqno++, K_SDONE, p, 0, 0, 0);
-}
-
 void sim_serve_drain(Sim *s, ServeDrain *out) {
-    /* Everything the session folds after a pump, in one call: the
-       completion records (valid until the next run), the queue gauges,
-       the native counter deltas and the storage accumulator.  Resets the
-       records and the deltas. */
+    /* What the session folds after a pump: the completion records (valid
+       until the next run) and the queue gauges.  Resets the records. */
     out->n_rec = s->sv_rec_n; out->recs = s->sv_rec;
     out->inflight = s->sv_inflight; out->pending = s->sv_pend.len;
-    out->hits = s->sv_hits; out->wlocal = s->sv_wlocal;
-    out->misses = s->sv_misses; out->wremote = s->sv_wremote;
-    out->crossed_r = s->sv_crossed[0]; out->crossed_w = s->sv_crossed[1];
-    out->fallbacks = s->sv_fallbacks;
-    out->sc_integral = s->sc_integral; out->sc_last = s->sc_last;
-    out->sc_excess = s->sc_excess;
     s->sv_rec_n = 0;
-    s->sv_hits = 0; s->sv_wlocal = 0; s->sv_misses = 0; s->sv_wremote = 0;
-    s->sv_crossed[0] = 0; s->sv_crossed[1] = 0; s->sv_fallbacks = 0;
 }
 
-static void serve_free(Sim *s) {
-    if (!s->serve_on) return;
-    for (int p = 0; p < s->n_nodes; p++) free(s->sv_q[p].buf);
-    free(s->sv_q); free(s->sv_cur); free(s->sv_state); free(s->sv_site_of);
-    free(s->sv_pend.buf); free(s->sv_rec);
-    free(s->sv_bits); free(s->sv_var);
-    /* tree mirror only; NULL (calloc'ed Sim) otherwise */
+static void mirror_free(Sim *s) {
+    if (s->serve_on) {
+        for (int p = 0; p < s->n_nodes; p++) free(s->sv_q[p].buf);
+        free(s->sv_q); free(s->sv_cur); free(s->sv_state);
+        free(s->sv_pend.buf); free(s->sv_rec);
+    }
+    /* NULL (calloc'ed Sim) where the mirror or its tree is not armed */
+    free(s->sv_site_of); free(s->sv_bits); free(s->sv_var);
     free(s->sv_parent); free(s->sv_depth); free(s->sv_kid_off);
     free(s->sv_host);
     free(s->sv_scr_a); free(s->sv_scr_b); free(s->sv_path);
@@ -1230,24 +1277,21 @@ Sim *sim_new(int n_nodes, double hop, double local_ov, double cwire,
     s->ar_cap = 4096;
     s->arena = (int *)malloc(s->ar_cap * sizeof(int));
     s->stage_i = (int *)malloc(stage_cap * sizeof(int));
-    s->stage_d = (double *)malloc(stage_cap * sizeof(double));
     s->stage_cap = stage_cap;
     return s;
 }
 
 int sim_ensure_stage(Sim *s, int n) {
-    /* Grow the staging buffers to hold >= n entries; returns the new
-       capacity (callers re-fetch the buffer pointers after growth). */
+    /* Grow the staging buffer to hold >= n entries; returns the new
+       capacity (callers re-fetch the buffer pointer after growth). */
     if (n > s->stage_cap) {
         while (s->stage_cap < n) s->stage_cap *= 2;
         s->stage_i = (int *)realloc(s->stage_i, s->stage_cap * sizeof(int));
-        s->stage_d = (double *)realloc(s->stage_d, s->stage_cap * sizeof(double));
     }
     return s->stage_cap;
 }
 
 int *sim_stage_i(Sim *s) { return s->stage_i; }
-double *sim_stage_d(Sim *s) { return s->stage_d; }
 
 void sim_free(Sim *s) {
     for (int i = 0; i < s->fl_cap; i++) {
@@ -1258,8 +1302,8 @@ void sim_free(Sim *s) {
     }
     free(s->flows); free(s->fl_free);
     free(s->heap); free(s->rt_keys); free(s->rt_off); free(s->rt_len);
-    free(s->arena); free(s->rt_scratch); free(s->stage_i); free(s->stage_d);
-    serve_free(s);
+    free(s->arena); free(s->rt_scratch); free(s->stage_i);
+    mirror_free(s);
     free(s);
 }
 """
@@ -1273,9 +1317,7 @@ typedef struct {
     i64 id, value;
 } SReq;
 typedef struct {
-    i64 n_rec, inflight, pending, hits, wlocal, misses, wremote;
-    i64 crossed_r, crossed_w, fallbacks;
-    double sc_integral, sc_last, sc_excess;
+    i64 n_rec, inflight, pending;
     const SReq *recs;
 } ServeDrain;
 typedef struct Sim Sim;
@@ -1285,7 +1327,6 @@ Sim *sim_new(int n_nodes, double hop, double local_ov, double cwire,
              int stage_cap);
 void sim_free(Sim *s);
 int *sim_stage_i(Sim *s);
-double *sim_stage_d(Sim *s);
 int sim_ensure_stage(Sim *s, int n);
 void sim_set_stats(Sim *s, double *bytes, i64 *msgs, i64 *startups,
                    i64 *receives, i64 *counts);
@@ -1294,7 +1335,6 @@ void sim_clear_routes(Sim *s);
 void sim_set_topology(Sim *s, int kind, int rows, int cols, int dim,
                       int cache);
 int sim_compute_route(Sim *s, int src, int dst);
-int *sim_route_scratch(Sim *s);
 void sim_push_generic(Sim *s, double t, int obj);
 void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
                    double uw, double uo, double uocc, int udat,
@@ -1304,22 +1344,26 @@ double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat);
 double sim_probe_leg(Sim *s, double time, int src, int dst, double over,
                      double occ);
-void sim_serve_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
-                    int tree, i64 max_inflight);
-void sim_serve_sync_var(Sim *s, int vid, int owner, int top, int n_members);
-void sim_serve_var_flow(Sim *s, int vid, double payload, double dw,
-                        double dov, double docc);
-int sim_serve_export(Sim *s, int vid);
-void sim_serve_storage_delta(Sim *s, double delta, double t);
+void sim_combine(Sim *s, int n, const int *host, const int *kid_off,
+                 const int *kids, const int *leaf_proc,
+                 const double *arrivals, double *times, double *release);
+void sim_mirror_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
+                     int flow, i64 *counts, double *storage);
+void sim_mirror_var(Sim *s, int vid, int owner, int top, int n_members,
+                    int shape, double payload, double dw, double dov,
+                    double docc);
+int sim_mirror_export(Sim *s, int vid);
+void sim_mirror_storage_delta(Sim *s, double delta, double t);
+int sim_access(Sim *s, int p, int vid, int kind, double t);
+void sim_serve_init(Sim *s, i64 max_inflight);
 i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
                      const int *kinds, const double *arrivals,
                      const double *walls, const i64 *values);
 int sim_serve_complete(Sim *s, Crossing *out, int p, double done);
-void sim_serve_push_done(Sim *s, int p, double done);
 void sim_serve_drain(Sim *s, ServeDrain *out);
 """
 
-#: Staging buffer capacity (ints/doubles); bounds one flow/route.
+#: Staging buffer capacity (ints); bounds one flow/route.
 STAGE_CAP = 1 << 16
 
 _KERNEL = None
@@ -1372,6 +1416,10 @@ class Kernel:
     R_RESUME = 2
     R_NEED_ROUTE = 4
     R_SREQ = 5
+    #: ``sim_access`` results: completed in place, flow pushed, cross.
+    A_DONE = 0
+    A_FLOW = 1
+    A_CROSS = 2
 
     def __init__(self, ffi, lib):
         self.ffi = ffi

@@ -38,7 +38,8 @@ message leg, no per-leg Python function calls (the ``_CHAIN`` / ``_MDOWN``
 / ``_MACK`` event kinds below).  When the optional C kernel is available
 (:mod:`repro.sim._ckern`), the same loop runs natively and Python is
 re-entered only for generic events and to resume a processor; both
-engines produce bit-identical results, leg for leg.
+engines produce bit-identical results, leg for leg.  A tree barrier's
+combining pass (:meth:`Simulator.combine`) is one kernel call too.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ..network.topology import Hypercube, Topology
 from ..network.torus import Torus2D
 from . import _ckern
 
-__all__ = ["Simulator", "SimDeadlock"]
+__all__ = ["CombineTables", "Simulator", "SimDeadlock"]
 
 _INF = float("inf")
 
@@ -84,6 +85,27 @@ _MACK = object()
 #: A leg cost shape: ``(wire bytes, NIC overhead per end, link occupancy,
 #: is_data)``.
 Shape = Tuple[float, float, float, bool]
+
+
+class CombineTables:
+    """A combining tree in the dense form :meth:`Simulator.combine` runs.
+
+    Nodes are numbered in the pass's pre-order (0 = the root):
+    ``host[i]`` is the processor hosting node ``i``, its children are
+    ``kids[kid_off[i] : kid_off[i + 1]]`` and ``leaf_proc[i]`` is the
+    processor a leaf stands for (-1 for an interior node).
+    ``leaf_order`` lists the leaves' processors in that order.
+    """
+
+    __slots__ = ("host", "kid_off", "kids", "leaf_proc", "leaf_order", "_c")
+
+    def __init__(self, host, kid_off, kids, leaf_proc):
+        self.host = list(host)
+        self.kid_off = list(kid_off)
+        self.kids = list(kids)
+        self.leaf_proc = list(leaf_proc)
+        self.leaf_order = [p for p in self.leaf_proc if p >= 0]
+        self._c = None  # the kernel's buffers, built at first use
 
 
 class Simulator:
@@ -132,12 +154,12 @@ class Simulator:
         "_ffi",
         "_out",
         "_stage_i",
-        "_stage_d",
         "_stage_cap",
         "_objs",
         "_obj_free",
         "_np_arrays",
         "_failview",
+        "_closed_form",
         "serve_cb",
         "resume_hook",
         "_ctrl_shape",
@@ -192,6 +214,9 @@ class Simulator:
             kind_c = 3
         else:
             kind_c = 0
+        #: Whether the kernel routes every leg itself (a shipped topology,
+        #: no failure view): what a pass of native legs needs.
+        self._closed_form = bool(kind_c)
         kern = None
         if not Simulator.force_pure and (
             kind_c or topology.n_nodes <= DENSE_NODE_LIMIT
@@ -231,7 +256,6 @@ class Simulator:
                     1 if topology.n_nodes <= DENSE_NODE_LIMIT else 0,
                 )
             self._stage_i = lib.sim_stage_i(self._h)
-            self._stage_d = lib.sim_stage_d(self._h)
             self._stage_cap = _ckern.STAGE_CAP
             self._out = ffi.new("Crossing *")
             self._objs: List[object] = []
@@ -250,13 +274,13 @@ class Simulator:
         )
         self._failview = None
         #: Serving fast-path crossing handler (set by ServeSession when it
-        #: arms kernel-fast mode); receives the Crossing for R_SREQ.
+        #: arms the kernel's serving rings); receives the Crossing for R_SREQ.
         self.serve_cb = None
         #: The one flow completion: ``resume_hook(proc)`` runs as an event
         #: at the completion time of the flow ``proc`` blocked on
         #: (:meth:`push_flow`).  The :class:`~repro.runtime.launcher.
-        #: Runtime` installs it; a kernel armed for serving consumes the
-        #: completion natively instead.
+        #: Runtime` installs it; a kernel whose serving rings are armed
+        #: consumes the completion natively instead.
         self.resume_hook: Optional[Callable[[int], None]] = None
         self.stats = LinkStats(topology)
 
@@ -307,12 +331,11 @@ class Simulator:
         return i
 
     def _reserve_stage(self, n: int) -> None:
-        """Grow the kernel staging buffers when a flow outsizes them (huge
+        """Grow the kernel staging buffer when a flow outsizes it (huge
         fanouts / paths on very large machines)."""
         if n > self._stage_cap:
             self._stage_cap = self._lib.sim_ensure_stage(self._h, n)
             self._stage_i = self._lib.sim_stage_i(self._h)
-            self._stage_d = self._lib.sim_stage_d(self._h)
 
     def _supply_route(self, src: int, dst: int) -> None:
         links = self._route_lookup(src, dst)
@@ -334,6 +357,7 @@ class Simulator:
         ``(src, dst)`` exactly once per failure epoch.
         """
         self._failview = view
+        self._closed_form = False
         self._routes = view.route_cache
         self._route_lookup = view.lookup
         if self._h is not None:
@@ -607,6 +631,71 @@ class Simulator:
         else:
             item = (t, next(self._seq), self.resume_hook, (flow[3],))
         heapq.heappush(self._heap, item)
+
+    # ------------------------------------------------------- combining pass
+    def combine(self, tables: CombineTables, arrivals: Sequence[float]) -> List[float]:
+        """One combining pass over ``tables``: leaf ``i`` arrives at
+        ``arrivals[leaf_proc[i]]``, an interior node forwards a control
+        leg to its parent once all its children have arrived (post-order),
+        then the release runs back down (pre-order).  Returns the release
+        time per processor.  The legs are :meth:`send_leg`'s; on the C
+        kernel with closed-form routes the whole pass is one call."""
+        if self._h is not None and self._closed_form:
+            c = tables._c
+            if c is None:
+                c = tables._c = self._combine_buffers(tables, len(arrivals))
+            arr, release, args, _ = c
+            arr[:] = arrivals
+            self._lib.sim_combine(self._h, len(tables.host), *args)
+            return release.tolist()
+        host, kid_off, kids, leaf_proc = (
+            tables.host, tables.kid_off, tables.kids, tables.leaf_proc
+        )
+        send = self.send_leg
+        times = [0.0] * len(host)
+        # Post-order: time at which each tree node has collected its subtree.
+        for n in range(len(host) - 1, -1, -1):
+            proc = leaf_proc[n]
+            if proc >= 0:
+                times[n] = arrivals[proc]
+                continue
+            t = 0.0
+            h = host[n]
+            for c in kids[kid_off[n] : kid_off[n + 1]]:
+                t_arr = send(host[c], h, 0, times[c], is_data=False)
+                if t_arr > t:
+                    t = t_arr
+            times[n] = t
+        # Pre-order: broadcast release.
+        release = [0.0] * len(arrivals)
+        for n in range(len(host)):
+            h = host[n]
+            t = times[n]
+            for c in kids[kid_off[n] : kid_off[n + 1]]:
+                times[c] = send(h, host[c], 0, t, is_data=False)
+            proc = leaf_proc[n]
+            if proc >= 0:
+                release[proc] = t
+        return release
+
+    def _combine_buffers(self, tables: CombineTables, n_procs: int) -> tuple:
+        """The tables as the arrays ``sim_combine`` reads, the arrival and
+        release buffers it fills, and the pointer arguments (the arrays
+        stay alive with the tuple)."""
+        import numpy as np
+
+        cast = self._ffi.cast
+        ints = [
+            np.asarray(a, dtype=np.int32)
+            for a in (tables.host, tables.kid_off, tables.kids, tables.leaf_proc)
+        ]
+        arr = np.zeros(n_procs)
+        times = np.zeros(len(tables.host))
+        release = np.zeros(n_procs)
+        args = [cast("const int *", a.ctypes.data) for a in ints] + [
+            cast("double *", a.ctypes.data) for a in (arr, times, release)
+        ]
+        return arr, release, args, (ints, times)
 
     # -------------------------------------------------------------- messages
     def send_leg(

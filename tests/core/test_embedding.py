@@ -5,9 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decomposition import build_tree
-from repro.core.embedding import ModifiedEmbedding, RandomEmbedding, make_embedding
+from repro.core.embedding import (
+    ModifiedEmbedding,
+    RandomEmbedding,
+    SubcubeEmbedding,
+    TorusModifiedEmbedding,
+    make_embedding,
+)
 from repro.network.mesh import Mesh2D
 from repro.network.routing import path_length
+from repro.network.topology import Hypercube
+from repro.network.torus import Torus2D
 
 mesh_shapes = st.tuples(
     st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8)
@@ -128,3 +136,38 @@ class TestModifiedRule:
                     if emb.host(vid, node.idx) == emb.host(vid, node.parent):
                         colocated += 1
         assert colocated > edges // 10
+
+
+#: Every embedding class, on the topologies it is built for.
+EMBEDDINGS = [
+    (RandomEmbedding, Mesh2D(6, 4)),
+    (ModifiedEmbedding, Mesh2D(8, 8)),
+    (ModifiedEmbedding, Mesh2D(5, 3)),
+    (ModifiedEmbedding, Hypercube(5)),  # the tree barrier's grid view
+    (TorusModifiedEmbedding, Torus2D(4, 8)),
+    (SubcubeEmbedding, Hypercube(5)),
+]
+
+
+@pytest.mark.parametrize("cls, topology", EMBEDDINGS,
+                         ids=lambda x: getattr(x, "__name__", None) or x.label)
+@pytest.mark.parametrize("stride, terminal", [(1, 1), (2, 1), (4, 1), (1, 4), (2, 8)])
+def test_host_row_equals_the_host_loop(cls, topology, stride, terminal):
+    """``host_row`` (a table lookup on the modified embedding) hands out
+    exactly what asking ``host`` node by node would."""
+    tree = build_tree(topology, stride=stride, terminal=terminal)
+    rows, loop = cls(tree, seed=7), cls(tree, seed=7)
+    for vid in [-1, *range(30)]:
+        assert rows.host_row(vid).tolist() == [
+            loop.host(vid, n) for n in range(len(tree.nodes))
+        ]
+
+
+def test_host_row_follows_an_overridden_host():
+    tree = build_tree(Mesh2D(8, 8), stride=2)
+    emb = ModifiedEmbedding(tree, seed=1)
+    emb.host_row(3)  # builds the table
+    node = tree.nodes[tree.root].children[0]
+    emb.override(3, node, 63)
+    assert emb.host_row(3)[node] == 63
+    assert emb.host_row(3).tolist() == [emb.host(3, n) for n in range(len(tree.nodes))]

@@ -4,7 +4,7 @@ Above ``DENSE_NODE_LIMIT`` the kernel stops caching routes and computes
 each one in C (``sim_set_topology`` with ``cache=0``); below it computed
 routes are interned in the kernel's hash.  Either way the link ids must
 be bit-identical to ``Topology.compute_route`` -- these tests drive the
-kernel's debug surface (``sim_compute_route`` / ``sim_route_scratch``)
+kernel's debug surface (``sim_compute_route``, which stages the links)
 directly, then pin whole-simulation equivalence across the engines at a
 beyond-the-limit machine size.
 """
@@ -44,7 +44,7 @@ TOPOLOGIES = [
 def kernel_route(sim, src, dst):
     n = sim._lib.sim_compute_route(sim._h, src, dst)
     assert n >= 0, "kernel has no native topology bound"
-    return tuple(sim._lib.sim_route_scratch(sim._h)[0:n])
+    return tuple(sim._stage_i[0:n])
 
 
 @kernel_only

@@ -7,16 +7,17 @@ an instrumented build at exactly that name in a scratch directory --
 ``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined``
 plus ``-Wall -Wextra -Werror`` (the source is warning-clean; this is the
 build that keeps it so) -- so the package loads it without any flag of its own, then runs pytest
-(default: ``tests/serve tests/sim``) with the ASan runtime preloaded::
+(default: ``tests/serve tests/sim tests/runtime``) with the ASan runtime
+preloaded::
 
     python tools/kernel_sanitize.py                 # the default test dirs
     python tools/kernel_sanitize.py tests/serve/test_native_write.py -k sweep
 
 A sanitizer report kills the test process (pytest's capture would
 swallow it, so reports go to log files that are printed at the end) and
-the exit status is pytest's: 0 means the event loop, the flows and the
-serving fast path ran clean.  Leak checking is off (CPython itself is
-not leak-clean).
+the exit status is pytest's: 0 means the event loop, the flows, the
+residency mirror (batch and serving) and the combining pass ran clean.
+Leak checking is off (CPython itself is not leak-clean).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import tempfile
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=undefined", "-Wall", "-Wextra", "-Werror"]
-DEFAULT_TESTS = ["tests/serve", "tests/sim"]
+DEFAULT_TESTS = ["tests/serve", "tests/sim", "tests/runtime"]
 
 
 def main(argv=None) -> int:
