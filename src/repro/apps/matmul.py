@@ -61,8 +61,13 @@ def _side(mesh: Mesh2D) -> int:
 
 
 def make_blocks(mesh: Mesh2D, block_entries: int, seed: int = 0) -> Dict[Tuple[int, int], np.ndarray]:
-    """Deterministic integer blocks ``A[i,j]`` (values small enough that the
-    square stays well inside int64)."""
+    """Deterministic integer blocks ``A[i,j]``, held as float64 so block
+    products run on BLAS.
+
+    The arithmetic stays exact: entries are integers in ``[0, 100)``, so
+    every partial sum of an ``n x n`` product is an integer of at most
+    ``99**2 * n``, far below ``2**53`` (float64's exact-integer range) for
+    any ``n`` a mesh can hold, whatever order BLAS sums in."""
     q = _side(mesh)
     s = math.isqrt(block_entries)
     if s * s != block_entries:
@@ -71,18 +76,19 @@ def make_blocks(mesh: Mesh2D, block_entries: int, seed: int = 0) -> Dict[Tuple[i
     for i in range(q):
         for j in range(q):
             rng = np.random.default_rng(seed * 1_000_003 + i * q + j)
-            blocks[(i, j)] = rng.integers(0, 100, size=(s, s), dtype=np.int64)
+            blocks[(i, j)] = rng.integers(0, 100, size=(s, s), dtype=np.int64).astype(np.float64)
     return blocks
 
 
 def expected_square(mesh: Mesh2D, blocks: Dict[Tuple[int, int], np.ndarray]) -> Dict[Tuple[int, int], np.ndarray]:
-    """Reference result: the blocked square computed with numpy."""
+    """Reference result: the blocked square computed with numpy (exact,
+    see :func:`make_blocks`)."""
     q = _side(mesh)
     out = {}
     for i in range(q):
         for j in range(q):
             s = blocks[(0, 0)].shape[0]
-            acc = np.zeros((s, s), dtype=np.int64)
+            acc = np.zeros((s, s))
             for k in range(q):
                 acc += blocks[(i, k)] @ blocks[(k, j)]
             out[(i, j)] = acc
@@ -120,7 +126,7 @@ def run_diva(
         handles[(i, j)] = env.create(f"A[{i},{j}]", payload, value=blocks[(i, j)])
         yield from env.barrier(phase="read")
         s = math.isqrt(block_entries)
-        h = np.zeros((s, s), dtype=np.int64)
+        h = np.zeros((s, s))
         for k0 in range(q):
             k = (k0 + i + j) % q
             a = yield from env.read(handles[(i, k)])
@@ -187,7 +193,7 @@ def run_diva_general(
         c_handles[(i, j)] = env.create(f"C[{i},{j}]", payload, value=None)
         yield from env.barrier(phase="read")
         s = math.isqrt(block_entries)
-        h = np.zeros((s, s), dtype=np.int64)
+        h = np.zeros((s, s))
         for k0 in range(q):
             k = (k0 + i + j) % q
             a = yield from env.read(a_handles[(i, k)])
@@ -208,7 +214,7 @@ def run_diva_general(
         ok = True
         for i in range(q):
             for j in range(q):
-                acc = np.zeros((s, s), dtype=np.int64)
+                acc = np.zeros((s, s))
                 for k in range(q):
                     acc += a_blocks[(i, k)] @ b_blocks[(k, j)]
                 if not np.array_equal(rt.registry.get(c_handles[(i, j)]), acc):
@@ -288,7 +294,7 @@ def run_handopt(
 
         yield from env.barrier(phase="compute")
         s = math.isqrt(block_entries)
-        h = np.zeros((s, s), dtype=np.int64)
+        h = np.zeros((s, s))
         for k in range(q):
             h = h + row[k] @ col[k]
             yield from env.compute(ops=mul_ops)

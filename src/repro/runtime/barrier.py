@@ -18,11 +18,18 @@ leg times can be computed in one post-order sweep
 (:meth:`repro.sim.engine.Simulator.combine`, one call into the C kernel).
 Barrier messages are control-sized, so acquiring their link reservations
 slightly late has no measurable effect on the surrounding traffic.
+
+Contract: ``arrive(proc, t)`` records an arrival.  The one that completes
+an episode runs the pass, which wakes every processor at its release time
+through :meth:`~repro.sim.engine.Simulator.resume_at` (the tree barrier
+in leaf order, the central one in arrival order), and returns the
+episode's boundary, the latest release; every other arrival returns
+``None``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..core.decomposition import DecompositionTree, build_tree
 from ..core.embedding import ModifiedEmbedding
@@ -45,7 +52,7 @@ class TreeBarrier:
         self.embedding = ModifiedEmbedding(self.tree, seed=seed ^ 0xBA221E2)
         self.tables = self._tables()
         self._arrivals: List[float] = [0.0] * self.n_procs
-        self._callbacks: Dict[int, Callable[[int, float], None]] = {}
+        self._arrived: Set[int] = set()
         self.episodes = 0
 
     @property
@@ -72,23 +79,19 @@ class TreeBarrier:
             leaf_proc.append(tree.mesh.node(node.row0, node.col0) if node.is_leaf else -1)
         return CombineTables(host, kid_off, kids, leaf_proc)
 
-    def arrive(self, proc: int, t: float, callback: Callable[[int, float], None]) -> None:
-        """Processor ``proc`` reaches the barrier at time ``t``;
-        ``callback(proc, release_time)`` fires when the barrier opens."""
-        if proc in self._callbacks:
+    def arrive(self, proc: int, t: float) -> Optional[float]:
+        """Processor ``proc`` reaches the barrier at time ``t``; the last
+        arrival runs the pass and returns the boundary (module docstring)."""
+        arrived = self._arrived
+        if proc in arrived:
             raise RuntimeError(f"processor {proc} arrived twice at the same barrier")
         self._arrivals[proc] = t
-        self._callbacks[proc] = callback
-        if len(self._callbacks) == self.n_procs:
-            self._complete()
-
-    def _complete(self) -> None:
-        release = self.sim.combine(self.tables, self._arrivals)
-        callbacks = self._callbacks
-        self._callbacks = {}
+        arrived.add(proc)
+        if len(arrived) < len(self._arrivals):
+            return None
+        arrived.clear()
         self.episodes += 1
-        for proc in self.tables.leaf_order:
-            callbacks[proc](proc, release[proc])
+        return self.sim.combine(self.tables, self._arrivals)
 
 
 class CentralBarrier:
@@ -101,42 +104,35 @@ class CentralBarrier:
         self.sim = sim
         self.coordinator = coordinator
         self._arrivals: Dict[int, float] = {}
-        self._callbacks: Dict[int, Callable[[int, float], None]] = {}
         self.episodes = 0
 
     @property
     def n_procs(self) -> int:
         return self.sim.topology.n_nodes
 
-    def arrive(self, proc: int, t: float, callback: Callable[[int, float], None]) -> None:
+    def arrive(self, proc: int, t: float) -> Optional[float]:
+        """As :meth:`TreeBarrier.arrive`; releases go out in arrival order."""
         if proc in self._arrivals:
             raise RuntimeError(f"processor {proc} arrived twice at the same barrier")
         self._arrivals[proc] = t
-        self._callbacks[proc] = callback
-        if len(self._arrivals) == self.n_procs:
-            self._complete()
-
-    def _complete(self) -> None:
+        if len(self._arrivals) < self.n_procs:
+            return None
         sim, coord = self.sim, self.coordinator
+        arrivals = self._arrivals
+        self._arrivals = {}
+        self.episodes += 1
         t_all = 0.0
-        for proc, t in self._arrivals.items():
-            if proc == coord:
-                t_arr = t
-            else:
-                t_arr = sim.send_leg(proc, coord, 0, t, is_data=False)
+        for p, t_p in arrivals.items():
+            t_arr = t_p if p == coord else sim.send_leg(p, coord, 0, t_p, is_data=False)
             if t_arr > t_all:
                 t_all = t_arr
-        callbacks = self._callbacks
-        procs = list(self._arrivals.keys())
-        self._arrivals.clear()
-        self._callbacks = {}
-        self.episodes += 1
-        for proc in procs:
-            if proc == coord:
-                callbacks[proc](proc, t_all)
-            else:
-                rel = sim.send_leg(coord, proc, 0, t_all, is_data=False)
-                callbacks[proc](proc, rel)
+        latest = 0.0
+        for p in arrivals:
+            rel = t_all if p == coord else sim.send_leg(coord, p, 0, t_all, is_data=False)
+            sim.resume_at(rel, p)
+            if rel > latest:
+                latest = rel
+        return latest
 
 
 def make_barrier(kind: str, sim: Simulator, seed: int = 0):

@@ -7,6 +7,18 @@ manager or the message-passing layer, advancing virtual time through the
 event heap.  Zero-cost completions (cache hits, local writes) are resumed
 inline to keep large runs fast.
 
+Wake-ups
+--------
+A blocked processor resumes in exactly one way: the simulator calls its
+resume hook -- the request loop :meth:`Runtime.launch` binds once per
+run -- with the processor id, and the processor continues with what
+``flow_value`` holds for it.  A finished flow, a compute delay, a later
+completion time, a lock grant, a receive, the program start
+(:meth:`Runtime._wake` -> :meth:`~repro.sim.engine.Simulator.resume_at`)
+and a barrier release (pushed by the barrier's pass itself) are all the
+same kernel ``K_RESUME`` event; only failure-schedule events stay
+generic callbacks.
+
 The residency mirror
 --------------------
 On the C kernel a read or write need not call the strategy at all.  A
@@ -35,6 +47,7 @@ says which path ran and why a faster one was refused.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from itertools import accumulate, chain
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -156,12 +169,12 @@ class Runtime:
         recorder=None,
     ):
         self.sim = Simulator(topology, machine)
-        # The one flow completion: a strategy stashes what the blocked
-        # processor resumes with (a read's value) when it launches the
-        # flow -- at most one is in flight per processor, programs block
-        # on it -- and the engine calls the hook at the completion time.
+        # The one wake-up: what a blocked processor resumes with (a read's
+        # value), stashed when its flow is launched or its wake-up pushed
+        # -- at most one is pending per processor, programs block on it --
+        # and read by the request loop, the simulator's resume hook, when
+        # the wake-up fires (launch installs it).
         self.flow_value: List[Any] = [None] * topology.n_nodes
-        self.sim.resume_hook = self._flow_done
         self.registry = VariableRegistry()
         self.memory = MemoryBook(topology.n_nodes, capacity_bytes)
         self.charge_compute = charge_compute
@@ -205,7 +218,7 @@ class Runtime:
         # Per-request simulated latency (schema v7, see repro.metrics):
         # one float per completed read/write.  Requests whose flow blocks
         # (strategy returned None) stash their issue time per processor
-        # and are closed out at the resume _step entry -- both engines
+        # and are closed out when the request loop resumes -- both engines
         # re-enter at the exact flow completion time, so the sample is
         # engine-identical.
         self._lat = array("d")
@@ -216,7 +229,6 @@ class Runtime:
         self._waiting_recv: Dict[Tuple[int, Any], bool] = {}
 
         # barrier bookkeeping
-        self._barrier_releases: List[Tuple[int, float]] = []
         self._barrier_label: Optional[str] = None
         self._barrier_label_set = False
         self._barrier_reset = False
@@ -395,9 +407,7 @@ class Runtime:
         topo = self.sim.topology
         if self._access is None:
             self.arm_mirror()
-        for p in range(topo.n_nodes):
-            self._gens[p] = program(Env(self, p))
-            self.sim.schedule(0.0, self._step, p, None)
+        self.launch([program(Env(self, p)) for p in range(topo.n_nodes)])
         self.sim.run()
         if self._finished < topo.n_nodes:
             blocked = [
@@ -479,220 +489,245 @@ class Runtime:
         self._repaired_vids.update(vids)
 
     # ------------------------------------------------------------ scheduling
-    def _step(self, p: int, value: Any) -> None:
-        """Resume processor ``p`` with ``value``; run until it blocks.
+    def launch(self, programs: List[Any]) -> None:
+        """Bind the request loop (:meth:`_bind_step`) and wake processor
+        ``p`` at t=0 to start ``programs[p]``."""
+        self._gens[:] = programs
+        self._bind_step()
+        for p in range(len(programs)):
+            self._wake(p, 0.0)
 
-        This is the request dispatch loop -- one iteration per program
-        request, millions per large run -- so the hot collaborators
-        (generator send, strategy entry points, scheduler) are bound to
-        locals once and the zero-cost completion paths (``done <= now``)
-        continue inline without touching the event heap.
+    def _wake(self, p: int, t: float, value: Any = None) -> None:
+        """The one wake-up: processor ``p`` resumes with ``value`` at
+        ``t`` -- the same kernel event as a finished flow's completion,
+        which resumes it with the ``flow_value`` its strategy stashed."""
+        self.flow_value[p] = value
+        self.sim.resume_at(t, p)
+
+    def _bind_step(self) -> None:
+        """Build the request dispatch loop over this run's collaborators
+        and install it as the simulator's resume hook.
+
+        The loop runs once per program request -- millions per large run
+        -- so everything it touches is bound here, once, after the mirror
+        is armed; an entry reads only per-processor state (the generator,
+        the value it resumes with, the pending latency sample).
+        Zero-cost completions (``done <= now``) continue inline without
+        touching the event heap; everything else blocks the processor
+        until a wake-up (:meth:`_wake`, a flow, a barrier release).
         """
-        gen_send = self._gens[p].send
         sim = self.sim
         strategy = self.strategy
         recorder = self._recorder
-        schedule = sim.schedule
-        lat_append = self._lat.append
+        gens = self._gens
+        flow_value = self.flow_value
         pending = self._lat_pending
+        blocked_on = self._blocked_on
+        lat_append = self._lat.append
+        wake = self._wake
+        grants = [partial(wake, p) for p in range(len(gens))]
+        arrive = self.barrier.arrive
+        charge_compute = self.charge_compute
+        compute_time = sim.machine.compute_time
+        compute_by_proc = self._compute_by_proc
+        mailbox = self._mailbox
+        waiting_recv = self._waiting_recv
         # The residency mirror, when armed: one kernel call per read/write;
         # values stay in the registry, read / written at initiation.
         access = self._access
         h = sim._h
         values = self.registry._values
-        # A request whose flow blocked us completes exactly now: close
-        # out its latency sample (see __init__).
-        issued = pending[p]
-        if issued is not None:
-            pending[p] = None
-            lat_append(sim.now - issued)
         # Retry accounting (None outside the failure axis: one dead-cheap
         # check per read/write keeps the zero-failure hot path intact).
         retried = self._repaired_vids if self._failview is not None else None
-        while True:
-            try:
-                req = gen_send(value)
-                if recorder is not None:
-                    recorder.record_request(p, req)
-            except StopIteration as stop:
-                self._gens[p] = None
-                self._finished += 1
-                self._final_time[p] = sim.now
-                self.program_results[p] = stop.value
-                return
-            cls = req.__class__
-            now = sim.now
-            if cls is ReadReq:
-                var = req.var
-                if retried is not None and var.vid in retried:
-                    retried.discard(var.vid)
-                    self.requests_retried += 1
-                if access is None:
-                    res = strategy.read(p, var, now)
-                else:
-                    r = access(h, p, var.vid, 0, now)
-                    if r == _A_DONE:  # a hit
-                        value = values[var.vid]
-                        lat_append(0.0)
-                        continue
-                    if r == _A_FLOW:  # the miss flow resumes us
-                        self.flow_value[p] = values[var.vid]
-                        pending[p] = now
-                        self._blocked_on[p] = req
-                        return
-                    res = self.cross(p, var, False, None, now)
-                if res is None:
-                    # Miss: a flow was launched; it resumes us on completion.
-                    pending[p] = now
-                    self._blocked_on[p] = req
-                    return
-                done, value = res
-                lat_append(done - now)
-                if done <= now:
-                    continue
-                self._blocked_on[p] = req
-                schedule(done, self._step, p, value)
-                return
-            if cls is WriteReq:
-                var = req.var
-                if retried is not None and var.vid in retried:
-                    retried.discard(var.vid)
-                    self.requests_retried += 1
-                value = None
-                if access is None:
-                    done = strategy.write(p, var, req.value, now)
-                else:
-                    r = access(h, p, var.vid, 1, now)
-                    if r == _A_DONE:  # a local write
-                        values[var.vid] = req.value
-                        lat_append(0.0)
-                        continue
-                    if r == _A_FLOW:  # the invalidation flow resumes us
-                        values[var.vid] = req.value
-                        self.flow_value[p] = None
-                        pending[p] = now
-                        self._blocked_on[p] = req
-                        return
-                    done = self.cross(p, var, True, req.value, now)
-                if done is None:
-                    pending[p] = now
-                    self._blocked_on[p] = req
-                    return
-                lat_append(done - now)
-                if done <= now:
-                    continue
-                self._blocked_on[p] = req
-                schedule(done, self._step, p, None)
-                return
-            if cls is ComputeReq:
-                value = None
-                if not self.charge_compute:
-                    continue
-                dt = req.seconds + sim.machine.compute_time(req.ops)
-                if dt <= 0.0:
-                    continue
-                self._compute_by_proc[p] += dt
-                self._blocked_on[p] = req
-                schedule(now + dt, self._step, p, None)
-                return
-            if cls is BarrierReq:
-                self._blocked_on[p] = req
-                if req.phase is not None:
-                    if self._barrier_label_set and self._barrier_label != req.phase:
-                        raise RuntimeError(
-                            f"inconsistent barrier phase labels: "
-                            f"{self._barrier_label!r} vs {req.phase!r}"
-                        )
-                    self._barrier_label = req.phase
-                    self._barrier_label_set = True
-                if req.reset:
-                    self._barrier_reset = True
-                self.barrier.arrive(p, now, self._on_barrier_release)
-                return
-            if cls is LockReq:
-                self._blocked_on[p] = req
-                var = req.var
 
-                def grant(t: float, _p: int = p) -> None:
-                    schedule(t, self._step, _p, None)
-
-                strategy.lock(p, var, now, grant)
-                return
-            if cls is UnlockReq:
-                done = strategy.unlock(p, req.var, now)
-                value = None
-                if done <= now:
-                    continue
-                self._blocked_on[p] = req
-                schedule(done, self._step, p, None)
-                return
-            if cls is SendReq:
-                nic_before = max(now, sim.nic_free[p])
-                is_data = req.payload_bytes > 0
-                wire = (
-                    req.payload_bytes + sim.machine.header_bytes
-                    if is_data
-                    else sim.machine.ctrl_bytes
-                )
-                arrival = sim.send_leg(p, req.dst, req.payload_bytes, now, is_data=is_data)
-                self._deliver(req.dst, req.tag, arrival, req.value)
-                value = None
-                t_cont = nic_before + sim.machine.nic_overhead(wire) if req.dst != p else now
-                if t_cont <= now:
-                    continue
-                self._blocked_on[p] = req
-                schedule(t_cont, self._step, p, None)
-                return
-            if cls is RecvReq:
-                key = (p, req.tag)
-                box = self._mailbox.get(key)
-                if box:
-                    arrival, value = box.pop(0)
-                    if arrival <= now:
-                        continue
-                    self._blocked_on[p] = req
-                    schedule(arrival, self._step, p, value)
+        def step(p: int) -> None:
+            """Resume processor ``p``; run it until it blocks."""
+            gen_send = gens[p].send
+            value = flow_value[p]
+            # A request whose flow blocked us completes exactly now: close
+            # out its latency sample (see __init__).
+            issued = pending[p]
+            if issued is not None:
+                pending[p] = None
+                lat_append(sim.now - issued)
+            while True:
+                try:
+                    req = gen_send(value)
+                    if recorder is not None:
+                        recorder.record_request(p, req)
+                except StopIteration as stop:
+                    gens[p] = None
+                    self._finished += 1
+                    self._final_time[p] = sim.now
+                    self.program_results[p] = stop.value
                     return
-                self._blocked_on[p] = req
-                self._waiting_recv[key] = True
-                return
-            if cls is MarkReq:
-                if req.kind == "reset_measurement":
-                    self._reset_measurement()
+                cls = req.__class__
+                now = sim.now
+                if cls is ReadReq:
+                    var = req.var
+                    if retried is not None and var.vid in retried:
+                        retried.discard(var.vid)
+                        self.requests_retried += 1
+                    if access is None:
+                        res = strategy.read(p, var, now)
+                    else:
+                        r = access(h, p, var.vid, 0, now)
+                        if r == _A_DONE:  # a hit
+                            value = values[var.vid]
+                            lat_append(0.0)
+                            continue
+                        if r == _A_FLOW:  # the miss flow resumes us
+                            flow_value[p] = values[var.vid]
+                            pending[p] = now
+                            blocked_on[p] = req
+                            return
+                        res = self.cross(p, var, False, None, now)
+                    if res is None:
+                        # Miss: a flow was launched; it resumes us on completion.
+                        pending[p] = now
+                        blocked_on[p] = req
+                        return
+                    done, value = res
+                    lat_append(done - now)
+                    if done <= now:
+                        continue
+                    blocked_on[p] = req
+                    wake(p, done, value)
+                    return
+                if cls is WriteReq:
+                    var = req.var
+                    if retried is not None and var.vid in retried:
+                        retried.discard(var.vid)
+                        self.requests_retried += 1
                     value = None
-                    continue
-                raise ValueError(f"unknown mark {req.kind!r}")
-            raise TypeError(f"program on p{p} yielded unexpected object {req!r}")
+                    if access is None:
+                        done = strategy.write(p, var, req.value, now)
+                    else:
+                        r = access(h, p, var.vid, 1, now)
+                        if r == _A_DONE:  # a local write
+                            values[var.vid] = req.value
+                            lat_append(0.0)
+                            continue
+                        if r == _A_FLOW:  # the invalidation flow resumes us
+                            values[var.vid] = req.value
+                            flow_value[p] = None
+                            pending[p] = now
+                            blocked_on[p] = req
+                            return
+                        done = self.cross(p, var, True, req.value, now)
+                    if done is None:
+                        pending[p] = now
+                        blocked_on[p] = req
+                        return
+                    lat_append(done - now)
+                    if done <= now:
+                        continue
+                    blocked_on[p] = req
+                    wake(p, done)
+                    return
+                if cls is ComputeReq:
+                    value = None
+                    if not charge_compute:
+                        continue
+                    dt = req.seconds + compute_time(req.ops)
+                    if dt <= 0.0:
+                        continue
+                    compute_by_proc[p] += dt
+                    blocked_on[p] = req
+                    wake(p, now + dt)
+                    return
+                if cls is BarrierReq:
+                    blocked_on[p] = req
+                    if req.phase is not None:
+                        if self._barrier_label_set and self._barrier_label != req.phase:
+                            raise RuntimeError(
+                                f"inconsistent barrier phase labels: "
+                                f"{self._barrier_label!r} vs {req.phase!r}"
+                            )
+                        self._barrier_label = req.phase
+                        self._barrier_label_set = True
+                    if req.reset:
+                        self._barrier_reset = True
+                    # The release wakes us with no value (the pass pushes
+                    # the wake-up itself, so nothing else stashes one).
+                    flow_value[p] = None
+                    boundary = arrive(p, now)
+                    if boundary is not None:
+                        self._barrier_boundary(boundary)
+                    return
+                if cls is LockReq:
+                    blocked_on[p] = req
+                    strategy.lock(p, req.var, now, grants[p])
+                    return
+                if cls is UnlockReq:
+                    done = strategy.unlock(p, req.var, now)
+                    value = None
+                    if done <= now:
+                        continue
+                    blocked_on[p] = req
+                    wake(p, done)
+                    return
+                if cls is SendReq:
+                    nic_before = max(now, sim.nic_free[p])
+                    is_data = req.payload_bytes > 0
+                    wire = (
+                        req.payload_bytes + sim.machine.header_bytes
+                        if is_data
+                        else sim.machine.ctrl_bytes
+                    )
+                    arrival = sim.send_leg(p, req.dst, req.payload_bytes, now, is_data=is_data)
+                    self._deliver(req.dst, req.tag, arrival, req.value)
+                    value = None
+                    t_cont = nic_before + sim.machine.nic_overhead(wire) if req.dst != p else now
+                    if t_cont <= now:
+                        continue
+                    blocked_on[p] = req
+                    wake(p, t_cont)
+                    return
+                if cls is RecvReq:
+                    key = (p, req.tag)
+                    box = mailbox.get(key)
+                    if box:
+                        arrival, value = box.pop(0)
+                        if arrival <= now:
+                            continue
+                        blocked_on[p] = req
+                        wake(p, arrival, value)
+                        return
+                    blocked_on[p] = req
+                    waiting_recv[key] = True
+                    return
+                if cls is MarkReq:
+                    if req.kind == "reset_measurement":
+                        self._reset_measurement()
+                        value = None
+                        continue
+                    raise ValueError(f"unknown mark {req.kind!r}")
+                raise TypeError(f"program on p{p} yielded unexpected object {req!r}")
 
-    def _flow_done(self, proc: int) -> None:
-        """The simulator's resume hook: the flow ``proc`` blocked on
-        completed now."""
-        self._step(proc, self.flow_value[proc])
+        sim.resume_hook = step
 
     # -------------------------------------------------------------- barriers
-    def _on_barrier_release(self, proc: int, t: float) -> None:
-        self._barrier_releases.append((proc, t))
-        if len(self._barrier_releases) == self.sim.topology.n_nodes:
-            releases = self._barrier_releases
-            self._barrier_releases = []
-            boundary = max(t for _, t in releases)
-            label = self._barrier_label if self._barrier_label_set else None
-            if self._barrier_label_set:
-                self._barrier_label = None
-                self._barrier_label_set = False
-                self._close_phase(boundary)
-                self._open_phase(label, boundary)
-            if self._barrier_reset:
-                self._barrier_reset = False
-                self._reset_measurement(at=boundary)
-            for proc_, t_ in releases:
-                self.sim.schedule(t_, self._step, proc_, None)
+    def _barrier_boundary(self, boundary: float) -> None:
+        """Every processor arrived and the barrier pushed their releases:
+        close / open the labelled phase and reset measurement at the
+        boundary (the latest release)."""
+        if self._barrier_label_set:
+            label = self._barrier_label
+            self._barrier_label = None
+            self._barrier_label_set = False
+            self._close_phase(boundary)
+            self._open_phase(label, boundary)
+        if self._barrier_reset:
+            self._barrier_reset = False
+            self._reset_measurement(at=boundary)
 
     # ------------------------------------------------------ message passing
     def _deliver(self, dst: int, tag: Any, arrival: float, value: Any) -> None:
         key = (dst, tag)
         if self._waiting_recv.pop(key, None):
-            self.sim.schedule(arrival, self._step, dst, value)
+            self._wake(dst, arrival, value)
         else:
             self._mailbox.setdefault(key, []).append((arrival, value))
 

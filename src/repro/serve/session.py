@@ -286,14 +286,11 @@ class ServeSession:
         self._done_cols: Optional[tuple] = None
         # Start the dispatchers: every processor parks at t=0, ready to be
         # kicked awake by its first request.  Both modes start them (the
-        # fast path leaves them parked forever): the t=0 startup events
-        # consume identical event sequence numbers, which is part of what
-        # keeps the two paths bit-identical.
-        sim = self.rt.sim
-        for p in range(n):
-            self.rt._gens[p] = self._dispatch(p)
-            sim.schedule(0.0, self.rt._step, p, None)
-        sim.run(until=0.0)
+        # fast path leaves them parked forever): the t=0 wake-ups consume
+        # identical event sequence numbers, which is part of what keeps
+        # the two paths bit-identical.
+        self.rt.launch([self._dispatch(p) for p in range(n)])
+        self.rt.sim.run(until=0.0)
 
     # ----------------------------------------------------------- dispatchers
     def _dispatch(self, p: int):

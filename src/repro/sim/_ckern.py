@@ -4,15 +4,17 @@ The discrete-event hot loop -- heap, flow stepping, leg timing, traffic
 accounting -- is a few hundred machine-level operations per message leg,
 but costs ~1.2 microseconds in CPython even after the inline-event
 overhaul.  This module compiles the identical loop to native code at
-first use and drives it through ``cffi``'s ABI mode: a flow
-(``sim_push_flow``: path up, invalidation multicast, path back down)
-executes entirely in C, and control returns to Python only for generic
-events (program steps, barriers, locks) and to resume the processor a
-finished flow blocked (``R_RESUME``).  Two more Python loops are one
-call each: a read or write against the residency mirror (``sim_access``:
-a hit or local write completes in place, a static family's miss or
-remote write is pushed as its flow) and a tree barrier's combining pass
-(``sim_combine``).
+first use, as a ``cffi`` extension module in API mode (a call is a
+direct C call through a generated wrapper, not a libffi marshalling):
+a flow (``sim_push_flow``: path up, invalidation multicast, path back
+down) executes entirely in C, and control returns to Python to wake a
+processor (``R_RESUME``: a finished flow, or a timed wake-up pushed with
+``sim_push_resume``) and for generic events (failure-schedule events
+only, in a run).  Two more Python loops are one call each: a read or
+write against the residency mirror (``sim_access``: a hit or local write
+completes in place, a static family's miss or remote write is pushed as
+its flow) and a tree barrier's combining pass (``sim_combine``, which
+also wakes every processor at its release time).
 
 Arithmetic is mirrored operation-for-operation from the pure-Python loop
 in :mod:`repro.sim.engine` (same IEEE doubles, same order), and event keys
@@ -31,25 +33,30 @@ topology classes fall back to the historical supply path: the kernel
 returns ``R_NEED_ROUTE`` and Python feeds the route via ``sim_set_route``.
 
 Gating: the kernel engages only when ``cffi`` is importable, a C compiler
-is available, and ``REPRO_PURE_PYTHON`` is unset.  Any failure along the
-way (no compiler, sandboxed tmpdir, dlopen error) falls back to the
-pure-Python engine -- nothing in the package *requires* the kernel -- and
-:func:`unavailable_reason` keeps why.
-The shared object is cached under ``$REPRO_CKERN_DIR`` (default: a
-per-user directory in the system tempdir) keyed by a hash of the C
-source, so compilation happens once per source revision.
+and the Python headers are available, and ``REPRO_PURE_PYTHON`` is
+unset.  Any failure along the way (no compiler, no Python headers,
+sandboxed tmpdir, import error) falls back to the pure-Python engine --
+nothing in the package *requires* the kernel -- and
+:func:`unavailable_reason` keeps why.  The extension is cached under
+``$REPRO_CKERN_DIR`` (default: a per-user directory in the system
+tempdir), named by a hash of the source, the cdef, the interpreter and
+cffi's version, so it is built once per revision; loading a built one
+imports it and parses no cdef.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import sysconfig
 import tempfile
 
-__all__ = ["load_kernel", "unavailable_reason", "CKERN_SOURCE"]
+__all__ = ["load_kernel", "unavailable_reason", "api_source", "CKERN_SOURCE"]
 
 CKERN_SOURCE = r"""
 #include <stdlib.h>
@@ -578,14 +585,17 @@ void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
  * A tree barrier's combining pass in one call: the arrivals climb the
  * combining tree, the release runs back down -- the legs the pure loop of
  * Simulator.combine sends, in the same order, so reservations and traffic
- * are bit-identical.  The tree is dense and numbered in the pass's
- * pre-order (node 0 the root): host[i], children kids[kid_off[i] ..
+ * are bit-identical -- and each leaf's processor is woken (K_RESUME) at
+ * its release time as the pre-order reaches it, consuming the seqnos the
+ * pure loop's wake-ups consume.  The tree is dense and numbered in the
+ * pass's pre-order (node 0 the root): host[i], children kids[kid_off[i] ..
  * kid_off[i + 1]), leaf_proc[i] the processor of a leaf (-1 inside).
- * times[n] is scratch; release[p] receives processor p's release time.
- * Every route must be closed-form (no failure view, a shipped topology). */
-void sim_combine(Sim *s, int n, const int *host, const int *kid_off,
-                 const int *kids, const int *leaf_proc,
-                 const double *arrivals, double *times, double *release) {
+ * times[n] is scratch.  Returns the latest release (the barrier's
+ * boundary).  Every route must be closed-form (no failure view, a shipped
+ * topology). */
+double sim_combine(Sim *s, int n, const int *host, const int *kid_off,
+                   const int *kids, const int *leaf_proc,
+                   const double *arrivals, double *times) {
     for (int i = n - 1; i >= 0; i--) {
         if (leaf_proc[i] >= 0) {
             times[i] = arrivals[leaf_proc[i]];
@@ -599,13 +609,18 @@ void sim_combine(Sim *s, int n, const int *host, const int *kid_off,
         }
         times[i] = t;
     }
+    double latest = 0.0;
     for (int i = 0; i < n; i++) {
         for (int j = kid_off[i]; j < kid_off[i + 1]; j++) {
             int c = kids[j];
             times[c] = do_leg(s, times[i], host[i], host[c], &s->ctrl);
         }
-        if (leaf_proc[i] >= 0) release[leaf_proc[i]] = times[i];
+        if (leaf_proc[i] >= 0) {
+            heap_push(s, times[i], s->seqno++, K_RESUME, leaf_proc[i], 0, 0, 0);
+            if (times[i] > latest) latest = times[i];
+        }
     }
+    return latest;
 }
 
 /* ------------------------------------------------------- residency mirror
@@ -1114,7 +1129,7 @@ i64 sim_serve_ingest(Sim *s, i64 n, const int *procs, const int *vids,
 int sim_serve_complete(Sim *s, Crossing *out, int p, double done) {
     /* The crossed request of p completes at `done`, as the Python-side
        strategy timed it.  Later than now: the exact analogue of the
-       classic path's schedule(done, _step, ...), returns 0.  Now: record
+       classic path's wake-up at done, returns 0.  Now: record
        it and keep dispatching; 1 = the next request crossed (out). */
     if (done > s->sv_now) {
         heap_push(s, done, s->seqno++, K_SDONE, p, 0, 0, 0);
@@ -1148,6 +1163,11 @@ static void mirror_free(Sim *s) {
 /* ------------------------------------------------------------------ loop */
 void sim_push_generic(Sim *s, double t, int obj) {
     heap_push(s, t, s->seqno++, K_GEN, obj, 0, 0, 0);
+}
+
+void sim_push_resume(Sim *s, double t, int p) {
+    /* wake processor p at t: the completion a finished flow pushes */
+    heap_push(s, t, s->seqno++, K_RESUME, p, 0, 0, 0);
 }
 
 void sim_set_stats(Sim *s, double *bytes, i64 *msgs, i64 *startups,
@@ -1336,6 +1356,7 @@ void sim_set_topology(Sim *s, int kind, int rows, int cols, int dim,
                       int cache);
 int sim_compute_route(Sim *s, int src, int dst);
 void sim_push_generic(Sim *s, double t, int obj);
+void sim_push_resume(Sim *s, double t, int p);
 void sim_push_flow(Sim *s, double t, int proc, int nh, int tbl, int n_kids,
                    double uw, double uo, double uocc, int udat,
                    double dw, double dov, double docc, int ddat);
@@ -1344,9 +1365,9 @@ double sim_send_leg(Sim *s, double time, int src, int dst, double wire,
                     double over, double occ, int isdat);
 double sim_probe_leg(Sim *s, double time, int src, int dst, double over,
                      double occ);
-void sim_combine(Sim *s, int n, const int *host, const int *kid_off,
-                 const int *kids, const int *leaf_proc,
-                 const double *arrivals, double *times, double *release);
+double sim_combine(Sim *s, int n, const int *host, const int *kid_off,
+                   const int *kids, const int *leaf_proc,
+                   const double *arrivals, double *times);
 void sim_mirror_init(Sim *s, int nsites, int wl_rule, int nat_r, int nat_w,
                      int flow, i64 *counts, double *storage);
 void sim_mirror_var(Sim *s, int vid, int owner, int top, int n_members,
@@ -1378,34 +1399,68 @@ def _build_dir() -> pathlib.Path:
     return pathlib.Path(tempfile.gettempdir()) / f"repro-ckern-{os.getuid()}"
 
 
+def _module_name() -> str:
+    """The extension module's name: a content hash of what the built code
+    depends on -- the source, the cdef, the interpreter and cffi (whose
+    runtime half, ``_cffi_backend``, carries cffi's version)."""
+    import _cffi_backend
+
+    key = "\0".join((CKERN_SOURCE, _CDEF, sys.version, _cffi_backend.__version__))
+    return "ckern_" + hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
 def kernel_path() -> pathlib.Path:
-    """Where the shared object of this source revision is cached: named
-    by a content hash, so a build found there is used as it is
+    """Where the extension of this source revision is cached: named by a
+    content hash, so a build found there is imported as it is
     (``tools/kernel_sanitize.py`` plants an instrumented one)."""
-    src_hash = hashlib.sha256(
-        (CKERN_SOURCE + _CDEF + sys.version).encode()
-    ).hexdigest()[:16]
-    return _build_dir() / f"ckern-{src_hash}.so"
+    return _build_dir() / (_module_name() + sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+def api_source() -> str:
+    """The C of the extension :func:`kernel_path` names: ``CKERN_SOURCE``
+    followed by the wrappers cffi generates for ``_CDEF`` (API mode, so a
+    call is a direct C call, not a libffi one)."""
+    from cffi import FFI
+
+    ffi = FFI()
+    ffi.cdef(_CDEF)
+    ffi.set_source(_module_name(), CKERN_SOURCE, compiler_verbose=False)
+    out = io.StringIO()
+    ffi.emit_c_code(out)
+    return out.getvalue()
 
 
 def _compile() -> pathlib.Path:
-    """Compile the kernel into the cache dir; returns the .so path."""
+    """Build the extension into the cache dir; returns its path."""
     so_path = kernel_path()
     so_path.parent.mkdir(parents=True, exist_ok=True)
     if so_path.exists():
         return so_path
-    c_path = so_path.with_suffix(".c")
-    c_path.write_text(CKERN_SOURCE)
-    tmp = so_path.with_suffix(f".tmp{os.getpid()}.so")
+    tmp = so_path.with_name(f"{so_path.name}.tmp{os.getpid()}")
+    c_path = tmp.with_name(tmp.name + ".c")
+    c_path.write_text(api_source())
     cc = os.environ.get("CC", "cc")
-    subprocess.run(
-        [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(c_path)],
-        check=True,
-        capture_output=True,
-        timeout=120,
-    )
+    try:
+        subprocess.run(
+            [cc, "-O2", "-fPIC", "-shared", f"-I{sysconfig.get_paths()['include']}",
+             "-o", str(tmp), str(c_path)],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+    finally:
+        c_path.unlink()
     os.replace(tmp, so_path)  # atomic: concurrent builders converge
     return so_path
+
+
+def _import(path: pathlib.Path):
+    """Import the built extension at ``path`` (no cdef parsing: the type
+    tables are compiled in)."""
+    spec = importlib.util.spec_from_file_location(path.name.split(".")[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class Kernel:
@@ -1437,24 +1492,24 @@ def load_kernel():
         _UNAVAILABLE = "REPRO_PURE_PYTHON is set"
         return None
     try:
-        from cffi import FFI
-
-        ffi = FFI()
-        ffi.cdef(_CDEF)
-        lib = ffi.dlopen(str(_compile()))
-        _KERNEL = Kernel(ffi, lib)
+        import _cffi_backend  # noqa: F401
     except ImportError as exc:
         _UNAVAILABLE = f"cffi is not importable: {exc}"
+        return None
+    try:
+        module = _import(_compile())
+        _KERNEL = Kernel(module.ffi, module.lib)
     except subprocess.CalledProcessError as exc:
         stderr = exc.stderr.decode(errors="replace").strip()
         _UNAVAILABLE = f"the C compiler failed: {stderr[-500:] or exc}"
-    except Exception as exc:  # no compiler, unwritable cache dir, dlopen error
+    except Exception as exc:  # no compiler, unwritable cache dir, import error
         _UNAVAILABLE = f"{type(exc).__name__}: {exc}"
     return _KERNEL
 
 
 def unavailable_reason() -> str:
     """Why :func:`load_kernel` returned ``None`` (``REPRO_PURE_PYTHON``
-    set, ``cffi`` not importable, the compiler's error text, the
-    ``dlopen`` error); ``""`` while the kernel is loaded or untried."""
+    set, ``cffi`` not importable, the compiler's error text -- missing
+    Python headers included -- or the import error); ``""`` while the
+    kernel is loaded or untried."""
     return _UNAVAILABLE

@@ -24,7 +24,9 @@ initiated earlier therefore acquire resources first -- FCFS per operation,
 which is the natural service order of the real system up to reordering of
 in-flight messages.  Event-driven behaviour that genuinely depends on
 *future* state (lock grants, barrier releases, message-passing receives)
-goes through the event heap.
+goes through the event heap, as a processor wake-up
+(:meth:`Simulator.resume_at`); :meth:`Simulator.schedule`'s generic
+callbacks are left to what is not a wake-up (failure-schedule events).
 
 Hot path
 --------
@@ -37,9 +39,11 @@ when it is pushed -- and the event loop steps it inline: one heap pop per
 message leg, no per-leg Python function calls (the ``_CHAIN`` / ``_MDOWN``
 / ``_MACK`` event kinds below).  When the optional C kernel is available
 (:mod:`repro.sim._ckern`), the same loop runs natively and Python is
-re-entered only for generic events and to resume a processor; both
+re-entered only to wake a processor -- a finished flow and a timed
+wake-up are the same ``K_RESUME`` event -- and for generic events; both
 engines produce bit-identical results, leg for leg.  A tree barrier's
-combining pass (:meth:`Simulator.combine`) is one kernel call too.
+combining pass (:meth:`Simulator.combine`), its wake-ups included, is one
+kernel call too.
 """
 
 from __future__ import annotations
@@ -94,17 +98,15 @@ class CombineTables:
     ``host[i]`` is the processor hosting node ``i``, its children are
     ``kids[kid_off[i] : kid_off[i + 1]]`` and ``leaf_proc[i]`` is the
     processor a leaf stands for (-1 for an interior node).
-    ``leaf_order`` lists the leaves' processors in that order.
     """
 
-    __slots__ = ("host", "kid_off", "kids", "leaf_proc", "leaf_order", "_c")
+    __slots__ = ("host", "kid_off", "kids", "leaf_proc", "_c")
 
     def __init__(self, host, kid_off, kids, leaf_proc):
         self.host = list(host)
         self.kid_off = list(kid_off)
         self.kids = list(kids)
         self.leaf_proc = list(leaf_proc)
-        self.leaf_order = [p for p in self.leaf_proc if p >= 0]
         self._c = None  # the kernel's buffers, built at first use
 
 
@@ -276,11 +278,12 @@ class Simulator:
         #: Serving fast-path crossing handler (set by ServeSession when it
         #: arms the kernel's serving rings); receives the Crossing for R_SREQ.
         self.serve_cb = None
-        #: The one flow completion: ``resume_hook(proc)`` runs as an event
-        #: at the completion time of the flow ``proc`` blocked on
-        #: (:meth:`push_flow`).  The :class:`~repro.runtime.launcher.
-        #: Runtime` installs it; a kernel whose serving rings are armed
-        #: consumes the completion natively instead.
+        #: The one wake-up: ``resume_hook(proc)`` runs as an event at the
+        #: completion time of the flow ``proc`` blocked on
+        #: (:meth:`push_flow`) and at every :meth:`resume_at`.  The
+        #: :class:`~repro.runtime.launcher.Runtime` installs its request
+        #: loop here; a kernel whose serving rings are armed consumes flow
+        #: completions natively instead.
         self.resume_hook: Optional[Callable[[int], None]] = None
         self.stats = LinkStats(topology)
 
@@ -311,6 +314,15 @@ class Simulator:
             )
 
     # ------------------------------------------------------------ event heap
+    def resume_at(self, time: float, proc: int) -> None:
+        """Wake processor ``proc`` at ``time``: ``resume_hook(proc)`` runs
+        then, exactly as at a finished flow's completion (one kernel
+        ``K_RESUME`` event; on the pure engine the same heap entry)."""
+        if self._h is not None:
+            self._lib.sim_push_resume(self._h, time, proc)
+        else:
+            heapq.heappush(self._heap, (time, next(self._seq), self.resume_hook, (proc,)))
+
     def schedule(self, time: float, callback: Callable, *args) -> None:
         """Run ``callback(*args)`` at simulation ``time`` (>= now)."""
         if time < self.now - 1e-12:
@@ -404,27 +416,28 @@ class Simulator:
                 gc.enable()
 
     def _run_kernel(self, until: Optional[float] = None) -> None:
-        """Drive the C kernel; re-enter Python only for generic events,
-        to resume a processor, and for route-table misses."""
+        """Drive the C kernel; re-enter Python only to wake a processor,
+        for generic events, and for route-table misses."""
         lib = self._lib
         h = self._h
         out = self._out
         objs = self._objs
         free = self._obj_free
+        resume = self.resume_hook
         horizon = _INF if until is None else until
         sim_run = lib.sim_run_until
         while True:
             r = sim_run(h, out, horizon)
-            if r == 1:  # generic event
+            if r == 2:  # wake a processor (a finished flow, a timed wake-up)
+                self.now = out.time
+                resume(out.a)
+            elif r == 1:  # generic event
                 i = out.a
                 cb, args = objs[i]
                 objs[i] = None
                 free.append(i)
                 self.now = out.time
                 cb(*args)
-            elif r == 2:  # a flow completed: resume its processor
-                self.now = out.time
-                self.resume_hook(out.a)
             elif r == 4:  # route miss: supply and re-enter
                 self._supply_route(out.a, out.b)
             elif r == 5:  # serving fast path: a request crossed to Python
@@ -633,21 +646,21 @@ class Simulator:
         heapq.heappush(self._heap, item)
 
     # ------------------------------------------------------- combining pass
-    def combine(self, tables: CombineTables, arrivals: Sequence[float]) -> List[float]:
+    def combine(self, tables: CombineTables, arrivals: Sequence[float]) -> float:
         """One combining pass over ``tables``: leaf ``i`` arrives at
         ``arrivals[leaf_proc[i]]``, an interior node forwards a control
         leg to its parent once all its children have arrived (post-order),
-        then the release runs back down (pre-order).  Returns the release
-        time per processor.  The legs are :meth:`send_leg`'s; on the C
-        kernel with closed-form routes the whole pass is one call."""
+        then the release runs back down (pre-order), waking each leaf's
+        processor at its release time (:meth:`resume_at`, in leaf order).
+        Returns the latest release.  The legs are :meth:`send_leg`'s; on
+        the C kernel with closed-form routes the whole pass is one call."""
         if self._h is not None and self._closed_form:
             c = tables._c
             if c is None:
                 c = tables._c = self._combine_buffers(tables, len(arrivals))
-            arr, release, args, _ = c
+            arr, args, _ = c
             arr[:] = arrivals
-            self._lib.sim_combine(self._h, len(tables.host), *args)
-            return release.tolist()
+            return self._lib.sim_combine(self._h, len(tables.host), *args)
         host, kid_off, kids, leaf_proc = (
             tables.host, tables.kid_off, tables.kids, tables.leaf_proc
         )
@@ -667,7 +680,8 @@ class Simulator:
                     t = t_arr
             times[n] = t
         # Pre-order: broadcast release.
-        release = [0.0] * len(arrivals)
+        resume_at = self.resume_at
+        latest = 0.0
         for n in range(len(host)):
             h = host[n]
             t = times[n]
@@ -675,13 +689,15 @@ class Simulator:
                 times[c] = send(h, host[c], 0, t, is_data=False)
             proc = leaf_proc[n]
             if proc >= 0:
-                release[proc] = t
-        return release
+                resume_at(t, proc)
+                if t > latest:
+                    latest = t
+        return latest
 
     def _combine_buffers(self, tables: CombineTables, n_procs: int) -> tuple:
-        """The tables as the arrays ``sim_combine`` reads, the arrival and
-        release buffers it fills, and the pointer arguments (the arrays
-        stay alive with the tuple)."""
+        """The tables as the arrays ``sim_combine`` reads, the arrival
+        buffer it reads and the scratch it fills, and the pointer
+        arguments (the arrays stay alive with the tuple)."""
         import numpy as np
 
         cast = self._ffi.cast
@@ -691,11 +707,10 @@ class Simulator:
         ]
         arr = np.zeros(n_procs)
         times = np.zeros(len(tables.host))
-        release = np.zeros(n_procs)
         args = [cast("const int *", a.ctypes.data) for a in ints] + [
-            cast("double *", a.ctypes.data) for a in (arr, times, release)
+            cast("double *", a.ctypes.data) for a in (arr, times)
         ]
-        return arr, release, args, (ints, times)
+        return arr, args, (ints, times)
 
     # -------------------------------------------------------------- messages
     def send_leg(

@@ -44,6 +44,24 @@ class TestSetup:
             for j in range(2):
                 assert np.array_equal(expect[(i, j)], sq[i * s : (i + 1) * s, j * s : (j + 1) * s])
 
+    @pytest.mark.parametrize("side,block_entries", [(2, 16), (4, 1024), (16, 1024)])
+    def test_expected_square_equals_an_int64_blocked_loop(self, side, block_entries):
+        """The float64 blocks are exact (``make_blocks``' bound): the BLAS
+        square equals a blocked square over int64 copies, entry for entry,
+        at the benchmark's largest matrix (512 x 512) too."""
+        mesh = Mesh2D(side, side)
+        blocks = matmul.make_blocks(mesh, block_entries, seed=7)
+        ints = {k: b.astype(np.int64) for k, b in blocks.items()}
+        assert all(np.array_equal(ints[k], blocks[k]) for k in blocks)
+        expect = matmul.expected_square(mesh, blocks)
+        for i in range(side):
+            for j in range(side):
+                acc = np.zeros_like(ints[(0, 0)])
+                for k in range(side):
+                    acc += ints[(i, k)] @ ints[(k, j)]
+                assert expect[(i, j)].dtype == np.float64
+                assert np.array_equal(expect[(i, j)], acc)
+
     def test_block_multiply_ops(self):
         assert matmul.block_multiply_ops(16) == 2 * 4**3
 

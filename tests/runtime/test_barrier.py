@@ -8,15 +8,23 @@ from repro.runtime.barrier import CentralBarrier, TreeBarrier, make_barrier
 from repro.sim.engine import Simulator
 
 
+def record_releases(sim):
+    """Point the resume hook at a dict: processor -> release time."""
+    releases = {}
+    sim.resume_hook = lambda proc: releases.__setitem__(proc, sim.now)
+    return releases
+
+
 def run_barrier(barrier_cls, machine=GCEL, arrivals=None, rows=4, cols=4, **kw):
     sim = Simulator(Mesh2D(rows, cols), machine)
     barrier = barrier_cls(sim, **kw)
     p = sim.topology.n_nodes
     arrivals = arrivals or {i: float(i) * 1e-4 for i in range(p)}
-    releases = {}
-    for proc, t in arrivals.items():
-        barrier.arrive(proc, t, lambda pr, tr: releases.__setitem__(pr, tr))
+    releases = record_releases(sim)
+    boundaries = [barrier.arrive(proc, t) for proc, t in arrivals.items()]
     sim.run()
+    assert boundaries[:-1] == [None] * (p - 1)
+    assert boundaries[-1] == max(releases.values())
     return sim, arrivals, releases
 
 
@@ -36,17 +44,17 @@ class TestBothBarriers:
     def test_double_arrival_rejected(self, cls):
         sim = Simulator(Mesh2D(2, 2), GCEL)
         barrier = cls(sim)
-        barrier.arrive(0, 0.0, lambda p, t: None)
-        with pytest.raises(RuntimeError):
-            barrier.arrive(0, 0.0, lambda p, t: None)
+        assert barrier.arrive(0, 0.0) is None
+        with pytest.raises(RuntimeError, match="arrived twice"):
+            barrier.arrive(0, 0.0)
 
     def test_reusable_for_next_episode(self, cls):
         sim, arrivals, releases = run_barrier(cls)
         # second episode on the same object
         barrier = cls(sim)
-        rel2 = {}
+        rel2 = record_releases(sim)
         for proc in range(sim.topology.n_nodes):
-            barrier.arrive(proc, 1.0, lambda p, t: rel2.__setitem__(p, t))
+            barrier.arrive(proc, 1.0)
         sim.run()
         assert len(rel2) == sim.topology.n_nodes
         assert barrier.episodes == 1

@@ -68,9 +68,9 @@ def outcome(result):
     )
 
 
-def run_cell(app, spec):
+def run_cell(app, spec, **runtime_kwargs):
     side, params = CELLS[app]
-    return get_workload(app).run(Mesh2D(side, side), spec, seed=3, params=params)
+    return get_workload(app).run(Mesh2D(side, side), spec, seed=3, params=params, **runtime_kwargs)
 
 
 @pytest.mark.parametrize("spec", sorted(STATIC))
@@ -92,6 +92,32 @@ def test_mirror_run_equals_the_pure_engine(app, spec, monkeypatch):
     assert kernel_calls == {"read": 0, "write": 0}
     assert how["crossed_reads"] == how["crossed_writes"] == how["native_fallbacks"] == 0
     assert how["native_reads"] >= kernel.hits + kernel.misses > 0
+
+
+#: One cell per wake-up the grid above does not reach: sends and receives,
+#: the central barrier's releases, a failure view (the tree barrier's
+#: pass runs in Python and pushes its releases one by one; the mirror is
+#: refused) and compute delays.
+WAKEUP_CELLS = {
+    "handopt-matmul": ("matmul", "handopt", {}),
+    "central-barrier": ("barneshut", "4-ary", {"barrier": "central"}),
+    "linkflap": ("bitonic", "4-ary", {"failures": "linkflap:rate=0.05:seed=7"}),
+    "charge-compute": ("matmul", "fixed-home", {"charge_compute": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WAKEUP_CELLS))
+def test_every_wake_up_kind_equals_the_pure_engine(name, monkeypatch):
+    app, spec, kwargs = WAKEUP_CELLS[name]
+    kernel = run_cell(app, spec, **kwargs)
+    monkeypatch.setattr(Simulator, "force_pure", True)
+    pure = run_cell(app, spec, **kwargs)
+    assert outcome(kernel) == outcome(pure)
+    assert kernel.failure_events == pure.failure_events
+    if name == "linkflap":
+        assert kernel.failure_events > 0
+    if name == "charge-compute":
+        assert kernel.compute_time > 0.0
 
 
 @pytest.mark.parametrize("spec", ["dynrep:threshold=2", "4-ary:remap=2"])

@@ -2,7 +2,9 @@
 kernel, the pure loop of ``Simulator.combine`` otherwise, and a walk of
 the decomposition tree as the reference.  All three must send the same
 legs in the same order: same release times, same link reservations, same
-traffic."""
+traffic.  The pass wakes every processor itself, in leaf order, so the
+releases are what the resume hook sees: in time order, ties in leaf
+order."""
 
 import random
 
@@ -52,9 +54,15 @@ def tree_walk(barrier, arrivals):
     ]
 
 
+def in_wake_order(released):
+    """Leaf-ordered releases as the event loop delivers wake-ups pushed in
+    that order: by time, ties in push order."""
+    return sorted(released, key=lambda r: r[1])
+
+
 def episodes(topology, pure, through_tables, seed=11):
-    """Five barrier episodes with random arrivals; returns the released
-    (proc, time) sequence of each and the engine's resource state."""
+    """Five barrier episodes with random arrivals; returns the (proc,
+    time) wake-ups of each and the engine's resource state."""
     Simulator.force_pure = pure
     try:
         sim = Simulator(topology, GCEL)
@@ -67,11 +75,13 @@ def episodes(topology, pure, through_tables, seed=11):
         arrivals = [start + rng.uniform(0.0, 2e-3) for _ in range(topology.n_nodes)]
         if through_tables:
             released = []
+            sim.resume_hook = lambda p: released.append((p, sim.now))
             for proc in order.sample(range(topology.n_nodes), topology.n_nodes):
-                barrier.arrive(proc, arrivals[proc],
-                               lambda p, t: released.append((p, t)))
+                boundary = barrier.arrive(proc, arrivals[proc])
+            sim.run()
+            assert boundary == max(t for _, t in released)
         else:
-            released = tree_walk(barrier, arrivals)
+            released = in_wake_order(tree_walk(barrier, arrivals))
         out.append(released)
         start = max(t for _, t in released)
     return out, sim.stats.snapshot(), list(sim.nic_free), list(sim.link_free)
@@ -89,17 +99,30 @@ def test_the_kernel_pass_equals_the_pure_pass(topology):
     assert kernel == episodes(topology, True, True)
 
 
-def test_a_failure_view_keeps_the_pass_in_python():
+def test_a_failure_view_keeps_the_pass_in_python(monkeypatch):
     """Under a failure schedule routes are not closed-form, so the kernel
-    pass would miss them: the legs go one by one through send_leg."""
+    pass would miss them: the legs go one by one through send_leg, and
+    the wake-ups one by one through resume_at, in leaf order."""
     from repro.network.failures import FailureView, build_schedule
 
     topology = Mesh2D(4, 4)
     sim = Simulator(topology, GCEL)
     sim.install_failures(FailureView(topology, build_schedule("linkflap:rate=0.05:seed=3", topology)))
     barrier = TreeBarrier(sim, seed=2)
-    released = []
+    pushed = []
+    resume_at = Simulator.resume_at
+
+    def recording(self, t, proc):
+        pushed.append((proc, t))
+        resume_at(self, t, proc)
+
+    monkeypatch.setattr(Simulator, "resume_at", recording)
+    woken = []
+    sim.resume_hook = lambda p: woken.append((p, sim.now))
     for proc in range(topology.n_nodes):
-        barrier.arrive(proc, 1e-4 * proc, lambda p, t: released.append((p, t)))
-    assert [p for p, _ in released] == barrier.tables.leaf_order
+        boundary = barrier.arrive(proc, 1e-4 * proc)
+    sim.run()
+    assert [p for p, _ in pushed] == [p for p in barrier.tables.leaf_proc if p >= 0]
+    assert woken == in_wake_order(pushed)
+    assert boundary == max(t for _, t in pushed)
     assert sim.stats.snapshot().total_msgs == 2 * (len(barrier.tables.host) - 1)

@@ -110,13 +110,14 @@ def test_kernel_serving_abi_stays_small():
 
 
 def test_one_flow_entry_point_and_one_completion_code():
-    """Every protocol is one flow: the kernel exposes one flow push beside
-    the generic event push, and a finished flow has one way back into
-    Python -- "resume this processor"."""
+    """Every protocol is one flow, and every wake-up one resume: the
+    kernel exposes one flow push and one resume push beside the generic
+    event push, and a finished flow and a timed wake-up have one way back
+    into Python -- "resume this processor"."""
     pushes = set(re.findall(r"\bsim_push_\w+", _ckern._CDEF))
-    assert pushes == {"sim_push_generic", "sim_push_flow"}
-    assert not hasattr(_ckern.Kernel, "R_CHAIN_DONE")
-    assert not hasattr(_ckern.Kernel, "R_MC_DONE")
+    assert pushes == {"sim_push_generic", "sim_push_flow", "sim_push_resume"}
+    codes = {name for name in vars(_ckern.Kernel) if name.startswith("R_")}
+    assert codes == {"R_DONE", "R_GENERIC", "R_RESUME", "R_NEED_ROUTE", "R_SREQ"}
 
 
 def test_traffic_has_one_accumulator_and_no_counter_side_channel():

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Run the kernel's tests against an ASan + UBSan build of the C kernel.
 
-The kernel (``repro.sim._ckern.CKERN_SOURCE``) is compiled at first use
-and cached under ``$REPRO_CKERN_DIR`` by content hash.  This tool plants
-an instrumented build at exactly that name in a scratch directory --
-``-O1 -g -fsanitize=address,undefined -fno-sanitize-recover=undefined``
-plus ``-Wall -Wextra -Werror`` (the source is warning-clean; this is the
-build that keeps it so) -- so the package loads it without any flag of its own, then runs pytest
+The kernel is a cffi extension module built at first use from
+``repro.sim._ckern.api_source()`` (the kernel plus cffi's generated
+wrappers) and cached under ``$REPRO_CKERN_DIR`` by content hash.  This
+tool plants an instrumented build of the same C at exactly that name in a
+scratch directory -- ``-O1 -g -fsanitize=address,undefined
+-fno-sanitize-recover=undefined`` plus ``-Wall -Wextra -Werror`` (the
+source and the wrappers are warning-clean; this is the build that keeps
+them so) -- so the package imports it without any flag of its own, then runs pytest
 (default: ``tests/serve tests/sim tests/runtime``) with the ASan runtime
 preloaded::
 
@@ -26,6 +28,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import sysconfig
 import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -48,10 +51,11 @@ def main(argv=None) -> int:
         from repro.sim import _ckern
 
         so_path = _ckern.kernel_path()
-        c_path = so_path.with_suffix(".c")
-        c_path.write_text(_ckern.CKERN_SOURCE)
+        c_path = pathlib.Path(scratch) / "kernel.c"
+        c_path.write_text(_ckern.api_source())
         subprocess.run(
-            [cc, *SANITIZE, "-fPIC", "-shared", "-o", str(so_path), str(c_path)],
+            [cc, *SANITIZE, "-fPIC", "-shared", f"-I{sysconfig.get_paths()['include']}",
+             "-o", str(so_path), str(c_path)],
             check=True,
         )
         log = pathlib.Path(scratch) / "report"
@@ -78,7 +82,8 @@ def main(argv=None) -> int:
             print(report.read_text(), file=sys.stderr)
         # The package must have found the planted build: a hash mismatch
         # would have made it compile an uninstrumented one next to it.
-        built = sorted(p.name for p in pathlib.Path(scratch).glob("ckern-*.so"))
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        built = sorted(p.name for p in pathlib.Path(scratch).glob(f"ckern_*{suffix}"))
         if built != [so_path.name]:
             print(f"kernel_sanitize: expected only {so_path.name} in the "
                   f"scratch dir, found {built}", file=sys.stderr)
