@@ -165,13 +165,17 @@ class DataManagementStrategy:
         """A variable was created; place its initial sole copy."""
         raise NotImplementedError
 
-    def read(self, proc: int, var: GlobalVariable, t: float) -> Tuple[float, Any]:
-        """Serve a read issued by ``proc`` at time ``t``; returns
-        ``(completion_time, value)``."""
+    def read(self, proc: int, var: GlobalVariable, t: float) -> Optional[Tuple[float, Any]]:
+        """Serve a read issued by ``proc`` at time ``t``: either it
+        completes at once and returns ``(t, value)``, or it launches the
+        flow ``proc`` blocks on (:meth:`_launch`) and returns ``None``.
+        There is no third way: a completion time later than ``t`` is a
+        broken strategy, and the runtime raises :class:`RuntimeError`."""
         raise NotImplementedError
 
-    def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> float:
-        """Serve a write; returns its completion time."""
+    def write(self, proc: int, var: GlobalVariable, value: Any, t: float) -> Optional[float]:
+        """Serve a write, with :meth:`read`'s contract: returns ``t``
+        (completed at once) or ``None`` (a flow was launched)."""
         raise NotImplementedError
 
     def _launch(
@@ -188,6 +192,8 @@ class DataManagementStrategy:
         self._locks.lock(proc, var.vid, var.creator, t, grant)
 
     def unlock(self, proc: int, var: GlobalVariable, t: float) -> float:
+        """Release the lock; returns ``t``: the release goes out without
+        blocking the releaser (a later time raises, as for :meth:`read`)."""
         return self._locks.unlock(proc, var.vid, var.creator, t)
 
     @property

@@ -12,8 +12,8 @@ Wake-ups
 A blocked processor resumes in exactly one way: the simulator calls its
 resume hook -- the request loop :meth:`Runtime.launch` binds once per
 run -- with the processor id, and the processor continues with what
-``flow_value`` holds for it.  A finished flow, a compute delay, a later
-completion time, a lock grant, a receive, the program start
+``flow_value`` holds for it.  A finished flow, a compute delay, a send's
+NIC time, a lock grant, a receive, the program start
 (:meth:`Runtime._wake` -> :meth:`~repro.sim.engine.Simulator.resume_at`)
 and a barrier release (pushed by the barrier's pass itself) are all the
 same kernel ``K_RESUME`` event; only failure-schedule events stay
@@ -80,11 +80,16 @@ __all__ = ["Runtime", "run_spmd"]
 
 ProgramFactory = Callable[[Env], Any]
 
-#: ``ResidencyMirror.flow`` -> the flow kind ``sim_mirror_init`` arms.
-_KERNEL_FLOW = {None: 0, "tree": 1, "directory": 2}
+#: ``ResidencyMirror.flow`` -> the kernel's name of the flow kind
+#: ``sim_mirror_init`` arms (``FLOW_*`` in ``sim/ckern/abi.h``).
+_KERNEL_FLOW = {None: "FLOW_NONE", "tree": "FLOW_TREE", "directory": "FLOW_DIRECTORY"}
 
-#: ``sim_access`` results (``A_*`` in :mod:`repro.sim._ckern`).
-_A_DONE, _A_FLOW = _ckern.Kernel.A_DONE, _ckern.Kernel.A_FLOW
+
+def late_completion(strategy, op: str, done: float, now: float) -> RuntimeError:
+    """A ``read`` / ``write`` / ``unlock`` completes at its issue time or
+    launches a flow; a later completion time is a broken strategy."""
+    return RuntimeError(f"{type(strategy).__name__}.{op} issued at t={now!r} returned completion "
+                        f"time {done!r}: it must complete at its issue time or launch a flow")
 
 
 def _describe_block(req: Any) -> str:
@@ -252,7 +257,7 @@ class Runtime:
             ("native_reads", "native_writes", "crossed_reads", "crossed_writes",
              "native_fallbacks"), 0)
         self._access = None  # sim_access once armed
-        self._counts = np.zeros(7, dtype=np.int64)  # the kernel's MC_* counters
+        self._counts = None  # the kernel's MC_* counters once armed
         self._storage = np.zeros(3)  # the storage accumulator (static flow)
         self._storage_sink = None
 
@@ -314,9 +319,10 @@ class Runtime:
         sim._reserve_stage(max(len(stage), 2 * mirror.n_sites) + 1)
         sim._stage_i[0:len(stage)] = stage
         cast = sim._ffi.cast
+        self._counts = np.zeros(lib.MC_N, dtype=np.int64)
         lib.sim_mirror_init(
             h, mirror.n_sites, mirror.sole_copy_write, mirror.native_reads,
-            mirror.native_writes, _KERNEL_FLOW[flow],
+            mirror.native_writes, getattr(lib, _KERNEL_FLOW[flow]),
             cast("i64 *", self._counts.ctypes.data),
             cast("double *", self._storage.ctypes.data),
         )
@@ -367,8 +373,11 @@ class Runtime:
         """Move what the kernel counted since the last fold into the
         strategy's counters and :attr:`mirror_counts`, and (static flow)
         hand the strategy the storage accumulator's current state."""
-        hits, wlocal, misses, wremote, crossed_r, crossed_w, fallbacks = self._counts.tolist()
+        lib = self.sim._lib
+        c = self._counts.tolist()
         self._counts[:] = 0
+        hits, wlocal = c[lib.MC_HITS], c[lib.MC_WLOCAL]
+        misses, wremote = c[lib.MC_MISSES], c[lib.MC_WREMOTE]
         self.strategy.fold_native(
             hits, wlocal, misses, wremote,
             tuple(self._storage.tolist()) if self.mirror_flow is not None else None,
@@ -376,9 +385,9 @@ class Runtime:
         counts = self.mirror_counts
         counts["native_reads"] += hits + misses
         counts["native_writes"] += wlocal + wremote
-        counts["crossed_reads"] += crossed_r
-        counts["crossed_writes"] += crossed_w
-        counts["native_fallbacks"] += fallbacks
+        counts["crossed_reads"] += c[lib.MC_CROSSED_R]
+        counts["crossed_writes"] += c[lib.MC_CROSSED_W]
+        counts["native_fallbacks"] += c[lib.MC_FALLBACKS]
 
     def release_mirror(self) -> None:
         """Hand the strategy back everything the mirror kept -- counters,
@@ -512,9 +521,10 @@ class Runtime:
         -- so everything it touches is bound here, once, after the mirror
         is armed; an entry reads only per-processor state (the generator,
         the value it resumes with, the pending latency sample).
-        Zero-cost completions (``done <= now``) continue inline without
-        touching the event heap; everything else blocks the processor
-        until a wake-up (:meth:`_wake`, a flow, a barrier release).
+        A read, write or unlock completes at its issue time and continues
+        inline without touching the event heap, or launches a flow; that
+        and everything else blocks the processor until a wake-up
+        (:meth:`_wake`, a flow, a barrier release).
         """
         sim = self.sim
         strategy = self.strategy
@@ -532,10 +542,13 @@ class Runtime:
         compute_by_proc = self._compute_by_proc
         mailbox = self._mailbox
         waiting_recv = self._waiting_recv
-        # The residency mirror, when armed: one kernel call per read/write;
-        # values stay in the registry, read / written at initiation.
+        # The residency mirror, when armed: one kernel call per read/write
+        # (an A_* result); values stay in the registry, read / written at
+        # initiation.
         access = self._access
         h = sim._h
+        if access is not None:
+            A_DONE, A_FLOW = sim._lib.A_DONE, sim._lib.A_FLOW
         values = self.registry._values
         # Retry accounting (None outside the failure axis: one dead-cheap
         # check per read/write keeps the zero-failure hot path intact).
@@ -573,11 +586,11 @@ class Runtime:
                         res = strategy.read(p, var, now)
                     else:
                         r = access(h, p, var.vid, 0, now)
-                        if r == _A_DONE:  # a hit
+                        if r == A_DONE:  # a hit
                             value = values[var.vid]
                             lat_append(0.0)
                             continue
-                        if r == _A_FLOW:  # the miss flow resumes us
+                        if r == A_FLOW:  # the miss flow resumes us
                             flow_value[p] = values[var.vid]
                             pending[p] = now
                             blocked_on[p] = req
@@ -589,12 +602,10 @@ class Runtime:
                         blocked_on[p] = req
                         return
                     done, value = res
+                    if done > now:
+                        raise late_completion(strategy, "read", done, now)
                     lat_append(done - now)
-                    if done <= now:
-                        continue
-                    blocked_on[p] = req
-                    wake(p, done, value)
-                    return
+                    continue
                 if cls is WriteReq:
                     var = req.var
                     if retried is not None and var.vid in retried:
@@ -605,11 +616,11 @@ class Runtime:
                         done = strategy.write(p, var, req.value, now)
                     else:
                         r = access(h, p, var.vid, 1, now)
-                        if r == _A_DONE:  # a local write
+                        if r == A_DONE:  # a local write
                             values[var.vid] = req.value
                             lat_append(0.0)
                             continue
-                        if r == _A_FLOW:  # the invalidation flow resumes us
+                        if r == A_FLOW:  # the invalidation flow resumes us
                             values[var.vid] = req.value
                             flow_value[p] = None
                             pending[p] = now
@@ -620,12 +631,10 @@ class Runtime:
                         pending[p] = now
                         blocked_on[p] = req
                         return
+                    if done > now:
+                        raise late_completion(strategy, "write", done, now)
                     lat_append(done - now)
-                    if done <= now:
-                        continue
-                    blocked_on[p] = req
-                    wake(p, done)
-                    return
+                    continue
                 if cls is ComputeReq:
                     value = None
                     if not charge_compute:
@@ -663,11 +672,9 @@ class Runtime:
                 if cls is UnlockReq:
                     done = strategy.unlock(p, req.var, now)
                     value = None
-                    if done <= now:
-                        continue
-                    blocked_on[p] = req
-                    wake(p, done)
-                    return
+                    if done > now:
+                        raise late_completion(strategy, "unlock", done, now)
+                    continue
                 if cls is SendReq:
                     nic_before = max(now, sim.nic_free[p])
                     is_data = req.payload_bytes > 0

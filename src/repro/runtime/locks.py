@@ -108,7 +108,8 @@ class RaymondTreeLock:
         self._request(st, vid, leaf, _SELF, t)
 
     def unlock(self, proc: int, vid: int, creator: int, t: float) -> float:
-        """Release the lock; returns the (local) completion time."""
+        """Release the lock; returns ``t`` (the token moves on without
+        blocking the releaser)."""
         st = self._state(vid, creator)
         leaf = self.tree.leaf_of_proc[proc]
         if not st.busy or st.holder != proc:
@@ -192,6 +193,8 @@ class HomeLock:
             self._queues.setdefault(vid, deque()).append((proc, t_home, grant))
 
     def unlock(self, proc: int, vid: int, creator: int, t: float) -> float:
+        """Release the lock; returns ``t`` (the release message and the
+        next grant go out without blocking the releaser)."""
         home = self.home_of(vid)
         if self._held.get(vid) != proc:
             raise RuntimeError(f"processor {proc} releases lock on var {vid} it does not hold")

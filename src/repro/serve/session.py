@@ -95,7 +95,7 @@ from ..metrics import MetricsBundle, StreamingQuantiles, latency_percentiles
 from ..network.machine import GCEL, MachineModel
 from ..network.topology import Topology
 from ..runtime.api import ComputeReq, ReadReq, RecvReq, WriteReq
-from ..runtime.launcher import Runtime
+from ..runtime.launcher import Runtime, late_completion
 from ..workloads.trace import Trace, TraceRecorder
 
 __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
@@ -106,7 +106,7 @@ __all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
 _PARK = object()
 _STOP = object()
 
-#: The kernel's packed completion records (``SReq`` in :mod:`repro.sim._ckern`).
+#: The kernel's packed completion records (``SReq`` in ``sim/ckern/abi.h``).
 _REC = np.dtype([
     ("proc", "i4"), ("vid", "i4"), ("kind", "i4"), ("pad", "i4"),
     ("arrival", "f8"), ("eff", "f8"), ("done", "f8"), ("wall", "f8"),
@@ -391,6 +391,9 @@ class ServeSession:
             done = res if write or res is None else res[0]
             if done is None:
                 return  # flow in flight: completes via K_SDONE
+            if done > out.time:
+                raise late_completion(self.rt.strategy, "write" if write else "read",
+                                      done, out.time)
             if not complete(h, out, p, done):
                 return
 

@@ -65,6 +65,14 @@ __all__ = ["CombineTables", "Simulator", "SimDeadlock"]
 
 _INF = float("inf")
 
+#: Initial capacity (ints) of the kernel's staging buffer, which carries
+#: one flow / route / mirror row into C; it grows for larger ones.
+STAGE_CAP = 1 << 16
+
+#: The topology classes whose routes the kernel computes in closed form
+#: -> the kernel's name of their kind (``TOPO_*`` in ``ckern/abi.h``).
+_TOPO_KIND = {Mesh2D: "TOPO_MESH", Torus2D: "TOPO_TORUS", Hypercube: "TOPO_HYPERCUBE"}
+
 
 class SimDeadlock(RuntimeError):
     """Raised when the event heap drains while programs are still blocked."""
@@ -150,7 +158,6 @@ class Simulator:
         "_hop_latency",
         "_local_overhead",
         "_flush_at",
-        "_kern",
         "_h",
         "_lib",
         "_ffi",
@@ -207,24 +214,15 @@ class Simulator:
         # and then only the Python side knows the routes -- such topologies
         # use the kernel's supply path below the limit (R_NEED_ROUTE) and
         # the pure engine above it.
-        cls = type(topology)
-        if cls is Mesh2D:
-            kind_c = 1
-        elif cls is Torus2D:
-            kind_c = 2
-        elif cls is Hypercube:
-            kind_c = 3
-        else:
-            kind_c = 0
+        topo_kind = _TOPO_KIND.get(type(topology))
         #: Whether the kernel routes every leg itself (a shipped topology,
         #: no failure view): what a pass of native legs needs.
-        self._closed_form = bool(kind_c)
+        self._closed_form = topo_kind is not None
         kern = None
         if not Simulator.force_pure and (
-            kind_c or topology.n_nodes <= DENSE_NODE_LIMIT
+            self._closed_form or topology.n_nodes <= DENSE_NODE_LIMIT
         ):
             kern = _ckern.load_kernel()
-        self._kern = kern
         if kern is not None:
             import numpy as np
 
@@ -244,21 +242,21 @@ class Simulator:
                     *self._ctrl_shape[:3],
                     ffi.cast("double *", link_free.ctypes.data),
                     ffi.cast("double *", nic_free.ctypes.data),
-                    _ckern.STAGE_CAP,
+                    STAGE_CAP,
                 ),
                 lib.sim_free,
             )
-            if kind_c:
+            if topo_kind is not None:
                 lib.sim_set_topology(
                     self._h,
-                    kind_c,
+                    getattr(lib, topo_kind),
                     getattr(topology, "rows", 0),
                     getattr(topology, "cols", 0),
                     getattr(topology, "dim", 0),
                     1 if topology.n_nodes <= DENSE_NODE_LIMIT else 0,
                 )
             self._stage_i = lib.sim_stage_i(self._h)
-            self._stage_cap = _ckern.STAGE_CAP
+            self._stage_cap = STAGE_CAP
             self._out = ffi.new("Crossing *")
             self._objs: List[object] = []
             self._obj_free: List[int] = []
@@ -426,23 +424,25 @@ class Simulator:
         resume = self.resume_hook
         horizon = _INF if until is None else until
         sim_run = lib.sim_run_until
+        R_RESUME, R_GENERIC = lib.R_RESUME, lib.R_GENERIC
+        R_NEED_ROUTE, R_SREQ = lib.R_NEED_ROUTE, lib.R_SREQ
         while True:
             r = sim_run(h, out, horizon)
-            if r == 2:  # wake a processor (a finished flow, a timed wake-up)
+            if r == R_RESUME:  # wake a processor (a finished flow, a timed wake-up)
                 self.now = out.time
                 resume(out.a)
-            elif r == 1:  # generic event
+            elif r == R_GENERIC:
                 i = out.a
                 cb, args = objs[i]
                 objs[i] = None
                 free.append(i)
                 self.now = out.time
                 cb(*args)
-            elif r == 4:  # route miss: supply and re-enter
+            elif r == R_NEED_ROUTE:  # supply and re-enter
                 self._supply_route(out.a, out.b)
-            elif r == 5:  # serving fast path: a request crossed to Python
+            elif r == R_SREQ:  # serving fast path: a request crossed to Python
                 self.serve_cb(out)
-            else:
+            else:  # R_DONE
                 self.last_event_time = out.time
                 break
 

@@ -19,7 +19,7 @@ from repro.core.registry import get_strategy
 from repro.network.machine import GCEL
 from repro.network.mesh import Mesh2D
 from repro.runtime.launcher import Runtime
-from repro.sim import _ckern
+from repro.sim import _ckern, engine
 from repro.sim.engine import Simulator
 from repro.workloads import get_workload
 
@@ -205,3 +205,17 @@ def test_execution_is_not_a_result_row_column():
     result = run_cell("zipf", "4-ary")
     assert "execution" in result.extra
     assert not {"execution", "access", "engine"} & set(result.as_dict())
+
+
+@kernel_only
+def test_a_staging_buffer_grown_past_its_capacity_keeps_the_run(monkeypatch):
+    """A large machine stages rows longer than ``STAGE_CAP`` (the tree
+    shape the mirror arms, a wide flow); the kernel grows the buffer
+    (``sim_ensure_stage``) and the run stays equal to the pure engine.  A
+    tiny initial capacity makes a 4x4 cell grow it."""
+    monkeypatch.setattr(engine, "STAGE_CAP", 4)
+    kernel = run_cell("zipf", "4-ary")
+    assert kernel.extra["runtime"].sim._stage_cap > 4
+    assert kernel.extra["execution"]["access"] == "mirror"
+    monkeypatch.setattr(Simulator, "force_pure", True)
+    assert outcome(kernel) == outcome(run_cell("zipf", "4-ary"))

@@ -15,6 +15,7 @@ import pytest
 from repro.network.mesh import Mesh2D
 from repro.network.topology import make_topology
 from repro.serve import ServeSession
+from repro.serve.session import _REC
 from repro.sim import _ckern
 from repro.sim.engine import Simulator
 
@@ -49,6 +50,20 @@ def serve(topology, spec, fast, *, requests=400, chunk=40, window=24):
     order = np.argsort(ids, kind="stable")
     report = sess.close()
     return (ids[order], done[order], values[order]), report
+
+
+@pytest.mark.skipif(_ckern.load_kernel() is None, reason="C kernel unavailable")
+def test_the_record_dtype_is_the_kernels_sreq_field_for_field():
+    """The session reads the kernel's completion records through ``_REC``;
+    a field that drifted from ``SReq`` in ``abi.h`` would corrupt every
+    completion without an error."""
+    ffi = _ckern.load_kernel().ffi
+    fields = ffi.typeof("SReq").fields
+    assert [name for name, _ in fields] == list(_REC.names)
+    for name, field in fields:
+        assert ffi.offsetof("SReq", name) == _REC.fields[name][1], name
+        assert ffi.sizeof(field.type) == _REC[name].itemsize, name
+    assert ffi.sizeof("SReq") == _REC.itemsize
 
 
 @pytest.mark.skipif(_ckern.load_kernel() is None,

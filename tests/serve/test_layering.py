@@ -12,6 +12,7 @@ import ast
 import inspect
 import pathlib
 import re
+import textwrap
 
 import pytest
 
@@ -25,7 +26,10 @@ from repro.runtime.launcher import Runtime
 from repro.serve import ServeSession
 from repro.serve.frontend import ServeFrontend
 from repro.sim import _ckern
+from repro.sim.engine import Simulator
 
+ABI = (_ckern.SOURCE_DIR / "abi.h").read_text()
+KERNEL_C = (_ckern.SOURCE_DIR / "kernel.c").read_text()
 SERVE_DIR = pathlib.Path(repro.serve.__file__).parent
 SERVE_FILES = sorted(SERVE_DIR.glob("*.py"))
 
@@ -104,7 +108,7 @@ def test_session_assigns_no_attribute_on_the_strategy():
 
 
 def test_kernel_serving_abi_stays_small():
-    protos = re.findall(r"\bsim_serve_\w+\s*\(", _ckern._CDEF)
+    protos = re.findall(r"\bsim_serve_\w+\s*\(", ABI)
     assert len(protos) == len(set(protos))
     assert len(protos) <= 12, protos
 
@@ -114,9 +118,9 @@ def test_one_flow_entry_point_and_one_completion_code():
     kernel exposes one flow push and one resume push beside the generic
     event push, and a finished flow and a timed wake-up have one way back
     into Python -- "resume this processor"."""
-    pushes = set(re.findall(r"\bsim_push_\w+", _ckern._CDEF))
+    pushes = set(re.findall(r"\bsim_push_\w+", ABI))
     assert pushes == {"sim_push_generic", "sim_push_flow", "sim_push_resume"}
-    codes = {name for name in vars(_ckern.Kernel) if name.startswith("R_")}
+    codes = set(re.findall(r"\bR_\w+", ABI))
     assert codes == {"R_DONE", "R_GENERIC", "R_RESUME", "R_NEED_ROUTE", "R_SREQ"}
 
 
@@ -124,11 +128,40 @@ def test_traffic_has_one_accumulator_and_no_counter_side_channel():
     """LinkStats is one representation the kernel adds into through
     borrowed pointers: nothing to choose at construction, and no accessor
     for message counts kept on the C side."""
-    protos = re.findall(r"\bsim_\w+\s*\(", _ckern._CDEF)
+    protos = re.findall(r"\bsim_\w+\s*\(", ABI)
     assert len(protos) == len(set(protos))
     assert len(protos) <= 25, protos
-    assert not re.search(r"\bsim_\w+_msgs\b", _ckern._CDEF)
+    assert not re.search(r"\bsim_\w+_msgs\b", ABI)
     assert list(inspect.signature(LinkStats.__init__).parameters) == ["self", "topology"]
+
+
+def _enumerators(c_text):
+    return {name for body in re.findall(r"\benum\s*\{([^}]*)\}", c_text)
+            for name in re.findall(r"\b([A-Z]\w*)", body)}
+
+
+def _typedefs(c_text):
+    return set(re.findall(r"\btypedef\b(?:[^{;]|\{[^}]*\})*?(\w+)\s*;", c_text))
+
+
+def test_the_abi_header_is_the_one_declaration_of_what_both_languages_name():
+    """kernel.c includes abi.h and repeats none of its enumerators, type
+    names or prototypes, and the kernel loop in Python compares against
+    the codes ``lib`` carries, never a bare number."""
+    assert '#include "abi.h"' in KERNEL_C
+    assert not re.search(r"^\s*#", ABI, re.M)  # cdef parses the header as it is
+    shared = _enumerators(ABI)
+    assert {"R_SREQ", "A_FLOW", "MC_N", "TOPO_MESH", "FLOW_TREE"} <= shared
+    assert not shared & _enumerators(KERNEL_C)
+    types = _typedefs(ABI)
+    assert {"i64", "Crossing", "SReq", "ServeDrain", "Sim"} <= types
+    assert not types & _typedefs(KERNEL_C)
+    assert not re.findall(r"^\w[\w \*]*?\b(sim_\w+)\s*\([^;{)]*\)\s*;", KERNEL_C, re.M)
+    run = ast.parse(textwrap.dedent(inspect.getsource(Simulator._run_kernel)))
+    numbers = [ast.unparse(node) for node in ast.walk(run) if isinstance(node, ast.Compare)
+               and any(isinstance(c, ast.Constant) and type(c.value) is int
+                       for c in [node.left, *node.comparators])]
+    assert not numbers
 
 
 CORE_DIR = pathlib.Path(repro.core.registry.__file__).parent

@@ -1,6 +1,8 @@
 """``Simulator.push_flow``: the one message pattern, shape by shape, on
 both engines."""
 
+import gc
+
 import pytest
 
 from repro.network.machine import GCEL, ZERO_COST
@@ -152,3 +154,17 @@ class TestFanout:
         assert done == [(3, t3)]
         assert s.stats.data_msgs == 2
         assert s.stats.ctrl_msgs == 4
+
+
+def test_a_simulator_dropped_with_flows_in_flight_frees_them():
+    """A session closed mid-run drops its simulator with flows still in
+    the heap: ``sim_free`` releases each, its ack records included (the
+    sanitizer build checks those frees)."""
+    s, done = sim()
+    data = s.leg_costs(500)[1]
+    s.push_flow(0.0, [3, 0], data, data, 3, fanout=star(0, [1, 2]))
+    s.push_flow(0.0, [5, 6, 7], data, data, 5)
+    s.run(until=sim()[0].send_leg(3, 0, 500, 0.0, True))  # the multicast is out
+    assert done == [] and s.stats.total_msgs > 0
+    del s
+    gc.collect()

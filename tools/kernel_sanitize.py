@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Run the kernel's tests against an ASan + UBSan build of the C kernel.
 
-The kernel is a cffi extension module built at first use from
-``repro.sim._ckern.api_source()`` (the kernel plus cffi's generated
-wrappers) and cached under ``$REPRO_CKERN_DIR`` by content hash.  This
-tool plants an instrumented build of the same C at exactly that name in a
-scratch directory -- ``-O1 -g -fsanitize=address,undefined
+The kernel is a cffi extension module that ``repro.sim._ckern.build()``
+compiles at first use from ``src/repro/sim/ckern/kernel.c`` and its ABI
+header ``abi.h`` (plus cffi's generated wrappers), cached under
+``$REPRO_CKERN_DIR`` by content hash.  This tool calls the same
+``build()`` with ``-O1 -g -fsanitize=address,undefined
 -fno-sanitize-recover=undefined`` plus ``-Wall -Wextra -Werror`` (the
-source and the wrappers are warning-clean; this is the build that keeps
-them so) -- so the package imports it without any flag of its own, then runs pytest
-(default: ``tests/serve tests/sim tests/runtime``) with the ASan runtime
-preloaded::
+kernel and the wrappers are warning-clean; this is the build that keeps
+them so) and plants the result at exactly that name in a scratch
+directory, so the package imports it without any flag of its own, then
+runs pytest (default: ``tests/serve tests/sim tests/runtime``) with the
+ASan runtime preloaded::
 
     python tools/kernel_sanitize.py                 # the default test dirs
     python tools/kernel_sanitize.py tests/serve/test_native_write.py -k sweep
@@ -51,13 +52,11 @@ def main(argv=None) -> int:
         from repro.sim import _ckern
 
         so_path = _ckern.kernel_path()
-        c_path = pathlib.Path(scratch) / "kernel.c"
-        c_path.write_text(_ckern.api_source())
-        subprocess.run(
-            [cc, *SANITIZE, "-fPIC", "-shared", f"-I{sysconfig.get_paths()['include']}",
-             "-o", str(so_path), str(c_path)],
-            check=True,
-        )
+        try:
+            _ckern.build(so_path, SANITIZE)
+        except subprocess.CalledProcessError as exc:
+            print(exc.stderr.decode(errors="replace"), file=sys.stderr)
+            return 1
         log = pathlib.Path(scratch) / "report"
         env = dict(
             os.environ,
