@@ -10,7 +10,7 @@ inline to keep large runs fast.
 Wake-ups
 --------
 A blocked processor resumes in exactly one way: the simulator calls its
-resume hook -- the request loop :meth:`Runtime.launch` binds once per
+resume hook -- the request loop :meth:`Runtime.run` binds once per
 run -- with the processor id, and the processor continues with what
 ``flow_value`` holds for it.  A finished flow, a compute delay, a send's
 NIC time, a lock grant, a receive, the program start
@@ -178,7 +178,7 @@ class Runtime:
         # value), stashed when its flow is launched or its wake-up pushed
         # -- at most one is pending per processor, programs block on it --
         # and read by the request loop, the simulator's resume hook, when
-        # the wake-up fires (launch installs it).
+        # the wake-up fires (run installs it).
         self.flow_value: List[Any] = [None] * topology.n_nodes
         self.registry = VariableRegistry()
         self.memory = MemoryBook(topology.n_nodes, capacity_bytes)
@@ -416,7 +416,10 @@ class Runtime:
         topo = self.sim.topology
         if self._access is None:
             self.arm_mirror()
-        self.launch([program(Env(self, p)) for p in range(topo.n_nodes)])
+        self._gens[:] = [program(Env(self, p)) for p in range(topo.n_nodes)]
+        self._bind_step()
+        for p in range(topo.n_nodes):
+            self._wake(p, 0.0)  # every program starts at t=0
         self.sim.run()
         if self._finished < topo.n_nodes:
             blocked = [
@@ -498,14 +501,6 @@ class Runtime:
         self._repaired_vids.update(vids)
 
     # ------------------------------------------------------------ scheduling
-    def launch(self, programs: List[Any]) -> None:
-        """Bind the request loop (:meth:`_bind_step`) and wake processor
-        ``p`` at t=0 to start ``programs[p]``."""
-        self._gens[:] = programs
-        self._bind_step()
-        for p in range(len(programs)):
-            self._wake(p, 0.0)
-
     def _wake(self, p: int, t: float, value: Any = None) -> None:
         """The one wake-up: processor ``p`` resumes with ``value`` at
         ``t`` -- the same kernel event as a finished flow's completion,

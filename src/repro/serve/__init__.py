@@ -13,8 +13,9 @@ Every served request is recorded through the trace layer, so a served
 run replays bit-identically through the batch engine (the equivalence
 tests pin LinkStats totals, hit counters and end time).
 
-See ARCHITECTURE.md ("Serving") for the wire protocol, the parked-
-dispatcher mechanics and how to add an arrival process.
+See ARCHITECTURE.md ("Serving") for the wire protocol, the request
+rings (the C kernel's and the session's Python twin of them) and how to
+add an arrival process.
 """
 
 from .fleet import FleetReport, run_fleet

@@ -1,58 +1,66 @@
-"""The serving session: persistent dispatchers + continuous micro-batching.
+"""The serving session: request rings + continuous micro-batching.
 
 How a request becomes engine events
 -----------------------------------
-Every processor runs one *dispatcher* -- a persistent generator driven by
-the ordinary SPMD launcher.  A dispatcher with nothing to do parks by
-yielding a ``RecvReq`` on a private tag (reusing the message-passing
-blocking machinery: no launcher changes, no busy polling).  Injecting a
-request for a parked processor delivers a wake-up "kick" through
-``Runtime._deliver`` stamped at the request's simulated arrival time, so
-the dispatcher resumes exactly when the request arrives; a busy
-processor just gets the request appended to its run queue and issues it
-after the current one completes (that wait *is* the queueing delay the
-latency percentiles report).
+Every processor has a *request ring*.  A processor with nothing queued is
+*parked*; injecting a request for it pushes one wake-up stamped at the
+request's simulated arrival, so it issues exactly when the request
+arrives.  A busy processor just gets the request appended to its ring and
+issues it after the current one completes (that wait *is* the queueing
+delay the latency percentiles report); when the next request has not
+arrived yet, the processor waits for it on a wake-up at its arrival.  A
+request completes at its issue time or launches a flow, and the
+processor blocks until the flow's completion resumes it.
 
-The kernel fast path
---------------------
+Two implementations of the rings
+--------------------------------
 When the runtime can arm the kernel's residency mirror
 (:meth:`~repro.runtime.launcher.Runtime.arm_mirror`: C kernel active, no
-failure schedule, a strategy that declares a mirror), the whole
-dispatcher state machine above is mirrored *inside* the kernel: queued
-requests live in per-processor C rings, wake-up kicks and
-idle-until-arrival timers are native ``K_SREQ`` events, and each request
-goes through the mirror a batch run uses -- a hit or a local write
-completes without re-entering Python, a static family's (the access tree
-without remapping, the fixed-home directory) read miss or write replays
-in the kernel, and what the mirror cannot decide crosses back
-(``R_SREQ``) into :meth:`~repro.runtime.launcher.Runtime.cross`.  This
-module knows the runtime's mirror, never the family behind it.  Ingest
-is batched -- one Python->C call per queue drain carrying packed
-``(proc, vid, op, arrival)`` arrays -- and completions come back the
-same way (packed arrays folded into the metric sketches).
-Event keys ``(time, seq)`` are assigned at the same logical points as
-the classic path, so a served run is **bit-identical** between the two
-(pinned by the differential suite in ``tests/serve/test_replay.py``).
+failure schedule, a strategy that declares a mirror), the rings live
+*inside* the kernel (``serve_inject`` / ``serve_advance`` in
+``sim/ckern/kernel.c``): wake-ups are native ``K_SREQ`` events, and each
+request goes through the mirror a batch run uses -- a hit or a local
+write completes without re-entering Python, a static family's (the
+access tree without remapping, the fixed-home directory) read miss or
+write replays in the kernel, and what the mirror cannot decide crosses
+back (``R_SREQ``) into :meth:`~repro.runtime.launcher.Runtime.cross`.
+This module knows the runtime's mirror, never the family behind it.
 
-The mode is decided lazily at the first :meth:`ServeSession.pump`:
-``fast=None`` (the default) picks the fast path when eligible, the
-classic generators otherwise.  Which path ran, and why a faster one was
-refused, is in ``ServeReport.extra["dispatch"]`` and
-:meth:`ServeSession.snapshot`; on the fast path the block also counts
-the requests the kernel completed natively and those that crossed.
+Everywhere else -- the pure engine, a refused mirror (a failure
+schedule, a family that declares none), ``fast=False`` -- the session
+runs its own rings: :meth:`ServeSession._inject` and
+:meth:`ServeSession._resume` are a line-for-line Python twin of
+``serve_inject`` / ``serve_advance`` (as the pure engine's loop twins
+the kernel's flow legs), installed as the simulator's resume hook, and
+they call the strategy's ``read`` / ``write`` for every request.  Both
+consume event sequence numbers at the same points, so a served run is
+**bit-identical** between them (pinned by the differential suite in
+``tests/serve/test_replay.py``), and either one replays exactly through
+the batch runtime.
 
-Completions
------------
-A request's id is its accept index (:meth:`ServeSession.submit` returns
-it).  :meth:`ServeSession.drain_completions` hands back what the most
-recent pump completed -- ids, simulated completion times, values -- the
-same on both paths.  Values are integers in int64 range.  A write stores
-its value and a read takes the variable's current one when the request
-is *initiated*, exactly where the classic path reads and writes the
-variable registry; so a read returns the last write initiated before it,
-even one that completes later.  On the fast path the values live in the
-kernel's per-variable value cell, and the registry is not authoritative
-for them: a request that crosses into the strategy still writes 0 there.
+The rings are chosen lazily at the first :meth:`ServeSession.pump`:
+``fast=None`` (the default) picks the kernel's when eligible, the
+session's otherwise.  Which ran, and why the kernel's were refused, is
+in ``ServeReport.extra["dispatch"]`` and :meth:`ServeSession.snapshot`
+(``mode`` ``fast`` or ``classic``); on the kernel's rings the block also
+counts the requests the kernel completed natively and those that
+crossed.
+
+Ingest and completions
+----------------------
+Both rings take the same packed ingest -- ``(kind, proc, vid, arrival,
+wall, value)`` arrays, one batch per :meth:`ServeSession.submit_batch`
+and one for the scalar submissions of a pump -- and produce the same
+completion records (``_REC``, the kernel's ``SReq``), folded in one
+place into the latency sketches, :meth:`ServeSession.drain_completions`
+and the trace.  A request's id is its accept index
+(:meth:`ServeSession.submit` returns it).  Values are integers in int64
+range.  A write stores its value and a read takes the variable's current
+one when the request is *initiated*, so a read returns the last write
+initiated before it, even one that completes later.  On the kernel's
+rings the values live in the kernel's per-variable value cell, and the
+registry is not authoritative for them: a request that crosses into the
+strategy still writes 0 there.
 
 Micro-batching and bounded run-ahead
 ------------------------------------
@@ -68,16 +76,12 @@ whole stream had been known up front.
 
 Replayable by construction
 --------------------------
-The session records through :class:`ServeRecorder` (a
-:class:`~repro.workloads.trace.TraceRecorder` that filters the internal
-park wake-ups): inter-request idle gaps become pure think-time ops
-(``["k", 0.0, gap]``), issued live as ``ComputeReq`` between queued
-requests and written via ``record_gap`` for parked wake-ups, whose kick
-already positioned simulated time at the arrival.  The fast path
-reconstructs the identical op stream from its completion records (the
-recorded effective issue time and the previous completion per processor
-determine every gap).  Replaying the trace re-issues every operation at
-the identical simulated time, so traffic totals, hit counters and end
+The session records variable creations live and rebuilds the request
+stream from the completion records: per processor, in completion order,
+the idle gap before each request (its effective issue time minus the
+previous completion) becomes a pure think-time op (``["k", 0.0, gap]``),
+then the request itself.  Replaying the trace re-issues every operation
+at the identical simulated time, so traffic totals, hit counters and end
 time reproduce exactly.
 """
 
@@ -86,6 +90,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -94,34 +99,31 @@ from ..core.registry import get_strategy
 from ..metrics import MetricsBundle, StreamingQuantiles, latency_percentiles
 from ..network.machine import GCEL, MachineModel
 from ..network.topology import Topology
-from ..runtime.api import ComputeReq, ReadReq, RecvReq, WriteReq
 from ..runtime.launcher import Runtime, late_completion
 from ..workloads.trace import Trace, TraceRecorder
 
-__all__ = ["QueueFull", "ServeRecorder", "ServeReport", "ServeSession"]
+__all__ = ["QueueFull", "ServeReport", "ServeSession"]
 
-#: Private mailbox tag of the park wake-up kick.  An ``object`` sentinel
-#: cannot collide with any client-visible tag, and the recorder filters
-#: it by identity.
-_PARK = object()
-_STOP = object()
-
-#: The kernel's packed completion records (``SReq`` in ``sim/ckern/abi.h``).
+#: One request on the rings and the completion record both produce
+#: (``SReq`` in ``sim/ckern/abi.h``).  The session's rings hold each
+#: request as a list in this field order: ``[proc, vid, kind, pad,
+#: arrival, eff, done, wall, id, value]``.
 _REC = np.dtype([
     ("proc", "i4"), ("vid", "i4"), ("kind", "i4"), ("pad", "i4"),
     ("arrival", "f8"), ("eff", "f8"), ("done", "f8"), ("wall", "f8"),
     ("id", "i8"), ("value", "i8"),
 ])
 
-#: One completion as :meth:`ServeSession.drain_completions` reports it.
-_DONE = np.dtype([("id", "i8"), ("done", "f8"), ("value", "i8")])
+#: What :meth:`ServeSession.drain_completions` returns after a pump that
+#: completed nothing.
+_NO_DONE = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
 
 _I64 = 1 << 63
 
 
 def _int64(value: Any) -> int:
     """``value`` as a request carries it: an integer in int64 range (the
-    kernel's value cell), on every dispatch path alike."""
+    kernel's value cell), on both rings alike."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         value = int(value)
         if -_I64 <= value < _I64:
@@ -131,36 +133,6 @@ def _int64(value: Any) -> int:
 
 class QueueFull(RuntimeError):
     """Admission control rejected a request (ingest queue at capacity)."""
-
-
-class ServeRecorder(TraceRecorder):
-    """Trace recorder that skips the serving layer's park wake-ups.
-
-    The park ``RecvReq`` is internal control flow -- replaying it would
-    deadlock on a message nobody sends -- so it never reaches the trace;
-    everything else records exactly as in a batch run.
-    """
-
-    def record_request(self, proc: int, req: Any) -> None:
-        if req.__class__ is RecvReq and req.tag is _PARK:
-            return
-        super().record_request(proc, req)
-
-
-class _Item:
-    """One queued request (slots: this is allocated per served request)."""
-
-    __slots__ = ("kind", "proc", "vid", "value", "arrival", "eff", "wall", "id")
-
-    def __init__(self, kind, proc, vid, value, arrival, wall, id):
-        self.kind = kind
-        self.proc = proc
-        self.vid = vid
-        self.value = value
-        self.arrival = arrival  # requested simulated arrival (latency zero point)
-        self.eff = arrival      # effective issue floor (clamped at injection)
-        self.wall = wall
-        self.id = id            # accept index
 
 
 @dataclass
@@ -215,12 +187,12 @@ class ServeSession:
     ``record=False`` disables trace recording (slightly faster, not
     replayable).
 
-    ``fast`` selects the request dispatch path: ``None`` (default) uses
-    the kernel fast path when eligible (C kernel active, no failure
-    schedule, no memory capacity, a strategy that declares a residency
-    mirror) and the classic generator dispatchers otherwise; ``False``
-    forces classic; ``True`` raises, naming the reason, if the fast path
-    is unavailable.  Results are bit-identical either way.
+    ``fast`` selects the request rings: ``None`` (default) uses the
+    kernel's when eligible (C kernel active, no failure schedule, no
+    memory capacity, a strategy that declares a residency mirror) and the
+    session's own otherwise; ``False`` forces the session's; ``True``
+    raises, naming the reason, if the kernel's are unavailable.  Results
+    are bit-identical either way.
     """
 
     def __init__(
@@ -241,7 +213,7 @@ class ServeSession:
             raise ValueError("max_queue and max_inflight must be >= 1")
         if isinstance(strategy, str):
             strategy = get_strategy(strategy, topology, seed=seed, embedding=embedding)
-        self.recorder: Optional[ServeRecorder] = ServeRecorder() if record else None
+        self.recorder: Optional[TraceRecorder] = TraceRecorder() if record else None
         self.rt = Runtime(
             topology, strategy, machine, seed=seed, failures=failures,
             recorder=self.recorder,
@@ -250,11 +222,10 @@ class ServeSession:
         self.max_inflight = max_inflight
         n = topology.n_nodes
         self.n_procs = n
-        self._ingest: deque = deque()
-        self._queues = [deque() for _ in range(n)]
-        self._parked = [False] * n
-        self._park_time = [0.0] * n
-        self._clock = [0.0] * n  # last completion per processor
+        self._ingest: list = []   # scalar submissions, packed at the next pump
+        self._batches: list = []  # packed submissions awaiting the rings
+        self._buffered = 0        # requests in _batches
+        self._pending = 0         # requests in the rings' pending queue
         self._inflight = 0
         self.accepted = 0
         self.rejected = 0
@@ -266,102 +237,39 @@ class ServeSession:
         self._wall_start: Optional[float] = None
         self._closed = False
         self._report: Optional[ServeReport] = None
-        # Dispatch mode: None = undecided (decided lazily at the first
-        # pump), "classic" = generator dispatchers, "fast" = C kernel;
+        # Which rings serve: None = undecided (decided lazily at the first
+        # pump), "fast" = the kernel's, "classic" = the session's own;
         # _mode_reason says why (reported as the "dispatch" block).
         self._mode: Optional[str] = None
         self._mode_reason = "undecided until the first pump"
         self._fast_opt = fast
-        self._kdrain = None       # the ServeDrain struct drains fill
-        self._kpending = 0        # requests in the kernel's pending ring
-        self._batches: list = []  # packed pending batches (fast ingest)
-        self._buffered = 0
-        self._sim_end = 0.0       # max completion time seen (fast mode)
+        self._kdrain = None       # kernel rings: the ServeDrain drains fill
+        # The session's rings (serve_inject / serve_advance in Python):
+        # the pending queue and one queue per processor of list records
+        # (_REC's field order), a state byte per processor -- 0 parked,
+        # 1 waiting for its head's arrival, 2 blocked on the flow of
+        # _cur[p] -- and the records completed since the last drain.
+        self._pend: deque = deque()
+        self._rings = [deque() for _ in range(n)]
+        self._state = bytearray(n)
+        self._cur: list = [None] * n
+        self._done: list = []
+        self._next_id = 0
+        self._sim_end = 0.0       # max completion time seen
         self._rec_batches: list = []     # retained completion records
-        self._rec_prev: Optional[list] = None  # per-proc prev completion
-        # What the most recent pump completed (drain_completions): the
-        # classic dispatchers append (id, done, value) rows, the fast path
-        # keeps three columns; a pump clears both when it starts.
-        self._done_rows: list = []
-        self._done_cols: Optional[tuple] = None
-        # Start the dispatchers: every processor parks at t=0, ready to be
-        # kicked awake by its first request.  Both modes start them (the
-        # fast path leaves them parked forever): the t=0 wake-ups consume
-        # identical event sequence numbers, which is part of what keeps
-        # the two paths bit-identical.
-        self.rt.launch([self._dispatch(p) for p in range(n)])
-        self.rt.sim.run(until=0.0)
+        self._rec_prev = [0.0] * n       # per-proc prev completion
+        # What the most recent pump completed (drain_completions).
+        self._done_cols: tuple = _NO_DONE
 
-    # ----------------------------------------------------------- dispatchers
-    def _dispatch(self, p: int):
-        sim = self.rt.sim
-        q = self._queues[p]
-        by_id = self.rt.registry.by_id
-        lat_add = self._lat_sim.add
-        wlat_add = self._lat_wall.add
-        clock = self._clock
-        perf = time.perf_counter
-        done_add = self._done_rows.append
-        while True:
-            if not q:
-                self._park_time[p] = sim.now
-                self._parked[p] = True
-                v = yield RecvReq(_PARK)
-                if v is _STOP:
-                    return
-            it = q.popleft()
-            gap = it.eff - sim.now
-            if gap > 0.0:
-                # Idle until the arrival; recorded as a think-time op so
-                # replay issues the request at the identical instant.
-                yield ComputeReq(seconds=gap)
-            if it.kind == "r":
-                value = yield ReadReq(by_id(it.vid))
-            else:
-                value = it.value
-                yield WriteReq(by_id(it.vid), value)
-            done = sim.now
-            clock[p] = done
-            lat_add(done - it.arrival)
-            wlat_add(perf() - it.wall)
-            self._inflight -= 1
-            self.completed += 1
-            done_add((it.id, done, value))
-
-    # ------------------------------------------------------- mode selection
-    def _set_classic(self, reason: str) -> None:
-        self._mode = "classic"
-        self._mode_reason = reason
-        if self._batches:
-            # Packed batches arrived before the mode was decided: unpack
-            # them ahead of any scalar tail already in the ingest deque.
-            items: deque = deque()
-            first = self.accepted - self._buffered - len(self._ingest)
-            for kinds, procs, vids, arr, walls, values in self._batches:
-                for i in range(len(kinds)):
-                    items.append(_Item(
-                        "r" if kinds[i] == 0 else "w", int(procs[i]),
-                        int(vids[i]), int(values[i]), float(arr[i]),
-                        float(walls[i]), first + len(items),
-                    ))
-            self._batches.clear()
-            self._buffered = 0
-            items.extend(self._ingest)
-            self._ingest = items
-
+    # ------------------------------------------------------ ring selection
     def _decide_mode(self) -> None:
-        # The classic generator dispatchers are not a fallback awaiting
-        # deletion: they are the only path on the pure-Python engine (and
-        # under failures, bounded memory or an undeclared family), and the
-        # reference the differential tests compare the kernel fast path
-        # against.
-        if self._fast_opt is False:
-            self._set_classic("fast=False was requested")
-            return
         rt = self.rt
-        reason = rt.arm_mirror(static_flow=False)
+        sim = rt.sim
+        if self._fast_opt is False:
+            reason = "fast=False was requested"
+        else:
+            reason = rt.arm_mirror(static_flow=False)
         if reason is None:
-            sim = rt.sim
             sim._lib.sim_serve_init(sim._h, self.max_inflight)
             self._kdrain = sim._ffi.new("ServeDrain *")
             sim.serve_cb = self._serve_cb
@@ -372,9 +280,11 @@ class ServeSession:
             raise RuntimeError(
                 f"fast=True but the kernel fast path is unavailable: {reason}"
             )
-        self._set_classic(reason)
+        sim.resume_hook = self._resume
+        self._mode = "classic"
+        self._mode_reason = reason
 
-    # ------------------------------------------------- fast-path internals
+    # ------------------------------------------------------- kernel rings
     def _serve_cb(self, out) -> None:
         """Handle an ``R_SREQ`` crossing: a request the mirror could not
         complete runs through :meth:`Runtime.cross` (writes store 0 in the
@@ -397,77 +307,164 @@ class ServeSession:
             if not complete(h, out, p, done):
                 return
 
+    # ------------------------------------------------------ session rings
+    def _inject(self, horizon: float) -> int:
+        """One injection round (``serve_inject``): move pending requests
+        that arrive within ``horizon`` onto their processor's ring while
+        the in-flight window has room, and wake each parked processor at
+        its request's issue floor.  Returns how many moved."""
+        sim = self.rt.sim
+        pend, rings, state = self._pend, self._rings, self._state
+        # Deferred past its arrival (backpressure): issue asap, i.e. at
+        # the last event the engine popped (sim.now lags it by the inline
+        # flow legs).
+        now = sim.last_event_time
+        room = self.max_inflight - self._inflight
+        n = 0
+        while pend and n < room:
+            rec = pend[0]
+            if rec[4] > horizon:
+                break
+            pend.popleft()
+            eff = rec[5] = now if rec[4] < now else rec[4]
+            p = rec[0]
+            rings[p].append(rec)
+            if not state[p]:
+                sim.resume_at(eff, p)
+                state[p] = 1
+            n += 1
+        self._inflight += n
+        return n
+
+    def _resume(self, p: int) -> None:
+        """The simulator's resume hook on the session's rings
+        (``serve_advance``): record the request whose flow just finished
+        (state 2), then issue queued requests through the strategy until
+        one waits for its arrival or launches a flow, or the ring is
+        empty."""
+        rt = self.rt
+        now = rt.sim.now
+        state = self._state
+        if state[p] == 2:
+            self._record(self._cur[p], now)
+        ring = self._rings[p]
+        strategy = rt.strategy
+        registry = rt.registry
+        while ring:
+            rec = ring[0]
+            if rec[5] > now:
+                rt.sim.resume_at(rec[5], p)  # idle until the arrival
+                state[p] = 1
+                return
+            ring.popleft()
+            var = registry.by_id(rec[1])
+            # initiation: a write stores its value, a read takes the
+            # current one
+            if rec[2]:
+                done = strategy.write(p, var, rec[9], now)
+            else:
+                rec[9] = registry.get(var)
+                res = strategy.read(p, var, now)
+                done = None if res is None else res[0]
+            if done is None:  # the flow resumes us in state 2
+                self._cur[p] = rec
+                state[p] = 2
+                return
+            if done > now:
+                raise late_completion(strategy, "write" if rec[2] else "read", done, now)
+            self._record(rec, now)
+        state[p] = 0
+
+    def _record(self, rec: list, done: float) -> None:
+        rec[6] = done
+        self._done.append(tuple(rec))
+        self._inflight -= 1
+
+    # ------------------------------------------------------ both rings
     def _pack_ingest(self) -> None:
         """Pack the scalar submissions into one batch (kept FIFO with the
         vectorized ones)."""
         items = self._ingest
-        m = len(items)
-        if not m:
+        if not items:
             return
+        kinds, procs, vids, arr, walls, values = zip(*items)
         self._batches.append((
-            np.fromiter((0 if it.kind == "r" else 1 for it in items),
-                        dtype=np.int32, count=m),
-            np.fromiter((it.proc for it in items), dtype=np.int32, count=m),
-            np.fromiter((it.vid for it in items), dtype=np.int32, count=m),
-            np.fromiter((it.arrival for it in items), dtype=np.float64, count=m),
-            np.fromiter((it.wall for it in items), dtype=np.float64, count=m),
-            np.fromiter((it.value for it in items), dtype=np.int64, count=m),
+            np.array(kinds, dtype=np.int32), np.array(procs, dtype=np.int32),
+            np.array(vids, dtype=np.int32), np.array(arr, dtype=np.float64),
+            np.array(walls, dtype=np.float64), np.array(values, dtype=np.int64),
         ))
-        self._buffered += m
+        self._buffered += len(items)
         items.clear()
 
     def _flush_batches(self) -> None:
+        """Move the packed submissions into the rings' pending queue,
+        numbered in ingest order."""
         self._pack_ingest()
-        sim = self.rt.sim
-        lib, h, cast = sim._lib, sim._h, sim._ffi.cast
-        for kinds, procs, vids, arr, walls, values in self._batches:
-            self._kpending = lib.sim_serve_ingest(
-                h, len(kinds),
-                cast("const int *", procs.ctypes.data),
-                cast("const int *", vids.ctypes.data),
-                cast("const int *", kinds.ctypes.data),
-                cast("const double *", arr.ctypes.data),
-                cast("const double *", walls.ctypes.data),
-                cast("const i64 *", values.ctypes.data),
-            )
+        if self._mode == "fast":
+            sim = self.rt.sim
+            lib, h, cast = sim._lib, sim._h, sim._ffi.cast
+            for kinds, procs, vids, arr, walls, values in self._batches:
+                self._pending = lib.sim_serve_ingest(
+                    h, len(kinds),
+                    cast("const int *", procs.ctypes.data),
+                    cast("const int *", vids.ctypes.data),
+                    cast("const int *", kinds.ctypes.data),
+                    cast("const double *", arr.ctypes.data),
+                    cast("const double *", walls.ctypes.data),
+                    cast("const i64 *", values.ctypes.data),
+                )
+        else:
+            pend = self._pend
+            for kinds, procs, vids, arr, walls, values in self._batches:
+                first = self._next_id
+                self._next_id += len(kinds)
+                arr = arr.tolist()
+                pend.extend(map(list, zip(
+                    procs.tolist(), vids.tolist(), kinds.tolist(), repeat(0), arr, arr,
+                    repeat(0.0), walls.tolist(), range(first, self._next_id),
+                    values.tolist(),
+                )))
         self._batches.clear()
         self._buffered = 0
 
     def _drain(self) -> None:
-        """Pull what the pump produced -- completion records (one packed
-        array), queue gauges -- into the session, and fold the mirror's
-        counters into the strategy."""
-        sim = self.rt.sim
-        out = self._kdrain
-        sim._lib.sim_serve_drain(sim._h, out)
-        n = out.n_rec
-        if n:
-            recs = np.frombuffer(
-                sim._ffi.buffer(out.recs, n * _REC.itemsize), dtype=_REC
-            )
-            done = recs["done"].copy()
-            self._done_cols = (recs["id"].copy(), done, recs["value"].copy())
-            self._lat_sim.add_many(done - recs["arrival"])
-            self._lat_wall.add_many(time.perf_counter() - recs["wall"])
-            if self.recorder is not None:
-                self._rec_batches.append((
-                    recs["proc"].copy(), recs["vid"].copy(),
-                    recs["kind"].copy(), recs["eff"].copy(), done,
-                ))
-            self.completed += n
-            end = float(done.max())
-            if end > self._sim_end:
-                self._sim_end = end
-        self._inflight = out.inflight
-        self._kpending = out.pending
-        self.rt.fold_mirror()
-
-    def _pump_fast(self, until: Optional[float]) -> None:
-        self._flush_batches()
-        sim = self.rt.sim
-        sim.run(until)
-        sim.now = sim.last_event_time
-        self._drain()
+        """Fold what the pump completed -- completion records into the
+        latency sketches, :meth:`drain_completions` and the trace -- and
+        the queue gauges; on the kernel's rings also the mirror's
+        counters."""
+        if self._mode == "fast":
+            sim = self.rt.sim
+            out = self._kdrain
+            sim._lib.sim_serve_drain(sim._h, out)
+            n = out.n_rec
+            if n:
+                recs = np.frombuffer(
+                    sim._ffi.buffer(out.recs, n * _REC.itemsize), dtype=_REC
+                )
+            self._inflight = out.inflight
+            self._pending = out.pending
+            self.rt.fold_mirror()
+        else:
+            n = len(self._done)
+            if n:
+                recs = np.array(self._done, dtype=_REC)
+                self._done.clear()
+            self._pending = len(self._pend)
+        if not n:
+            return
+        done = recs["done"].copy()
+        self._done_cols = (recs["id"].copy(), done, recs["value"].copy())
+        self._lat_sim.add_many(done - recs["arrival"])
+        self._lat_wall.add_many(time.perf_counter() - recs["wall"])
+        if self.recorder is not None:
+            self._rec_batches.append((
+                recs["proc"].copy(), recs["vid"].copy(),
+                recs["kind"].copy(), recs["eff"].copy(), done,
+            ))
+        self.completed += n
+        end = float(done.max())
+        if end > self._sim_end:
+            self._sim_end = end
 
     # ---------------------------------------------------------------- ingest
     def create(self, proc: int, payload_bytes: int = 256) -> int:
@@ -482,13 +479,6 @@ class ServeSession:
             raise RuntimeError("session is closed")
         if not 0 <= proc < self.n_procs:
             raise ValueError(f"no such processor: {proc}")
-        if self._mode == "fast" and self.recorder is not None and self.accepted:
-            raise RuntimeError(
-                "cannot create variables after requests were accepted on the "
-                "kernel fast path with recording on (the reconstructed trace "
-                "hoists creates); create everything up front, or open the "
-                "session with record=False or fast=False"
-            )
         var = self.rt.create_var(f"s{len(self.rt.registry)}", payload_bytes, proc, 0)
         self.created += 1
         return var.vid
@@ -508,8 +498,8 @@ class ServeSession:
         An accepted request's id is its accept index (``accepted - 1``
         right after); :meth:`drain_completions` reports it when a pump
         completes the request.  ``value`` is what a write stores: an
-        integer in int64 range (``ValueError`` otherwise, on either
-        path).  ``arrival`` is the simulated arrival time; arrivals are
+        integer in int64 range (``ValueError`` otherwise, on both
+        rings).  ``arrival`` is the simulated arrival time; arrivals are
         clamped nondecreasing (``None`` = right after the previous one).
         """
         if self._closed:
@@ -532,7 +522,7 @@ class ServeSession:
         if arrival is None or arrival < floor:
             arrival = floor
         self._arrival_floor = arrival
-        self._ingest.append(_Item(kind, proc, vid, value, arrival, wall, self.accepted))
+        self._ingest.append((kind == "w", proc, vid, arrival, wall, value))
         self.accepted += 1
         return True
 
@@ -545,28 +535,19 @@ class ServeSession:
 
     def submit_batch(self, reads, procs, vids, arrivals) -> int:
         """Vectorized :meth:`try_submit`: queue a whole epoch of requests
-        in one call (the load generator's path to the kernel's batched
-        ingest).  ``reads`` is a boolean array (True = read), ``procs``/
-        ``vids`` integer arrays, ``arrivals`` the simulated arrival
-        times; all the same length.  Admission accepts the longest prefix
-        the queue has room for (identical to per-item submission, since
-        arrivals are nondecreasing) and returns the accepted count; their
-        ids are the consecutive accept indices, and writes store 0.
+        in one call (the load generator's path to the batched ingest).
+        ``reads`` is a boolean array (True = read), ``procs``/``vids``
+        integer arrays, ``arrivals`` the simulated arrival times; all the
+        same length.  Admission accepts the longest prefix the queue has
+        room for (identical to per-item submission, since arrivals are
+        nondecreasing) and returns the accepted count; their ids are the
+        consecutive accept indices, and writes store 0.
         """
         if self._closed:
             raise RuntimeError("session is closed")
         m = len(procs)
         if not m:
             return 0
-        if self._mode == "classic":
-            n_ok = 0
-            for i in range(m):
-                if self.try_submit(
-                    "r" if reads[i] else "w", int(procs[i]), int(vids[i]),
-                    arrival=float(arrivals[i]),
-                ):
-                    n_ok += 1
-            return n_ok
         procs = np.ascontiguousarray(procs, dtype=np.int32)
         vids = np.ascontiguousarray(vids, dtype=np.int32)
         if procs.min(initial=0) < 0 or procs.max(initial=0) >= self.n_procs:
@@ -598,7 +579,7 @@ class ServeSession:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._ingest) + self._buffered + self._kpending
+        return len(self._ingest) + self._buffered + self._pending
 
     @property
     def arrival_floor(self) -> float:
@@ -611,27 +592,6 @@ class ServeSession:
         return self._inflight
 
     # ------------------------------------------------------------------ pump
-    def _inject(self, it: _Item) -> None:
-        rt = self.rt
-        t = it.arrival
-        # Deferred past its arrival (backpressure): issue asap, i.e. at
-        # the last event the engine popped -- the clock the kernel's
-        # serve_inject clamps to (sim.now lags it by the inline flow legs).
-        now = rt.sim.last_event_time
-        if t < now:
-            t = now
-        it.eff = t
-        p = it.proc
-        self._queues[p].append(it)
-        if self._parked[p]:
-            self._parked[p] = False
-            rec = self.recorder
-            if rec is not None:
-                gap = t - self._park_time[p]
-                if gap > 0.0:
-                    rec.record_gap(p, gap)
-            rt._deliver(p, _PARK, t, None)
-
     def pump(self, until: Optional[float] = None) -> None:
         """Inject eligible queued requests and advance the engine.
 
@@ -643,46 +603,35 @@ class ServeSession:
         """
         if self._closed:
             raise RuntimeError("session is closed")
-        self._done_rows.clear()
-        self._done_cols = None
+        self._done_cols = _NO_DONE
         if self._mode is None:
             self._decide_mode()
-        if self._mode == "fast":
-            self._pump_fast(until)
-            return
+        self._flush_batches()
         sim = self.rt.sim
-        ing = self._ingest
-        while True:
-            n = 0
-            room = self.max_inflight - self._inflight - n
-            while ing and room > 0:
-                it = ing[0]
-                if until is not None and it.arrival > until:
+        if self._mode == "fast":
+            sim.run(until)  # the kernel interleaves its injection rounds
+        else:
+            horizon = float("inf") if until is None else until
+            while True:  # do {inject; run} while (n), as the kernel does
+                n = self._inject(horizon)
+                sim.run(until)
+                if not n:
                     break
-                ing.popleft()
-                self._inject(it)
-                n += 1
-                room -= 1
-            self._inflight += n
-            sim.run(until)
-            if not n:
-                return
+        sim.now = sim.last_event_time
+        self._drain()
 
     def drain_completions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, done, values)``: the requests the most recent
         :meth:`pump` completed, in completion order -- request ids, simulated
         completion times, and each write's stored / read's returned value.
-        The same records on both dispatch paths; held until the next pump
+        The same records on both rings; held until the next pump
         starts."""
-        if self._done_cols is not None:
-            return self._done_cols
-        rows = np.array(self._done_rows, dtype=_DONE)
-        return rows["id"], rows["done"], rows["value"]
+        return self._done_cols
 
     # ------------------------------------------------------------- reporting
     def _dispatch_info(self) -> Dict[str, Any]:
-        """The ``dispatch`` block: which path serves, why, and -- on the
-        fast path -- which native flow is armed (``None``: misses and
+        """The ``dispatch`` block: which rings serve, why, and -- on the
+        kernel's -- which native flow is armed (``None``: misses and
         remote writes cross) and how many requests stayed in the kernel."""
         how = {"mode": self._mode, "reason": self._mode_reason}
         if self._mode == "fast":
@@ -714,7 +663,7 @@ class ServeSession:
         return snap
 
     def close(self) -> ServeReport:
-        """Serve everything queued, stop the dispatchers, and report."""
+        """Serve everything queued and report."""
         if self._closed:
             return self._report
         self.pump()  # unbounded: serves what the in-flight window admits
@@ -724,23 +673,10 @@ class ServeSession:
             self.pump()
         rt = self.rt
         if self._mode == "fast":
-            # The dispatchers never ran: close the parked generators.
-            for p in range(self.n_procs):
-                gen = rt._gens[p]
-                if gen is not None:
-                    gen.close()
-                    rt._gens[p] = None
-            end = self._sim_end
             # Hand the state back, so the strategy reads as after a
-            # classic session.
+            # session on the session's own rings.
             rt.release_mirror()
-        else:
-            for p in range(self.n_procs):
-                if self._parked[p]:
-                    self._parked[p] = False
-                    rt._deliver(p, _PARK, rt.sim.now, _STOP)
-            rt.sim.run()
-            end = max(self._clock) if self.completed else 0.0
+        end = self._sim_end
         self._closed = True
         wall_end = time.perf_counter()
         wall = wall_end - self._wall_start if self._wall_start is not None else 0.0
@@ -791,30 +727,20 @@ class ServeSession:
         return self._report
 
     def _reconstruct_trace(self) -> None:
-        """Fold the fast path's completion records into the recorder's op
-        streams: per processor, in completion order, the idle gap before
-        each request (``eff`` minus the previous completion) becomes the
-        think-time op the classic path would have recorded, then the
-        request itself -- byte-identical to the live-recorded stream."""
+        """Fold the completion records into the recorder's op streams:
+        per processor, in completion order, the idle gap before each
+        request (``eff`` minus the previous completion) becomes a
+        think-time op, then the request itself."""
         ops = self.recorder.ops
-        if self._rec_prev is None:
-            self._rec_prev = [0.0] * self.n_procs
         prev = self._rec_prev
-        for procs, vids, kinds, effs, dones in self._rec_batches:
-            procs = procs.tolist()
-            vids = vids.tolist()
-            kinds = kinds.tolist()
-            effs = effs.tolist()
-            dones = dones.tolist()
-            for i in range(len(procs)):
-                p = procs[i]
-                e = effs[i]
-                gap = e - prev[p]
+        for batch in self._rec_batches:
+            for p, vid, kind, eff, done in zip(*(col.tolist() for col in batch)):
+                gap = eff - prev[p]
                 stream = ops[p]
                 if gap > 0.0:
                     stream.append(["k", 0.0, gap])
-                stream.append(["w" if kinds[i] else "r", vids[i]])
-                prev[p] = dones[i]
+                stream.append(["w" if kind else "r", vid])
+                prev[p] = done
         self._rec_batches.clear()
 
     def trace(self, params: Optional[Dict[str, Any]] = None) -> Trace:

@@ -913,17 +913,20 @@ int sim_access(Sim *s, int p, int vid, int kind, double t) {
 
 /* ---------------------------------------------------------- serving rings
  *
- * The request path of the serving session, mirrored move for move from
- * serve/session.py's dispatcher generators (see that module's docstring):
+ * The request path of the serving session.  serve/session.py keeps a
+ * line-for-line Python twin of these rings (ServeSession._inject and
+ * _resume, see that module's docstring) for where they cannot be armed:
  * same event keys (time, seq) at the same logical points, so a served
- * run is bit-identical between this fast path and the classic
- * generator-based path.  Needs the residency mirror armed first.
+ * run is bit-identical between the two.  Needs the residency mirror
+ * armed first.
  *
- *   parked kick          ->  K_SREQ pushed at injection (idle proc)
- *   queued-gap ComputeReq->  K_SREQ pushed at the previous completion
- *   flow completion      ->  K_SDONE where unarmed flows push K_RESUME
- *   crossed request done ->  sim_serve_complete (at the crossing's time)
- *   local hit/write      ->  completed in place (mirror_access A_DONE)
+ *   this kernel                      the session's twin
+ *   K_SREQ pushed at injection   ->  _inject: resume_at(eff, p) (parked proc)
+ *   K_SREQ pushed at the head's  ->  _resume: resume_at(eff, p)
+ *     arrival (waiting proc)
+ *   K_SDONE (flow completion)    ->  the flow's K_RESUME, _resume in state 2
+ *   sim_serve_complete           ->  read / write returned the issue time
+ *   mirror_access A_DONE         ->  (every request calls the strategy)
  */
 
 static void serve_record(Sim *s, const SReq *it, double done) {
@@ -958,7 +961,7 @@ static void ring_push(SRing *q, const SReq *it) {
 
 /* Dispatch queued requests for processor p until one must wait (timer),
  * one crosses into Python (returns 1, crossing filled), or the queue is
- * empty.  Mirrors the dispatcher generator's loop head. */
+ * empty.  Twinned by ServeSession._resume. */
 static int serve_advance(Sim *s, int p, Crossing *out) {
     SRing *q = &s->sv_q[p];
     for (;;) {
@@ -968,8 +971,7 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         }
         SReq *head = &q->buf[q->head];
         if (head->eff > s->sv_now) {
-            /* idle until the arrival: the classic path schedules a kick
-               (parked) or a ComputeReq resume (queued gap) here. */
+            /* idle until the arrival: a wake-up at it */
             heap_push(s, head->eff, s->seqno++, K_SREQ, p, 0, 0, 0);
             s->sv_state[p] = 1;
             return 0;
@@ -977,8 +979,8 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
         SReq cur = *head;
         q->head = (q->head + 1) & (q->cap - 1);
         q->len--;
-        /* initiation: values follow it (the classic path reads / writes
-           the registry at this same point), not completion */
+        /* initiation: values follow it (the session's rings read /
+           write the registry at this same point), not completion */
         if (cur.kind)
             s->sv_var[cur.vid].value = cur.value;
         else
@@ -1005,8 +1007,8 @@ static int serve_advance(Sim *s, int p, Crossing *out) {
 
 /* One injection round: move pending requests whose arrival is within the
  * horizon into the per-proc queues while the in-flight window has room.
- * Mirrors ServeSession.pump's inject loop (same admission order, same
- * eff clamp, same kick points). */
+ * Twinned by ServeSession._inject (same admission order, same eff
+ * clamp, same wake-up points). */
 static i64 serve_inject(Sim *s, double horizon) {
     i64 n = 0;
     SRing *pend = &s->sv_pend;
@@ -1020,7 +1022,7 @@ static i64 serve_inject(Sim *s, double horizon) {
         pend->head = (pend->head + 1) & (pend->cap - 1);
         pend->len--;
         if (s->sv_state[p] == 0) {
-            /* parked processor: the wake-up kick, stamped at eff */
+            /* parked processor: the wake-up, stamped at eff */
             heap_push(s, eff, s->seqno++, K_SREQ, p, 0, 0, 0);
             s->sv_state[p] = 1;
         }
@@ -1110,7 +1112,7 @@ void sim_set_stats(Sim *s, double *bytes, i64 *msgs, i64 *startups,
 int sim_run_until(Sim *s, Crossing *out, double horizon) {
   for (;;) {
     /* Serving mode interleaves injection rounds with event processing,
-       exactly like the classic pump's do {inject; run} while (n) loop.
+       exactly like the session rings' do {inject; run} while (n) loop.
        A crossing mid-round leaves sv_phase == 1 so re-entry resumes the
        event loop without double-injecting; R_DONE always leaves it 0,
        so every pump starts with an injection round. */
@@ -1181,7 +1183,7 @@ int sim_run_until(Sim *s, Crossing *out, double horizon) {
             continue;
         }
         if (ev.kind == K_SREQ) {
-            /* a wake-up kick or idle-until-arrival timer fired */
+            /* a parked or waiting processor's wake-up fired */
             if (serve_advance(s, ev.a, out)) return R_SREQ;
             continue;
         }

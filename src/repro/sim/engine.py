@@ -280,8 +280,9 @@ class Simulator:
         #: completion time of the flow ``proc`` blocked on
         #: (:meth:`push_flow`) and at every :meth:`resume_at`.  The
         #: :class:`~repro.runtime.launcher.Runtime` installs its request
-        #: loop here; a kernel whose serving rings are armed consumes flow
-        #: completions natively instead.
+        #: loop here and a serving session its own request rings; a kernel
+        #: whose serving rings are armed consumes flow completions natively
+        #: instead.
         self.resume_hook: Optional[Callable[[int], None]] = None
         self.stats = LinkStats(topology)
 

@@ -233,15 +233,6 @@ class TraceRecorder:
     def record_create(self, proc: int, var) -> None:
         self.ops[proc].append(["c", var.vid, var.payload_bytes])
 
-    def record_gap(self, proc: int, seconds: float) -> None:
-        """Append a pure think-time op (``["k", 0.0, seconds]``) that had no
-        live request behind it.  The serving layer uses this for the idle
-        gap a parked processor spent waiting for its next request: the
-        wake-up kick already positioned simulated time at the arrival, so
-        nothing was yielded live, but replay needs the gap op to reproduce
-        the exact issue time."""
-        self.ops[proc].append(["k", 0.0, seconds])
-
     def record_request(self, proc: int, req) -> None:
         cls = req.__class__
         stream = self.ops[proc]

@@ -4,7 +4,8 @@ The request loop continues inline on the first and blocks until the flow
 resumes the processor on the second.  There is no third way: a strategy
 that returns a completion time later than the issue time is broken, and
 the runtime raises, naming it, instead of waiting for that time -- on
-both engines, and on the serving fast path's crossings.
+both engines, on the serving kernel rings' crossings and on the
+session's own rings.
 """
 
 import pytest
@@ -67,15 +68,21 @@ def test_a_late_completion_raises_and_names_the_strategy(op, engine, monkeypatch
         rt.run(program(op))
 
 
-@pytest.mark.skipif(_ckern.load_kernel() is None, reason="C kernel unavailable")
+@pytest.mark.parametrize("rings", ["kernel", "session", "pure"])
 @pytest.mark.parametrize("kind", ["r", "w"])
-def test_a_late_completion_of_a_crossed_request_raises(kind):
+def test_a_late_completion_of_a_crossed_request_raises(kind, rings, monkeypatch):
     """dynrep declares a mirror without a static flow, so a read miss and a
-    remote write cross into the strategy from the kernel's serving rings."""
+    remote write cross into the strategy from the kernel's serving rings;
+    the session's own rings (``fast=False``, the pure engine) call the
+    strategy for every request.  Either way the late time raises."""
+    if rings == "pure":
+        monkeypatch.setattr(Simulator, "force_pure", True)
+    elif _ckern.load_kernel() is None:
+        pytest.skip("C kernel unavailable")
     mesh = Mesh2D(4, 4)
     op = "read" if kind == "r" else "write"
     session = ServeSession(mesh, late("dynrep:threshold=2", op, mesh, declare=True),
-                           seed=0, fast=True)
+                           seed=0, fast={"kernel": True, "session": False}.get(rings))
     vid = session.create(0)
     session.submit(kind, 5, vid, value=1)
     with pytest.raises(RuntimeError, match=rf"LateDynRepStrategy\.{op} issued at t="):

@@ -1,8 +1,9 @@
-"""Completions are one record per request, the same on every dispatch path.
+"""Completions are one record per request, the same on either request rings.
 
 ``drain_completions()`` reports ``(ids, done, values)`` for the most
-recent pump.  Served on the kernel fast path, on the classic dispatchers
-over the C kernel and over the pure engine, the concatenation over every
+recent pump.  Served on the kernel's rings, on the session's own rings
+(``mode: classic``) over the C kernel and over the pure engine, the
+concatenation over every
 pump -- sorted by id -- must be equal, ids must be the accept indices,
 and values must follow *initiation* order: a write stores its value and
 a read takes the variable's current one at the moment each is initiated,

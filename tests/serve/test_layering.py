@@ -197,9 +197,37 @@ def test_session_assigns_no_attribute_on_the_runtime():
                     f"session.py:{node.lineno} assigns {ast.unparse(target)}")
 
 
+@pytest.mark.parametrize("engine,fast", [("kernel", None), ("kernel", False), ("pure", None)])
+def test_a_session_launches_no_generator_and_never_enters_the_request_loop(
+        engine, fast, monkeypatch):
+    """Serving is the request rings on either engine: no program generator
+    per processor, no batch request loop, and Runtime.run is the only
+    place that starts programs."""
+    if engine == "pure":
+        monkeypatch.setattr(Simulator, "force_pure", True)
+    elif _ckern.load_kernel() is None:
+        pytest.skip("C kernel unavailable")
+
+    def refuse(self):
+        raise AssertionError("the batch request loop was bound")
+
+    monkeypatch.setattr(Runtime, "_bind_step", refuse)
+    session = ServeSession(Mesh2D(4, 4), "4-ary", seed=0, fast=fast)
+    vid = session.create(0)
+    for i in range(24):
+        session.submit("w" if i % 3 == 0 else "r", (5 * i) % 16, vid, value=i)
+    report = session.close()
+    assert report.requests == 24
+    assert session.rt._gens == [None] * 16
+    rings = "fast" if engine == "kernel" and fast is None else "classic"
+    assert report.extra["dispatch"]["mode"] == rings
+    assert (session.rt.sim.resume_hook is None) == (rings == "fast")
+    assert not hasattr(Runtime, "launch")
+
+
 def test_completions_carry_ids_not_callbacks():
-    """One completion API on both dispatch paths: no per-request callback
-    to force the classic dispatchers, no creation value the kernel's value
+    """One completion API on both rings: no per-request callback to force
+    the session's own rings, no creation value the kernel's value
     cell would not see, and a frontend that pumps when lines arrive -- no
     batch timer, no per-request future or lock."""
     assert "on_done" not in inspect.signature(ServeSession.try_submit).parameters
@@ -260,7 +288,8 @@ def _undeclaring(spec, topology):
 @pytest.mark.parametrize("spec", ["4-ary", "fixed-home", "dynrep:threshold=2"])
 def test_subclass_declaring_nothing_is_served_classically(spec):
     """A subclass may override the hit path, so inheriting a mirror is not
-    declaring one: it gets the classic dispatchers, and the report says so."""
+    declaring one: it gets the session's own rings (``mode: classic``), and
+    the report says so."""
     topology = Mesh2D(4, 4)
     session = ServeSession(topology, _undeclaring(spec, topology), seed=0)
     vid = session.create(0)

@@ -4,10 +4,10 @@
 replays its read miss (``reader -> home [-> owner]`` and back) and its
 invalidating write (request, star of invalidations from the home, grant)
 itself.  These tests hold that replay to the unchanged Python
-``read``/``write`` -- served by the classic dispatchers on the C kernel
-and on the pure engine -- on every simulated quantity, the recorded
-trace and the copy sets and owners the strategy is handed back when the
-session closes.
+``read``/``write`` -- served by the session's own rings (``mode:
+classic``) on the C kernel and on the pure engine -- on every simulated
+quantity, the recorded trace and the copy sets and owners the strategy
+is handed back when the session closes.
 """
 
 import pytest

@@ -4,9 +4,10 @@ With a static flow (no remapping) the C kernel replays
 ``AccessTreeStrategy.write`` itself: request chain to the nearest copy
 holder, invalidation multicast over the copy component, reply chain
 back.  These tests hold that replay to the unchanged Python write --
-served by the classic dispatchers on the C kernel and on the pure
-engine -- on every simulated quantity, the recorded trace and the copy
-sets the strategy is handed back when the session closes.
+served by the session's own rings (``mode: classic``) on the C kernel
+and on the pure engine -- on every simulated quantity, the recorded
+trace and the copy sets the strategy is handed back when the session
+closes.
 """
 
 import pytest
@@ -61,7 +62,8 @@ def assert_components_connected(sess):
 class TestDifferentialSweep:
     """Seeded loads on few variables (contention on one component), a
     window smaller than the epoch (backpressure) and one pump per epoch
-    (horizon slicing): fast == classic-on-C == classic-on-pure."""
+    (horizon slicing): kernel rings == session rings on C == session rings
+on pure."""
 
     def serve(self, topology, arity, read_frac, fast):
         sess = ServeSession(make_topology(topology, 4), arity, seed=0,

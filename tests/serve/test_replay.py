@@ -187,3 +187,56 @@ class TestBackpressureEquivalence:
         classic, _, classic_ops = self.serve(strategy, 0.7, 30000.0, False, **small)
         assert fast == classic
         assert fast_ops == classic_ops
+
+
+@pytest.mark.parametrize("fast", [None, False])
+@pytest.mark.parametrize("strategy", ["4-ary", "fixed-home", "dynrep:threshold=2"])
+def test_variables_created_between_epochs_replay_exactly(strategy, fast):
+    """Replay hoists creates, so a session may create a variable after it
+    served requests -- on either rings -- and the trace still replays
+    bit-identically."""
+    sess = ServeSession(Mesh2D(4, 4), strategy, seed=0, fast=fast)
+    vids = [sess.create(0, 128)]
+    t = 0.0
+    for epoch in range(6):
+        for i in range(40):
+            t += 5e-5
+            sess.submit("w" if i % 5 == 0 else "r", (7 * i + epoch) % 16,
+                        vids[(i + epoch) % len(vids)], arrival=t)
+        sess.pump(until=t)
+        vids.append(sess.create((5 * epoch + 3) % 16, 96 + 32 * epoch))
+    report = sess.close()
+    assert report.requests == 240 and report.created == 7
+    res = replay(sess.trace())
+    assert res.end_time == report.sim_time
+    assert res.stats.total_msgs == report.total_msgs
+    assert res.hits == report.hits
+
+
+@pytest.mark.parametrize("strategy", ["4-ary", "fixed-home"])
+@pytest.mark.parametrize("failures", ["churn:nodes=0.2:seed=3:horizon=0.01",
+                                      "linkflap:rate=0.2:seed=3:horizon=0.01"])
+def test_a_failure_schedule_serves_identically_on_both_engines(monkeypatch, strategy, failures):
+    """Under a failure schedule the kernel's rings are refused (native
+    flows bypass the failure view), so the session's rings serve on both
+    engines; the failures land inside the served window."""
+    from repro.sim import _ckern
+
+    def run():
+        sess = ServeSession(Mesh2D(4, 4), strategy, seed=0, failures=failures)
+        report = run_loadgen(sess, workload="zipf", params=PARAMS, rate=20000.0,
+                             requests=400, seed=3, chunk=64)
+        assert report.accepted + report.rejected == 400
+        assert report.requests == report.accepted == 400
+        assert sess.rt._failview.events_applied > 0
+        return {k: getattr(report, k) for k in FINGERPRINT}, report.extra["dispatch"]
+
+    fields, how = run()
+    assert how["mode"] == "classic"
+    if _ckern.load_kernel() is None:
+        assert "no C kernel" in how["reason"]
+        return
+    assert "failure schedule" in how["reason"]
+    monkeypatch.setattr(Simulator, "force_pure", True)
+    pure, _ = run()
+    assert fields == pure
