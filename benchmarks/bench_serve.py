@@ -119,18 +119,8 @@ def run_once(requests: int = REQUESTS, workers: int = 1,
         )
         wall = time.perf_counter() - t0
         assert report.requests == requests - report.rejected
-        row = dict(
-            requests=report.requests,
-            rejected=report.rejected,
-            requests_per_sec=report.requests / wall,
-            sim_requests_per_sec=report.sim_requests_per_sec,
-            latency_p50=report.latency_p50,
-            latency_p95=report.latency_p95,
-            latency_p99=report.latency_p99,
-            hit_rate=report.hit_rate,
-            simulated_time=report.sim_time,
-            simulated_msgs=report.total_msgs,
-        )
+        view = report.as_dict()
+        view["requests_per_sec"] = report.requests / wall
     else:
         fleet = run_fleet(
             functools.partial(_make_session, pinned),
@@ -144,23 +134,22 @@ def run_once(requests: int = REQUESTS, workers: int = 1,
             chunk=pinned["chunk"],
         )
         wall = time.perf_counter() - t0
-        f = fleet.fleet
-        row = dict(
-            requests=f["requests"],
-            rejected=f["rejected"],
-            # The fleet's own aggregate (completed / slowest worker wall):
-            # the per-shard concurrency number the workers=N row tracks.
-            requests_per_sec=f["requests_per_sec"],
-            sim_requests_per_sec=(
-                f["requests"] / f["sim_time"] if f["sim_time"] > 0 else 0.0
-            ),
-            latency_p50=f["latency_p50"],
-            latency_p95=f["latency_p95"],
-            latency_p99=f["latency_p99"],
-            hit_rate=f["hit_rate"],
-            simulated_time=f["sim_time"],
-            simulated_msgs=f["total_msgs"],
-        )
+        # The fleet's own aggregate requests_per_sec (completed / slowest
+        # worker wall): the per-shard concurrency number the workers=N row
+        # tracks.
+        view = fleet.fleet
+    row = dict(
+        requests=view["requests"],
+        rejected=view["rejected"],
+        requests_per_sec=view["requests_per_sec"],
+        sim_requests_per_sec=view["sim_requests_per_sec"],
+        latency_p50=view["latency_p50"],
+        latency_p95=view["latency_p95"],
+        latency_p99=view["latency_p99"],
+        hit_rate=view["hit_rate"],
+        simulated_time=view["sim_time"],
+        simulated_msgs=view["total_msgs"],
+    )
     return {
         "bench": bench,
         "bench_version": BENCH_VERSION,

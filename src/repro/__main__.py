@@ -68,30 +68,33 @@ def _serve_main(args: argparse.Namespace) -> int:
     import json
 
     from .core.registry import parse_strategy_spec
+    from .network.failures import parse_failure_spec
     from .network.topology import make_topology
 
     strategy = args.strategy or "4-ary"
     try:
         parse_strategy_spec(strategy)
+        if args.failures is not None:
+            parse_failure_spec(args.failures)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    session_opts = dict(seed=args.seed, max_queue=args.max_queue,
+                        max_inflight=args.max_inflight, failures=args.failures)
 
     if args.experiment == "serve":
         from .serve import ServeSession
         from .serve.frontend import selfcheck, serve_forever
 
         if args.selfcheck:
-            out = selfcheck(side=args.side, strategy=strategy, seed=args.seed)
+            out = selfcheck(side=args.side, strategy=strategy, seed=args.seed,
+                            failures=args.failures)
             print(json.dumps(out))
             return 0
         topo = make_topology(args.topology or "mesh", args.side)
         # Nothing reads a long-running server's trace: recording it would
         # grow by one op per request, forever.
-        session = ServeSession(
-            topo, strategy, seed=args.seed, record=False,
-            max_queue=args.max_queue, max_inflight=args.max_inflight,
-        )
+        session = ServeSession(topo, strategy, record=False, **session_opts)
         serve_forever(session, args.host, args.port)
         return 0
 
@@ -115,35 +118,24 @@ def _serve_main(args: argparse.Namespace) -> int:
         return 2
     topo = make_topology(args.topology or "mesh", args.side)
 
+    def make_session():
+        return ServeSession(topo, strategy, **session_opts)
+
     profiler = None
     if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
-    fleet = None
+    load = dict(workload=args.workload, arrival=args.arrival, rate=args.rate,
+                requests=args.requests, seed=args.seed)
     if args.workers > 1:
-        def make_session():
-            return ServeSession(
-                topo, strategy, seed=args.seed,
-                max_queue=args.max_queue, max_inflight=args.max_inflight,
-            )
-
-        fleet = run_fleet(
-            make_session, workers=args.workers,
-            workload=args.workload, arrival=args.arrival,
-            rate=args.rate, requests=args.requests, seed=args.seed,
-        )
-        report = None
+        fleet = run_fleet(make_session, workers=args.workers, **load)
+        view, payload = fleet.fleet, fleet.to_dict()
     else:
-        session = ServeSession(
-            topo, strategy, seed=args.seed,
-            max_queue=args.max_queue, max_inflight=args.max_inflight,
-        )
-        report = run_loadgen(
-            session, workload=args.workload, arrival=args.arrival,
-            rate=args.rate, requests=args.requests, seed=args.seed,
-        )
+        session = make_session()
+        report = run_loadgen(session, **load)
+        view = payload = report.as_dict()
     if profiler is not None:
         profiler.disable()
 
@@ -154,34 +146,19 @@ def _serve_main(args: argparse.Namespace) -> int:
     if args.trace is not None:
         path = session.trace(params=report.extra).save(args.trace)
         print(f"recorded served stream -> {path}", file=sys.stderr)
-    if fleet is not None:
-        f = fleet.fleet
-        row = {
-            "strategy": f["strategy"],
-            "network": f["network"],
-            "workers": f["workers"],
-            "requests": f["requests"],
-            "rejected": f["rejected"],
-            "req/s": round(f["requests_per_sec"], 1),
-            "p50": f["latency_p50"],
-            "p95": f["latency_p95"],
-            "p99": f["latency_p99"],
-            "hit_rate": round(f["hit_rate"], 4),
-        }
-        payload = fleet.to_dict()
-    else:
-        row = {
-            "strategy": report.strategy,
-            "network": report.network,
-            "requests": report.requests,
-            "rejected": report.rejected,
-            "req/s": round(report.requests_per_sec, 1),
-            "p50": report.latency_p50,
-            "p95": report.latency_p95,
-            "p99": report.latency_p99,
-            "hit_rate": round(report.hit_rate, 4),
-        }
-        payload = report.as_dict()
+    row = {"strategy": view["strategy"], "network": view["network"]}
+    if "workers" in view:  # the fleet view
+        row["workers"] = view["workers"]
+    row.update({
+        "requests": view["requests"],
+        "rejected": view["rejected"],
+        "req/s": round(view["requests_per_sec"], 1),
+        "p50": view["latency_p50"],
+        "p95": view["latency_p95"],
+        "p99": view["latency_p99"],
+        "hit_rate": round(view["hit_rate"], 4),
+    })
+    row = _with_availability(row, view)
     print(format_table([row], list(row), title="loadgen"))
     if args.json:
         results_dir.mkdir(parents=True, exist_ok=True)
@@ -261,6 +238,17 @@ def _trace_main(args: argparse.Namespace) -> int:
     return 0
 
 
+def _with_availability(row, counts):
+    """Zero-failure tables keep the historic shape; a run that applied
+    failure events adds the availability columns (from ``counts``, a
+    result's or report's ``as_dict()``)."""
+    from .runtime.results import AVAILABILITY
+
+    if counts["failure_events"]:
+        row.update((k, counts[k]) for k in AVAILABILITY)
+    return row
+
+
 def _summary_row(result):
     row = {
         "strategy": result.strategy,
@@ -271,17 +259,7 @@ def _summary_row(result):
         "total_bytes": result.total_bytes,
         "total_msgs": result.stats.total_msgs,
     }
-    if result.failure_events:
-        # Zero-failure tables keep the historic shape; failure runs add
-        # the availability columns.
-        row.update(
-            requests_failed=result.requests_failed,
-            requests_stalled=result.requests_stalled,
-            requests_retried=result.requests_retried,
-            repairs=result.repairs,
-            failure_events=result.failure_events,
-        )
-    return row
+    return _with_availability(row, result.as_dict())
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -337,8 +315,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "nodedown:node=3:at=0.001, none): sweeps the "
                              "xfail experiment over just that spec, applies "
                              "to the trace commands (trace-replay default: "
-                             "the recorded schedule); 'none' is the explicit "
-                             "no-op accepted everywhere")
+                             "the recorded schedule) and to every session "
+                             "loadgen and serve build; 'none' is the "
+                             "explicit no-op accepted everywhere")
     parser.add_argument("--side", type=int, default=4, metavar="N",
                         help="grid side for trace-record (default 4)")
     parser.add_argument("--size", type=int, default=None, metavar="N",
@@ -408,7 +387,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # "none" is a universal no-op (the zero-failure fast path is
             # byte-identical); an actual schedule only drives xfail.
             parser.error("--failures SPEC only applies to the xfail "
-                         "experiment and the trace commands "
+                         "experiment, the trace commands and loadgen/serve "
                          "(--failures none is accepted everywhere)")
 
     results_dir = (

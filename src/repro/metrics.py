@@ -25,15 +25,14 @@ storage cost (``storage_cost``)
     single-copy families (``migratory``, ``handopt``) cost exactly 0.
 
 effective network usage (``effective_network_usage``)
-    Bytes moved on links per useful request (``total_bytes`` over
-    completed reads+writes): how much traffic one request costs on
-    average.  0.0 when no requests ran.
+    Bytes moved on links per read (``total_bytes`` over ``hits +
+    misses``, which count the strategy's reads only): all traffic, the
+    writes' included, charged to the reads.  0.0 when no read ran.
 
 hit rate (``hit_rate``)
-    Reads served from a local copy over all strategy accesses; 0.0 on
-    zero traffic -- the **one** zero-division convention, replacing the
-    two ad-hoc computations the launcher and the serve session used to
-    carry.
+    Reads served from a local copy over all reads; 0.0 on zero traffic
+    -- the **one** zero-division convention, replacing the two ad-hoc
+    computations the launcher and the serve session used to carry.
 
 Everything funnels through :class:`MetricsBundle`:
 :meth:`MetricsBundle.to_row` is the emitter contract -- cells and
@@ -194,7 +193,8 @@ class MetricsBundle:
 
     Constructed once per finished run (from a :class:`~repro.runtime
     .results.RunResult` via its ``metrics`` property, or inside
-    :meth:`~repro.serve.session.ServeSession.close`) and consumed through
+    :meth:`~repro.serve.session.ServeReport.make` for a session and a
+    fleet) and consumed through
     :meth:`to_row` -- the one place the metric columns of a result row
     are defined.
     """
@@ -212,19 +212,21 @@ class MetricsBundle:
 
     @property
     def requests(self) -> int:
-        """Completed strategy accesses (reads + writes)."""
+        """Completed strategy reads (``hits + misses``; writes are not
+        counted)."""
         return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Reads served locally over all accesses; 0.0 on zero traffic
+        """Reads served locally over all reads; 0.0 on zero traffic
         (the unified zero-request convention)."""
         n = self.requests
         return self.hits / n if n else 0.0
 
     @property
     def effective_network_usage(self) -> float:
-        """Bytes moved per useful request; 0.0 on zero traffic."""
+        """Bytes moved (by reads and writes) per read; 0.0 on zero
+        traffic."""
         n = self.requests
         return self.total_bytes / n if n else 0.0
 

@@ -449,7 +449,6 @@ class Runtime:
         # The base DataManagementStrategy guarantees the counters (and
         # NullStrategy inherits them), so no getattr defensiveness here.
         strategy = self.strategy
-        view = self._failview
         lat_pct = latency_percentiles(self._lat)
         return RunResult(
             strategy=strategy.name,
@@ -468,15 +467,35 @@ class Runtime:
             lock_acquisitions=strategy.lock_acquisitions,
             evictions=self.memory.total_evictions,
             barrier_episodes=self.barrier.episodes,
-            requests_failed=view.routes_lost if view is not None else 0,
-            requests_stalled=view.routes_detoured if view is not None else 0,
-            requests_retried=self.requests_retried,
-            repairs=self.repairs,
-            failure_events=view.events_applied if view is not None else 0,
+            **self.availability(),
             extra={"execution": self.execution()},
         )
 
     # -------------------------------------------------------------- failures
+    def availability(self) -> Dict[str, int]:
+        """The availability counters (:data:`~repro.runtime.results.AVAILABILITY`,
+        all zero without a failure schedule): route resolutions that found
+        the pair unreachable or detoured, requests retried after a repair,
+        repaired variables and applied schedule events."""
+        view = self._failview
+        return {
+            "requests_failed": view.routes_lost if view is not None else 0,
+            "requests_stalled": view.routes_detoured if view is not None else 0,
+            "requests_retried": self.requests_retried,
+            "repairs": self.repairs,
+            "failure_events": view.events_applied if view is not None else 0,
+        }
+
+    def note_retry(self, vid: int) -> None:
+        """Count a request to ``vid`` as retried if it is the first since a
+        repair hook fixed the variable.  Both request loops -- the batch
+        one and the serving session's rings -- call it per read and write,
+        bound only under a failure schedule."""
+        repaired = self._repaired_vids
+        if vid in repaired:
+            repaired.discard(vid)
+            self.requests_retried += 1
+
     def _apply_failure(self, event) -> None:
         """Apply one failure-schedule event (scheduled at construction):
         the topology delta first (down sets + fresh route epoch in both
@@ -547,7 +566,7 @@ class Runtime:
         values = self.registry._values
         # Retry accounting (None outside the failure axis: one dead-cheap
         # check per read/write keeps the zero-failure hot path intact).
-        retried = self._repaired_vids if self._failview is not None else None
+        retry = self.note_retry if self._failview is not None else None
 
         def step(p: int) -> None:
             """Resume processor ``p``; run it until it blocks."""
@@ -574,9 +593,8 @@ class Runtime:
                 now = sim.now
                 if cls is ReadReq:
                     var = req.var
-                    if retried is not None and var.vid in retried:
-                        retried.discard(var.vid)
-                        self.requests_retried += 1
+                    if retry is not None:
+                        retry(var.vid)
                     if access is None:
                         res = strategy.read(p, var, now)
                     else:
@@ -603,9 +621,8 @@ class Runtime:
                     continue
                 if cls is WriteReq:
                     var = req.var
-                    if retried is not None and var.vid in retried:
-                        retried.discard(var.vid)
-                        self.requests_retried += 1
+                    if retry is not None:
+                        retry(var.vid)
                     value = None
                     if access is None:
                         done = strategy.write(p, var, req.value, now)

@@ -8,7 +8,13 @@ from typing import Any, Dict, List, Optional
 from ..metrics import MetricsBundle
 from ..network.stats import PhaseStats, StatsSnapshot
 
-__all__ = ["RunResult"]
+__all__ = ["AVAILABILITY", "RunResult"]
+
+#: The availability counters (schema v6), in row order: every batch result
+#: and every serving report carries them (all zero without a failure
+#: schedule); :meth:`repro.runtime.launcher.Runtime.availability` reads them.
+AVAILABILITY = ("requests_failed", "requests_stalled", "requests_retried", "repairs",
+                "failure_events")
 
 
 @dataclass

@@ -6,11 +6,15 @@ serving *out* instead of up: the offered request stream is partitioned
 deterministically across ``workers`` independent engine replicas, each
 running the full session + loadgen stack in its own forked process with
 a derived seed, and the per-worker results are merged into one
-:class:`FleetReport`:
+:class:`FleetReport`.  Its merged view is itself a
+:class:`~repro.serve.session.ServeReport`, derived by the
+:meth:`~repro.serve.session.ServeReport.make` a session's ``close()``
+runs, from merged accounting:
 
-* counters (accepted / rejected / completed / hits / misses) merge by
-  integer addition -- order-exact, so the aggregate is independent of
-  worker scheduling;
+* the :attr:`~repro.serve.session.ServeReport.ADDITIVE` counters
+  (accepted / rejected / completed / hits / misses / evictions / storage
+  cost / the availability counters) merge by addition -- order-exact,
+  so the aggregate is independent of worker scheduling;
 * latency percentiles merge through the
   :class:`~repro.metrics.StreamingQuantiles` sketch (bucket addition):
   the merged percentiles equal a single sketch fed the concatenation of
@@ -43,7 +47,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..metrics import StreamingQuantiles, latency_percentiles
+from ..metrics import StreamingQuantiles
+from ..network.stats import LinkStats
 from .loadgen import run_loadgen
 from .session import ServeReport, ServeSession
 
@@ -81,10 +86,11 @@ class FleetReport:
     """Merged result of a fleet run: per-worker reports plus aggregates.
 
     ``workers`` holds each replica's full :class:`ServeReport` (its shard
-    size, seed, and counters in ``extra``); ``fleet`` is the merged view
-    -- summed counters, sketch-merged percentiles, fleet-wide link
-    aggregates, and ``requests_per_sec`` = total completed / slowest
-    worker wall clock."""
+    size, seed, and counters in ``extra``); ``fleet`` is the merged view,
+    the ``as_dict()`` of one merged :class:`ServeReport` (without
+    ``extra``) plus ``workers``: summed counters, sketch-merged
+    percentiles, fleet-wide link aggregates, and ``requests_per_sec`` =
+    total completed / slowest worker wall clock."""
 
     workers: List[ServeReport]
     fleet: Dict[str, Any] = field(default_factory=dict)
@@ -94,6 +100,18 @@ class FleetReport:
             "fleet": dict(self.fleet),
             "workers": [w.as_dict() for w in self.workers],
         }
+
+
+def _shipped(session: ServeSession, report: ServeReport) -> Dict[str, Any]:
+    """What one closed session contributes to the merge: its report and
+    the picklable state of its traffic and latency sketches."""
+    return {
+        "report": report,
+        "links": session.rt.sim.stats.state(),
+        "lat_sim": session._lat_sim.state(),
+        "lat_wall": session._lat_wall.state(),
+        "topology": session.rt.sim.topology,
+    }
 
 
 def _run_worker(
@@ -106,20 +124,13 @@ def _run_worker(
     shipped back through the queue."""
     try:
         session = make_session()
-        report = run_loadgen(session, **loadgen_opts)
-        out_q.put((index, {
-            "report": report,
-            "links": session.rt.sim.stats.state(),
-            "lat_sim": session._lat_sim.state(),
-            "lat_wall": session._lat_wall.state(),
-            "topology": session.rt.sim.topology,
-        }))
+        out_q.put((index, _shipped(session, run_loadgen(session, **loadgen_opts))))
     except BaseException as exc:  # surfaced by the parent as a fleet error
         out_q.put((index, {"error": repr(exc)}))
         raise
 
 
-def _lat_merge(states: List[Dict[str, Any]]) -> StreamingQuantiles:
+def _lat_merge(states) -> StreamingQuantiles:
     """One merged latency sketch from per-worker sketch states (bucket
     addition)."""
     merged = StreamingQuantiles()
@@ -147,14 +158,7 @@ def run_fleet(
     if workers == 1:
         session = make_session()
         report = run_loadgen(session, requests=requests, seed=seed, **loadgen_opts)
-        fleet = _aggregate(
-            [report],
-            [session.rt.sim.stats.state()],
-            [session._lat_sim.state()],
-            [session._lat_wall.state()],
-            session.rt.sim.topology,
-        )
-        return FleetReport(workers=[report], fleet=fleet)
+        return FleetReport(workers=[report], fleet=_aggregate([_shipped(session, report)]))
 
     shards = split_requests(requests, workers)
     ctx = mp.get_context("fork")
@@ -207,71 +211,29 @@ def run_fleet(
     # fleet JSON is self-describing.
     for i, rep in enumerate(reports):
         rep.extra.update(worker=i, workers=workers, parent_seed=seed)
-    fleet = _aggregate(
-        reports,
-        [r["links"] for r in results],
-        [r["lat_sim"] for r in results],
-        [r["lat_wall"] for r in results],
-        results[0]["topology"],
+    return FleetReport(workers=reports, fleet=_aggregate(results))
+
+
+def _aggregate(results: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The merged fleet view (the ``"fleet"`` half of the report JSON): one
+    :meth:`ServeReport.make` over the summed :attr:`ServeReport.ADDITIVE`
+    counters, the merged sketches and the merged traffic, as a dict (no
+    ``extra``) plus the worker count."""
+    reports = [r["report"] for r in results]
+    links = LinkStats(results[0]["topology"])
+    for r in results:
+        links.merge_state(r["links"])
+    first = reports[0]
+    merged = ServeReport.make(
+        (first.strategy, first.network, first.engine),
+        {k: sum(getattr(rep, k) for rep in reports) for k in ServeReport.ADDITIVE},
+        max(rep.sim_time for rep in reports),
+        max(rep.wall_seconds for rep in reports),
+        _lat_merge(r["lat_sim"] for r in results),
+        _lat_merge(r["lat_wall"] for r in results),
+        links.snapshot(),
     )
-    return FleetReport(workers=reports, fleet=fleet)
-
-
-def _aggregate(
-    reports: List[ServeReport],
-    link_states: List[Dict[str, Any]],
-    lat_sim_states: List[Dict[str, Any]],
-    lat_wall_states: List[Dict[str, Any]],
-    topology,
-) -> Dict[str, Any]:
-    """The merged fleet view (the ``"fleet"`` half of the report JSON);
-    ``topology`` shapes the fleet-wide LinkStats accumulator."""
-    from ..network.stats import LinkStats
-
-    links = LinkStats(topology)
-    for st in link_states:
-        links.merge_state(st)
-    snap = links.snapshot()
-
-    lat_sim = _lat_merge(lat_sim_states)
-    lat_wall = _lat_merge(lat_wall_states)
-    pct = latency_percentiles(lat_sim)
-    wall_pct = latency_percentiles(lat_wall)
-
-    completed = sum(r.requests for r in reports)
-    hits = sum(r.hits for r in reports)
-    misses = sum(r.misses for r in reports)
-    n_acc = hits + misses
-    max_wall = max((r.wall_seconds for r in reports), default=0.0)
-    sim_time = max((r.sim_time for r in reports), default=0.0)
-    return {
-        "workers": len(reports),
-        "strategy": reports[0].strategy if reports else "",
-        "network": reports[0].network if reports else "",
-        "engine": reports[0].engine if reports else "",
-        "requests": completed,
-        "accepted": sum(r.accepted for r in reports),
-        "rejected": sum(r.rejected for r in reports),
-        "created": sum(r.created for r in reports),
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / n_acc if n_acc else 0.0,
-        "evictions": sum(r.evictions for r in reports),
-        "sim_time": sim_time,
-        "wall_seconds": max_wall,
-        "requests_per_sec": completed / max_wall if max_wall > 0 else 0.0,
-        "latency_p50": pct["p50"],
-        "latency_p95": pct["p95"],
-        "latency_p99": pct["p99"],
-        "wall_p50": wall_pct["p50"],
-        "wall_p95": wall_pct["p95"],
-        "wall_p99": wall_pct["p99"],
-        "storage_cost": sum(r.storage_cost for r in reports),
-        "total_bytes": snap.total_bytes,
-        "total_msgs": snap.total_msgs,
-        "congestion_bytes": snap.congestion_bytes,
-        "congestion_msgs": snap.congestion_msgs,
-        "effective_network_usage": (
-            snap.total_bytes / completed if completed else 0.0
-        ),
-    }
+    view = merged.as_dict()
+    del view["extra"]
+    view["workers"] = len(reports)
+    return view

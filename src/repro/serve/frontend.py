@@ -311,13 +311,15 @@ def selfcheck(
     clients: int = 4,
     n_vars: int = 16,
     seed: int = 0,
+    failures=None,
 ) -> Dict[str, Any]:
     """End-to-end exercise over a real socket; returns summary metrics.
 
     Starts a frontend on an ephemeral port, runs ``clients`` concurrent
     TCP clients issuing seeded reads/writes, shuts down, and reports --
     bounded and self-contained, so documentation examples and CI can run
-    ``repro serve --selfcheck`` without hanging.
+    ``repro serve --selfcheck`` without hanging.  ``failures`` is the
+    session's failure-schedule spec (``--failures``).
     """
     import random
 
@@ -344,7 +346,7 @@ def selfcheck(
         return answered
 
     async def main() -> Dict[str, Any]:
-        session = ServeSession(Mesh2D(side, side), strategy, seed=seed)
+        session = ServeSession(Mesh2D(side, side), strategy, seed=seed, failures=failures)
         for vid in range(n_vars):
             session.create(vid % session.n_procs, 256)
         fe = await ServeFrontend(session).start()

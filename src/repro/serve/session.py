@@ -98,8 +98,10 @@ import numpy as np
 from ..core.registry import get_strategy
 from ..metrics import MetricsBundle, StreamingQuantiles, latency_percentiles
 from ..network.machine import GCEL, MachineModel
+from ..network.stats import StatsSnapshot
 from ..network.topology import Topology
 from ..runtime.launcher import Runtime, late_completion
+from ..runtime.results import AVAILABILITY
 from ..workloads.trace import Trace, TraceRecorder
 
 __all__ = ["QueueFull", "ServeReport", "ServeSession"]
@@ -137,12 +139,17 @@ class QueueFull(RuntimeError):
 
 @dataclass
 class ServeReport:
-    """Final metrics of one serving session (``as_dict`` for JSON).
+    """Final metrics of one serving session, or of a fleet's merged
+    sessions (``as_dict`` for JSON).
 
-    The metric-suite fields (latency percentiles, ``hit_rate``,
+    :meth:`make` derives every field from raw accounting, for a session's
+    :meth:`ServeSession.close` and the fleet's merge alike.  The
+    metric-suite fields (latency percentiles, ``hit_rate``,
     ``evictions``, ``storage_cost``, ``effective_network_usage``) come
     from one :class:`~repro.metrics.MetricsBundle`, so a serving report
-    and a batch result row speak the same schema-v7 vocabulary."""
+    and a batch result row speak the same schema-v7 vocabulary, and the
+    availability counters (``requests_failed`` ... ``failure_events``,
+    all zero without a failure schedule) are the batch row's too."""
 
     strategy: str
     network: str
@@ -171,7 +178,46 @@ class ServeReport:
     total_msgs: int
     congestion_bytes: float
     congestion_msgs: int
+    requests_failed: int    # availability counters (AVAILABILITY)
+    requests_stalled: int
+    requests_retried: int
+    repairs: int
+    failure_events: int
     extra: Dict[str, Any] = field(default_factory=dict)
+
+    #: The fields that merge by addition across sessions: the raw
+    #: counters :meth:`make` takes.
+    ADDITIVE = ("requests", "accepted", "rejected", "created", "hits", "misses",
+                "evictions", "storage_cost", *AVAILABILITY)
+
+    @classmethod
+    def make(cls, head: Tuple[str, str, str], counts: Dict[str, Any], sim_time: float,
+             wall_seconds: float, lat_sim: StreamingQuantiles, lat_wall: StreamingQuantiles,
+             links: StatsSnapshot, extra: Optional[Dict[str, Any]] = None) -> "ServeReport":
+        """The one derivation of a report: ``head`` is ``(strategy,
+        network, engine)``, ``counts`` the :attr:`ADDITIVE` fields,
+        ``lat_sim`` / ``lat_wall`` the simulated and wall latency sketches
+        and ``links`` the traffic snapshot; rates, percentiles, the metric
+        suite and traffic totals are computed here."""
+        strategy, network, engine = head
+        bundle = MetricsBundle.from_run(
+            hits=counts["hits"], misses=counts["misses"], evictions=counts["evictions"],
+            total_bytes=links.total_bytes, latencies=lat_sim,
+            storage_cost=counts["storage_cost"],
+        )
+        wall = latency_percentiles(lat_wall)
+        n = counts["requests"]
+        return cls(
+            strategy=strategy, network=network, engine=engine,
+            sim_time=sim_time, wall_seconds=wall_seconds,
+            requests_per_sec=n / wall_seconds if wall_seconds > 0 else 0.0,
+            sim_requests_per_sec=n / sim_time if sim_time > 0 else 0.0,
+            wall_p50=wall["p50"], wall_p95=wall["p95"], wall_p99=wall["p99"],
+            total_bytes=links.total_bytes, total_msgs=links.total_msgs,
+            congestion_bytes=links.congestion_bytes, congestion_msgs=links.congestion_msgs,
+            extra={} if extra is None else extra,
+            **{**counts, **bundle.to_row()},
+        )
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -254,6 +300,9 @@ class ServeSession:
         self._state = bytearray(n)
         self._cur: list = [None] * n
         self._done: list = []
+        # Retry accounting, as in the batch loop: bound only under a
+        # failure schedule (which always refuses the kernel's rings).
+        self._retry = self.rt.note_retry if self.rt._failview is not None else None
         self._next_id = 0
         self._sim_end = 0.0       # max completion time seen
         self._rec_batches: list = []     # retained completion records
@@ -350,6 +399,7 @@ class ServeSession:
         ring = self._rings[p]
         strategy = rt.strategy
         registry = rt.registry
+        retry = self._retry
         while ring:
             rec = ring[0]
             if rec[5] > now:
@@ -357,6 +407,8 @@ class ServeSession:
                 state[p] = 1
                 return
             ring.popleft()
+            if retry is not None:
+                retry(rec[1])
             var = registry.by_id(rec[1])
             # initiation: a write stores its value, a read takes the
             # current one
@@ -641,7 +693,8 @@ class ServeSession:
 
     def snapshot(self) -> Dict[str, Any]:
         """Live metrics without stalling the loop: counters, hit rate,
-        kernel-aware message totals and latency percentiles so far."""
+        kernel-aware message totals, the availability counters and latency
+        percentiles so far."""
         strat = self.rt.strategy
         hits, misses = strat.hits, strat.misses
         snap = {
@@ -656,6 +709,7 @@ class ServeSession:
             "misses": misses,
             "hit_rate": MetricsBundle(hits=hits, misses=misses).hit_rate,
             "total_msgs": self.rt.sim.stats.total_msgs,
+            **self.rt.availability(),
             "dispatch": self._dispatch_info(),
         }
         for k, v in latency_percentiles(self._lat_sim).items():
@@ -678,50 +732,17 @@ class ServeSession:
             rt.release_mirror()
         end = self._sim_end
         self._closed = True
-        wall_end = time.perf_counter()
-        wall = wall_end - self._wall_start if self._wall_start is not None else 0.0
-        stats = rt.sim.stats
+        wall = time.perf_counter() - self._wall_start if self._wall_start is not None else 0.0
         strat = rt.strategy
         # The serving latency sample is arrival -> completion (queueing
-        # included), so the bundle is built from the session's own buffer;
-        # everything else is the shared metric-suite accounting.
-        bundle = MetricsBundle.from_run(
-            hits=strat.hits,
-            misses=strat.misses,
-            evictions=rt.memory.total_evictions,
-            total_bytes=stats.total_bytes,
-            latencies=self._lat_sim,
-            storage_cost=strat.storage_cost(end),
-        )
-        wall_pct = latency_percentiles(self._lat_wall)
-        self._report = ServeReport(
-            strategy=strat.name,
-            network=rt.sim.topology.label,
-            engine="ckern" if rt.sim._h is not None else "pure",
-            requests=self.completed,
-            accepted=self.accepted,
-            rejected=self.rejected,
-            created=self.created,
-            sim_time=end,
-            wall_seconds=wall,
-            requests_per_sec=self.completed / wall if wall > 0 else 0.0,
-            sim_requests_per_sec=self.completed / end if end > 0 else 0.0,
-            latency_p50=bundle.latency_p50,
-            latency_p95=bundle.latency_p95,
-            latency_p99=bundle.latency_p99,
-            wall_p50=wall_pct["p50"],
-            wall_p95=wall_pct["p95"],
-            wall_p99=wall_pct["p99"],
-            hits=bundle.hits,
-            misses=bundle.misses,
-            hit_rate=bundle.hit_rate,
-            evictions=bundle.evictions,
-            storage_cost=bundle.storage_cost,
-            effective_network_usage=bundle.effective_network_usage,
-            total_bytes=stats.total_bytes,
-            total_msgs=stats.total_msgs,
-            congestion_bytes=stats.congestion_bytes,
-            congestion_msgs=stats.congestion_msgs,
+        # included): the session's own sketch.
+        self._report = ServeReport.make(
+            (strat.name, rt.sim.topology.label, rt.execution()["engine"]),
+            dict(requests=self.completed, accepted=self.accepted, rejected=self.rejected,
+                 created=self.created, hits=strat.hits, misses=strat.misses,
+                 evictions=rt.memory.total_evictions, storage_cost=strat.storage_cost(end),
+                 **rt.availability()),
+            end, wall, self._lat_sim, self._lat_wall, rt.sim.stats.snapshot(),
             extra={"dispatch": self._dispatch_info()},
         )
         return self._report

@@ -14,7 +14,7 @@ import pytest
 from repro.metrics import StreamingQuantiles, latency_percentiles
 from repro.network.mesh import Mesh2D
 from repro.network.stats import LinkStats
-from repro.serve import ServeSession, run_fleet, run_loadgen
+from repro.serve import ServeReport, ServeSession, run_fleet, run_loadgen
 from repro.serve.fleet import spawn_seed, split_requests
 
 PARAMS = {"n_vars": 16, "alpha": 0.9, "read_frac": 0.9}
@@ -69,6 +69,9 @@ class TestWorkersOne:
             direct.as_dict())
 
     def test_fleet_view_matches_single_report(self):
+        """One worker's merged view is its report: every key the two share
+        is equal (the derived ones -- rates, hit rate, effective network
+        usage -- included), and the view adds only ``workers``."""
         fleet = run_fleet(make_session, workers=1, requests=2000, seed=7,
                           **OPTS)
         rep = fleet.workers[0]
@@ -81,6 +84,11 @@ class TestWorkersOne:
         assert f["latency_p99"] == pytest.approx(rep.latency_p99)
         assert f["total_msgs"] == rep.total_msgs
         assert f["total_bytes"] == pytest.approx(rep.total_bytes)
+        single = rep.as_dict()
+        for key in sorted(set(f) & set(single)):
+            assert f[key] == single[key], key
+        assert set(f) - set(single) == {"workers"}
+        assert set(single) - set(f) == {"extra"}
 
 
 class TestFleetMerge:
@@ -138,6 +146,16 @@ class TestFleetMerge:
         assert f["hit_rate"] == pytest.approx(
             f["hits"] / (f["hits"] + f["misses"]))
         assert f["sim_time"] == max(r.sim_time for r in fleet.workers)
+
+    def test_the_view_is_a_merged_serve_report(self, fleet):
+        """Every additive field is the workers' sum, and the derived ones
+        follow from the merged counters as a session's report does."""
+        f = fleet.fleet
+        for key in ServeReport.ADDITIVE:
+            assert f[key] == sum(getattr(r, key) for r in fleet.workers), key
+        assert f["effective_network_usage"] == f["total_bytes"] / (f["hits"] + f["misses"])
+        assert f["sim_requests_per_sec"] == f["requests"] / f["sim_time"]
+        assert f["requests_per_sec"] == f["requests"] / f["wall_seconds"]
 
     def test_merged_percentiles_equal_concatenated_samples(
             self, fleet, shard_runs):

@@ -240,3 +240,31 @@ def test_a_failure_schedule_serves_identically_on_both_engines(monkeypatch, stra
     monkeypatch.setattr(Simulator, "force_pure", True)
     pure, _ = run()
     assert fields == pure
+
+
+@pytest.mark.parametrize("engine", ["ckern", "pure"])
+@pytest.mark.parametrize("strategy", ["4-ary", "fixed-home"])
+@pytest.mark.parametrize("failures", ["churn:nodes=0.2:seed=3:horizon=0.01",
+                                      "linkflap:rate=0.2:seed=3:horizon=0.01"])
+def test_served_availability_equals_the_batch_replays(monkeypatch, engine, strategy, failures):
+    """A served run reports the availability counters a batch run does:
+    replaying its trace under the same schedule counts the same route
+    failures and detours, repairs, applied events and retried requests
+    (the session's rings count retries through ``Runtime.note_retry``,
+    as the batch loop does); ``snapshot()`` carries the same counters."""
+    from repro.runtime.results import AVAILABILITY
+
+    if engine == "pure":
+        monkeypatch.setattr(Simulator, "force_pure", True)
+    sess = ServeSession(Mesh2D(4, 4), strategy, seed=0, failures=failures)
+    report = run_loadgen(sess, rate=20000.0, requests=400)
+    assert report.requests == 400
+    res = replay(sess.trace(), failures=failures)
+    served = {k: getattr(report, k) for k in (*AVAILABILITY, "hits", "misses", "total_msgs")}
+    batch = {k: getattr(res, k) for k in (*AVAILABILITY, "hits", "misses")}
+    batch["total_msgs"] = res.stats.total_msgs
+    assert served == batch
+    assert {k: sess.snapshot()[k] for k in AVAILABILITY} == {k: served[k] for k in AVAILABILITY}
+    assert report.failure_events > 0
+    if failures.startswith("churn"):
+        assert report.repairs > 0 and report.requests_retried > 0

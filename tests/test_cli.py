@@ -340,6 +340,45 @@ class TestFailuresCli:
                      "--trace", str(tmp_path / "t.trace.gz")]) == 2
         assert "has no parameter 'wat'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["loadgen"], ["serve"], ["serve", "--selfcheck"]])
+    def test_serve_commands_reject_a_malformed_spec(self, command, capsys):
+        assert main([*command, "--failures", "bogus"]) == 2
+        assert "unknown failure model" in capsys.readouterr().err
+
+    CHURN = "churn:nodes=0.2:seed=3:horizon=0.01"
+
+    def test_loadgen_serves_under_the_schedule(self, _isolated_results_dir, capsys):
+        """loadgen passes --failures to its session: the schedule applies,
+        the session's rings serve, and the report and table carry the
+        availability counters."""
+        assert main(["loadgen", "--failures", self.CHURN, "--requests", "600",
+                     "--rate", "20000", "--json"]) == 0
+        out = capsys.readouterr().out
+        rep = json.loads((_isolated_results_dir / "SERVE_loadgen.json").read_text())
+        assert rep["requests"] == 600
+        assert rep["failure_events"] > 0 and rep["repairs"] > 0
+        dispatch = rep["extra"]["dispatch"]
+        assert dispatch["mode"] == "classic"
+        assert "failure schedule" in dispatch["reason"] or "no C kernel" in dispatch["reason"]
+        for col in self.AVAILABILITY_COLUMNS:
+            assert col in out
+
+    def test_loadgen_fleet_workers_serve_under_the_schedule(self, _isolated_results_dir,
+                                                            capsys):
+        assert main(["loadgen", "--failures", self.CHURN, "--requests", "600",
+                     "--rate", "20000", "--workers", "2", "--json"]) == 0
+        rep = json.loads((_isolated_results_dir / "SERVE_loadgen.json").read_text())
+        fleet, workers = rep["fleet"], rep["workers"]
+        assert all(w["failure_events"] > 0 for w in workers)
+        for col in self.AVAILABILITY_COLUMNS:
+            assert fleet[col] == sum(w[col] for w in workers), col
+
+    def test_selfcheck_serves_under_the_schedule(self, capsys):
+        assert main(["serve", "--selfcheck", "--failures", self.CHURN]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["answered"] == out["requests"] == 200
+        assert out["dispatch"]["mode"] == "classic"
+
     def test_xfail_single_spec_override(self, _isolated_results_dir, capsys):
         """--failures SPEC narrows the xfail sweep to that one schedule."""
         spec = "nodedown:node=3:at=0.002"
