@@ -70,12 +70,18 @@ def _serve_main(args: argparse.Namespace) -> int:
     from .core.registry import parse_strategy_spec
     from .network.failures import parse_failure_spec
     from .network.topology import make_topology
+    from .serve import ServeSession, get_arrival, run_fleet, run_loadgen
 
     strategy = args.strategy or "4-ary"
     try:
         parse_strategy_spec(strategy)
         if args.failures is not None:
             parse_failure_spec(args.failures)
+        if args.max_queue < 1 or args.max_inflight < 1:
+            raise ValueError("--max-queue and --max-inflight must be >= 1")
+        if args.experiment == "loadgen":
+            get_arrival(args.arrival)
+        topo = make_topology(args.topology or "mesh", args.side)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -83,15 +89,11 @@ def _serve_main(args: argparse.Namespace) -> int:
                         max_inflight=args.max_inflight, failures=args.failures)
 
     if args.experiment == "serve":
-        from .serve import ServeSession
         from .serve.frontend import selfcheck, serve_forever
 
         if args.selfcheck:
-            out = selfcheck(side=args.side, strategy=strategy, seed=args.seed,
-                            failures=args.failures)
-            print(json.dumps(out))
+            print(json.dumps(selfcheck(topo, strategy, **session_opts)))
             return 0
-        topo = make_topology(args.topology or "mesh", args.side)
         # Nothing reads a long-running server's trace: recording it would
         # grow by one op per request, forever.
         session = ServeSession(topo, strategy, record=False, **session_opts)
@@ -99,13 +101,7 @@ def _serve_main(args: argparse.Namespace) -> int:
         return 0
 
     from .analysis.tables import format_table
-    from .serve import ServeSession, get_arrival, run_fleet, run_loadgen
 
-    try:
-        get_arrival(args.arrival)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.requests < 1 or args.rate <= 0:
         print("error: --requests must be >= 1 and --rate > 0", file=sys.stderr)
         return 2
@@ -116,7 +112,6 @@ def _serve_main(args: argparse.Namespace) -> int:
         print("error: --trace needs a single session (--workers 1)",
               file=sys.stderr)
         return 2
-    topo = make_topology(args.topology or "mesh", args.side)
 
     def make_session():
         return ServeSession(topo, strategy, **session_opts)
@@ -319,7 +314,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "loadgen and serve build; 'none' is the "
                              "explicit no-op accepted everywhere")
     parser.add_argument("--side", type=int, default=4, metavar="N",
-                        help="grid side for trace-record (default 4)")
+                        help="grid side for trace-record and the serve commands (default 4)")
     parser.add_argument("--size", type=int, default=None, metavar="N",
                         help="workload size for trace-record (its size "
                              "parameter, e.g. keys/ops)")

@@ -304,34 +304,31 @@ def serve_forever(
 
 
 def selfcheck(
-    side: int = 4,
+    topology,
     strategy: str = "4-ary",
     *,
     requests: int = 200,
     clients: int = 4,
     n_vars: int = 16,
     seed: int = 0,
-    failures=None,
+    **session_opts,
 ) -> Dict[str, Any]:
     """End-to-end exercise over a real socket; returns summary metrics.
 
-    Starts a frontend on an ephemeral port, runs ``clients`` concurrent
-    TCP clients issuing seeded reads/writes, shuts down, and reports --
-    bounded and self-contained, so documentation examples and CI can run
-    ``repro serve --selfcheck`` without hanging.  ``failures`` is the
-    session's failure-schedule spec (``--failures``).
+    Starts a frontend over a session on ``topology`` (``session_opts``:
+    ``max_queue``, ``max_inflight``, ``failures``) on an ephemeral port,
+    runs ``clients`` concurrent seeded TCP clients, shuts down, and
+    reports -- bounded, so docs and CI can run ``repro serve --selfcheck``.
     """
     import random
 
-    from ..network.mesh import Mesh2D
-
-    async def client(port: int, rank: int, count: int) -> int:
+    async def client(port: int, rank: int, count: int, n_procs: int) -> int:
         rng = random.Random(seed * 1000003 + rank)
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         answered = 0
         for i in range(count):
             op = "read" if rng.random() < 0.8 else "write"
-            req = {"op": op, "proc": rng.randrange(side * side),
+            req = {"op": op, "proc": rng.randrange(n_procs),
                    "vid": rng.randrange(n_vars), "id": i}
             if op == "write":
                 req["value"] = i
@@ -346,18 +343,19 @@ def selfcheck(
         return answered
 
     async def main() -> Dict[str, Any]:
-        session = ServeSession(Mesh2D(side, side), strategy, seed=seed, failures=failures)
+        session = ServeSession(topology, strategy, seed=seed, **session_opts)
         for vid in range(n_vars):
             session.create(vid % session.n_procs, 256)
         fe = await ServeFrontend(session).start()
         per = requests // clients
         answered = sum(await asyncio.gather(
-            *(client(fe.port, r, per) for r in range(clients))
+            *(client(fe.port, r, per, session.n_procs) for r in range(clients))
         ))
         await fe.aclose()
         rep = session.close()
         return {
             "selfcheck": "ok",
+            "network": rep.network,
             "clients": clients,
             "answered": answered,
             "requests": rep.requests,

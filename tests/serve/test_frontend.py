@@ -13,7 +13,7 @@ from repro.sim import _ckern
 
 class TestSelfcheck:
     def test_selfcheck_answers_every_request(self):
-        out = selfcheck(side=4, requests=120, clients=3, n_vars=8, seed=0)
+        out = selfcheck(Mesh2D(4, 4), requests=120, clients=3, n_vars=8, seed=0)
         assert out["selfcheck"] == "ok"
         assert out["answered"] == 120
         assert out["requests"] + out["rejected"] >= 120

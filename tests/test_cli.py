@@ -1,6 +1,7 @@
 """CLI tests (python -m repro)."""
 
 import json
+import socket
 
 import pytest
 
@@ -303,6 +304,32 @@ class TestTraceCli:
             assert get_spec(name).title(
                 spec.make_params("quick", "matmul"), "quick", "matmul"
             ) in out
+
+
+class TestServeCli:
+    """serve and loadgen build their topology once, from the same flags,
+    and reject a bad one (or a bad window) before any session or socket."""
+
+    BAD = (["--topology", "hypercube", "--side", "3"], ["--side", "0"],
+           ["--max-queue", "0"], ["--max-inflight", "0"])
+
+    @pytest.mark.parametrize("flags", BAD, ids=" ".join)
+    @pytest.mark.parametrize("command", [["loadgen"], ["serve"], ["serve", "--selfcheck"]],
+                             ids=" ".join)
+    def test_bad_flag_exits_2_before_binding(self, command, flags, capsys, monkeypatch):
+        def no_bind(sock, address):
+            raise AssertionError(f"bound {address} despite a bad flag")
+
+        monkeypatch.setattr(socket.socket, "bind", no_bind)
+        assert main([*command, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_selfcheck_serves_the_topology_it_was_given(self, capsys):
+        assert main(["serve", "--selfcheck", "--topology", "hypercube", "--side", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["answered"] == out["requests"] == 200
+        assert out["network"].startswith("hypercube")
 
 
 class TestFailuresCli:
