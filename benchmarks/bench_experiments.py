@@ -22,8 +22,6 @@ experiment nobody makes an ordering claim about is listed in
     REPRO_SCALE=quick python -m pytest benchmarks/bench_experiments.py -q
 """
 
-import os
-
 import pytest
 
 from repro.analysis import PAPER, format_table
@@ -33,11 +31,12 @@ from repro.exp import (
     default_cache_dir,
     default_results_dir,
     get_spec,
+    resolve_scale,
     run_experiment,
     write_json,
 )
 
-SCALE = os.environ.get("REPRO_SCALE", "default")
+SCALE = resolve_scale()
 
 #: The paper's strategy orderings (congestion offsets, ratio growth) only
 #: separate once the runs are big enough: quick runs assert the
@@ -390,7 +389,7 @@ def test_experiment_shape(name, workload):
     text = format_table(run.rows, columns, title=run.title)
     print()
     print(text)
-    stem = default_results_dir() / f"{run.file_stem}.{run.scale_label}"
+    stem = default_results_dir() / f"{run.file_stem}.{run.scale}"
     write_json(stem.with_name(stem.name + ".bench.json"),  # creates the directory
                {**run.payload(), "columns": columns})
     stem.with_name(stem.name + ".txt").write_text(text + "\n")

@@ -54,9 +54,11 @@ from .exp import (
     ResultCache,
     default_results_dir,
     get_spec,
+    resolve_scale,
     run_experiment,
 )
 from .network import TOPOLOGY_KINDS
+from .network.topology import make_topology_nodes
 
 _TRACE_COMMANDS = ("trace-record", "trace-replay")
 _SERVE_COMMANDS = ("serve", "loadgen")
@@ -173,39 +175,43 @@ def _trace_main(args: argparse.Namespace) -> int:
     machinery is not needed for figure regeneration)."""
     from .analysis.tables import format_table
     from .core.registry import parse_strategy_spec
+    from .network.failures import parse_failure_spec
     from .network.topology import make_topology
     from .workloads import get_workload, record, replay
-    from .workloads.trace import Trace
+    from .workloads.trace import Trace, retarget_topology
 
     if args.trace is None:
         print("error: --trace PATH is required for trace commands", file=sys.stderr)
         return 2
-    if args.strategy is not None:
-        try:
+    try:
+        if args.strategy is not None:
             # Any registry spec works ("dynrep:threshold=3", "tree:4-8");
             # reject malformed ones before running anything.
             parse_strategy_spec(args.strategy)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.failures is not None:
-        from .network.failures import parse_failure_spec
-
-        try:
+        if args.failures is not None:
             parse_failure_spec(args.failures)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        if args.experiment == "trace-record":
+            wl = get_workload(args.workload)
+            topo = make_topology(args.topology or "mesh", args.side)
+            params = None
+            if args.size is not None:
+                if wl.size_param is None:
+                    raise ValueError(f"workload {wl.name!r} has no size parameter")
+                params = {wl.size_param: args.size}
+        else:
+            try:
+                trace = Trace.load(args.trace)
+            except (OSError, EOFError, ValueError, KeyError, TypeError,
+                    AttributeError) as exc:  # a missing, truncated or foreign file
+                raise ValueError(f"cannot read trace {args.trace}: {exc!r}") from None
+            topo = None
+            if args.topology is not None:
+                topo = retarget_topology(trace.header["topology"], args.topology)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.experiment == "trace-record":
-        wl = get_workload(args.workload)
-        topo = make_topology(args.topology or "mesh", args.side)
-        params = None
-        if args.size is not None:
-            if wl.size_param is None:
-                print(f"error: workload {wl.name!r} has no size parameter", file=sys.stderr)
-                return 2
-            params = {wl.size_param: args.size}
         result, trace = record(
             wl, topo, args.strategy or "4-ary", seed=args.seed, params=params,
             path=args.trace, failures=args.failures,
@@ -214,21 +220,10 @@ def _trace_main(args: argparse.Namespace) -> int:
         print(f"recorded {wl.name} on {topo.label} under {result.strategy}: "
               f"{n_ops} ops, {len(trace.creates())} variables -> {args.trace}",
               file=sys.stderr)
-        rows = [_summary_row(result)]
     else:
-        from .workloads.trace import retarget_topology
-
-        trace = Trace.load(args.trace)
-        topo = None
-        if args.topology is not None:
-            try:
-                topo = retarget_topology(trace.header["topology"], args.topology)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
         result = replay(trace, topology=topo, strategy=args.strategy,
                         failures=args.failures)
-        rows = [_summary_row(result)]
+    rows = [_summary_row(result)]
     print(format_table(rows, list(rows[0]), title=args.experiment))
     return 0
 
@@ -356,6 +351,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _serve_main(args)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    try:
+        scale = resolve_scale(args.scale)
+    except ValueError as exc:
+        parser.error(str(exc))
     topology = args.topology or "mesh"
     param_overrides = None
     if args.nodes is not None:
@@ -365,8 +364,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             nodes = tuple(int(tok) for tok in args.nodes.split(","))
         except ValueError:
             parser.error(f"--nodes expects comma-separated integers, got {args.nodes!r}")
-        if not nodes or any(n < 2 for n in nodes):
-            parser.error("--nodes values must be >= 2")
+        try:
+            for n in nodes:
+                # The cheapest topology to build enforces the node-count rule.
+                make_topology_nodes("hypercube", n)
+        except ValueError as exc:
+            parser.error(f"--nodes: {exc}")
         param_overrides = {"nodes": nodes}
     if args.failures is not None:
         from .network.failures import parse_failure_spec
@@ -400,7 +403,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if topology != "mesh" and not spec.uses_topology:
             why = (
                 "sweeps its topologies internally"
-                if "topologies" in spec.params_for(args.scale, args.workload)
+                if "topologies" in spec.params_for(scale, args.workload)
                 else "experiment is mesh-bound"
             )
             print(
@@ -409,7 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         try:
             run = run_experiment(
-                name, scale=args.scale, workload=args.workload, jobs=args.jobs,
+                name, scale=scale, workload=args.workload, jobs=args.jobs,
                 cache=cache, topology=topology, param_overrides=param_overrides,
             )
         except ValueError as exc:

@@ -21,16 +21,11 @@ baseline with the strategies so the rows can carry ratios, and
 :func:`barneshut_cell` / :func:`barneshut_scaling_cell` carry the
 per-phase breakdown Figures 9-11 derive from.
 
-Scaling: :func:`scale_params` resolves the ``REPRO_SCALE`` environment
-variable (``quick`` / ``default`` / ``paper``) into the per-figure
-parameter sets, where ``paper`` is the paper's exact configuration
-(Barnes-Hut at paper scale runs for hours in pure Python -- documented in
-EXPERIMENTS.md).
+The sizes each figure runs at, per scale, live on its registry spec.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.registry import get_strategy, parse_strategy_spec
@@ -42,7 +37,6 @@ from ..runtime.results import RunResult
 from ..workloads import get_workload
 
 __all__ = [
-    "scale_params",
     # cell functions (the repro.exp orchestrator's unit of work)
     "workload_cell",
     "fig2_cell",
@@ -56,147 +50,6 @@ __all__ = [
 ]
 
 Row = Dict[str, object]
-
-
-def scale_params(figure: str, scale: Optional[str] = None) -> Dict[str, object]:
-    """Per-figure parameters for ``quick`` (tests), ``default`` (benches)
-    and ``paper`` (the paper's exact sizes)."""
-    if scale is None:
-        scale = os.environ.get("REPRO_SCALE", "default")
-    if scale not in ("quick", "default", "paper"):
-        raise ValueError(f"REPRO_SCALE must be quick/default/paper, got {scale!r}")
-    table: Dict[str, Dict[str, Dict[str, object]]] = {
-        "fig2": {
-            "quick": dict(side=4, block_entries=256),
-            "default": dict(side=16, block_entries=1024),
-            "paper": dict(side=16, block_entries=4096),
-        },
-        "fig3": {
-            "quick": dict(side=8, blocks=(64, 256)),
-            "default": dict(side=16, blocks=(64, 256, 1024)),
-            "paper": dict(side=16, blocks=(64, 256, 1024, 4096)),
-        },
-        "fig4": {
-            "quick": dict(sides=(4, 8), block_entries=256),
-            "default": dict(sides=(4, 8, 16), block_entries=1024),
-            "paper": dict(sides=(4, 8, 16, 32), block_entries=4096),
-        },
-        "fig6": {
-            "quick": dict(side=8, keys=(256, 1024)),
-            "default": dict(side=16, keys=(256, 1024, 4096)),
-            "paper": dict(side=16, keys=(256, 1024, 4096, 16384)),
-        },
-        "fig7": {
-            "quick": dict(sides=(4, 8), keys=1024),
-            "default": dict(sides=(4, 8, 16), keys=4096),
-            "paper": dict(sides=(4, 8, 16, 32), keys=4096),
-        },
-        "fig8": {
-            "quick": dict(side=4, bodies=(128, 256), steps=2, warm=1),
-            "default": dict(side=8, bodies=(400, 800, 1200), steps=3, warm=1),
-            "paper": dict(
-                side=16,
-                bodies=(10000, 20000, 30000, 40000, 50000, 60000),
-                steps=7,
-                warm=2,
-            ),
-        },
-        # Cross-topology experiments: the node count is pinned at 256 (the
-        # paper's machine scale: mesh/torus 16x16, hypercube dim 8) at
-        # every scale so topology comparisons never degrade to toy sizes;
-        # only the per-processor load varies.
-        "xtopo": {
-            "quick": dict(side=16, keys=64),
-            "default": dict(side=16, keys=256),
-            "paper": dict(side=16, keys=4096),
-        },
-        # Cross-workload experiments (synthetic kernels): the node count
-        # is pinned at 64 (mesh/torus 8x8, hypercube dim 6) so the three
-        # topology families stay comparable at every scale; only the
-        # per-processor operation count grows.
-        "xwork": {
-            "quick": dict(side=8, ops=16),
-            "default": dict(side=8, ops=64),
-            "paper": dict(side=8, ops=256),
-        },
-        # Cross-strategy experiment: every registered strategy family on
-        # the paper apps and the zipf kernel, topologies swept internally
-        # at a pinned 64 nodes (mesh/torus 8x8, hypercube dim 6); --scale
-        # grows only the per-processor load.
-        "xstrat": {
-            "quick": dict(side=8, ops=16, keys=32, block=64),
-            "default": dict(side=8, ops=64, keys=256, block=256),
-            "paper": dict(side=8, ops=256, keys=1024, block=1024),
-        },
-        # Capacity-pressure sweep: per-processor copy capacity (in copies
-        # of the zipf payload) from unbounded down to severe pressure --
-        # the generalization of the paper's Figure 8 replacement kink.
-        "xcap": {
-            "quick": dict(side=8, ops=16, capacities=(None, 8, 2)),
-            "default": dict(side=8, ops=64, capacities=(None, 16, 8, 4, 2)),
-            "paper": dict(side=8, ops=256, capacities=(None, 16, 8, 4, 2)),
-        },
-        # Failure-axis sweep: failure rate x strategy family x topology on
-        # the zipf kernel at a pinned 64 nodes.  Horizons are tuned to the
-        # measured zipf virtual end time per scale (quick ~0.11-0.14 s,
-        # default ~0.38-0.64 s) so the events land inside the run; every
-        # spec pins its seed for cacheable, reproducible schedules.
-        "xfail": {
-            "quick": dict(side=8, ops=16, failures=(
-                "none",
-                "linkflap:rate=0.05:seed=7:horizon=0.05:down=0.5",
-                "churn:nodes=0.05:seed=7:horizon=0.05",
-            )),
-            "default": dict(side=8, ops=64, failures=(
-                "none",
-                "linkflap:rate=0.02:seed=7:horizon=0.2:down=0.5",
-                "linkflap:rate=0.05:seed=7:horizon=0.2:down=0.5",
-                "churn:nodes=0.05:seed=7:horizon=0.2",
-                "churn:nodes=0.1:seed=7:horizon=0.2",
-            )),
-            "paper": dict(side=8, ops=256, failures=(
-                "none",
-                "linkflap:rate=0.02:seed=7:horizon=0.8:down=0.5",
-                "linkflap:rate=0.05:seed=7:horizon=0.8:down=0.5",
-                "churn:nodes=0.05:seed=7:horizon=0.8",
-                "churn:nodes=0.1:seed=7:horizon=0.8",
-            )),
-        },
-        # Adaptation axis: the hotspot-drift kernel (zipf head rotating
-        # mid-run) x strategy family x topology at a pinned 64 nodes;
-        # --scale grows the per-processor load and the drift-rate sweep.
-        "xadapt": {
-            "quick": dict(side=8, ops=16, drifts=(0, 2)),
-            "default": dict(side=8, ops=64, drifts=(0, 2, 5)),
-            "paper": dict(side=8, ops=256, drifts=(0, 2, 5, 10)),
-        },
-        # Scale-axis experiment: thousands of nodes (the regime where the
-        # paper's asymptotic congestion guarantee is supposed to bite),
-        # reachable since the engine hot-path overhaul.  Quick keeps one
-        # large machine for smoke coverage; default/paper sweep the full
-        # axis with growing per-processor load.  Paper extends past the
-        # dense-table limit (2^14) now that routing is algebraic there;
-        # the 2^17 point is nightly-only via --nodes
-        # (see EXPERIMENTS.md "Memory ceiling").
-        "xscale": {
-            "quick": dict(nodes=(1024,), ops=4),
-            "default": dict(nodes=(1024, 2048, 4096), ops=16),
-            "paper": dict(nodes=(1024, 2048, 4096, 16384), ops=64),
-        },
-        "fig11": {
-            "quick": dict(meshes=((2, 4), (4, 4)), bodies_per_proc=24, steps=2, warm=1),
-            "default": dict(
-                meshes=((4, 4), (4, 8), (8, 8)), bodies_per_proc=50, steps=3, warm=1
-            ),
-            "paper": dict(
-                meshes=((8, 8), (8, 16), (16, 16), (16, 32)),
-                bodies_per_proc=200,
-                steps=7,
-                warm=2,
-            ),
-        },
-    }
-    return dict(table[figure][scale])
 
 
 # --------------------------------------------------------------------- fig 2

@@ -87,7 +87,6 @@ class AccessTreeStrategy(DataManagementStrategy):
     ):
         stride, terminal = parse_arity(arity)
         self.topology = topology
-        self.mesh = topology  # historic alias
         self.tree: DecompositionTree = build_tree(topology, stride=stride, terminal=terminal)
         # The embedding memo is shared across runs (hosts are pure in
         # (seed, vid, node)) unless remapping may mutate placements.

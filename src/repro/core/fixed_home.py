@@ -57,7 +57,6 @@ class FixedHomeStrategy(DataManagementStrategy):
 
     def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
-        self.mesh = topology  # historic alias
         self.seed = seed
         self._states: Dict[int, _VarState] = {}
 

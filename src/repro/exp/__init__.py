@@ -6,8 +6,9 @@ into data:
 
 * :mod:`repro.exp.spec` -- :class:`Cell` (one independent simulation run,
   a pure function of its parameters) and :class:`ExperimentSpec` (the
-  declarative description of one figure/ablation: how to resolve scale
-  parameters into cells, how to derive display rows, columns, title).
+  declarative description of one figure/ablation: its parameters at
+  each scale, how they expand into cells, how to derive display rows,
+  columns, title).
 * :mod:`repro.exp.registry` -- one spec per figure/ablation of the paper;
   replaces the CLI's historic ``if/elif`` dispatch chain.
 * :mod:`repro.exp.runner` -- shards a spec's cells across a
@@ -35,12 +36,14 @@ from .emit import (
 )
 from .registry import EXPERIMENTS, REGISTRY, get_spec
 from .runner import ExperimentRun, run_cells, run_experiment
-from .spec import Cell, ExperimentSpec, cell_key
+from .spec import SCALES, Cell, ExperimentSpec, cell_key, resolve_scale
 
 __all__ = [
     "Cell",
     "ExperimentSpec",
     "cell_key",
+    "SCALES",
+    "resolve_scale",
     "EXPERIMENTS",
     "REGISTRY",
     "get_spec",

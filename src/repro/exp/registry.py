@@ -1,11 +1,12 @@
 """The experiment registry: one declarative spec per figure / ablation.
 
 This replaces the historic ``if/elif`` dispatch chain of
-``repro.__main__`` and its duplicated column tables.  Each spec resolves
-CLI-level knobs (scale, app) into parameters, expands them into
-independent :class:`~repro.exp.spec.Cell`\\ s for the parallel runner,
-and carries the presentation metadata (columns, title) the CLI and the
-JSON emitter share.
+``repro.__main__`` and its duplicated column tables.  Each spec holds
+its parameters at every scale (``paper`` is the paper's exact
+configuration), expands them into independent
+:class:`~repro.exp.spec.Cell`\\ s for the parallel runner, and carries
+the presentation metadata (columns, title) the CLI and the JSON emitter
+share.
 
 Figures 9 and 10 are *projections* of the Figure 8 runs (the paper
 derives them from the same executions), so their specs expand to the
@@ -14,13 +15,13 @@ same cells as Figure 8 -- under a warm cache they cost nothing.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis import experiments as E
 from ..apps.barneshut import CELL_BYTES
 from ..network.failures import parse_failure_spec
 from ..workloads import get_workload
-from .spec import Cell, ExperimentSpec
+from .spec import SCALES, Cell, ExperimentSpec
 
 __all__ = ["REGISTRY", "EXPERIMENTS", "get_spec"]
 
@@ -31,81 +32,24 @@ FIG3_STRATEGIES = ("fixed-home", "4-ary")
 FIG6_STRATEGIES = ("fixed-home", "2-4-ary")
 FIG11_STRATEGIES = ("fixed-home", "4-8-ary")
 TREE_DEGREE_VARIANTS = ("2-ary", "2-4-ary", "4-ary", "4-16-ary", "16-ary")
-#: Strategies compared at matched node counts across interconnects.
-XTOPO_STRATEGIES = ("fixed-home", "4-ary", "2-4-ary")
-#: Strategies swept over the synthetic-workload axes.
-XWORK_STRATEGIES = ("fixed-home", "4-ary", "2-4-ary")
-#: Strategies compared on the thousands-of-nodes scale axis (the node
-#: counts live in analysis.scale_params("xscale", ...)).
-XSCALE_STRATEGIES = ("fixed-home", "2-4-ary")
-#: Strategy families compared head to head by the xstrat sweep: the
-#: paper's two (an access tree per application family + fixed home) plus
-#: the post-paper migration and dynamic-replication schemes.
-XSTRAT_STRATEGIES = ("fixed-home", "4-ary", "2-4-ary", "migratory", "dynrep")
-#: Read fractions of the xstrat zipf cells (read-heavy like the paper's
-#: apps, and the mixed regime where invalidation traffic bites).
-XSTRAT_READ_FRACS = (0.9, 0.5)
-#: Strategies swept over the capacity-pressure axis (2-ary is the
-#: paper's Figure 8 kink strategy; migratory cannot evict by design).
-XCAP_STRATEGIES = ("fixed-home", "2-ary", "2-4-ary", "dynrep", "migratory")
-#: Strategy families swept over the failure axis: every family with
-#: repair hooks (all five -- the xfail sweep is the adversarial proof
-#: that each survives link flaps and node churn).
-XFAIL_STRATEGIES = ("fixed-home", "4-ary", "2-4-ary", "migratory", "dynrep")
-#: Strategies compared on the adaptation axis: the online-adaptive
-#: scheme against its threshold-counting ancestor, the static baseline
-#: and the paper's access tree, under a drifting hotspot.
-XADAPT_STRATEGIES = ("adaptive", "dynrep", "fixed-home", "4-ary")
-#: Zipf skew exponents of the xwork-zipf sweep (0 = uniform).
-XWORK_ZIPF_ALPHAS = (0.0, 0.8, 1.5)
-#: Read fractions of the xwork-readfrac sweep (1.0 = read-only).
-XWORK_READ_FRACS = (0.5, 0.8, 0.95, 1.0)
 #: The zipf hotspot the capacity and failure axes hold fixed (64
 #: variables of 256 bytes, read-heavy like the paper's apps); only the
 #: per-processor op count scales.
 ZIPF_HOTSPOT = {"n_vars": 64, "alpha": 0.8, "read_frac": 0.9, "payload": 256}
+#: The three interconnects the internal topology sweeps cover.
+ALL_TOPOLOGIES = ["mesh", "torus", "hypercube"]
 
 
-def _scale_title(name: str) -> Callable[[Params, Optional[str], str], str]:
-    def title(params: Params, scale: Optional[str], workload: str) -> str:
-        return f"{name} ({scale or 'default'} scale)"
-
-    return title
-
-
-def _fixed_title(text: str) -> Callable[[Params, Optional[str], str], str]:
-    return lambda params, scale, workload: text
+def _sizes(quick: Params, default: Params, paper: Params, **fixed: Any) -> Dict[str, Params]:
+    """``scale -> params``: each scale's own sizes plus ``fixed``, the
+    entries every scale shares."""
+    return {scale: {**sizes, **fixed}
+            for scale, sizes in zip(SCALES, (quick, default, paper))}
 
 
-def _scaled_params(figure: str) -> Callable[[Optional[str], str], Params]:
-    def make(scale: Optional[str], workload: str) -> Params:
-        return E.scale_params(figure, scale)
-
-    return make
-
-
-def _workload_params(**defaults: Any) -> Callable[[Optional[str], str], Params]:
-    """Parameters for the ``--workload``-sensitive ablations: the generic
-    ``size`` knob keeps its historic value for the paper apps and falls
-    back to the workload's own default size otherwise (a synthetic kernel
-    sized like a matrix block would run for minutes)."""
-
-    def make(scale: Optional[str], workload: str) -> Params:
-        params = dict(defaults, workload=workload)
-        if workload not in ("matmul", "bitonic"):
-            wl = get_workload(workload)
-            if wl.size_param is not None:
-                params["size"] = wl.defaults[wl.size_param]
-        return params
-
-    return make
-
-
-def _fixed_params(**defaults: Any) -> Callable[[Optional[str], str], Params]:
-    def make(scale: Optional[str], workload: str) -> Params:
-        return dict(defaults)
-
-    return make
+def _every_scale(**params: Any) -> Dict[str, Params]:
+    """The same params at every scale (the ablations)."""
+    return _sizes({}, {}, {}, **params)
 
 
 # ------------------------------------------------------------- cell builders
@@ -186,16 +130,6 @@ def _xtopo_cells(p: Params) -> List[Cell]:
     ]
 
 
-def _xtopo_params(*topologies: str) -> Callable[[Optional[str], str], Params]:
-    def make(scale: Optional[str], app: str) -> Params:
-        params = E.scale_params("xtopo", scale)
-        params["topologies"] = list(topologies)
-        params["strategies"] = XTOPO_STRATEGIES
-        return params
-
-    return make
-
-
 def _fig8_cells(p: Params) -> List[Cell]:
     return [
         Cell.make(E.barneshut_cell, strategy=name, bodies=n, side=p["side"],
@@ -232,15 +166,6 @@ def _embedding_cells(p: Params) -> List[Cell]:
     ]
 
 
-def _xwork_zipf_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xwork", scale)
-    params["topologies"] = ["mesh", "torus", "hypercube"]
-    params["alphas"] = list(XWORK_ZIPF_ALPHAS)
-    params["read_frac"] = 0.9
-    params["strategies"] = list(XWORK_STRATEGIES)
-    return params
-
-
 def _xwork_zipf_cells(p: Params) -> List[Cell]:
     return [
         _run("zipf", name, topology=topology, side=p["side"],
@@ -250,14 +175,6 @@ def _xwork_zipf_cells(p: Params) -> List[Cell]:
         for alpha in p["alphas"]
         for name in p["strategies"]
     ]
-
-
-def _xwork_readfrac_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xwork", scale)
-    params["read_fracs"] = list(XWORK_READ_FRACS)
-    params["alpha"] = 0.8
-    params["strategies"] = list(XWORK_STRATEGIES)
-    return params
 
 
 def _xwork_readfrac_cells(p: Params) -> List[Cell]:
@@ -270,13 +187,6 @@ def _xwork_readfrac_cells(p: Params) -> List[Cell]:
     ]
 
 
-def _xscale_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xscale", scale)
-    params["topologies"] = ["mesh", "torus", "hypercube"]
-    params["strategies"] = list(XSCALE_STRATEGIES)
-    return params
-
-
 def _xscale_cells(p: Params) -> List[Cell]:
     return [
         _run("zipf", name, topology=topology, nodes=nodes,
@@ -286,14 +196,6 @@ def _xscale_cells(p: Params) -> List[Cell]:
         for topology in p["topologies"]
         for name in p["strategies"]
     ]
-
-
-def _xstrat_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xstrat", scale)
-    params["topologies"] = ["mesh", "torus", "hypercube"]
-    params["strategies"] = list(XSTRAT_STRATEGIES)
-    params["read_fracs"] = list(XSTRAT_READ_FRACS)
-    return params
 
 
 def _xstrat_cells(p: Params) -> List[Cell]:
@@ -315,12 +217,6 @@ def _xstrat_cells(p: Params) -> List[Cell]:
         cells.append(_run("matmul", name, topology="mesh", side=p["side"],
                           params={"block_entries": p["block"]}, label=no_knob))
     return cells
-
-
-def _xcap_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xcap", scale)
-    params["strategies"] = list(XCAP_STRATEGIES)
-    return params
 
 
 def _capacity(copies: Optional[float], copy_bytes: int) -> Params:
@@ -346,14 +242,6 @@ def _xcap_cells(p: Params) -> List[Cell]:
     ]
 
 
-def _xfail_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xfail", scale)
-    params["topologies"] = ["mesh", "torus", "hypercube"]
-    params["strategies"] = list(XFAIL_STRATEGIES)
-    params["failures"] = list(params["failures"])
-    return params
-
-
 def _xfail_cells(p: Params) -> List[Cell]:
     return [
         _run("zipf", name, topology=topology, side=p["side"],
@@ -364,14 +252,6 @@ def _xfail_cells(p: Params) -> List[Cell]:
         for topology in p["topologies"]
         for name in p["strategies"]
     ]
-
-
-def _xadapt_params(scale: Optional[str], workload: str) -> Params:
-    params = E.scale_params("xadapt", scale)
-    params["topologies"] = ["mesh", "torus", "hypercube"]
-    params["strategies"] = list(XADAPT_STRATEGIES)
-    params["drifts"] = list(params["drifts"])
-    return params
 
 
 def _xadapt_cells(p: Params) -> List[Cell]:
@@ -431,116 +311,174 @@ def _derive_fig10(rows, params):
     return E.fig10_rows_from_cells(rows)
 
 
+#: Figures 8-10 share the Barnes-Hut runs, hence their sizes.
+FIG8_SIZES = _sizes(
+    dict(side=4, bodies=(128, 256), steps=2, warm=1),
+    dict(side=8, bodies=(400, 800, 1200), steps=3, warm=1),
+    dict(side=16, bodies=(10000, 20000, 30000, 40000, 50000, 60000), steps=7, warm=2),
+)
+#: Cross-topology sizes: the node count is pinned at 256 (the paper's
+#: machine scale: mesh/torus 16x16, hypercube dim 8) at every scale so
+#: topology comparisons never degrade to toy sizes; only the
+#: per-processor load varies.
+XTOPO_SIZES = (dict(side=16, keys=64), dict(side=16, keys=256), dict(side=16, keys=4096))
+XTOPO_STRATEGIES = ("fixed-home", "4-ary", "2-4-ary")
+#: Cross-workload sizes (synthetic kernels): the node count is pinned at
+#: 64 (mesh/torus 8x8, hypercube dim 6) so the three topology families
+#: stay comparable at every scale; only the per-processor operation
+#: count grows.
+XWORK_SIZES = (dict(side=8, ops=16), dict(side=8, ops=64), dict(side=8, ops=256))
+XWORK_STRATEGIES = ["fixed-home", "4-ary", "2-4-ary"]
+
 REGISTRY: Dict[str, ExperimentSpec] = {
     spec.name: spec
     for spec in [
         ExperimentSpec(
             name="fig2",
             columns=("strategy", "mesh", "total_bytes", "congestion_bytes", "time"),
-            make_params=_scaled_params("fig2"),
+            params=_sizes(dict(side=4, block_entries=256),
+                          dict(side=16, block_entries=1024),
+                          dict(side=16, block_entries=4096)),
             make_cells=_fig2_cells,
-            title=_scale_title("fig2"),
+            title="fig2 ({scale} scale)",
         ),
         ExperimentSpec(
             name="fig3",
             columns=("strategy", "block", "congestion_ratio", "time_ratio"),
-            make_params=_scaled_params("fig3"),
+            params=_sizes(dict(side=8, blocks=(64, 256)),
+                          dict(side=16, blocks=(64, 256, 1024)),
+                          dict(side=16, blocks=(64, 256, 1024, 4096))),
             make_cells=_fig3_cells,
-            title=_scale_title("fig3"),
+            title="fig3 ({scale} scale)",
         ),
         ExperimentSpec(
             name="fig4",
             columns=("strategy", "side", "congestion_ratio", "time_ratio"),
-            make_params=_scaled_params("fig4"),
+            params=_sizes(dict(sides=(4, 8), block_entries=256),
+                          dict(sides=(4, 8, 16), block_entries=1024),
+                          dict(sides=(4, 8, 16, 32), block_entries=4096)),
             make_cells=_fig4_cells,
-            title=_scale_title("fig4"),
+            title="fig4 ({scale} scale)",
         ),
         ExperimentSpec(
             name="fig6",
             columns=("strategy", "keys", "congestion_ratio", "time_ratio"),
-            make_params=_scaled_params("fig6"),
+            params=_sizes(dict(side=8, keys=(256, 1024)),
+                          dict(side=16, keys=(256, 1024, 4096)),
+                          dict(side=16, keys=(256, 1024, 4096, 16384))),
             make_cells=_fig6_cells,
-            title=_scale_title("fig6"),
+            title="fig6 ({scale} scale)",
             uses_topology=True,
         ),
         ExperimentSpec(
             name="fig7",
             columns=("strategy", "side", "congestion_ratio", "time_ratio"),
-            make_params=_scaled_params("fig7"),
+            params=_sizes(dict(sides=(4, 8), keys=1024),
+                          dict(sides=(4, 8, 16), keys=4096),
+                          dict(sides=(4, 8, 16, 32), keys=4096)),
             make_cells=_fig7_cells,
-            title=_scale_title("fig7"),
+            title="fig7 ({scale} scale)",
             uses_topology=True,
         ),
         ExperimentSpec(
             name="xtopo-torus",
             columns=("topology", "network", "strategy", "congestion_ratio",
                      "time_ratio", "congestion_bytes", "time"),
-            make_params=_xtopo_params("mesh", "torus"),
+            params=_sizes(*XTOPO_SIZES, topologies=["mesh", "torus"],
+                          strategies=XTOPO_STRATEGIES),
             make_cells=_xtopo_cells,
-            title=_fixed_title("cross-topology: bitonic on mesh vs torus (256 nodes)"),
+            title="cross-topology: bitonic on mesh vs torus (256 nodes)",
         ),
         ExperimentSpec(
             name="xtopo-hypercube",
             columns=("topology", "network", "strategy", "congestion_ratio",
                      "time_ratio", "congestion_bytes", "time"),
-            make_params=_xtopo_params("mesh", "hypercube"),
+            params=_sizes(*XTOPO_SIZES, topologies=["mesh", "hypercube"],
+                          strategies=XTOPO_STRATEGIES),
             make_cells=_xtopo_cells,
-            title=_fixed_title("cross-topology: bitonic on mesh vs hypercube (256 nodes)"),
+            title="cross-topology: bitonic on mesh vs hypercube (256 nodes)",
         ),
         ExperimentSpec(
             name="xwork-zipf",
             columns=("topology", "alpha", "strategy", "congestion_bytes",
                      "total_bytes", "time", "hit_rate"),
-            make_params=_xwork_zipf_params,
+            # alpha 0 is uniform.
+            params=_sizes(*XWORK_SIZES, topologies=ALL_TOPOLOGIES,
+                          alphas=[0.0, 0.8, 1.5], read_frac=0.9,
+                          strategies=XWORK_STRATEGIES),
             make_cells=_xwork_zipf_cells,
-            title=_fixed_title(
-                "cross-workload: Zipf hotspot skew sweep "
-                "(64 nodes, mesh+torus+hypercube)"
-            ),
+            title="cross-workload: Zipf hotspot skew sweep "
+                  "(64 nodes, mesh+torus+hypercube)",
         ),
         ExperimentSpec(
             name="xwork-readfrac",
             columns=("read_frac", "strategy", "congestion_bytes",
                      "total_bytes", "time", "hit_rate"),
-            make_params=_xwork_readfrac_params,
+            # read_frac 1.0 is read-only.
+            params=_sizes(*XWORK_SIZES, read_fracs=[0.5, 0.8, 0.95, 1.0],
+                          alpha=0.8, strategies=XWORK_STRATEGIES),
             make_cells=_xwork_readfrac_cells,
-            title=_fixed_title(
-                "cross-workload: read-fraction sweep (zipf hotspot, 64 nodes)"
-            ),
+            title="cross-workload: read-fraction sweep (zipf hotspot, 64 nodes)",
             uses_topology=True,
         ),
         ExperimentSpec(
             name="xscale",
             columns=("nodes", "topology", "strategy", "congestion_bytes",
                      "congestion_per_node", "total_bytes", "time", "hit_rate"),
-            make_params=_xscale_params,
+            # Thousands of nodes: the regime where the paper's asymptotic
+            # congestion guarantee is supposed to bite.  Quick keeps one
+            # large machine for smoke coverage; default/paper sweep the
+            # axis with growing per-processor load.  Paper extends past
+            # the dense-table limit (2^14) now that routing is algebraic
+            # there; the 2^17 point is nightly-only via --nodes (see
+            # EXPERIMENTS.md "Memory ceiling").
+            params=_sizes(dict(nodes=(1024,), ops=4),
+                          dict(nodes=(1024, 2048, 4096), ops=16),
+                          dict(nodes=(1024, 2048, 4096, 16384), ops=64),
+                          topologies=ALL_TOPOLOGIES,
+                          strategies=["fixed-home", "2-4-ary"]),
             make_cells=_xscale_cells,
-            title=_fixed_title(
-                "scale axis: zipf hotspot at 1024-4096 nodes "
-                "(mesh+torus+hypercube, fixed-home vs 2-4-ary)"
-            ),
+            title="scale axis: zipf hotspot at 1024-4096 nodes "
+                  "(mesh+torus+hypercube, fixed-home vs 2-4-ary)",
         ),
         ExperimentSpec(
             name="xstrat",
             columns=("workload", "topology", "strategy", "read_frac",
                      "congestion_bytes", "total_bytes", "time", "hit_rate"),
-            make_params=_xstrat_params,
+            # Every strategy family -- the paper's two (an access tree
+            # per application family + fixed home) plus the post-paper
+            # migration and dynamic-replication schemes -- on the paper
+            # apps and the zipf kernel at a pinned 64 nodes, zipf at a
+            # read-heavy and a mixed read fraction (where invalidation
+            # traffic bites); --scale grows only the per-processor load.
+            params=_sizes(dict(side=8, ops=16, keys=32, block=64),
+                          dict(side=8, ops=64, keys=256, block=256),
+                          dict(side=8, ops=256, keys=1024, block=1024),
+                          topologies=ALL_TOPOLOGIES,
+                          strategies=["fixed-home", "4-ary", "2-4-ary",
+                                      "migratory", "dynrep"],
+                          read_fracs=[0.9, 0.5]),
             make_cells=_xstrat_cells,
-            title=_fixed_title(
-                "cross-strategy: every family x paper apps + zipf "
-                "(64 nodes, mesh+torus+hypercube)"
-            ),
+            title="cross-strategy: every family x paper apps + zipf "
+                  "(64 nodes, mesh+torus+hypercube)",
         ),
         ExperimentSpec(
             name="xcap",
             columns=("capacity_copies", "strategy", "evictions", "hit_rate",
                      "congestion_bytes", "time"),
-            make_params=_xcap_params,
+            # Per-processor copy capacity (in copies of the zipf payload)
+            # from unbounded down to severe pressure -- the
+            # generalization of the paper's Figure 8 replacement kink
+            # (2-ary is its kink strategy; migratory cannot evict by
+            # design).
+            params=_sizes(dict(side=8, ops=16, capacities=(None, 8, 2)),
+                          dict(side=8, ops=64, capacities=(None, 16, 8, 4, 2)),
+                          dict(side=8, ops=256, capacities=(None, 16, 8, 4, 2)),
+                          strategies=["fixed-home", "2-ary", "2-4-ary", "dynrep",
+                                      "migratory"]),
             make_cells=_xcap_cells,
-            title=_fixed_title(
-                "capacity pressure: zipf under per-processor copy capacity "
-                "(LRU replacement)"
-            ),
+            title="capacity pressure: zipf under per-processor copy capacity "
+                  "(LRU replacement)",
             uses_topology=True,
         ),
         ExperimentSpec(
@@ -548,107 +486,146 @@ REGISTRY: Dict[str, ExperimentSpec] = {
             columns=("failures", "topology", "strategy", "congestion_bytes",
                      "time", "requests_failed", "requests_stalled",
                      "requests_retried", "repairs"),
-            make_params=_xfail_params,
-            make_cells=_xfail_cells,
-            title=_fixed_title(
-                "failure axis: zipf under link flaps and node churn "
-                "(5 strategy families x mesh+torus+hypercube)"
+            # Failure rate x every strategy family with repair hooks (all
+            # five: the sweep is the adversarial proof that each survives
+            # link flaps and node churn) x topology.  Horizons are tuned
+            # to the measured zipf virtual end time per scale (quick
+            # ~0.11-0.14 s, default ~0.38-0.64 s) so the events land
+            # inside the run; every spec pins its seed for cacheable,
+            # reproducible schedules.
+            params=_sizes(
+                dict(side=8, ops=16, failures=[
+                    "none",
+                    "linkflap:rate=0.05:seed=7:horizon=0.05:down=0.5",
+                    "churn:nodes=0.05:seed=7:horizon=0.05",
+                ]),
+                dict(side=8, ops=64, failures=[
+                    "none",
+                    "linkflap:rate=0.02:seed=7:horizon=0.2:down=0.5",
+                    "linkflap:rate=0.05:seed=7:horizon=0.2:down=0.5",
+                    "churn:nodes=0.05:seed=7:horizon=0.2",
+                    "churn:nodes=0.1:seed=7:horizon=0.2",
+                ]),
+                dict(side=8, ops=256, failures=[
+                    "none",
+                    "linkflap:rate=0.02:seed=7:horizon=0.8:down=0.5",
+                    "linkflap:rate=0.05:seed=7:horizon=0.8:down=0.5",
+                    "churn:nodes=0.05:seed=7:horizon=0.8",
+                    "churn:nodes=0.1:seed=7:horizon=0.8",
+                ]),
+                topologies=ALL_TOPOLOGIES,
+                strategies=["fixed-home", "4-ary", "2-4-ary", "migratory", "dynrep"],
             ),
+            make_cells=_xfail_cells,
+            title="failure axis: zipf under link flaps and node churn "
+                  "(5 strategy families x mesh+torus+hypercube)",
         ),
         ExperimentSpec(
             name="xadapt",
             columns=("drift", "topology", "strategy", "time", "hit_rate",
                      "latency_p50", "latency_p95", "latency_p99",
                      "storage_cost", "effective_network_usage"),
-            make_params=_xadapt_params,
+            # The hotspot-drift kernel (zipf head rotating mid-run): the
+            # online-adaptive scheme against its threshold-counting
+            # ancestor, the static baseline and the paper's access tree;
+            # --scale grows the per-processor load and the drift sweep.
+            params=_sizes(dict(side=8, ops=16, drifts=[0, 2]),
+                          dict(side=8, ops=64, drifts=[0, 2, 5]),
+                          dict(side=8, ops=256, drifts=[0, 2, 5, 10]),
+                          topologies=ALL_TOPOLOGIES,
+                          strategies=["adaptive", "dynrep", "fixed-home", "4-ary"]),
             make_cells=_xadapt_cells,
-            title=_fixed_title(
-                "adaptation axis: drifting zipf hotspot "
-                "(adaptive vs dynrep vs fixed-home vs 4-ary, "
-                "mesh+torus+hypercube)"
-            ),
+            title="adaptation axis: drifting zipf hotspot "
+                  "(adaptive vs dynrep vs fixed-home vs 4-ary, "
+                  "mesh+torus+hypercube)",
         ),
         ExperimentSpec(
             name="fig8",
             columns=("strategy", "bodies", "congestion_msgs", "time", "hit_rate"),
-            make_params=_scaled_params("fig8"),
+            params=FIG8_SIZES,
             make_cells=_fig8_cells,
-            title=_scale_title("fig8"),
+            title="fig8 ({scale} scale)",
         ),
         ExperimentSpec(
             name="fig9",
             columns=("strategy", "bodies", "congestion_msgs", "time"),
-            make_params=_scaled_params("fig8"),
+            params=FIG8_SIZES,
             make_cells=_fig8_cells,
-            title=_scale_title("fig9"),
+            title="fig9 ({scale} scale)",
             derive=_derive_fig9,
         ),
         ExperimentSpec(
             name="fig10",
             columns=("strategy", "bodies", "congestion_msgs", "time",
                      "local_compute", "comm_share"),
-            make_params=_scaled_params("fig8"),
+            params=FIG8_SIZES,
             make_cells=_fig8_cells,
-            title=_scale_title("fig10"),
+            title="fig10 ({scale} scale)",
             derive=_derive_fig10,
         ),
         ExperimentSpec(
             name="fig11",
             columns=("strategy", "mesh", "procs", "bodies", "congestion_msgs",
                      "time", "comm_time"),
-            make_params=_scaled_params("fig11"),
+            params=_sizes(
+                dict(meshes=((2, 4), (4, 4)), bodies_per_proc=24, steps=2, warm=1),
+                dict(meshes=((4, 4), (4, 8), (8, 8)), bodies_per_proc=50, steps=3,
+                     warm=1),
+                dict(meshes=((8, 8), (8, 16), (16, 16), (16, 32)),
+                     bodies_per_proc=200, steps=7, warm=2),
+            ),
             make_cells=_fig11_cells,
-            title=_scale_title("fig11"),
+            title="fig11 ({scale} scale)",
         ),
         ExperimentSpec(
             name="ablation-tree-degree",
             columns=("strategy", "congestion_bytes", "time", "max_startups"),
-            make_params=_workload_params(side=8, size=1024),
+            params=_every_scale(side=8, size=1024),
             make_cells=_tree_degree_cells,
-            title=lambda params, scale, workload: f"tree-degree ablation ({workload})",
+            title="tree-degree ablation ({workload})",
             uses_workload=True,
             uses_topology=True,
         ),
         ExperimentSpec(
             name="ablation-embedding",
             columns=("embedding", "congestion_bytes", "total_bytes", "time"),
-            make_params=_workload_params(side=8, size=1024, strategy="4-ary"),
+            params=_every_scale(side=8, size=1024, strategy="4-ary"),
             make_cells=_embedding_cells,
-            title=lambda params, scale, workload: f"embedding ablation ({workload})",
+            title="embedding ablation ({workload})",
             uses_workload=True,
             uses_topology=True,
         ),
         ExperimentSpec(
             name="ablation-invalidation",
             columns=("strategy", "variant", "congestion_bytes", "ctrl_msgs", "time"),
-            make_params=_fixed_params(side=8, block_entries=1024,
-                                      strategies=("4-ary", "fixed-home")),
+            params=_every_scale(side=8, block_entries=1024,
+                                strategies=("4-ary", "fixed-home")),
             make_cells=_invalidation_cells,
-            title=_fixed_title("invalidation ablation (square vs general multiply)"),
+            title="invalidation ablation (square vs general multiply)",
         ),
         ExperimentSpec(
             name="ablation-remapping",
             columns=("remap_threshold", "remaps", "congestion_bytes", "time"),
-            make_params=_fixed_params(side=8, payload=1024, rounds=8,
-                                      thresholds=(None, 64, 16, 4), strategy="4-ary"),
+            params=_every_scale(side=8, payload=1024, rounds=8,
+                                thresholds=(None, 64, 16, 4), strategy="4-ary"),
             make_cells=_remapping_cells,
-            title=_fixed_title("node remapping ablation (hot broadcast variable)"),
+            title="node remapping ablation (hot broadcast variable)",
         ),
         ExperimentSpec(
             name="ablation-barrier",
             columns=("barrier", "congestion_bytes", "time", "max_startups"),
-            make_params=_fixed_params(side=8, keys=1024, strategy="2-4-ary"),
+            params=_every_scale(side=8, keys=1024, strategy="2-4-ary"),
             make_cells=_barrier_cells,
-            title=_fixed_title("barrier ablation"),
+            title="barrier ablation",
             uses_topology=True,
         ),
         ExperimentSpec(
             name="bounded-memory",
             columns=("capacity_copies", "congestion_msgs", "evictions", "time"),
-            make_params=_fixed_params(side=4, bodies=256,
-                                      capacity_copies=(None, 64, 24), strategy="2-ary"),
+            params=_every_scale(side=4, bodies=256,
+                                capacity_copies=(None, 64, 24), strategy="2-ary"),
             make_cells=_bounded_memory_cells,
-            title=_fixed_title("bounded-memory / LRU replacement"),
+            title="bounded-memory / LRU replacement",
         ),
     ]
 }

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..analysis.tables import format_table
 from .cache import ResultCache
 from .emit import field_union, json_path, result_payload, sanitize_rows, write_json
-from .spec import Cell, ExperimentSpec, concat
+from .spec import Cell, ExperimentSpec, concat, resolve_scale
 
 __all__ = ["ExperimentRun", "peak_rss_mb", "run_cells", "run_experiment"]
 
@@ -136,7 +136,8 @@ class ExperimentRun:
     spec: ExperimentSpec
     params: Dict[str, Any]
     rows: List[Row]
-    scale: Optional[str]
+    #: The resolved scale (:func:`~repro.exp.spec.resolve_scale`).
+    scale: str
     workload: str
     topology: str = "mesh"
     cells_total: int = 0
@@ -150,11 +151,6 @@ class ExperimentRun:
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def scale_label(self) -> str:
-        """Effective scale for result-file naming (mirrors scale_params)."""
-        return self.scale or os.environ.get("REPRO_SCALE", "default")
 
     @property
     def file_stem(self) -> str:
@@ -185,7 +181,7 @@ class ExperimentRun:
 
     @property
     def title(self) -> str:
-        return self.spec.title(self.params, self.scale, self.workload)
+        return self.spec.title.format(scale=self.scale, workload=self.workload)
 
     def table(self) -> str:
         return format_table(self.rows, list(self.spec.columns), title=self.title)
@@ -193,7 +189,7 @@ class ExperimentRun:
     def payload(self) -> Dict[str, Any]:
         return result_payload(
             self.name,
-            self.scale_label,
+            self.scale,
             self.rows,
             self.spec.columns,
             params=self.params,
@@ -204,7 +200,7 @@ class ExperimentRun:
     def write_json(self, results_dir: Optional[os.PathLike] = None):
         """Emit the JSON result file; returns its path."""
         return write_json(
-            json_path(self.file_stem, self.scale_label, results_dir), self.payload()
+            json_path(self.file_stem, self.scale, results_dir), self.payload()
         )
 
 
@@ -228,6 +224,7 @@ def run_experiment(
         from .registry import get_spec
 
         spec = get_spec(spec)
+    scale = resolve_scale(scale)
     params = spec.params_for(scale, workload, topology)
     if param_overrides:
         unknown = set(param_overrides) - set(params)

@@ -11,23 +11,44 @@ data, a cell can be
 * content-addressed for the result cache (:func:`cell_key`).
 
 An :class:`ExperimentSpec` declares one figure or ablation of the paper:
-how CLI-level parameters (scale, app) resolve to concrete parameters, how
-those parameters expand into cells, and how the cell rows are turned into
-the displayed table (columns, title, optional derivation step -- Figures
-9/10 are derivations of the Figure 8 cells, so they share cache entries).
+its parameters at each scale (:func:`resolve_scale` picks the scale),
+how those parameters expand into cells, and how the cell rows are turned
+into the displayed table (columns, title, optional derivation step --
+Figures 9/10 are derivations of the Figure 8 cells, so they share cache
+entries).
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Cell", "ExperimentSpec", "cell_key", "CACHE_KEY_VERSION"]
+from ..workloads import get_workload
+
+__all__ = ["Cell", "ExperimentSpec", "SCALES", "cell_key", "resolve_scale",
+           "CACHE_KEY_VERSION"]
 
 Row = Dict[str, object]
+
+#: ``quick`` (tests, CI smoke), ``default`` (the shape bench) and
+#: ``paper`` (the paper's exact sizes).
+SCALES = ("quick", "default", "paper")
+
+
+def resolve_scale(scale: Optional[str] = None) -> str:
+    """The scale a run uses: ``scale``, else ``$REPRO_SCALE``, else
+    ``default``.  Raises ``ValueError`` for anything but :data:`SCALES`."""
+    if scale is None:
+        scale = os.environ.get("REPRO_SCALE", "default")
+    if scale not in SCALES:
+        raise ValueError(f"scale must be quick/default/paper, got {scale!r}")
+    return scale
+
 
 #: Manual escape hatch: bump to invalidate every cached cell result even
 #: when the source fingerprint below cannot see the change (e.g. an
@@ -128,17 +149,15 @@ class ExperimentSpec:
         CLI name (``fig3``, ``ablation-tree-degree``, ...).
     columns:
         Columns of the displayed table, in order.
-    make_params:
-        ``(scale, workload) -> params`` -- resolves the CLI-level knobs
-        into the concrete parameter dict (via
-        :func:`repro.analysis.scale_params` for the figures; fixed
-        defaults for the ablations).
+    params:
+        ``scale -> params``: the concrete parameter dict at each of
+        :data:`SCALES` (``paper`` is the paper's exact configuration;
+        the ablations give the same dict at every scale).
     make_cells:
         ``params -> [Cell, ...]`` -- pure expansion of parameters into
         independent cells; the runner preserves this order.
     title:
-        ``(params, scale, workload) -> str`` -- table title
-        (byte-compatible with the historic CLI output).
+        Table title, a format string over ``{scale}`` and ``{workload}``.
     derive:
         Optional ``(rows, params) -> rows`` applied to the concatenated
         cell rows (e.g. Figures 9/10 project phase columns out of the
@@ -146,9 +165,10 @@ class ExperimentSpec:
     uses_workload:
         Whether the ``--workload`` CLI axis changes the experiment (the
         tree-degree and embedding ablations run any registered
-        workload); result files for a non-default
-        workload get a workload-suffixed name so axis values don't
-        overwrite each other.
+        workload): the resolved parameters gain a ``"workload"`` key, and
+        a workload other than the two paper apps keeps its own default
+        ``size``.  Result files for a non-default workload get a
+        workload-suffixed name so axis values don't overwrite each other.
     uses_topology:
         Whether the ``--topology`` CLI axis changes the experiment: the
         resolved parameters gain a ``"topology"`` key the cell builder
@@ -160,9 +180,9 @@ class ExperimentSpec:
 
     name: str
     columns: Tuple[str, ...]
-    make_params: Callable[[Optional[str], str], Dict[str, Any]]
+    params: Mapping[str, Mapping[str, Any]]
     make_cells: Callable[[Dict[str, Any]], List[Cell]]
-    title: Callable[[Dict[str, Any], Optional[str], str], str]
+    title: str
     derive: Optional[Callable[[List[Row], Dict[str, Any]], List[Row]]] = None
     uses_workload: bool = field(default=False)
     uses_topology: bool = field(default=False)
@@ -170,9 +190,17 @@ class ExperimentSpec:
     def params_for(
         self, scale: Optional[str] = None, workload: str = "matmul", topology: str = "mesh"
     ) -> Dict[str, Any]:
-        """Resolve CLI-level knobs (scale, workload, topology) into
-        parameters."""
-        params = self.make_params(scale, workload)
+        """Resolve CLI-level knobs (scale, workload, topology) into a
+        fresh parameter dict."""
+        params = copy.deepcopy(dict(self.params[resolve_scale(scale)]))
+        if self.uses_workload:
+            params["workload"] = workload
+            if workload not in ("matmul", "bitonic"):
+                # A synthetic kernel sized like a matrix block would run
+                # for minutes: it keeps its own default load.
+                wl = get_workload(workload)
+                if wl.size_param is not None:
+                    params["size"] = wl.defaults[wl.size_param]
         if self.uses_topology:
             params["topology"] = topology
         return params

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import PAPER, format_table, scale_params, workload_cell
-from repro.exp import MemoryCache, run_experiment
+from repro.analysis import PAPER, format_table, workload_cell
+from repro.exp import MemoryCache, get_spec, run_experiment
 from repro.network.topology import make_topology
 from repro.workloads import get_workload
 
@@ -23,20 +23,20 @@ def by(rows, **match):
 class TestScaleParams:
     def test_known_scales(self):
         for scale in ("quick", "default", "paper"):
-            p = scale_params("fig3", scale)
+            p = get_spec("fig3").params_for(scale)
             assert "blocks" in p
 
     def test_paper_scale_matches_paper(self):
-        p = scale_params("fig4", "paper")
+        p = get_spec("fig4").params_for("paper")
         assert p["sides"] == (4, 8, 16, 32)
         assert p["block_entries"] == 4096
-        p8 = scale_params("fig8", "paper")
+        p8 = get_spec("fig8").params_for("paper")
         assert p8["bodies"] == (10000, 20000, 30000, 40000, 50000, 60000)
         assert p8["side"] == 16
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
-            scale_params("fig3", "huge")
+            get_spec("fig3").params_for("huge")
 
 
 class TestFig2:
@@ -51,7 +51,7 @@ class TestFig2:
 
 class TestFig3:
     def test_shapes(self):
-        p = scale_params("fig3", "quick")
+        p = get_spec("fig3").params_for("quick")
         rows = rows_of("fig3")
         for block in p["blocks"]:
             fh = by(rows, strategy="fixed-home", block=block)[0]
@@ -66,7 +66,7 @@ class TestFig3:
 
 class TestFig4:
     def test_gap_grows_with_network(self):
-        p = scale_params("fig4", "quick")
+        p = get_spec("fig4").params_for("quick")
         rows = rows_of("fig4")
         gaps = []
         for side in p["sides"]:
@@ -78,7 +78,7 @@ class TestFig4:
 
 class TestFig6Fig7:
     def test_fig6_shapes(self):
-        p = scale_params("fig6", "quick")
+        p = get_spec("fig6").params_for("quick")
         rows = rows_of("fig6")
         for m in p["keys"]:
             fh = by(rows, strategy="fixed-home", keys=m)[0]
@@ -86,7 +86,7 @@ class TestFig6Fig7:
             assert at["congestion_ratio"] < fh["congestion_ratio"]
 
     def test_fig7_fixed_home_degrades(self):
-        p = scale_params("fig7", "quick")
+        p = get_spec("fig7").params_for("quick")
         rows = rows_of("fig7")
         fh = [by(rows, strategy="fixed-home", side=s)[0]["congestion_ratio"] for s in p["sides"]]
         at = [by(rows, strategy="2-4-ary", side=s)[0]["congestion_ratio"] for s in p["sides"]]
@@ -146,7 +146,7 @@ class TestFig8Family:
 
 class TestFig11:
     def test_advantage_grows_with_p(self):
-        p = scale_params("fig11", "quick")
+        p = get_spec("fig11").params_for("quick")
         rows = rows_of("fig11")
         ratios = []
         for r, c in p["meshes"]:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import main  # noqa: F401  (ensures CLI imports the registry)
 from repro.analysis import experiments
-from repro.exp import EXPERIMENTS, REGISTRY, get_spec, run_experiment
+from repro.exp import EXPERIMENTS, REGISTRY, SCALES, get_spec, run_experiment
 
 #: The historic CLI surface -- every name must stay resolvable.
 LEGACY_NAMES = sorted(
@@ -78,16 +78,22 @@ class TestSpecInvariants:
         assert {c.key for c in get_spec("fig10").cells(scale="quick")} == fig8
 
     def test_titles_match_legacy_cli(self):
-        p3 = get_spec("fig3").make_params("quick", "matmul")
-        assert get_spec("fig3").title(p3, None, "matmul") == "fig3 (default scale)"
-        assert get_spec("fig3").title(p3, "quick", "matmul") == "fig3 (quick scale)"
-        td = get_spec("ablation-tree-degree")
-        assert td.title(td.make_params(None, "bitonic"), None, "bitonic") == (
+        fig3 = get_spec("fig3").title
+        assert fig3.format(scale="default", workload="matmul") == "fig3 (default scale)"
+        assert fig3.format(scale="quick", workload="matmul") == "fig3 (quick scale)"
+        td = get_spec("ablation-tree-degree").title
+        assert td.format(scale="default", workload="bitonic") == (
             "tree-degree ablation (bitonic)"
         )
-        assert get_spec("bounded-memory").title({}, None, "matmul") == (
-            "bounded-memory / LRU replacement"
-        )
+        assert get_spec("bounded-memory").title.format(
+            scale="default", workload="matmul"
+        ) == "bounded-memory / LRU replacement"
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_params_at_every_scale_and_a_title_over_scale_and_workload(self, name):
+        spec = get_spec(name)
+        assert set(spec.params) == set(SCALES)
+        spec.title.format(scale="quick", workload="matmul")  # no other field
 
     def test_ablations_ignore_scale(self):
         for name in LEGACY_NAMES:
@@ -267,15 +273,15 @@ class TestOneDefinitionPerExperiment:
 
     def test_analysis_experiments_exposes_cells_not_runners(self):
         """No per-figure runner hides beside the registry: the module's
-        public callables are scale_params, the cells and the two
-        Barnes-Hut phase projections."""
+        public callables are the cells and the two Barnes-Hut phase
+        projections."""
         public = {
             name for name, obj in vars(experiments).items()
             if callable(obj) and not name.startswith("_")
             and getattr(obj, "__module__", None) == experiments.__name__
         }
         expected = {fn.__name__ for fn in CELL_FUNCTIONS} | {
-            "scale_params", "fig9_rows_from_cells", "fig10_rows_from_cells",
+            "fig9_rows_from_cells", "fig10_rows_from_cells",
         }
         assert public == expected
         assert set(experiments.__all__) == expected

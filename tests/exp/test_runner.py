@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from repro.exp import (
+    SCALES,
     Cell,
     ExperimentSpec,
     ResultCache,
@@ -35,12 +36,12 @@ def counting_spec(marker_dir, values=(1, 2, 3)):
     return ExperimentSpec(
         name="synthetic",
         columns=("value", "doubled"),
-        make_params=lambda scale, app: {"values": list(values)},
+        params={scale: {"values": list(values)} for scale in SCALES},
         make_cells=lambda p: [
             Cell.make(_counting_cell, marker_dir=str(marker_dir), value=v)
             for v in p["values"]
         ],
-        title=lambda p, scale, app: "synthetic",
+        title="synthetic",
     )
 
 
@@ -107,7 +108,7 @@ class TestDerive:
         spec = ExperimentSpec(
             name=spec.name,
             columns=("value",),
-            make_params=spec.make_params,
+            params=spec.params,
             make_cells=spec.make_cells,
             title=spec.title,
             derive=lambda rows, params: [r for r in rows if r["value"] > 1],

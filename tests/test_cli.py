@@ -1,5 +1,6 @@
 """CLI tests (python -m repro)."""
 
+import gzip
 import json
 import socket
 
@@ -52,6 +53,34 @@ class TestCli:
     def test_bad_jobs_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig2", "--scale", "quick", "--jobs", "0"])
+
+    @pytest.mark.parametrize("name", ["fig2", "ablation-remapping"])
+    def test_bad_repro_scale_exits_2_for_figures_and_ablations(
+        self, name, _isolated_results_dir, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SCALE", "huge")
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--json"])
+        assert exc.value.code == 2
+        assert "error: scale must be quick/default/paper, got 'huge'" in (
+            capsys.readouterr().err
+        )
+        assert not list(_isolated_results_dir.glob("*.huge.json"))
+
+    def test_repro_scale_names_the_title_and_the_file(
+        self, _isolated_results_dir, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SCALE", "quick")
+        assert main(["fig2", "--json"]) == 0
+        assert "fig2 (quick scale)" in capsys.readouterr().out
+        assert (_isolated_results_dir / "fig2.quick.json").is_file()
+
+    @pytest.mark.parametrize("nodes", ["3", "1", "1024,48"])
+    def test_xscale_nodes_must_be_powers_of_two(self, nodes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["xscale", "--nodes", nodes])
+        assert exc.value.code == 2
+        assert "power of two" in capsys.readouterr().err
 
 
 class TestOrchestratorCli:
@@ -215,6 +244,33 @@ class TestTraceCli:
         assert main(["trace-replay"]) == 2
         assert "--trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--topology", "hypercube", "--side", "3"],
+                                       ["--side", "0"]], ids=" ".join)
+    def test_record_rejects_a_bad_topology(self, flags, tmp_path, capsys):
+        trace_path = tmp_path / "t.trace.gz"
+        assert main(["trace-record", "--workload", "zipf", *flags,
+                     "--trace", str(trace_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not trace_path.exists()
+
+    UNREADABLE = {
+        "missing": None,
+        "not-gzip": b"not a trace",
+        "truncated": gzip.compress(b'{"header": {"format": "repro-trace"}}')[:20],
+        "not-json": gzip.compress(b"\x00\xff"),
+        "no-header": gzip.compress(b"{}"),
+        "not-an-object": gzip.compress(b"[]"),
+        "header-not-an-object": gzip.compress(b'{"header": [], "ops": []}'),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE))
+    def test_replay_rejects_an_unreadable_trace(self, kind, tmp_path, capsys):
+        trace_path = tmp_path / "t.trace.gz"
+        if self.UNREADABLE[kind] is not None:
+            trace_path.write_bytes(self.UNREADABLE[kind])
+        assert main(["trace-replay", "--trace", str(trace_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read trace {trace_path}")
+
     def test_unknown_strategy_rejected(self, tmp_path, capsys):
         assert main(["trace-record", "--workload", "zipf", "--strategy", "octopus",
                      "--trace", str(tmp_path / "t.json")]) == 2
@@ -301,9 +357,7 @@ class TestTraceCli:
             for row in payload["rows"]:
                 for col in spec.columns:
                     assert col in row, f"{name}: row missing {col}"
-            assert get_spec(name).title(
-                spec.make_params("quick", "matmul"), "quick", "matmul"
-            ) in out
+            assert spec.title.format(scale="quick", workload="matmul") in out
 
 
 class TestServeCli:
